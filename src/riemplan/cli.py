@@ -230,7 +230,7 @@ def cmd_oracle_compare(scenario, args) -> int:
         scenario.potential,
         scenario.boundary,
         N=int(nodes),
-        method=str(opts.get("method", "lbfgs")),
+        method=str(opts.get("method", "newton")),
         gtol=float(opts.get("gtol", 1e-7)),
     )
     payload = compare_with_trajectory(scenario.chart, scenario.potential, path, traj)

@@ -11,8 +11,10 @@ charts.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -82,10 +84,60 @@ _EXPR_NAMES = {
 }
 
 
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+}
+_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _compile_expr(text: str, names: set[str]):
+    """Compile one metric expression to a function of the name table.
+
+    Only numeric constants, the given names, arithmetic and unary
+    operators, and positional calls to the functions in _EXPR_NAMES are
+    accepted; anything else (attribute access, subscripts, other calls)
+    raises ConfigError, so a metric file cannot reach the interpreter.
+    """
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda ns, v=node.value: v
+        if isinstance(node, ast.Name) and node.id in names:
+            return lambda ns, k=node.id: ns[k]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, lhs, rhs = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda ns: op(lhs(ns), rhs(ns))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
+            op, arg = _UNARYOPS[type(node.op)], build(node.operand)
+            return lambda ns: op(arg(ns))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and callable(_EXPR_NAMES.get(node.func.id))
+            and not node.keywords
+        ):
+            fn, args = _EXPR_NAMES[node.func.id], [build(a) for a in node.args]
+            return lambda ns: fn(*(a(ns) for a in args))
+        raise ConfigError(f"metric expression {text!r}: {type(node).__name__} is not allowed")
+
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"metric expression {text!r} does not parse: {exc.msg}") from exc
+    return build(tree.body)
+
+
 def _compile_metric(dim: int, rows: list[list[str]]):
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ConfigError("metric expression table must be dim x dim")
-    codes = [[compile(str(e), "<metric>", "eval") for e in row] for row in rows]
+    names = set(_EXPR_NAMES) | {f"x{i}" for i in range(dim)}
+    fns = [[_compile_expr(str(e), names) for e in row] for row in rows]
 
     def metric_fn(x):
         x = np.asarray(x, float)
@@ -95,8 +147,7 @@ def _compile_metric(dim: int, rows: list[list[str]]):
         out = np.empty(x.shape[:-1] + (dim, dim))
         for a in range(dim):
             for b in range(dim):
-                val = eval(codes[a][b], {"__builtins__": {}}, ns)  # noqa: S307
-                out[..., a, b] = val
+                out[..., a, b] = fns[a][b](ns)
         return out
 
     return metric_fn
@@ -107,8 +158,8 @@ def numeric_chart_from_file(path: str) -> NumericChart:
 
     Expected keys: ``dim`` (int), ``metric`` (dim x dim table of
     expressions in x0..x{dim-1}), optional ``domain_radius`` and ``h``.
-    Expressions are evaluated with numpy semantics; the file is trusted
-    input, as with any scenario configuration.
+    Expressions are evaluated with numpy semantics; only arithmetic on
+    constants, coordinates and the whitelisted functions is accepted.
     """
     try:
         with open(path) as fh:

@@ -4,8 +4,11 @@ The path variable is the interior position samples of a uniform grid;
 velocity-matching at the ends is imposed by eliminating the first and last
 interior nodes against second-order one-sided differences.  Accelerations
 are covariant central second differences and the action is a trapezoid sum
-of kinetic-plus-potential node values.  Minimization runs on a hand-derived
-analytic gradient of exactly this discrete functional.
+of kinetic-plus-potential node values.  Minimization takes damped Newton
+steps on a hand-derived analytic gradient of exactly this discrete
+functional; the action couples nodes only within two of each other, so
+the finite-difference Hessian of that gradient is banded, costs a fixed
+number of gradient calls to assemble, and factors in O(N).
 
 Deliberately nothing here touches the shooting machinery: agreement
 between the two routes is evidence, disagreement is diagnosis.
@@ -16,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 import scipy.linalg
-import scipy.optimize
 
 from .bvp import BoundaryData, solve_bvp
 from .dynamics import CurveState, action as dyn_action, integrate_ivp
@@ -157,51 +158,79 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     return red
 
 
-def _damped_newton(grad, u, gtol, assemblies=8, inner=12):
-    """Drive the gradient to gtol with derivative-only damped Newton steps.
+def _banded_hessian(grad, u, n):
+    """Centred-difference Hessian of grad at u, in lower banded storage.
 
-    Quasi-Newton stalls once action decreases fall under the floating
-    floor of the action value (about 1e-16 * |S|), which happens while the
-    gradient is still around 1e-4 on fine grids.  The analytic gradient
-    stays accurate to ~1e-12, so steps on a finite-difference Hessian of
-    the gradient, with no function-value comparisons at all, keep
-    contracting far past that floor.  The columns must be centered: the
-    one-sided truncation error rivals the smallest Hessian eigenvalue on
-    fine grids and fabricates indefiniteness.  A ridge shift guards
-    genuinely indefinite Hessians away from the minimum; each factored
-    Hessian is reused while it keeps making progress.
+    Free node k's gradient reads only nodes k-2..k+2, so columns whose
+    nodes are five apart share no row (Curtis, Powell & Reid, 1974): one
+    pair of gradient calls per colour (node mod 5, component) recovers all
+    of their columns, 10 n calls for any grid.  Each row then takes its
+    value from the one column of the colour within two nodes of it; a
+    mask on the scalar band alone would keep entries that the other
+    columns of the colour contaminate.  The result is symmetrized and
+    returned as ab[d, j] = H[j + d, j] for d < 3 n, the layout of
+    scipy.linalg.cholesky_banded(lower=True).
+    """
+    dim = len(u)
+    idx = np.arange(dim)
+    nodes, comps = idx // n, idx % n
+    e = 1e-6 * (1.0 + np.abs(u))
+    ab = np.zeros((3 * n, dim))
+    for colour in range(5):
+        col_node = nodes + (colour - nodes + 2) % 5 - 2
+        ok = (col_node >= 0) & (col_node < dim // n)
+        rows = idx[ok]
+        for comp in range(n):
+            step = np.where((nodes % 5 == colour) & (comps == comp), e, 0.0)
+            diff = grad(u + step) - grad(u - step)
+            cols = col_node[ok] * n + comp
+            half = 0.5 * (diff[ok] / (2.0 * e[cols]))
+            lo = rows >= cols
+            ab[rows[lo] - cols[lo], cols[lo]] += half[lo]
+            hi = rows <= cols
+            ab[cols[hi] - rows[hi], rows[hi]] += half[hi]
+    return ab
+
+
+def _damped_newton(grad, u, n, gtol, assemblies=8, inner=12):
+    """Drive the gradient to gtol with damped Newton steps on a banded Hessian.
+
+    Function values are never compared: action decreases fall under the
+    floating floor of the action value (about 1e-16 * |S|) while the
+    gradient is still around 1e-4 on fine grids, but the analytic
+    gradient stays accurate to ~1e-12, so a step is accepted only when it
+    lowers sup|g|.  The Hessian comes from _banded_hessian; its columns
+    must be centred, because the one-sided truncation error rivals the
+    smallest Hessian eigenvalue on fine grids and fabricates
+    indefiniteness.  A ridge shift on the band's diagonal guards
+    genuinely indefinite Hessians away from the minimum, and each
+    assembled Hessian is reused while it keeps making progress.  Banded
+    Cholesky makes each solve O(N).  Returns the point, its gradient and
+    the number of accepted steps.
     """
     g = grad(u)
-    dim = len(u)
     mu = 0.0
+    steps = 0
     for _ in range(assemblies):
         sup = float(np.max(np.abs(g)))
         if sup <= gtol:
             break
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            e = 1e-6 * (1.0 + abs(u[i]))
-            up = u.copy()
-            up[i] += e
-            um = u.copy()
-            um[i] -= e
-            H[:, i] = (grad(up) - grad(um)) / (2.0 * e)
-        H = 0.5 * (H + H.T)
-        scale = float(np.mean(np.abs(np.diag(H)))) or 1.0
+        ab = _banded_hessian(grad, u, n)
+        scale = float(np.mean(np.abs(ab[0]))) or 1.0
         improved = False
         for _ in range(inner):
             fac = None
             for _ in range(24):
+                shifted = ab.copy()
+                shifted[0] += mu * scale
                 try:
-                    fac = scipy.linalg.cho_factor(
-                        H + (mu * scale) * np.eye(dim), check_finite=False
-                    )
+                    fac = scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
                     break
                 except (scipy.linalg.LinAlgError, ValueError):
                     mu = max(10.0 * mu, 1e-10)
             if fac is None:
                 break
-            trial = u - scipy.linalg.cho_solve(fac, g, check_finite=False)
+            trial = u - scipy.linalg.cho_solve_banded((fac, True), g, check_finite=False)
             gt = grad(trial)
             if not np.all(np.isfinite(gt)) or float(np.max(np.abs(gt))) >= sup:
                 mu = max(10.0 * mu, 1e-10)
@@ -211,12 +240,13 @@ def _damped_newton(grad, u, gtol, assemblies=8, inner=12):
             u, g = trial, gt
             sup = float(np.max(np.abs(g)))
             mu *= 0.25
+            steps += 1
             improved = True
             if sup <= gtol:
                 break
         if sup <= gtol or not improved:
             break
-    return u, g
+    return u, g, steps
 
 
 def _descend(fun, u0, gtol, maxiter):
@@ -241,95 +271,61 @@ def _descend(fun, u0, gtol, maxiter):
     return u, f, g, int(maxiter)
 
 
-def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: DiscretePath | None = None, method: str = "lbfgs", gtol: float = 1e-7, maxiter: float = 1e5) -> DiscretePath:
+def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: DiscretePath | None = None, method: str = "newton", gtol: float = 1e-7, maxiter: float = 1e5) -> DiscretePath:
     """Minimize the discrete action over interior nodes.
 
-    Starts from the flat cubic interpolant of the boundary data unless a
-    seed path is given.  The default quasi-Newton descent and the plain
-    "gd" fallback both run on the analytic gradient and stop at sup-norm
-    gtol; exhausting the iteration cap raises with the best path attached.
+    Starts from the cubic Hermite interpolant of the boundary data on the
+    N-segment grid unless a seed path is given.  The default "newton"
+    method takes damped Newton steps on the banded finite-difference
+    Hessian of the analytic gradient (see _damped_newton); "gd" is plain
+    gradient descent on the action, the only method maxiter bounds.  Both
+    stop at sup-norm gtol; failing to reach it raises with the best path
+    attached.  iterations counts accepted Newton steps or descent
+    iterations.
     """
     N = int(N)
     if N < 6:
         raise ValueError("need at least six segments to carry the end constraints")
     boundary.validate(chart)
 
-    def hermite_block(Nl):
-        h = boundary.span / Nl
-        s = (np.arange(2, Nl - 1) * h / boundary.span)[:, None]
+    if seed is not None:
+        u = seed.free_block().ravel()
+    else:
+        h = boundary.span / N
+        s = (np.arange(2, N - 1) * h / boundary.span)[:, None]
         tau = boundary.span
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return (
+        u = (
             h00 * boundary.q_a
             + tau * h10 * boundary.v_a
             + h01 * boundary.q_b
             + tau * h11 * boundary.v_b
         ).ravel()
 
-    def make_fun(Nl):
-        def fun(u):
-            path = DiscretePath.from_free(boundary, Nl, u)
+    if method == "newton":
+        def grad(x):
+            path = DiscretePath.from_free(boundary, N, x)
+            return discrete_gradient(chart, potential, path).ravel()
+
+        u, g, its = _damped_newton(grad, u, boundary.q_a.shape[-1], gtol)
+    elif method == "gd":
+        def fun(x):
+            path = DiscretePath.from_free(boundary, N, x)
             return (
                 discrete_action(chart, potential, path),
                 discrete_gradient(chart, potential, path).ravel(),
             )
 
-        return fun
-
-    if method == "gd":
-        u0 = seed.free_block().ravel() if seed is not None else hermite_block(N)
-        fun = make_fun(N)
-        u, f, g, its = _descend(fun, u0, gtol, maxiter)
-        sup = float(np.max(np.abs(g)))
-    elif method == "lbfgs":
-        # coarse-to-fine ladder: quasi-Newton resolves the smooth modes of
-        # the stiff bending operator on a cheap coarse grid; spline-seeded
-        # refinements then converge under the derivative-only polish alone
-        ladder = [N]
-        if seed is None:
-            while ladder[-1] > 96:
-                ladder.append(max(6, (ladder[-1] // 4) * 2))
-            ladder.reverse()
-        its = 0
-        u = seed.free_block().ravel() if seed is not None else None
-        prev = None
-        for Nl in ladder:
-            fun = make_fun(Nl)
-            if u is None:
-                u = hermite_block(Nl)
-            elif prev is not None and prev != Nl:
-                old = DiscretePath.from_free(boundary, prev, u)
-                tf = boundary.a + (boundary.span / Nl) * np.arange(2, Nl - 1)
-                u = scipy.interpolate.CubicSpline(old.ts, old.qs, axis=0)(tf).ravel()
-            if Nl == ladder[0]:
-                res = scipy.optimize.minimize(
-                    fun,
-                    u,
-                    jac=True,
-                    method="L-BFGS-B",
-                    options=dict(
-                        maxiter=min(int(maxiter), 20000),
-                        maxfun=int(4 * maxiter),
-                        ftol=1e-18,
-                        gtol=max(1e-4, gtol),
-                        maxcor=30,
-                    ),
-                )
-                u, its = res.x, its + int(res.nit)
-            u, g = _damped_newton(lambda x: fun(x)[1], u, gtol)
-            its += 1
-            prev = Nl
-        f = fun(u)[0]
-        sup = float(np.max(np.abs(g)))
+        u, _, g, its = _descend(fun, u, gtol, maxiter)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     path = DiscretePath.from_free(boundary, N, u)
-    path.action = float(f)
-    path.grad_sup = sup
+    path.action = discrete_action(chart, potential, path)
+    path.grad_sup = sup = float(np.max(np.abs(g)))
     path.iterations = its
     if sup > gtol:
         raise NonconvergenceError(
@@ -349,7 +345,7 @@ def compare_with_trajectory(chart, potential, path: DiscretePath, trajectory) ->
     curve is reported alongside for reference.
     """
     ts = path.ts
-    qs_ref = np.stack([trajectory.interpolate(float(t)).q for t in ts])
+    qs_ref = trajectory.interpolate(ts).q
     sampled = DiscretePath(ts.copy(), qs_ref, path.boundary)
     act_path = discrete_action(chart, potential, path)
     act_ref = discrete_action(chart, potential, sampled)

@@ -9,12 +9,15 @@ looser on the finite-difference chart.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from riemplan import (
     ChartDomainError,
     ChartEscapeError,
+    ConfigError,
     NumericChart,
     parallel_transport,
     parse_manifold,
@@ -179,6 +182,23 @@ def test_numeric_sphere_curvature_and_nabla_R():
     # covariant derivative of R vanishes on the round sphere
     assert np.max(np.abs(num.nabla_R(x, W, X, Y, Z))) < 1e-4
     assert np.max(np.abs(num.nabla2_R(x, W, X, Y, Z))) < 5e-3
+
+
+def test_numeric_metric_file_loads_sphere(tmp_path):
+    conf = "4 / (1 + x0**2 + x1**2)**2"
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps({"dim": 2, "metric": [[conf, "0"], ["0", conf]], "domain_radius": 5.0}))
+    chart = parse_manifold(f"numeric:{path}")
+    x = sample_points(S2, 20)
+    assert np.max(np.abs(chart.metric(x) - S2.metric(x))) < 1e-12
+
+
+@pytest.mark.parametrize("expr", ["().__class__", "__import__('os')", "x0.real", "[x0][0]", "pi(1)", "x2"])
+def test_numeric_metric_file_rejects_non_arithmetic(tmp_path, expr):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "metric": [[expr, "0"], ["0", "1"]]}))
+    with pytest.raises(ConfigError):
+        parse_manifold(f"numeric:{path}")
 
 
 def test_exp_euclidean_exact():

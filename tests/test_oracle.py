@@ -28,6 +28,7 @@ from riemplan import (
 )
 from riemplan.oracle import (
     DiscretePath,
+    _banded_hessian,
     check_uniqueness_props,
     compare_with_trajectory,
     discrete_action,
@@ -40,6 +41,7 @@ RNG = np.random.default_rng(11)
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
+SO3 = parse_manifold("so3")
 
 FLAT_BD = BoundaryData((0.0, 0.0), (0.3, -0.2), (1.0, 0.5), (-0.1, 0.4))
 
@@ -152,6 +154,69 @@ def test_gradient_matches_fd_sphere():
     assert np.max(np.abs(g - gf)) < 1e-6 * (1.0 + np.max(np.abs(gf)))
 
 
+# one chart per coordinate count n = 1, 2, 3, with an obstacle so that
+# the potential's Hessian enters the band
+HESSIAN_CASES = {
+    "euclidean1": (EUC1, BoundaryData((0.0,), (0.0,), (0.3,), (0.1,)), (0.25,)),
+    "sphere2": (
+        S2, BoundaryData((-0.8, 0.1), (0.5, 0.2), (0.9, 0.4), (0.1, -0.3), b=2.0), (0.6, -0.3)
+    ),
+    "so3": (
+        SO3,
+        BoundaryData((0.1, -0.2, 0.15), (0.4, 0.1, -0.3), (0.9, 0.3, -0.4), (0.1, -0.2, 0.2), b=1.5),
+        (0.5, 0.0, -0.1),
+    ),
+}
+
+
+def counted_gradient_at_seed(name, N):
+    """Flat-vector gradient callback, its call log, and a perturbed Hermite seed."""
+    chart, bd, center = HESSIAN_CASES[name]
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6)
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, x)).ravel()
+
+    free = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
+    u = (free + 0.05 * RNG.normal(size=free.shape)).ravel()
+    return grad, calls, u, chart.dim
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_CASES))
+def test_banded_hessian_matches_dense(name):
+    grad, _, u, n = counted_gradient_at_seed(name, 16)
+    ab = _banded_hessian(grad, u, n)
+    # reference: one centred column per coordinate, same step rule
+    dim = u.size
+    dense = np.empty((dim, dim))
+    for i in range(dim):
+        e = 1e-6 * (1.0 + abs(u[i]))
+        up, um = u.copy(), u.copy()
+        up[i] += e
+        um[i] -= e
+        dense[:, i] = (grad(up) - grad(um)) / (2.0 * e)
+    dense = 0.5 * (dense + dense.T)
+    nodes = np.arange(dim) // n
+    far = np.abs(nodes[:, None] - nodes[None, :]) > 2
+    assert np.all(dense[far] == 0.0) and np.all(np.diag(dense) != 0.0)
+    full = np.zeros((dim, dim))
+    for d in range(3 * n):
+        j = np.arange(dim - d)
+        full[j + d, j] = full[j, j + d] = ab[d, : dim - d]
+        assert np.all(ab[d, dim - d :] == 0.0)
+    assert np.array_equal(full, dense)
+
+
+@pytest.mark.parametrize("N", [48, 96])
+@pytest.mark.parametrize("name", list(HESSIAN_CASES))
+def test_banded_hessian_gradient_calls_independent_of_grid(name, N):
+    grad, calls, u, n = counted_gradient_at_seed(name, N)
+    _banded_hessian(grad, u, n)
+    assert len(calls) == 10 * n
+
+
 def test_minimize_flat_recovers_cubic():
     """In flat space with V=0 the unique minimizer is the Hermite cubic."""
     p = flat_min()
@@ -175,6 +240,8 @@ def test_minimize_rejects_tiny_grid():
 def test_minimize_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         minimize_discrete(EUC2, ZeroPotential(EUC2), FLAT_BD, 40, method="cg")
+    with pytest.raises(ValueError, match="unknown method"):
+        minimize_discrete(EUC2, ZeroPotential(EUC2), FLAT_BD, 40, method="lbfgs")
 
 
 def test_minimize_iteration_cap_attaches_best():
@@ -239,6 +306,17 @@ def test_compare_with_trajectory_report():
     assert rep["action_gap"] < 1e-3 * (1.0 + abs(rep["action_quadrature"]))
     # sampled-reference action differs from quadrature only by discretization
     assert abs(rep["action_reference"] - rep["action_quadrature"]) < 5e-2
+
+
+def test_sphere_minimizer_matches_shooting():
+    bd = BoundaryData((-0.8, 0.1), (0.5, 0.2), (0.9, 0.4), (0.1, -0.3), b=2.0)
+    pot = GaussianObstacle(S2, (0.6, -0.3), amplitude=1.0, width=0.7)
+    p = minimize_discrete(S2, pot, bd, 400)
+    assert p.grad_sup <= 1e-7
+    traj = solve_bvp(S2, pot, bd, h=bd.span / 100).trajectory
+    rep = compare_with_trajectory(S2, pot, p, traj)
+    assert rep["sup_distance"] <= 5e-3
+    assert rep["action_gap"] <= 1e-3
 
 
 def test_uniqueness_probes_flat_obstacle():
