@@ -8,7 +8,11 @@ is a damped Newton iteration on that map with a finite-difference Jacobian.
 
 The Newton iteration runs on the discretized flow: residual, Jacobian and
 the returned trajectory all share one fixed RK4 grid, so convergence is
-measured against the same curve the caller receives.
+measured against the same curve the caller receives.  They also share one
+flow pass: each line-search trial integrates the trial (y, z) together with
+the 4n perturbations of its central-difference Jacobian, so a solve costs
+1 + (line-search trials) passes and nothing is re-integrated after it
+converges.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, CurveState, _rk4_step, grid_steps, integrate_ivp, action
+# integrate_ivp stays a module attribute: bench/layers.py traces it by name here.
+from .dynamics import Trajectory, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
 from .errors import (
     ChartEscapeError,
     CriticalPointError,
@@ -89,33 +94,6 @@ def hermite_seed(boundary: BoundaryData) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * c2, 6.0 * c3
 
 
-def _flow_bundle(chart, potential, p, v, ys, zs, t, steps):
-    """Endpoint (q, qdot) of the trajectory flow for a batch of (y, z) rows."""
-    ys = np.atleast_2d(np.asarray(ys, float))
-    zs = np.atleast_2d(np.asarray(zs, float))
-    m = ys.shape[0]
-    u = np.empty((m, 4, chart.dim))
-    u[:, 0] = p
-    u[:, 1] = v
-    u[:, 2] = ys
-    u[:, 3] = zs
-    h = t / steps
-    for k in range(steps):
-        u = _rk4_step(chart, potential, u, h)
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(f"nonfinite flow state at t = {(k + 1) * h:.6g}")
-        if not np.all(chart.contains(u[:, 0])):
-            raise ChartEscapeError("flow left the chart domain", (k + 1) * h)
-    return u[:, 0], u[:, 1]
-
-
-def biexp(chart, potential, p, v, y, z, t, h=None):
-    """(q(t), qdot(t)) for the trajectory started at the 4-jet (p, v, y, z)."""
-    steps, _ = grid_steps(t, h)
-    q, qd = _flow_bundle(chart, potential, np.asarray(p, float), np.asarray(v, float), y, z, t, steps)
-    return q[0], qd[0]
-
-
 def _fd_rows(y, z):
     """Perturbation bundle for the central-difference Jacobian in (y, z).
 
@@ -134,22 +112,90 @@ def _fd_rows(y, z):
     return ys, zs, step
 
 
+def _flow_failure(u, chart, t):
+    """The error for a flow batch that went nonfinite or left the chart, else None."""
+    if not np.all(np.isfinite(u)):
+        return NumericalError(f"nonfinite flow state at t = {t:.6g}")
+    if not np.all(chart.contains(u[:, 0])):
+        return ChartEscapeError("flow left the chart domain", t)
+    return None
+
+
+@dataclass
+class _Shot:
+    """One flow pass at a trial (y, z): its endpoint, its curve, its Jacobian."""
+
+    end: np.ndarray
+    trajectory: Trajectory
+    _jacobian: np.ndarray | None
+    _failure: Exception | None
+
+    def jacobian(self) -> np.ndarray:
+        """d(q(t), qdot(t)) / d(y, z); raises the perturbation bundle's failure."""
+        if self._failure is not None:
+            raise self._failure
+        return self._jacobian
+
+
+def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0, fd=True) -> _Shot:
+    """Integrate the trial (y, z) and, with ``fd``, its ``_fd_rows`` bundle.
+
+    Row 0 is the trial and is stored at every node.  Its failure raises at
+    once, exactly as a flow of the trial alone would.  A perturbation row
+    that goes nonfinite or leaves the chart drops the bundle from the rest
+    of the pass; the error is kept and raised by ``_Shot.jacobian``, so it
+    surfaces only if the caller uses this trial's Jacobian.
+    """
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    n = y.size
+    ys, zs, step = _fd_rows(y, z) if fd else (np.empty((0, n)), np.empty((0, n)), None)
+    u = np.empty((1 + len(ys), 4, n))
+    u[:, 0] = p
+    u[:, 1] = v
+    u[0, 2], u[0, 3] = y, z
+    u[1:, 2], u[1:, 3] = ys, zs
+    h = t / steps
+    nodes = np.empty((steps + 1, 4, n))
+    nodes[0] = u[0]
+    failure = None
+    for k in range(steps):
+        # a module global, so a wrapper on bvp._rk4_step sees every step
+        u = _rk4_step(chart, potential, u, h)
+        err = _flow_failure(u, chart, (k + 1) * h)
+        if err is not None:
+            # row 0 alone decides the trial; if it is sound, the bundle failed
+            row0 = _flow_failure(u[:1], chart, (k + 1) * h)
+            if row0 is not None:
+                raise row0
+            failure, u = err, u[:1]
+        nodes[k + 1] = u[0]
+    trajectory = Trajectory(
+        chart, potential, t0 + h * np.arange(steps + 1),
+        nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
+    )
+    end = np.concatenate([u[0, 0], u[0, 1]])
+    jac = None
+    if fd and failure is None:
+        vals = np.concatenate([u[1:, 0], u[1:, 1]], axis=1)  # rows: perturbations
+        jac = ((vals[0::2] - vals[1::2]) / (2.0 * step)).T
+    return _Shot(end, trajectory, jac, failure)
+
+
+def biexp(chart, potential, p, v, y, z, t, h=None):
+    """(q(t), qdot(t)) for the trajectory started at the 4-jet (p, v, y, z)."""
+    steps, _ = grid_steps(t, h)
+    q, qd = np.split(_shoot(chart, potential, p, v, y, z, t, steps, fd=False).end, 2)
+    return q, qd
+
+
 def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
     """d(q(t), qdot(t)) / d(y, z) by central finite differences.
 
     Columns ordered (y_1..y_n, z_1..z_n); row blocks (q; qdot).
     """
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
     steps, _ = grid_steps(t, h)
-    n = y.size
-    ys, zs, step = _fd_rows(y, z)
-    q, qd = _flow_bundle(chart, potential, np.asarray(p, float), np.asarray(v, float), ys, zs, t, steps)
-    out = np.empty((2 * n, 2 * n))
-    vals = np.concatenate([q, qd], axis=1)  # rows: perturbations, cols: (q, qdot)
-    for c in range(2 * n):
-        out[:, c] = (vals[2 * c] - vals[2 * c + 1]) / (2.0 * step)
-    return out
+    return _shoot(chart, potential, p, v, y, z, t, steps).jacobian()
 
 
 def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50) -> ShootingResult:
@@ -161,10 +207,14 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     only rejects that trial.  Nonconvergence carries the best iterate;
     a singular Jacobian raises CriticalPointError since it is exactly the
     degeneracy that signals possible biconjugacy.
+
+    Each trial is one ``_shoot`` pass that also yields the Jacobian and the
+    trajectory there, so a solve makes 1 + (accepted trials) + (rejected
+    trials) flow passes: the seed's, then one per line-search trial.
     """
     boundary.validate(chart)
     tau = boundary.span
-    steps, h_eff = grid_steps(tau, h)
+    steps, _ = grid_steps(tau, h)
     n = chart.dim
     target = np.concatenate([boundary.q_b, boundary.v_b])
     tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
@@ -175,18 +225,18 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
         y = np.asarray(seed[0], float).copy()
         z = np.asarray(seed[1], float).copy()
 
-    def residual(yy, zz):
-        q, qd = _flow_bundle(chart, potential, boundary.q_a, boundary.v_a, yy, zz, tau, steps)
-        return np.concatenate([q[0], qd[0]]) - target
+    def shoot(yy, zz):
+        return _shoot(chart, potential, boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a)
 
-    r = residual(y, z)
+    shot = shoot(y, z)
+    r = shot.end - target
     rn = float(np.linalg.norm(r))
     best = (rn, y.copy(), z.copy())
     iterations = 0
     for _ in range(max_iter):
         if rn <= tol:
             break
-        J = biexp_jacobian(chart, potential, boundary.q_a, boundary.v_a, y, z, tau, h)
+        J = shot.jacobian()
         sv = np.linalg.svd(J, compute_uv=False)
         if sv[-1] < 1e-12 * sv[0]:
             raise CriticalPointError(
@@ -195,26 +245,25 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
             )
         dyz = np.linalg.solve(J, -r)
         t_step = 1.0
-        accepted = False
         for _ in range(20):
+            y_try = y + t_step * dyz[:n]
+            z_try = z + t_step * dyz[n:]
             try:
-                r_new = residual(y + t_step * dyz[:n], z + t_step * dyz[n:])
+                trial = shoot(y_try, z_try)
             except (ChartEscapeError, NumericalError):
                 t_step *= 0.5
                 continue
+            r_new = trial.end - target
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn:
-                accepted = True
                 break
             t_step *= 0.5
-        if not accepted:
+        else:
             raise NonconvergenceError(
                 "shooting line search stalled",
                 best={"y": best[1], "z": best[2], "residual": best[0]},
             )
-        y = y + t_step * dyz[:n]
-        z = z + t_step * dyz[n:]
-        r, rn = r_new, rn_new
+        y, z, shot, r, rn = y_try, z_try, trial, r_new, rn_new
         iterations += 1
         if rn < best[0]:
             best = (rn, y.copy(), z.copy())
@@ -225,12 +274,9 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
             best={"y": best[1], "z": best[2], "residual": best[0]},
         )
 
-    J = biexp_jacobian(chart, potential, boundary.q_a, boundary.v_a, y, z, tau, h)
-    sv = np.linalg.svd(J, compute_uv=False)
+    sv = np.linalg.svd(shot.jacobian(), compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    initial = CurveState(boundary.a, boundary.q_a, boundary.v_a, y, z)
-    trajectory = integrate_ivp(chart, potential, initial, tau, h_eff)
-    return ShootingResult(y, z, trajectory, rn, cond, iterations)
+    return ShootingResult(y, z, shot.trajectory, rn, cond, iterations)
 
 
 def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):

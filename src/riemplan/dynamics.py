@@ -147,8 +147,15 @@ class Trajectory:
         return self._node_rhs
 
     def interpolate(self, t) -> CurveState:
+        """Jets at time(s) t; t may leave [ts[0], ts[-1]] by roundoff (1e-9 h) only."""
         t = np.asarray(t, float)
         h = self.h
+        slack = 1e-9 * h
+        if not np.all((t >= self.ts[0] - slack) & (t <= self.ts[-1] + slack)):
+            raise ValueError(
+                f"interpolation time outside the trajectory window "
+                f"[{self.ts[0]:.17g}, {self.ts[-1]:.17g}]"
+            )
         s = (t - self.ts[0]) / h
         k = np.clip(np.floor(s).astype(int), 0, self.segments - 1)
         u = s - k

@@ -361,7 +361,6 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
 @dataclass
 class OptimalityReport:
     classification: str
-    q_local: bool
     certified_interval: tuple
     index_report: IndexReport
     scan_report: object
@@ -369,7 +368,6 @@ class OptimalityReport:
     def to_dict(self):
         return {
             "classification": self.classification,
-            "q_local": self.q_local,
             "certified_interval": [float(self.certified_interval[0]), float(self.certified_interval[1])],
             "galerkin": self.index_report.to_dict(),
             "rank_drops": self.scan_report.to_dict(),
@@ -402,7 +400,6 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
     first = min(scan.times) if scan.times else T_hi
     return OptimalityReport(
         classification=word,
-        q_local=True,
         certified_interval=(float(trajectory.ts[0]), float(first)),
         index_report=rep,
         scan_report=scan,

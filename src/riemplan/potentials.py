@@ -29,9 +29,6 @@ __all__ = [
     "QuadraticWell",
     "SumPotential",
     "ScaledPotential",
-    "zero_potential",
-    "gaussian_obstacle",
-    "sum_potential",
     "potential_from_config",
 ]
 
@@ -310,18 +307,6 @@ class ScaledPotential(Potential):
 
     def hessian_op(self, x, X):
         return self.factor * self.base.hessian_op(x, X)
-
-
-def zero_potential(chart) -> Potential:
-    return ZeroPotential(chart)
-
-
-def gaussian_obstacle(chart, center, amplitude, width, distance="riemannian") -> Potential:
-    return GaussianObstacle(chart, center, amplitude, width, distance)
-
-
-def sum_potential(*terms) -> Potential:
-    return SumPotential(terms)
 
 
 def potential_from_config(chart, cfg) -> Potential:

@@ -1,27 +1,16 @@
 """Shared scenario panel.
 
-Every test module draws from the same small set of boundary-value
-scenarios; solving one costs seconds, so solutions (and the optimality
-reports built on them) are cached for the whole session.  Request a
-scenario through the ``panel`` fixture: ``panel("sphere_obstacle")``.
+Boundary-value scenarios that tests draw from by name; ``PANEL`` lists
+the default-length ones.  The ``scenario`` fixture builds one's chart,
+potential and boundary data; tests solve what they need themselves.
+``bench/scenarios/`` copies the boundary data of this panel.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
 
-from riemplan import (
-    BoundaryData,
-    GaussianObstacle,
-    QuadraticWell,
-    ZeroPotential,
-    parse_manifold,
-    solve_bvp,
-    verdict,
-)
+from riemplan import BoundaryData, GaussianObstacle, QuadraticWell, ZeroPotential, parse_manifold
 
 # name -> (manifold, potential factory, q_a, v_a, q_b, v_b, interval)
 SCENARIOS = {
@@ -78,45 +67,13 @@ SCENARIOS = {
 PANEL = [n for n in SCENARIOS if n != "well_top_long"]
 
 
-def build_scenario(name):
-    man, pot, q_a, v_a, q_b, v_b, (a, b) = SCENARIOS[name]
-    chart = parse_manifold(man)
-    potential = pot(chart)
-    boundary = BoundaryData(
-        np.asarray(q_a, float), np.asarray(v_a, float),
-        np.asarray(q_b, float), np.asarray(v_b, float), a=a, b=b,
-    )
-    result = solve_bvp(chart, potential, boundary)
-    return SimpleNamespace(
-        name=name,
-        chart=chart,
-        potential=potential,
-        boundary=boundary,
-        result=result,
-        trajectory=result.trajectory,
-    )
+@pytest.fixture
+def scenario():
+    """``scenario(name)`` -> (chart, potential, BoundaryData) of a SCENARIOS entry."""
 
+    def build(name):
+        man, pot, q_a, v_a, q_b, v_b, (a, b) = SCENARIOS[name]
+        chart = parse_manifold(man)
+        return chart, pot(chart), BoundaryData(q_a, v_a, q_b, v_b, a, b)
 
-class Panel:
-    def __init__(self):
-        self._built = {}
-        self._verdicts = {}
-
-    def __call__(self, name):
-        if name not in self._built:
-            self._built[name] = build_scenario(name)
-        return self._built[name]
-
-    def verdict(self, name):
-        if name not in self._verdicts:
-            s = self(name)
-            self._verdicts[name] = verdict(s.chart, s.potential, s.trajectory)
-        return self._verdicts[name]
-
-    def candidates(self):
-        return [n for n in PANEL if self.verdict(n).classification.startswith("candidate")]
-
-
-@pytest.fixture(scope="session")
-def panel():
-    return Panel()
+    return build

@@ -13,6 +13,7 @@ import pytest
 from riemplan import (
     BoundaryData,
     ChartDomainError,
+    ChartEscapeError,
     CurveState,
     GaussianObstacle,
     NonconvergenceError,
@@ -26,11 +27,14 @@ from riemplan import (
     parse_manifold,
     solve_bvp,
 )
+from riemplan import bvp
 from riemplan.bvp import hermite_seed
+from riemplan.dynamics import grid_steps
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
+H2 = parse_manifold("hyperbolic2")
 
 
 def test_biexp_flat_closed_form():
@@ -223,3 +227,77 @@ def test_multi_seed_dedup():
     y_ref, z_ref = hermite_seed(bd)
     assert np.max(np.abs(results[0].y - y_ref)) < 1e-6
     assert np.max(np.abs(results[0].z - z_ref)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["flat_obstacle", "sphere_obstacle", "rotation"])
+def test_solve_returns_its_fused_pass(scenario, name):
+    # the returned curve and condition number come from the accepted trial's
+    # pass; they must equal a fresh integration and a fresh Jacobian there
+    chart, pot, bd = scenario(name)
+    h = bd.span / 100
+    res = solve_bvp(chart, pot, bd, h=h)
+    ref = integrate_ivp(chart, pot, CurveState(bd.a, bd.q_a, bd.v_a, res.y, res.z), bd.span, h)
+    got = res.trajectory
+    for a, b in zip(
+        (got.ts, got.qs, got.vs, got.accs, got.jerks),
+        (ref.ts, ref.qs, ref.vs, ref.accs, ref.jerks),
+    ):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-14
+    sv = np.linalg.svd(
+        biexp_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h), compute_uv=False
+    )
+    assert res.jacobian_condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
+    calls = [0]
+    step = bvp._rk4_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(bvp, "_rk4_step", counted)
+    for name in ("flat_obstacle", "well_top"):
+        chart, pot, bd = scenario(name)
+        calls[0] = 0
+        res = solve_bvp(chart, pot, bd)
+        steps, _ = grid_steps(bd.span)
+        # the seed's pass, then one per accepted trial: no line-search rejections here
+        assert calls[0] == steps * (1 + res.iterations)
+        assert res.iterations == (0 if name == "well_top" else 2)
+
+
+def test_perturbation_escape_surfaces_only_with_the_jacobian():
+    # a radial geodesic on the capped disk, timed to end exactly on the cap:
+    # the trial stays in the chart, a perturbation row leaves it
+    V = ZeroPotential(H2)
+    p, v, y, z = np.array([0.5, 0.0]), np.array([1.0, 0.0]), np.zeros(2), np.zeros(2)
+    lo, hi = 0.1, 3.0
+    for _ in range(50):
+        T = 0.5 * (lo + hi)
+        try:
+            biexp(H2, V, p, v, y, z, T, h=T / 16)
+            lo = T
+        except ChartEscapeError:
+            hi = T
+    T = lo
+    q, qd = biexp(H2, V, p, v, y, z, T, h=T / 16)
+    shot = bvp._shoot(H2, V, p, v, y, z, T, 16)
+    assert np.array_equal(shot.end, np.concatenate([q, qd]))
+    assert np.array_equal(shot.trajectory.qs[-1], q)
+    with pytest.raises(ChartEscapeError):
+        shot.jacobian()
+    with pytest.raises(ChartEscapeError) as err:
+        biexp_jacobian(H2, V, p, v, y, z, T, h=T / 16)
+    assert 0.0 < err.value.escape_time <= T
+    # seeded at the exact solution: the solve converges at once and then
+    # needs the Jacobian for its condition number
+    bd = BoundaryData(p, v, q, qd, 0.0, T)
+    with pytest.raises(ChartEscapeError):
+        solve_bvp(H2, V, bd, seed=(y, z), h=T / 16)
+    # no iteration allowed: the Jacobian is never used, so the iteration cap
+    # is reported instead of the escape
+    with pytest.raises(NonconvergenceError):
+        solve_bvp(H2, V, bd, seed=(y, z), h=T / 16, max_iter=0)

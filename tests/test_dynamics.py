@@ -167,6 +167,22 @@ def test_interpolation_consistency():
     assert abs(float(batch.q[1, 0]) - float(s.q[0])) < 1e-14
 
 
+def test_interpolation_rejects_times_outside_window():
+    pot = QuadraticWell(EUC1, center=(0.0,), stiffness=1.0)
+    st = CurveState(0.5, np.array([0.3]), np.array([-0.2]), np.array([0.5]), np.array([0.1]))
+    traj = integrate_ivp(EUC1, pot, st, 1.0, h=0.01)
+    lo, hi, h = float(traj.ts[0]), float(traj.ts[-1]), traj.h
+    # roundoff-sized overshoot is the end node
+    for t, k in ((lo - 0.5e-9 * h, 0), (hi + 0.5e-9 * h, -1)):
+        assert np.max(np.abs(traj.interpolate(t).q - traj.qs[k])) < 1e-10
+    for t in (lo - 2e-9 * h, hi + 2e-9 * h, lo - 0.3, hi + 0.3, np.nan):
+        with pytest.raises(ValueError, match="outside the trajectory window"):
+            traj.interpolate(t)
+    # one bad time fails the whole batch
+    with pytest.raises(ValueError):
+        traj.interpolate(np.array([lo + 0.2, hi + 0.3]))
+
+
 def admissible_bumps(traj, count):
     """Random fields vanishing to second order at both ends."""
     t = traj.ts

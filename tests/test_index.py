@@ -312,7 +312,6 @@ def test_verdict_flat_candidate():
     pot, traj = flat_rest()
     rep = verdict(EUC1, pot, traj, m=24)
     assert rep.classification == "candidate"
-    assert rep.q_local is True
     assert rep.certified_interval == (0.0, 1.0)
     assert rep.index_report.index == 0
     assert len(rep.scan_report.times) == 0
@@ -325,5 +324,4 @@ def test_verdict_past_first_rank_drop():
     pot, traj = bump_rest(6.0)
     rep = verdict(EUC1, pot, traj, m=24)
     assert rep.classification == "not_omega_local"
-    assert rep.q_local is True
     assert abs(rep.certified_interval[1] - FIRST_BEAM_ROOT) < 1e-5
