@@ -122,6 +122,7 @@ class Trajectory:
     jerks: np.ndarray
     _node_rhs: tuple | None = field(default=None, repr=False, compare=False)
     _mid: "CurveState | None" = field(default=None, repr=False, compare=False)
+    _ops: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def h(self) -> float:

@@ -27,10 +27,10 @@ import numpy as np
 import scipy.linalg
 from scipy.interpolate import BSpline
 
-from .dynamics import CurveState, Trajectory, _action_from_positions, quadrature_weights
-from .errors import BasisError
+from .dynamics import Trajectory, _action_from_positions, quadrature_weights
+from .errors import BasisError, ResolutionWarning
 from .geometry import transport_frame
-from .jacobi import F_operator, biconjugate_scan
+from .jacobi import _force_block, biconjugate_scan, operator_table
 
 __all__ = [
     "AdmissibleField",
@@ -117,7 +117,7 @@ def random_field(trajectory: Trajectory, rng, modes: int = 4, frame=None) -> Adm
     d2P = np.zeros_like(P)
     for m in range(1, modes + 1):
         c = rng.standard_normal(n) / m**2
-        u = np.pi * m * ts / T
+        u = np.pi * m * (ts - ts[0]) / T
         w = np.pi * m / T
         P += np.sin(u)[:, None] ** 2 * c
         dP += (w * np.sin(2.0 * u))[:, None] * c
@@ -140,27 +140,10 @@ def random_field(trajectory: Trajectory, rng, modes: int = 4, frame=None) -> Adm
     return fld
 
 
-def _curve_states(trajectory: Trajectory, extra_axis=False) -> CurveState:
-    sl = (slice(None), None) if extra_axis else slice(None)
-    return CurveState(
-        trajectory.ts,
-        trajectory.qs[sl],
-        trajectory.vs[sl],
-        trajectory.accs[sl],
-        trajectory.jerks[sl],
-    )
-
-
 def _force(chart, potential, trajectory, X, dX, d2X):
     """F(X, qdot) + potential Hessian along the whole grid."""
-    states = _curve_states(trajectory)
-    if chart.locally_symmetric:
-        out = F_operator(chart, states, X, dX, d2X)
-    else:
-        out = np.empty_like(X)
-        for k in range(len(trajectory.ts)):
-            out[k] = F_operator(chart, trajectory.state(k), X[k], dX[k], d2X[k])
-    return out + potential.hessian_op(trajectory.qs, X)
+    force = _force_block(operator_table(chart, potential, trajectory)[0])
+    return np.einsum("sij,sj->si", force, np.concatenate([X, dX, d2X], axis=-1))
 
 
 def index_form(chart, potential, trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField) -> float:
@@ -226,7 +209,7 @@ def spline_profiles(ts, T, m, dyadic=False):
     """Clamped quintic B-spline profiles vanishing to first order at ends.
 
     Returns (Phi0, Phi1, Phi2, knots): m rows of profile samples and their
-    first two derivatives on ts.  The first and last two members of the
+    first two derivatives on ts, which count from the window start.  The first and last two members of the
     clamped basis are dropped to enforce the boundary behavior.  With
     dyadic=True, m must be 2^k + 1 so interior knots nest under refinement.
     """
@@ -242,15 +225,8 @@ def spline_profiles(ts, T, m, dyadic=False):
         interior = np.linspace(0.0, T, K + 2)[1:-1]
     kv = np.concatenate([np.zeros(6), interior, np.full(6, T)])
     nb = len(kv) - 6
-    Phi = np.zeros((3, m, len(ts)))
-    for k in range(2, nb - 2):
-        coef = np.zeros(nb)
-        coef[k] = 1.0
-        spl = BSpline(kv, coef, 5)
-        Phi[0, k - 2] = spl(ts)
-        Phi[1, k - 2] = spl.derivative()(ts)
-        Phi[2, k - 2] = spl.derivative(2)(ts)
-    return Phi[0], Phi[1], Phi[2], interior
+    spl = BSpline(kv, np.eye(nb)[:, 2 : nb - 2], 5)
+    return spl(ts).T, spl.derivative()(ts).T, spl.derivative(2)(ts).T, interior
 
 
 @dataclass
@@ -278,59 +254,61 @@ class IndexReport:
         }
 
 
-def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False) -> IndexReport:
-    """Galerkin sign count of the second variation on frame x profile fields.
+# Galerkin profiles are sampled this many nodes at a time, to bound memory
+_NODE_CHUNK = 512
 
-    The trial space is every parallel-frame direction times each of m
-    spline profiles.  Stiffness entries need only three scalar operator
-    tables per node because the frame directions are covariantly constant;
-    the mass matrix is the Sobolev-2 Gram form of the same fields.  Counts
-    use the +-1e-9 cutoffs; a mass condition number beyond 1e12 aborts.
-    """
+
+def _galerkin_matrices(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False):
+    """Stiffness A, mass B (both (m n, m n), profile-major) and the knots."""
     n = chart.dim
     ts, qs = trajectory.ts, trajectory.qs
     S = len(ts)
     frame = transport_frame(chart, ts, qs, trajectory.vs)
     w = quadrature_weights(S, trajectory.h)
     g = chart.metric(qs)
-    states = _curve_states(trajectory, extra_axis=True)
 
-    zero = np.zeros_like(frame)
-    if chart.locally_symmetric:
-        f0 = F_operator(chart, states, frame, zero, zero)
-        f1 = F_operator(chart, states, zero, frame, zero)
-        f2 = F_operator(chart, states, zero, zero, frame)
-    else:
-        f0 = np.empty_like(frame)
-        f1 = np.empty_like(frame)
-        f2 = np.empty_like(frame)
-        z1 = np.zeros((n, n))
-        for k in range(S):
-            st = trajectory.state(k)
-            f0[k] = F_operator(chart, st, frame[k], z1, z1)
-            f1[k] = F_operator(chart, st, z1, frame[k], z1)
-            f2[k] = F_operator(chart, st, z1, z1, frame[k])
-    f0 = f0 + potential.hessian_op(qs[:, None, :], frame)
+    # force on frame vector i placed in jet slot c: f[c][s, i]
+    force = _force_block(operator_table(chart, potential, trajectory)[0]).reshape(S, n, 3, n)
+    f = np.einsum("sacb,sib->csia", force, frame)
 
     def pair(tab):
         return np.einsum("sja,sab,sib->sji", frame, g, tab)
 
-    A0, A1, A2 = pair(f0), pair(f1), pair(f2)
+    A0, A1, A2 = pair(f[0]), pair(f[1]), pair(f[2])
     Gm = pair(frame)
 
-    Phi0, Phi1, Phi2, knots = spline_profiles(ts, trajectory.T, m, dyadic)
+    def asm(Pl, Pk, wt):
+        # out[l, j, k, i] = sum_s Pl[l, s] Pk[k, s] wt[s, j, i], one BLAS product
+        out = (Pl[:, None, :] * wt.reshape(-1, n * n).T).reshape(m * n * n, -1) @ Pk.T
+        return out.reshape(m, n, n, m).transpose(0, 1, 3, 2)
 
-    def asm(Pl, Pk, tab):
-        return np.einsum("ls,ks,sji->ljki", Pl, Pk, w[:, None, None] * tab)
-
-    A = asm(Phi2, Phi2, Gm) + asm(Phi0, Phi0, A0) + asm(Phi0, Phi1, A1) + asm(Phi0, Phi2, A2)
-    B = asm(Phi0, Phi0, Gm) + asm(Phi1, Phi1, Gm) + asm(Phi2, Phi2, Gm)
+    A = np.zeros((m, n, m, n))
+    B = np.zeros((m, n, m, n))
+    for lo in range(0, S, _NODE_CHUNK):
+        sl = slice(lo, lo + _NODE_CHUNK)
+        P0, P1, P2, knots = spline_profiles(ts[sl] - ts[0], trajectory.T, m, dyadic)
+        wl = w[sl, None, None]
+        G = wl * Gm[sl]
+        g22 = asm(P2, P2, G)
+        A += g22 + asm(P0, P0, wl * A0[sl]) + asm(P0, P1, wl * A1[sl]) + asm(P0, P2, wl * A2[sl])
+        B += asm(P0, P0, G) + asm(P1, P1, G) + g22
     dim = m * n
     A = A.reshape(dim, dim)
     B = B.reshape(dim, dim)
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
+    return 0.5 * (A + A.T), 0.5 * (B + B.T), knots
 
+
+def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False) -> IndexReport:
+    """Galerkin sign count of the second variation on frame x profile fields.
+
+    The trial space is every parallel-frame direction times each of m
+    spline profiles.  Stiffness entries need only three scalar operator
+    tables per node because the frame directions are covariantly constant;
+    the tables come from the trajectory's field operator table.  The mass
+    matrix is the Sobolev-2 Gram form of the same fields.  Counts use the
+    +-1e-9 cutoffs; a mass condition number beyond 1e12 aborts.
+    """
+    A, B, knots = _galerkin_matrices(chart, potential, trajectory, m, dyadic)
     cond = float(np.linalg.cond(B))
     if cond > 1e12:
         raise BasisError(
@@ -347,7 +325,7 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
         word = "positive_definite"
     return IndexReport(
         m=m,
-        n_fields=dim,
+        n_fields=len(A),
         eigenvalues=np.sort(evals),
         index=idx,
         kernel_dim=ker,
@@ -364,6 +342,8 @@ class OptimalityReport:
     certified_interval: tuple
     index_report: IndexReport
     scan_report: object
+    #: verdict-relevant warnings raised on the way, as "Category: message"
+    warnings: list = field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -371,6 +351,7 @@ class OptimalityReport:
             "certified_interval": [float(self.certified_interval[0]), float(self.certified_interval[1])],
             "galerkin": self.index_report.to_dict(),
             "rank_drops": self.scan_report.to_dict(),
+            "warnings": list(self.warnings),
         }
 
 
@@ -382,11 +363,19 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
     fixed-endpoint variations; an empty scan with trivial kernel leaves a
     nondegenerate candidate.  Restriction to short sub-windows always
     yields a minimizer, so the report carries the largest leading
-    sub-interval free of detected pairs.
+    sub-interval free of detected pairs.  A ResolutionWarning from the scan
+    is recorded in the report and still issued.
     """
     if m is None:
         m = int(np.ceil(120 / chart.dim))
-    scan = biconjugate_scan(chart, potential, trajectory, t1=float(trajectory.ts[0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResolutionWarning)
+        scan = biconjugate_scan(chart, potential, trajectory, t1=float(trajectory.ts[0]))
+    notes = []
+    for w in caught:
+        if issubclass(w.category, ResolutionWarning):
+            notes.append(f"{w.category.__name__}: {w.message}")
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep = extended_index(chart, potential, trajectory, m)
     T_hi = float(trajectory.ts[-1])
     edge = 2.0 * trajectory.h
@@ -403,4 +392,5 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
         certified_interval=(float(trajectory.ts[0]), float(first)),
         index_report=rep,
         scan_report=scan,
+        warnings=notes,
     )

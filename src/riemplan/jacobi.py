@@ -16,6 +16,15 @@ where F collects every curvature coupling of the second variation:
 with Y = qdot.  The nab R terms vanish identically on the locally
 symmetric built-in charts and are finite-differenced elsewhere.
 
+The ODE is linear in the field jet u = (X, DX, D2X, D3X), and its
+coefficients depend only on the stored curve.  So the operator A(t) of
+u' = A(t) u is built once per trajectory, at every node and segment
+midpoint in one call (``operator_table``), and each classical RK4 step of
+the march is the product of u with a precomputed step matrix.  A bundle
+of fields marches as one matrix; off-node values take one partial step
+out of the enclosing node through the same operator.  The second-variation
+forms in ``index`` read F(X, qdot) + nab_X grad V off the same table.
+
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
 a trajectory and, given one, builds an explicit admissible field with
@@ -39,6 +48,8 @@ __all__ = [
     "NegativeDirectionReport",
     "F_operator",
     "jacobi_rhs",
+    "jacobi_operator",
+    "operator_table",
     "propagate_jacobi",
     "biconjugate_scan",
     "negative_direction",
@@ -91,31 +102,95 @@ def jacobi_rhs(chart, potential, state: CurveState, jac: JacobiState):
     )
 
 
-def _rhs_bundle(chart, potential, state: CurveState, u):
-    dX, dd, dd2, dd3 = jacobi_rhs(
-        chart,
-        potential,
-        state,
-        JacobiState(state.t, u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]),
-    )
-    return np.stack([dX, dd, dd2, dd3], axis=-2)
+def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
+    """Matrix A(t) of the field ODE u' = A(t) u at a stack of curve states.
+
+    u is the field 4-jet (X, DX, D2X, D3X) flattened to 4n entries, and
+    column c of A is jacobi_rhs applied to the c-th unit jet, so jacobi_rhs
+    stays the single definition of the ODE.  The state fields carry one
+    leading axis of length S; returns shape (S, 4n, 4n).  Locally
+    symmetric charts take every state in one broadcast call; elsewhere
+    F_operator needs single points, so the states are visited in turn.
+    """
+    n = chart.dim
+    S = len(states.q)
+    jets = np.eye(4 * n).reshape(4 * n, 4, n)
+
+    def columns(state, batch):
+        u = np.broadcast_to(jets, batch + jets.shape)
+        cols = jacobi_rhs(
+            chart, potential, state,
+            JacobiState(state.t, u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]),
+        )
+        return np.stack(cols, axis=-2)
+
+    if chart.locally_symmetric:
+        pts = [np.asarray(a, float)[:, None] for a in (states.q, states.v, states.a, states.j)]
+        cols = columns(CurveState(states.t, *pts), (S,))
+    else:
+        cols = np.stack(
+            [
+                columns(CurveState(None, states.q[k], states.v[k], states.a[k], states.j[k]), ())
+                for k in range(S)
+            ]
+        )
+    return cols.reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
 
 
-def _field_step(chart, potential, u, h, s0: CurveState, sm: CurveState, s1: CurveState):
-    """One RK4 step of the linear field ODE between two frozen curve states."""
-    k1 = _rhs_bundle(chart, potential, s0, u)
-    k2 = _rhs_bundle(chart, potential, sm, u + 0.5 * h * k1)
-    k3 = _rhs_bundle(chart, potential, sm, u + 0.5 * h * k2)
-    k4 = _rhs_bundle(chart, potential, s1, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def operator_table(chart, potential, trajectory: Trajectory):
+    """jacobi_operator at every node and every segment midpoint.
+
+    Built in one call and cached on the trajectory, so the field march,
+    its off-node steps and the second-variation forms share one table.
+    Returns (nodes, mids) of shapes (N+1, 4n, 4n) and (N, 4n, 4n).
+    """
+    cached = trajectory._ops
+    if cached is None or cached[0] is not chart or cached[1] is not potential:
+        mids = trajectory.midpoints()
+        at_nodes = (trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks)
+        at_mids = (mids.q, mids.v, mids.a, mids.j)
+        both = CurveState(None, *(np.concatenate(ab) for ab in zip(at_nodes, at_mids)))
+        A = jacobi_operator(chart, potential, both)
+        S = len(trajectory.ts)
+        cached = trajectory._ops = (chart, potential, A[:S], A[S:])
+    return cached[2], cached[3]
+
+
+def _force_block(A):
+    """F(., qdot) + nab grad V as matrices on (X, DX, D2X), read off A.
+
+    The D3X row of u' = A u is minus that force on the first three jet
+    slots; its Gamma term sits in the D3X column alone.
+    """
+    n = A.shape[-1] // 4
+    return -A[..., 3 * n :, : 3 * n]
+
+
+def _step_matrices(A0, Am, A1, h):
+    """Classical RK4 step of u' = A(t) u as a matrix, batched over steps.
+
+    The stages of a linear ODE are k_i = K_i u with K1 = A0,
+    K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3), so the
+    step is exactly u <- (I + h/6 (K1 + 2 K2 + 2 K3 + K4)) u.
+    """
+    eye = np.eye(A0.shape[-1])
+    K2 = Am @ (eye + 0.5 * h * A0)
+    K3 = Am @ (eye + 0.5 * h * K2)
+    K4 = A1 @ (eye + h * K3)
+    return eye + (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _flat(u):
+    return u.reshape(u.shape[:-2] + (-1,))
 
 
 class _StoredFlow:
     """Field-bundle states at every trajectory node of a covered index range.
 
     Off-node values come from a single partial RK4 step out of the
-    enclosing node, using interpolated curve states, so dense queries keep
-    the integrator's order without re-propagating from the anchor.
+    enclosing node, built from the operator at the node and at two
+    interpolated curve states, so dense queries keep the integrator's
+    order without re-propagating from the anchor.
     """
 
     def __init__(self, chart, potential, traj: Trajectory, states, k_lo, k_hi):
@@ -126,47 +201,56 @@ class _StoredFlow:
         self.k_lo = k_lo
         self.k_hi = k_hi
 
-    def at_node(self, k):
-        return self.states[k - self.k_lo]
-
     def at_time(self, t):
         traj = self.traj
         h = traj.h
         t0 = float(traj.ts[0])
         t = float(np.clip(t, traj.ts[self.k_lo], traj.ts[self.k_hi]))
         k = int(np.clip(np.floor((t - t0) / h), self.k_lo, self.k_hi - 1))
-        dt = t - float(traj.ts[k])
+        tk = float(traj.ts[k])
+        dt = t - tk
         u = self.states[k - self.k_lo]
         if abs(dt) < 1e-14:
             return u
-        s0 = traj.interpolate(traj.ts[k])
-        sm = traj.interpolate(traj.ts[k] + 0.5 * dt)
-        s1 = traj.interpolate(t)
-        return _field_step(self.chart, self.potential, u, dt, s0, sm, s1)
+        A = jacobi_operator(
+            self.chart, self.potential, traj.interpolate(np.array([tk, tk + 0.5 * dt, t]))
+        )
+        phi = _step_matrices(A[0], A[1], A[2], dt)
+        return (_flat(u) @ phi.T).reshape(u.shape)
+
+
+# step matrices are built this many segments at a time, to bound memory
+_STEP_CHUNK = 256
 
 
 def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=True):
-    """March a field bundle from a node to the grid end, storing every node."""
-    h = traj.h if forward else -traj.h
-    mids = traj.midpoints()
-    nodes = range(k_anchor, traj.segments) if forward else range(k_anchor, 0, -1)
-    span = (traj.segments - k_anchor if forward else k_anchor) + 1
-    states = np.empty((span,) + u0.shape)
-    states[0] = u0
-    u = u0
-    for i, k in enumerate(nodes):
-        seg = k if forward else k - 1
-        s0 = traj.state(k)
-        sm = CurveState(
-            float(mids.t[seg]), mids.q[seg], mids.v[seg], mids.a[seg], mids.j[seg]
-        )
-        s1 = traj.state(k + 1 if forward else k - 1)
-        u = _field_step(chart, potential, u, h, s0, sm, s1)
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(
-                f"perturbation field blew up near t = {float(s1.t):.6g}"
-            )
-        states[i + 1] = u
+    """March a field bundle from a node to the grid end, storing every node.
+
+    Every step is one product with that segment's RK4 step matrix, built
+    in batches from the trajectory's operator table.
+    """
+    nodes, mids = operator_table(chart, potential, traj)
+    k = k_anchor
+    if forward:
+        h, t_next = traj.h, traj.ts[k + 1 :]
+        A0, Am, A1 = nodes[k:-1], mids[k:], nodes[k + 1 :]
+    else:
+        h, t_next = -traj.h, traj.ts[:k][::-1]
+        A0, Am, A1 = nodes[1 : k + 1][::-1], mids[:k][::-1], nodes[:k][::-1]
+    u = _flat(u0)
+    states = np.empty((len(t_next) + 1,) + u.shape)
+    states[0] = u
+    for lo in range(0, len(t_next), _STEP_CHUNK):
+        hi = lo + _STEP_CHUNK
+        phi = _step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], h)
+        for i, step in enumerate(phi.swapaxes(-1, -2), lo):
+            u = u @ step
+            if not np.all(np.isfinite(u)):
+                raise NumericalError(
+                    f"perturbation field blew up near t = {float(t_next[i]):.6g}"
+                )
+            states[i + 1] = u
+    states = states.reshape(states.shape[:-1] + u0.shape[-2:])
     if forward:
         return _StoredFlow(chart, potential, traj, states, k_anchor, traj.segments)
     return _StoredFlow(chart, potential, traj, states[::-1].copy(), 0, k_anchor)
@@ -276,7 +360,9 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float = 0.0, 
     1e-8 trigger refinement (sign changes by bisection, dips by golden
     section) to 1e-6 in t.  The determinant is normalized by tau^{4n}/12^n
     to remove the forced zero at t1; a window of grid nodes around t1 is
-    excluded for the same reason.  Scans run from t1 toward both grid ends.
+    excluded for the same reason.  Scans run from t1 toward both grid ends;
+    each direction is one table march of the 2n-field bundle, and the
+    refinement steps off the nodes through the same operator.
     """
     n = chart.dim
     ts = trajectory.ts
@@ -302,7 +388,7 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float = 0.0, 
             if forward
             else np.arange(k1 - _EXCLUDE_NODES, -1, -stride)
         )
-        M = _boundary_matrix(np.stack([flow.at_node(k) for k in ks]))
+        M = _boundary_matrix(flow.states[ks - flow.k_lo])
         taus = ts[ks] - t1_eff
         dets = norm_det(M, taus)
         sv = np.linalg.svd(M, compute_uv=False)
@@ -434,7 +520,7 @@ def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: 
 
     # normalize the witness to unit sup norm over [t1, t2]
     ks = np.arange(k1, int(np.floor((t2 - T_lo) / trajectory.h)) + 1)
-    Xn = np.einsum("i,ki...->k...", c, np.stack([flow.at_node(k) for k in ks]))
+    Xn = np.einsum("i,ki...->k...", c, flow.states[ks - flow.k_lo])
     sup = float(np.max(chart.norm(trajectory.qs[ks], Xn[:, 0, :])))
     c = c / sup
 
@@ -501,10 +587,10 @@ def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: 
                 Yj[:, 1] = (dphi[:, None] / dl) * At + dpsi[:, None] * Bt
                 Yj[:, 2] = (d2phi[:, None] / dl**2) * At + (d2psi[:, None] / dl) * Bt
 
+            force = _force_block(jacobi_operator(chart, potential, states))
+
             def op(j):
-                return F_operator(
-                    chart, states, j[:, 0], j[:, 1], j[:, 2]
-                ) + potential.hessian_op(states.q, j[:, 0])
+                return np.einsum("sij,sj->si", force, j[:, :3].reshape(len(grid), 3 * n))
 
             opX = op(Xj) if has_x else np.zeros((len(grid), n))
             opY = op(Yj) if bump is not None else np.zeros((len(grid), n))

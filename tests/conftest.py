@@ -4,13 +4,21 @@ Boundary-value scenarios that tests draw from by name; ``PANEL`` lists
 the default-length ones.  The ``scenario`` fixture builds one's chart,
 potential and boundary data; tests solve what they need themselves.
 ``bench/scenarios/`` copies the boundary data of this panel.
+
+Property tests run under the ``riemplan`` hypothesis profile: examples are
+derived from each test's own code, not drawn at random, and no example has
+a deadline, so a run is reproducible and free of timing flakes.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from riemplan import BoundaryData, GaussianObstacle, QuadraticWell, ZeroPotential, parse_manifold
+
+settings.register_profile("riemplan", derandomize=True, deadline=None, database=None)
+settings.load_profile("riemplan")
 
 # name -> (manifold, potential factory, q_a, v_a, q_b, v_b, interval)
 SCENARIOS = {

@@ -7,11 +7,13 @@ scenario file under tmp_path, so artifact directories never collide.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from riemplan import parse_manifold
+import riemplan.index
+from riemplan import ResolutionWarning, parse_manifold
 from riemplan.cli import main, read_trajectory_csv, write_trajectory_csv
 from riemplan.potentials import ZeroPotential
 
@@ -98,6 +100,24 @@ def test_verify_flat_is_candidate(tmp_path):
     assert payload["galerkin"]["verdict"] == "positive_definite"
     assert payload["rank_drops"]["points"] == []
     assert payload["uniqueness"]["pass"] is True
+    assert payload["warnings"] == []
+
+
+def test_verify_records_scan_warnings(tmp_path, monkeypatch):
+    scan = riemplan.index.biconjugate_scan
+
+    def coarse_scan(*args, **kwargs):
+        warnings.warn("scan grid too coarse", ResolutionWarning)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(riemplan.index, "biconjugate_scan", coarse_scan)
+    cfg = write_cfg(tmp_path)
+    # still issued, and recorded in the artifact
+    with pytest.warns(ResolutionWarning, match="too coarse"):
+        assert main(["verify", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert payload["warnings"] == ["ResolutionWarning: scan grid too coarse"]
+    assert payload["classification"] == "candidate"
 
 
 def test_verify_accepts_stored_trajectory(tmp_path):

@@ -11,6 +11,8 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.interpolate import BSpline
 
 from riemplan import (
     AdmissibleField,
@@ -29,9 +31,13 @@ from riemplan import (
     propagate_jacobi,
     random_field,
     second_variation_fd,
+    solve_bvp,
+    transport_frame,
     verdict,
 )
-from riemplan.index import field_from_profiles, spline_profiles
+from riemplan.dynamics import quadrature_weights
+from riemplan.index import _galerkin_matrices, field_from_profiles, spline_profiles
+from riemplan.jacobi import F_operator
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -299,6 +305,21 @@ def test_extended_index_dyadic_monotone():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+def test_window_start_does_not_matter():
+    # V does not depend on time: a window shifted from t = 0 gives the same
+    # spectrum, and random fields stay admissible on it
+    pot, traj = bump_rest(6.0)
+    z = np.zeros(1)
+    shifted = integrate_ivp(EUC1, pot, CurveState(1.5, z, z, z, z), 6.0)
+    a = extended_index(EUC1, pot, traj, 20)
+    b = extended_index(EUC1, pot, shifted, 20)
+    assert b.index == a.index >= 1
+    assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-10
+    X = random_field(traj, np.random.default_rng(5))
+    Y = random_field(shifted, np.random.default_rng(5))
+    assert abs(index_form(EUC1, pot, shifted, Y, Y) - index_form(EUC1, pot, traj, X, X)) <= 1e-10
+
+
 def test_extended_index_rejects_dependent_basis():
     # far more profiles than grid nodes: the sampled Gram form degenerates
     pot = ZeroPotential(EUC1)
@@ -325,3 +346,61 @@ def test_verdict_past_first_rank_drop():
     rep = verdict(EUC1, pot, traj, m=24)
     assert rep.classification == "not_omega_local"
     assert abs(rep.certified_interval[1] - FIRST_BEAM_ROOT) < 1e-5
+
+
+def galerkin_reference(chart, pot, traj, m):
+    """A and B assembled pointwise: F_operator per jet slot, one BSpline per
+    profile, one einsum per block."""
+    ts, qs = traj.ts, traj.qs
+    frame = transport_frame(chart, ts, qs, traj.vs)
+    w = quadrature_weights(len(ts), traj.h)
+    g = chart.metric(qs)
+    states = CurveState(ts, qs[:, None], traj.vs[:, None], traj.accs[:, None], traj.jerks[:, None])
+    zero = np.zeros_like(frame)
+    f0 = F_operator(chart, states, frame, zero, zero) + pot.hessian_op(qs[:, None], frame)
+    f1 = F_operator(chart, states, zero, frame, zero)
+    f2 = F_operator(chart, states, zero, zero, frame)
+
+    def pair(tab):
+        return np.einsum("sja,sab,sib->sji", frame, g, tab)
+
+    _, _, _, interior = spline_profiles(ts, traj.T, m)
+    kv = np.concatenate([np.zeros(6), interior, np.full(6, traj.T)])
+    P = np.zeros((3, m, len(ts)))
+    for k in range(m):
+        spl = BSpline(kv, np.eye(m + 4)[k + 2], 5)
+        P[0, k], P[1, k], P[2, k] = spl(ts), spl.derivative()(ts), spl.derivative(2)(ts)
+
+    def asm(Pl, Pk, tab):
+        return np.einsum("ls,ks,sji->ljki", Pl, Pk, w[:, None, None] * tab)
+
+    Gm = pair(frame)
+    A = asm(P[2], P[2], Gm) + asm(P[0], P[0], pair(f0)) + asm(P[0], P[1], pair(f1)) + asm(P[0], P[2], pair(f2))
+    B = asm(P[0], P[0], Gm) + asm(P[1], P[1], Gm) + asm(P[2], P[2], Gm)
+    dim = m * chart.dim
+    A, B = A.reshape(dim, dim), B.reshape(dim, dim)
+    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+@pytest.mark.parametrize("name", ["flat_obstacle", "well_top", "sphere_curve"])
+def test_galerkin_assembly_matches_einsum_reference(scenario, name):
+    if name == "sphere_curve":
+        # curved: the F tables are not symmetric, so block order shows
+        chart = S2
+        pot, traj = sphere_obstacle()
+    else:
+        chart, pot, bd = scenario(name)
+        traj = solve_bvp(chart, pot, bd, h=bd.span / 200).trajectory
+    m = 30
+    A, B, _ = _galerkin_matrices(chart, pot, traj, m)
+    A_ref, B_ref = galerkin_reference(chart, pot, traj, m)
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
+
+    def counts(ev):
+        return int(np.sum(ev < -1e-9)), int(np.sum(np.abs(ev) <= 1e-9))
+
+    ref = counts(scipy.linalg.eigh(A_ref, B_ref, eigvals_only=True))
+    rep = extended_index(chart, pot, traj, m)
+    assert (rep.index, rep.kernel_dim) == ref
+    assert ref == {"flat_obstacle": (0, 0), "well_top": (1, 0), "sphere_curve": (0, 0)}[name]

@@ -13,6 +13,9 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riemplan import (
     ConstructionError,
@@ -31,11 +34,20 @@ from riemplan import (
     parse_manifold,
     propagate_jacobi,
 )
-from riemplan.jacobi import F_operator
+from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_rhs, operator_table
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
+
+
+def _warped_metric(x):
+    f = 0.1 * x[..., 0] ** 3 + 0.05 * x[..., 1] ** 3
+    return np.exp(2.0 * f)[..., None, None] * np.eye(2)
+
+
+# not locally symmetric: the curvature-gradient terms participate
+WARPED = NumericChart(2, _warped_metric, domain_radius=2.0, name="warped-plane")
 
 # positive roots of cosh(t)cos(t) = 1
 BEAM_ROOTS = (4.730040744863, 7.853204624096, 10.995607838003, 14.137165491223)
@@ -164,11 +176,7 @@ def test_linearization_matches_fd_sphere():
 
 def test_linearization_matches_fd_numeric_chart():
     # non-symmetric metric: the curvature-gradient terms must participate
-    def g(x):
-        f = 0.1 * x[..., 0] ** 3 + 0.05 * x[..., 1] ** 3
-        return np.exp(2.0 * f)[..., None, None] * np.eye(2)
-
-    chart = NumericChart(2, g, domain_radius=2.0, name="warped-plane")
+    chart = WARPED
     # chart-coordinate distance keeps the generic-chart log out of the loop
     pot = GaussianObstacle(chart, (0.3, 0.1), amplitude=0.8, width=0.5, distance="chart")
     st = CurveState(0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5]))
@@ -280,3 +288,122 @@ def test_propagate_overflow_reports_blowup():
     pot, traj = bump_rest(800.0)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="blew up"):
         propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)))
+
+
+# chart, potential factory, initial state, window, segments
+MARCH_CASES = {
+    "euclidean2": (
+        EUC2,
+        lambda c: GaussianObstacle(c, (0.5, 0.25), amplitude=1.0, width=0.4),
+        ((0.0, 0.0), (0.3, -0.2), (1.0, 0.5), (-0.4, 0.4)),
+        1.0,
+        40,
+    ),
+    "sphere2": (
+        S2,
+        lambda c: GaussianObstacle(c, (0.4, 0.2), amplitude=1.0, width=0.6),
+        ((-0.3, 0.1), (0.5, 0.2), (0.2, -0.3), (0.1, 0.4)),
+        1.0,
+        40,
+    ),
+    "hyperbolic2": (
+        parse_manifold("hyperbolic2"),
+        lambda c: GaussianObstacle(c, (0.1, 0.0), amplitude=0.8, width=0.5),
+        ((-0.4, 0.1), (0.25, 0.1), (0.1, -0.2), (0.1, 0.2)),
+        1.5,
+        40,
+    ),
+    "so3": (
+        parse_manifold("so3"),
+        ZeroPotential,
+        ((0.1, -0.2, 0.15), (0.4, 0.1, -0.3), (0.2, 0.1, 0.1), (-0.1, 0.2, 0.0)),
+        1.5,
+        40,
+    ),
+    # every operator column costs a finite-difference nabla R here: keep N tiny
+    "numeric": (
+        WARPED,
+        lambda c: GaussianObstacle(c, (0.3, 0.1), amplitude=0.8, width=0.5, distance="chart"),
+        ((0.1, -0.2), (0.6, 0.4), (0.3, -0.1), (0.2, 0.5)),
+        0.2,
+        2,
+    ),
+}
+
+
+@functools.cache
+def march_case(name):
+    chart, pot, jets, T, N = MARCH_CASES[name]
+    pot = pot(chart)
+    st = CurveState(0.0, *(np.array(a) for a in jets))
+    return chart, pot, integrate_ivp(chart, pot, st, T, h=T / N)
+
+
+def stagewise_step(chart, pot, u, h, s0, sm, s1):
+    """One classical RK4 step of the field ODE, stage by stage from jacobi_rhs."""
+
+    def rhs(s, w):
+        jac = JacobiState(s.t, w[..., 0, :], w[..., 1, :], w[..., 2, :], w[..., 3, :])
+        return np.stack(jacobi_rhs(chart, pot, s, jac), axis=-2)
+
+    k1 = rhs(s0, u)
+    k2 = rhs(sm, u + 0.5 * h * k1)
+    k3 = rhs(sm, u + 0.5 * h * k2)
+    k4 = rhs(s1, u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rel_gap(got, ref):
+    return np.max(np.abs(np.asarray(got) - np.asarray(ref))) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(MARCH_CASES))
+def test_table_march_matches_stagewise_rk4(name):
+    chart, pot, traj = march_case(name)
+    n, N, h, ts = chart.dim, traj.segments, traj.h, traj.ts
+    k0 = N // 2
+    u0 = np.random.default_rng(7).normal(size=(3, 4, n))
+
+    ref = [u0]
+    for k in range(k0, N):
+        mid = traj.interpolate(ts[k] + 0.5 * h)
+        ref.append(stagewise_step(chart, pot, ref[-1], h, traj.state(k), mid, traj.state(k + 1)))
+    flow = _propagate_bundle(chart, pot, traj, k0, u0, forward=True)
+    assert rel_gap(flow.states, ref) <= 1e-12
+    # off-node: one partial step out of the enclosing node
+    t = ts[N - 1] + 0.37 * h
+    s = traj.interpolate(np.array([ts[N - 1], 0.5 * (ts[N - 1] + t), t]))
+    parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
+    want = stagewise_step(chart, pot, ref[N - 1 - k0], t - ts[N - 1], *parts)
+    assert rel_gap(flow.at_time(t), want) <= 1e-12
+
+    back = [u0]
+    for k in range(k0, 0, -1):
+        mid = traj.interpolate(ts[k - 1] + 0.5 * h)
+        back.append(stagewise_step(chart, pot, back[-1], -h, traj.state(k), mid, traj.state(k - 1)))
+    flow = _propagate_bundle(chart, pot, traj, k0, u0, forward=False)
+    assert rel_gap(flow.states, back[::-1]) <= 1e-12
+    if name == "numeric":
+        return  # the forward check above already covers its off-node step
+    t = ts[0] + 0.61 * h
+    s = traj.interpolate(np.array([ts[0], 0.5 * (ts[0] + t), t]))
+    parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
+    want = stagewise_step(chart, pot, back[-1], t - ts[0], *parts)
+    assert rel_gap(flow.at_time(t), want) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3"])
+@given(data=st.data())
+def test_operator_table_applies_jacobi_rhs(name, data):
+    chart, pot, traj = march_case(name)
+    n = chart.dim
+    k = data.draw(st.integers(0, traj.segments), label="node")
+    u = data.draw(
+        hnp.arrays(float, (4, n), elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+        label="jets",
+    )
+    nodes, _ = operator_table(chart, pot, traj)
+    want = np.stack(jacobi_rhs(chart, pot, traj.state(k), JacobiState(traj.ts[k], *u)))
+    got = nodes[k] @ u.ravel()
+    scale = np.max(np.abs(nodes[k]) @ np.abs(u.ravel()))
+    assert np.max(np.abs(got - want.ravel())) <= 1e-12 * scale + 1e-300
