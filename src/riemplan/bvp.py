@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# integrate_ivp stays a module attribute: bench/layers.py traces it by name here.
-from .dynamics import Trajectory, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
+# _rk4_step and integrate_ivp stay module attributes: bench/layers.py traces
+# them by name here.  The flow itself steps through dynamics._rk4_step (rk4.step).
+from .dynamics import Trajectory, _flow, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
 from .errors import (
     ChartEscapeError,
     CriticalPointError,
@@ -112,15 +113,6 @@ def _fd_rows(y, z):
     return ys, zs, step
 
 
-def _flow_failure(u, chart, t):
-    """The error for a flow batch that went nonfinite or left the chart, else None."""
-    if not np.all(np.isfinite(u)):
-        return NumericalError(f"nonfinite flow state at t = {t:.6g}")
-    if not np.all(chart.contains(u[:, 0])):
-        return ChartEscapeError("flow left the chart domain", t)
-    return None
-
-
 @dataclass
 class _Shot:
     """One flow pass at a trial (y, z): its endpoint, its curve, its Jacobian."""
@@ -155,25 +147,7 @@ def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0, fd=True) -> _Shot:
     u[:, 1] = v
     u[0, 2], u[0, 3] = y, z
     u[1:, 2], u[1:, 3] = ys, zs
-    h = t / steps
-    nodes = np.empty((steps + 1, 4, n))
-    nodes[0] = u[0]
-    failure = None
-    for k in range(steps):
-        # a module global, so a wrapper on bvp._rk4_step sees every step
-        u = _rk4_step(chart, potential, u, h)
-        err = _flow_failure(u, chart, (k + 1) * h)
-        if err is not None:
-            # row 0 alone decides the trial; if it is sound, the bundle failed
-            row0 = _flow_failure(u[:1], chart, (k + 1) * h)
-            if row0 is not None:
-                raise row0
-            failure, u = err, u[:1]
-        nodes[k + 1] = u[0]
-    trajectory = Trajectory(
-        chart, potential, t0 + h * np.arange(steps + 1),
-        nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
-    )
+    trajectory, u, failure = _flow(chart, potential, u, t0, t / steps, steps)
     end = np.concatenate([u[0, 0], u[0, 1]])
     jac = None
     if fd and failure is None:

@@ -13,9 +13,11 @@ them to coordinate derivatives through Gamma at the current point:
     a' = j - Gamma(v, a)
     j' = -R(a, v)v - grad V(q) - Gamma(v, j)
 
-Integration is fixed-step classical RK4, default step T/2000, no
-adaptivity: determinism matters more than step control at desk scale, and
-step-halving supplies the error estimate in the tests.
+Integration is fixed-step classical RK4 (``rk4.step``), default step
+T/2000, no adaptivity: determinism matters more than step control at desk
+scale, and step-halving supplies the error estimate in the tests.
+``integrate_ivp`` and ``bvp``'s shooting passes share one march, ``_flow``,
+stepping through ``_rk4_step`` here, where bench/layers.py traces it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rk4
 from .errors import ChartEscapeError, NumericalError
 from .geometry import ManifoldChart
 from .potentials import Potential
@@ -72,11 +75,7 @@ def _rhs_stacked(chart, potential, u):
 
 
 def _rk4_step(chart, potential, u, h):
-    k1 = _rhs_stacked(chart, potential, u)
-    k2 = _rhs_stacked(chart, potential, u + 0.5 * h * k1)
-    k3 = _rhs_stacked(chart, potential, u + 0.5 * h * k2)
-    k4 = _rhs_stacked(chart, potential, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4.step(lambda x: _rhs_stacked(chart, potential, x), u, h)
 
 
 # cubic Hermite basis on [0, 1]
@@ -176,6 +175,44 @@ class Trajectory:
         return self._mid
 
 
+def _flow_failure(u, chart, t):
+    """The error for a flow batch that went nonfinite or left the chart, else None."""
+    if not np.all(np.isfinite(u)):
+        return NumericalError(f"nonfinite state at t = {t:.6g}")
+    if not np.all(chart.contains(u[:, 0])):
+        return ChartEscapeError("trajectory left the chart domain", t)
+    return None
+
+
+def _flow(chart, potential, u, t0, h, steps):
+    """March a batch of jet stacks u, shape (rows, 4, n), over ``steps`` steps.
+
+    Row 0 is stored at every node and returned as a Trajectory, with the
+    final batch.  A failure of row 0 (nonfinite, or out of the chart)
+    raises at once; a failure of any other row drops the other rows from
+    the rest of the march and is returned as the third value, else None.
+    """
+    nodes = np.empty((steps + 1,) + u.shape[1:])
+    nodes[0] = u[0]
+    failure = None
+    for k in range(steps):
+        t = t0 + (k + 1) * h
+        # a module global, so a wrapper on dynamics._rk4_step sees every step
+        u = _rk4_step(chart, potential, u, h)
+        err = _flow_failure(u, chart, t)
+        if err is not None:
+            row0 = _flow_failure(u[:1], chart, t)
+            if row0 is not None:
+                raise row0
+            failure, u = err, u[:1]
+        nodes[k + 1] = u[0]
+    traj = Trajectory(
+        chart, potential, t0 + h * np.arange(steps + 1),
+        nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
+    )
+    return traj, u, failure
+
+
 def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | None = None) -> Trajectory:
     """Integrate the trajectory ODE from ``initial`` over a window of length T.
 
@@ -185,30 +222,14 @@ def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | No
     domain, NumericalError on nonfinite state.
     """
     N, h = grid_steps(T, h)
-    t0 = float(initial.t)
     chart.check_point(initial.q, "initial point")
-
     u = np.stack(
         [np.asarray(a, float) for a in (initial.q, initial.v, initial.a, initial.j)],
         axis=-2,
     )
     if u.ndim != 2:
         raise ValueError("integrate_ivp expects an unbatched initial state")
-    traj = np.empty((N + 1,) + u.shape)
-    traj[0] = u
-    for k in range(N):
-        u = _rk4_step(chart, potential, u, h)
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(f"nonfinite state at t = {t0 + (k + 1) * h:.6g}")
-        if not np.all(chart.contains(u[..., 0, :])):
-            raise ChartEscapeError(
-                "trajectory left the chart domain", t0 + (k + 1) * h
-            )
-        traj[k + 1] = u
-    ts = t0 + h * np.arange(N + 1)
-    return Trajectory(
-        chart, potential, ts, traj[:, 0], traj[:, 1], traj[:, 2], traj[:, 3]
-    )
+    return _flow(chart, potential, u[None], float(initial.t), h, N)[0]
 
 
 def quadrature_weights(n_nodes: int, h: float) -> np.ndarray:

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import rk4
 from ..errors import ChartDomainError, ChartEscapeError, InjectivityError, NumericalError
+from .transport import parallel_transport
 
 __all__ = ["ManifoldChart"]
 
@@ -195,22 +197,20 @@ class ManifoldChart:
         wn = float(self.norm(x, W))
         if wn == 0.0:
             return np.zeros_like(np.asarray(X, float))
-        # geodesic through x with velocity W, sampled at +-h in parameter
+        # geodesics through x with velocity +-W, sampled in parameter on [0, h]
         sub = 8
-        qs_p, vs_p = _geodesic_path(self, x, np.asarray(W, float), h, sub)
-        qs_m, vs_m = _geodesic_path(self, x, -np.asarray(W, float), h, sub)
-        ds = h / sub
-        args = [np.asarray(a, float) for a in (X, Y, Z)]
-        moved_p = [_transport_line(self, qs_p, vs_p, a, ds) for a in args]
-        moved_m = [_transport_line(self, qs_m, vs_m, a, ds) for a in args]
-        Rp = self.curvature(qs_p[-1], *moved_p)
-        Rm = self.curvature(qs_m[-1], *moved_m)
-        back_p = _transport_line(self, qs_p[::-1], -vs_p[::-1], Rp, ds)
-        back_m = _transport_line(self, qs_m[::-1], -vs_m[::-1], Rm, ds)
+        ss = np.linspace(0.0, h, sub + 1)
+        args = np.broadcast_arrays(*(np.asarray(a, float) for a in (X, Y, Z)))
+        ends = []
+        for sign in (1.0, -1.0):
+            path = _geodesic(self, x, sign * W, h / sub, sub, keep=True)
+            qs, vs = path[:, 0], path[:, 1]
+            moved = parallel_transport(self, ss, qs, vs, np.stack(args))
+            Rq = self.curvature(qs[-1], *moved)
+            ends.append(parallel_transport(self, ss[::-1], qs[::-1], vs[::-1], Rq))
         if order == 1:
-            return (back_p - back_m) / (2.0 * h)
-        R0 = self.curvature(x, *args)
-        return (back_p - 2.0 * R0 + back_m) / h**2
+            return (ends[0] - ends[1]) / (2.0 * h)
+        return (ends[0] - 2.0 * self.curvature(x, *args) + ends[1]) / h**2
 
     # -- geodesic layer -----------------------------------------------
 
@@ -227,11 +227,7 @@ class ManifoldChart:
         if steps is None:
             speed = float(np.max(self.norm(x, v))) if x.size else 0.0
             steps = min(512, max(16, int(48.0 * speed) + 1))
-        h = 1.0 / steps
-        q = x.astype(float).copy()
-        w = v.astype(float).copy()
-        for k in range(steps):
-            q, w = _rk4_geodesic_step(self, q, w, h)
+        q = _geodesic(self, x, v, 1.0 / steps, steps)[..., 0, :]
         if not np.all(self.contains(q)):
             raise ChartEscapeError("geodesic left the chart domain", 1.0)
         return q
@@ -290,47 +286,21 @@ class ManifoldChart:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _rk4_geodesic_step(chart, q, w, h):
-    def acc(qq, ww):
-        return -chart.gamma(qq, ww, ww)
+def _geodesic(chart, x, v, h, steps, keep=False):
+    """RK4 march of the geodesic equation from q = x, dq/ds = v.
 
-    k1q, k1w = w, acc(q, w)
-    k2q, k2w = w + 0.5 * h * k1w, acc(q + 0.5 * h * k1q, w + 0.5 * h * k1w)
-    k3q, k3w = w + 0.5 * h * k2w, acc(q + 0.5 * h * k2q, w + 0.5 * h * k2w)
-    k4q, k4w = w + h * k3w, acc(q + h * k3q, w + h * k3w)
-    qn = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-    wn = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-    return qn, wn
-
-
-def _geodesic_path(chart, x, v, length, steps):
-    """Sample the geodesic s -> exp(x, s v) at s = k*length/steps."""
-    h = length / steps
-    qs = np.empty((steps + 1, x.size))
-    vs = np.empty_like(qs)
-    q, w = x.copy(), v.copy()
-    qs[0], vs[0] = q, w
-    for k in range(steps):
-        q, w = _rk4_geodesic_step(chart, q, w, h)
-        qs[k + 1], vs[k + 1] = q, w
-    return qs, vs
-
-
-def _transport_line(chart, qs, vs, X0, ds):
-    """Parallel transport X0 along a sampled curve with parameter step ds.
-
-    qs, vs are position/velocity samples at uniform parameter spacing ds;
-    midpoint data for the RK4 stages is taken as the segment average,
-    which is enough at the short lengths this is used for.
+    Returns the jet stack (q, dq/ds) of shape (..., 2, n) at the last
+    node, or with ``keep`` at every node, stacked along a new first axis.
     """
-    X = np.asarray(X0, float).copy()
-    for k in range(len(qs) - 1):
-        qa, qb = qs[k], qs[k + 1]
-        va, vb = vs[k], vs[k + 1]
-        qm, vm = 0.5 * (qa + qb), 0.5 * (va + vb)
-        k1 = -chart.gamma(qa, va, X)
-        k2 = -chart.gamma(qm, vm, X + 0.5 * ds * k1)
-        k3 = -chart.gamma(qm, vm, X + 0.5 * ds * k2)
-        k4 = -chart.gamma(qb, vb, X + ds * k3)
-        X = X + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return X
+
+    def rhs(u):
+        q, w = u[..., 0, :], u[..., 1, :]
+        return np.stack([w, -chart.gamma(q, w, w)], axis=-2)
+
+    u = np.stack([x, v], axis=-2)
+    nodes = [u]
+    for _ in range(steps):
+        u = rk4.step(rhs, u, h)
+        if keep:
+            nodes.append(u)
+    return np.stack(nodes) if keep else u

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import rk4
+from ..errors import NumericalError
+
 __all__ = ["parallel_transport", "transport_frame"]
 
 
@@ -20,49 +23,38 @@ def parallel_transport(chart, ts, qs, vs, X0, return_all: bool = False):
     ts must be strictly monotone (either direction); qs are positions,
     vs coordinate velocities dq/dt at the samples.  X0 may carry leading
     batch axes.  One classical RK4 step per sample interval, with cubic
-    Hermite midpoint reconstruction of the curve.
+    Hermite midpoint reconstruction of the curve.  Transport is linear,
+    X' = B(t) X with B(t) = -Gamma(qdot, .), so B is built at every sample
+    and midpoint in one ``gamma`` call and the march is by step matrices.
     """
     ts = np.asarray(ts, float)
     qs = np.asarray(qs, float)
     vs = np.asarray(vs, float)
-    X = np.array(X0, float, copy=True)
-    out = [X.copy()] if return_all else None
-    for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        qa, qb = qs[k], qs[k + 1]
-        va, vb = vs[k], vs[k + 1]
-        qm, vm = _hermite_mid(qa, va, qb, vb, h)
-        k1 = -chart.gamma(qa, va, X)
-        k2 = -chart.gamma(qm, vm, X + 0.5 * h * k1)
-        k3 = -chart.gamma(qm, vm, X + 0.5 * h * k2)
-        k4 = -chart.gamma(qb, vb, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if return_all:
-            out.append(X.copy())
-    if return_all:
-        return np.stack(out)
-    return X
+    X0 = np.asarray(X0, float)
+    n = qs.shape[-1]
+    K = len(ts) - 1
+    hs = np.diff(ts)
+    qm, vm = _hermite_mid(qs[:-1], vs[:-1], qs[1:], vs[1:], hs[:, None])
+    at = np.concatenate([qs, qm])[:, None]
+    vel = np.concatenate([vs, vm])[:, None]
+    # column i of B is -Gamma(qdot, e_i)
+    B = -chart.gamma(at, vel, np.eye(n)).swapaxes(-1, -2)
+    Xs = rk4.march(B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(-1, n))
+    if len(Xs) <= K:
+        raise NumericalError(f"transported vector went nonfinite near t = {ts[len(Xs) - 1]:.6g}")
+    Xs = Xs.reshape((K + 1,) + X0.shape)
+    return Xs if return_all else Xs[-1]
 
 
 def transport_frame(chart, ts, qs, vs):
     """g-orthonormal parallel frame along the curve.
 
     Returns an array of shape (len(ts), n, n) whose [s, i, :] entry is
-    the i-th frame vector at time ts[s].  The frame is orthonormalized
-    once at the start and stays orthonormal up to integrator error
-    because parallel transport is a metric isometry.
+    the i-th frame vector at time ts[s].  The frame starts as the rows of
+    L^-1 for the Cholesky factor g0 = L L^T (the Gram-Schmidt frame of the
+    coordinate basis in the g0 inner product) and stays orthonormal up to
+    integrator error because parallel transport is a metric isometry.
     """
     qs = np.asarray(qs, float)
-    n = qs.shape[-1]
-    g0 = chart.metric(qs[0])
-    # Gram-Schmidt of the coordinate basis in the g0 inner product
-    basis = np.eye(n)
-    frame0 = []
-    for i in range(n):
-        w = basis[i].astype(float)
-        for e in frame0:
-            w = w - (e @ g0 @ w) * e
-        w = w / np.sqrt(w @ g0 @ w)
-        frame0.append(w)
-    frame0 = np.stack(frame0)
+    frame0 = np.linalg.inv(np.linalg.cholesky(chart.metric(qs[0])))
     return parallel_transport(chart, ts, qs, vs, frame0, return_all=True)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rk4
 from .dynamics import CurveState, Trajectory
 from .errors import ConstructionError, NumericalError, ResolutionWarning
 from .geometry import parallel_transport
@@ -166,20 +167,6 @@ def _force_block(A):
     return -A[..., 3 * n :, : 3 * n]
 
 
-def _step_matrices(A0, Am, A1, h):
-    """Classical RK4 step of u' = A(t) u as a matrix, batched over steps.
-
-    The stages of a linear ODE are k_i = K_i u with K1 = A0,
-    K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3), so the
-    step is exactly u <- (I + h/6 (K1 + 2 K2 + 2 K3 + K4)) u.
-    """
-    eye = np.eye(A0.shape[-1])
-    K2 = Am @ (eye + 0.5 * h * A0)
-    K3 = Am @ (eye + 0.5 * h * K2)
-    K4 = A1 @ (eye + h * K3)
-    return eye + (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
-
-
 def _flat(u):
     return u.reshape(u.shape[:-2] + (-1,))
 
@@ -215,19 +202,15 @@ class _StoredFlow:
         A = jacobi_operator(
             self.chart, self.potential, traj.interpolate(np.array([tk, tk + 0.5 * dt, t]))
         )
-        phi = _step_matrices(A[0], A[1], A[2], dt)
+        phi = rk4.step_matrices(A[0], A[1], A[2], dt)
         return (_flat(u) @ phi.T).reshape(u.shape)
-
-
-# step matrices are built this many segments at a time, to bound memory
-_STEP_CHUNK = 256
 
 
 def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=True):
     """March a field bundle from a node to the grid end, storing every node.
 
-    Every step is one product with that segment's RK4 step matrix, built
-    in batches from the trajectory's operator table.
+    Every step is one product with that segment's RK4 step matrix
+    (``rk4.march``), built from the trajectory's operator table.
     """
     nodes, mids = operator_table(chart, potential, traj)
     k = k_anchor
@@ -237,19 +220,11 @@ def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=
     else:
         h, t_next = -traj.h, traj.ts[:k][::-1]
         A0, Am, A1 = nodes[1 : k + 1][::-1], mids[:k][::-1], nodes[:k][::-1]
-    u = _flat(u0)
-    states = np.empty((len(t_next) + 1,) + u.shape)
-    states[0] = u
-    for lo in range(0, len(t_next), _STEP_CHUNK):
-        hi = lo + _STEP_CHUNK
-        phi = _step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], h)
-        for i, step in enumerate(phi.swapaxes(-1, -2), lo):
-            u = u @ step
-            if not np.all(np.isfinite(u)):
-                raise NumericalError(
-                    f"perturbation field blew up near t = {float(t_next[i]):.6g}"
-                )
-            states[i + 1] = u
+    states = rk4.march(A0, Am, A1, h, _flat(u0))
+    if len(states) <= len(t_next):
+        raise NumericalError(
+            f"perturbation field blew up near t = {float(t_next[len(states) - 2]):.6g}"
+        )
     states = states.reshape(states.shape[:-1] + u0.shape[-2:])
     if forward:
         return _StoredFlow(chart, potential, traj, states, k_anchor, traj.segments)
@@ -474,11 +449,8 @@ def _transport_from_end(traj: Trajectory, grid, vecs, from_start):
     """Parallel-transport vectors from one end of a time grid to every node."""
     path = grid if from_start else grid[::-1]
     cs = traj.interpolate(path)
-    out = [
-        parallel_transport(traj.chart, path, cs.q, cs.v, np.asarray(v, float), return_all=True)
-        for v in vecs
-    ]
-    return [o if from_start else o[::-1] for o in out]
+    out = parallel_transport(traj.chart, path, cs.q, cs.v, np.stack(vecs), return_all=True)
+    return list(np.moveaxis(out if from_start else out[::-1], 1, 0))
 
 
 def _segment_nodes(a, b, m=40):

@@ -27,7 +27,7 @@ from riemplan import (
     parse_manifold,
     solve_bvp,
 )
-from riemplan import bvp
+from riemplan import bvp, dynamics
 from riemplan.bvp import hermite_seed
 from riemplan.dynamics import grid_steps
 
@@ -252,13 +252,13 @@ def test_solve_returns_its_fused_pass(scenario, name):
 
 def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
     calls = [0]
-    step = bvp._rk4_step
+    step = dynamics._rk4_step
 
     def counted(*args):
         calls[0] += 1
         return step(*args)
 
-    monkeypatch.setattr(bvp, "_rk4_step", counted)
+    monkeypatch.setattr(dynamics, "_rk4_step", counted)
     for name in ("flat_obstacle", "well_top"):
         chart, pot, bd = scenario(name)
         calls[0] = 0

@@ -45,7 +45,7 @@ def test_grid_steps_even_and_default():
 
 
 def test_quadrature_weights_orders():
-    for n_nodes in (5, 8, 101):
+    for n_nodes in (3, 4, 5, 6, 8, 11, 101):
         h = 1.0 / (n_nodes - 1)
         w = quadrature_weights(n_nodes, h)
         t = np.linspace(0.0, 1.0, n_nodes)

@@ -18,6 +18,7 @@ from riemplan import (
     ChartDomainError,
     ChartEscapeError,
     ConfigError,
+    NumericalError,
     NumericChart,
     parallel_transport,
     parse_manifold,
@@ -266,6 +267,47 @@ def test_parallel_transport_isometry(chart):
     assert np.max(np.abs(gramT - gram0)) < 1e-8
 
 
+def stagewise_transport(chart, ts, qs, vs, X0):
+    """X' = -Gamma(v, X) by classical RK4 stage by stage, Hermite midpoints."""
+    X = np.array(X0, float)
+    out = [X]
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        qa, qb, va, vb = qs[k], qs[k + 1], vs[k], vs[k + 1]
+        qm = 0.5 * (qa + qb) + 0.125 * h * (va - vb)
+        vm = 1.5 * (qb - qa) / h - 0.25 * (va + vb)
+        k1 = -chart.gamma(qa, va, X)
+        k2 = -chart.gamma(qm, vm, X + 0.5 * h * k1)
+        k3 = -chart.gamma(qm, vm, X + 0.5 * h * k2)
+        k4 = -chart.gamma(qb, vb, X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(X)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("chart", ANALYTIC + [numeric_sphere()], ids=lambda c: c.name)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_transport_matches_stagewise_rk4(chart, reverse):
+    n = chart.dim
+    s = np.linspace(0.0, 1.0, 33)
+    ts = s + 0.2 * s * (1.0 - s)  # strictly increasing, not uniform
+    amp = 0.3 if chart.name == "hyperbolic2" else 0.6
+    phase = 0.3 * np.arange(n)
+    qs = amp * np.sin(np.outer(ts, np.arange(1, n + 1)) + phase)
+    vs = amp * np.arange(1, n + 1) * np.cos(np.outer(ts, np.arange(1, n + 1)) + phase)
+    if reverse:
+        ts, qs, vs = ts[::-1], qs[::-1], vs[::-1]
+    X0 = np.random.default_rng(11).normal(size=(2, 3, n))
+    ref = stagewise_transport(chart, ts, qs, vs, X0)
+    got = parallel_transport(chart, ts, qs, vs, X0, return_all=True)
+    assert got.shape == (len(ts), 2, 3, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    last = parallel_transport(chart, ts, qs, vs, X0)
+    assert np.max(np.abs(last - ref[-1])) <= 1e-12 * np.max(np.abs(ref))
+    # the connection turns the vectors, so the comparison is not trivial
+    assert np.max(np.abs(ref[-1] - X0)) > 1e-3 or chart.name.startswith("euclidean")
+
+
 def test_transport_euclidean_constant_and_zero():
     t = np.linspace(0.0, 1.0, 50)
     qs = np.stack([t, t**2, np.sin(t)], axis=1)
@@ -275,6 +317,8 @@ def test_transport_euclidean_constant_and_zero():
     assert np.max(np.abs(out - X)) < 1e-12
     zero = parallel_transport(EUC3, t, qs, vs, np.zeros(3), return_all=True)
     assert np.max(np.abs(zero)) == 0.0
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nonfinite"):
+        parallel_transport(EUC3, t, qs, vs, np.array([np.inf, 0.0, 0.0]))
 
 
 def test_transport_sphere_quarter_equator():

@@ -286,6 +286,8 @@ def test_extended_index_quadratic_well_positive():
 
 
 def test_extended_index_counts_rank_drops():
+    pot, traj3 = bump_rest(3.0)
+    assert extended_index(EUC1, pot, traj3, 20).index == 0
     pot, traj6 = bump_rest(6.0)
     assert extended_index(EUC1, pot, traj6, 20).index >= 1
     pot, traj9 = bump_rest(9.0)
@@ -330,15 +332,16 @@ def test_extended_index_rejects_dependent_basis():
 
 
 def test_verdict_flat_candidate():
-    pot, traj = flat_rest()
-    rep = verdict(EUC1, pot, traj, m=24)
-    assert rep.classification == "candidate"
-    assert rep.certified_interval == (0.0, 1.0)
-    assert rep.index_report.index == 0
-    assert len(rep.scan_report.times) == 0
-    d = rep.to_dict()
-    assert d["classification"] == "candidate"
-    assert d["galerkin"]["index"] == 0
+    # the flat rest state, and a short window on the curved sphere_obstacle curve
+    for chart, (pot, traj) in ((EUC1, flat_rest()), (S2, sphere_obstacle())):
+        rep = verdict(chart, pot, traj, m=24)
+        assert rep.classification == "candidate"
+        assert rep.certified_interval == (0.0, 1.0)
+        assert rep.index_report.index == 0
+        assert len(rep.scan_report.times) == 0
+        d = rep.to_dict()
+        assert d["classification"] == "candidate"
+        assert d["galerkin"]["index"] == 0
 
 
 def test_verdict_past_first_rank_drop():
