@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import rk4
-from ..errors import NumericalError
 
 __all__ = ["parallel_transport", "transport_frame"]
 
@@ -39,9 +38,9 @@ def parallel_transport(chart, ts, qs, vs, X0, return_all: bool = False):
     vel = np.concatenate([vs, vm])[:, None]
     # column i of B is -Gamma(qdot, e_i)
     B = -chart.gamma(at, vel, np.eye(n)).swapaxes(-1, -2)
-    Xs = rk4.march(B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(-1, n))
-    if len(Xs) <= K:
-        raise NumericalError(f"transported vector went nonfinite near t = {ts[len(Xs) - 1]:.6g}")
+    Xs = rk4.march(
+        B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(-1, n), ts, "transported vector went nonfinite"
+    )
     Xs = Xs.reshape((K + 1,) + X0.shape)
     return Xs if return_all else Xs[-1]
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import rk4
 from .dynamics import CurveState, Trajectory
-from .errors import ConstructionError, NumericalError, ResolutionWarning
+from .errors import ConstructionError, ResolutionWarning
 from .geometry import parallel_transport
 
 __all__ = [
@@ -215,16 +215,12 @@ def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=
     nodes, mids = operator_table(chart, potential, traj)
     k = k_anchor
     if forward:
-        h, t_next = traj.h, traj.ts[k + 1 :]
+        h, ts = traj.h, traj.ts[k:]
         A0, Am, A1 = nodes[k:-1], mids[k:], nodes[k + 1 :]
     else:
-        h, t_next = -traj.h, traj.ts[:k][::-1]
+        h, ts = -traj.h, traj.ts[: k + 1][::-1]
         A0, Am, A1 = nodes[1 : k + 1][::-1], mids[:k][::-1], nodes[:k][::-1]
-    states = rk4.march(A0, Am, A1, h, _flat(u0))
-    if len(states) <= len(t_next):
-        raise NumericalError(
-            f"perturbation field blew up near t = {float(t_next[len(states) - 2]):.6g}"
-        )
+    states = rk4.march(A0, Am, A1, h, _flat(u0), ts, "perturbation field blew up")
     states = states.reshape(states.shape[:-1] + u0.shape[-2:])
     if forward:
         return _StoredFlow(chart, potential, traj, states, k_anchor, traj.segments)

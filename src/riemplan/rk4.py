@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = ["step", "step_matrices", "march"]
 
 
@@ -42,14 +44,14 @@ def step_matrices(A0, Am, A1, h):
 _CHUNK = 256
 
 
-def march(A0, Am, A1, h, u):
+def march(A0, Am, A1, h, u, ts, what):
     """States of u' = A(t) u at every node, u first.
 
     A0, Am, A1 hold the operator at the start, midpoint and end of each of
-    the K steps, h is the step (a scalar or one per step) and u has shape
-    (..., m).  Returns shape (K+1, ..., m).  The march stops at the first
-    nonfinite state, so a result shorter than K+1 ends in the state that
-    blew up.
+    the K steps, h is the step (a scalar or one per step), u has shape
+    (..., m) and ts are the K+1 node times in march order.  Returns shape
+    (K+1, ..., m).  Raises NumericalError "<what> near t = ..." at the
+    first node whose state is nonfinite, the last node included.
     """
     hs = np.broadcast_to(np.asarray(h, float), (len(A0),))
     states = np.empty((len(A0) + 1,) + u.shape)
@@ -59,7 +61,7 @@ def march(A0, Am, A1, h, u):
         phi = step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], hs[lo:hi, None, None])
         for k, mat in enumerate(phi.swapaxes(-1, -2), lo + 1):
             u = u @ mat
-            states[k] = u
             if not np.all(np.isfinite(u)):
-                return states[: k + 1]
+                raise NumericalError(f"{what} near t = {float(ts[k]):.6g}")
+            states[k] = u
     return states

@@ -321,6 +321,17 @@ def test_transport_euclidean_constant_and_zero():
         parallel_transport(EUC3, t, qs, vs, np.array([np.inf, 0.0, 0.0]))
 
 
+def test_transport_nonfinite_at_last_node_raises():
+    # the chart degenerates at the window end only, so just the last step fails
+    t = np.linspace(0.0, 1.0, 40)
+    qs = np.stack([0.3 * np.cos(t), 0.3 * np.sin(t)], axis=1)
+    vs = np.stack([-0.3 * np.sin(t), 0.3 * np.cos(t)], axis=1)
+    qs[-1, 0] = np.nan
+    parallel_transport(S2, t[:-1], qs[:-1], vs[:-1], np.eye(2))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="near t = 1$"):
+        parallel_transport(S2, t, qs, vs, np.eye(2))
+
+
 def test_transport_sphere_quarter_equator():
     # the equator is the unit circle in the chart; param by angle pi/2
     s = np.linspace(0.0, np.pi / 2, 400)

@@ -290,6 +290,23 @@ def test_propagate_overflow_reports_blowup():
         propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)))
 
 
+def test_bundle_overflow_on_last_step_raises():
+    # the rest state makes the field operator constant, so a field from
+    # anchor k blows up a fixed number of steps later; anchor it so that
+    # the first nonfinite state is the last node
+    pot, traj = bump_rest(800.0)
+    u0 = np.array([[[1.0], [0.0], [0.0], [0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="blew up") as err:
+            _propagate_bundle(EUC1, pot, traj, 0, u0)
+        steps = round(float(str(err.value).rsplit("= ", 1)[1]) / traj.h)
+        assert steps < traj.segments
+        _propagate_bundle(EUC1, pot, traj, traj.segments - steps + 1, u0)
+        with pytest.raises(NumericalError, match="blew up") as err:
+            _propagate_bundle(EUC1, pot, traj, traj.segments - steps, u0)
+    assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(traj.T, rel=1e-5)
+
+
 # chart, potential factory, initial state, window, segments
 MARCH_CASES = {
     "euclidean2": (
