@@ -7,17 +7,26 @@ endpoint positions and velocities is a well-posed local problem; the solver
 is a damped Newton iteration on that map with a finite-difference Jacobian.
 
 The Newton iteration runs on the discretized flow: residual, Jacobian and
-the returned trajectory all share one fixed RK4 grid, so convergence is
+the returned trajectory all share one RK4 grid, so convergence is
 measured against the same curve the caller receives.  They also share one
 flow pass: each line-search trial integrates the trial (y, z) together with
-the 4n perturbations of its central-difference Jacobian, so a solve costs
-1 + (line-search trials) passes and nothing is re-integrated after it
-converges.
+the 4n perturbations of its central-difference Jacobian, so on a given
+grid a solve costs 1 + (line-search trials) passes and nothing is
+re-integrated after it converges.
+
+Unless the caller fixes the step, the grid is chosen by error control:
+step doubling (Richardson's h^4 estimate) on the seed's endpoint and
+Jacobian picks the step count for a relative error of 1e-9, one pass on
+half the steps confirms it at the solution, and a miss re-chooses the
+count and resumes Newton there.  That adds two pilot passes and one
+confirmation pass per grid to the count above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,6 +89,12 @@ class ShootingResult:
     residual: float
     jacobian_condition: float
     iterations: int
+    #: segments of the returned trajectory
+    steps: int
+    #: step-doubling estimate of the relative error at the returned (y, z),
+    #: and the tolerance it was held to; both None on a grid the caller fixed
+    estimate: float | None
+    tol: float | None
 
 
 def hermite_seed(boundary: BoundaryData) -> tuple[np.ndarray, np.ndarray]:
@@ -172,37 +187,48 @@ def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
     return _shoot(chart, potential, p, v, y, z, t, steps).jacobian()
 
 
-def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50) -> ShootingResult:
-    """Damped Newton shooting for the endpoint position/velocity problem.
+# Default shooting grid.  The seed is shot at _PILOT_STEPS and at twice
+# that; the step count is then chosen so the step-doubling estimate of the
+# relative error of the endpoint and Jacobian meets _STEP_TOL, never below
+# the finer pilot grid, and doubled while the estimate at the solution
+# misses it, up to _MAX_STEPS.
+_STEP_TOL = 1e-9
+_PILOT_STEPS = 32
+_MAX_STEPS = 1 << 16
 
-    The residual stacks the chart-coordinate position mismatch over the
-    velocity mismatch.  Globalization is backtracking on the residual
-    norm (factor 0.5, at most 20 halvings); a trial that escapes the chart
-    only rejects that trial.  Nonconvergence carries the best iterate;
-    a singular Jacobian raises CriticalPointError since it is exactly the
-    degeneracy that signals possible biconjugacy.
 
-    Each trial is one ``_shoot`` pass that also yields the Jacobian and the
-    trajectory there, so a solve makes 1 + (accepted trials) + (rejected
-    trials) flow passes: the seed's, then one per line-search trial.
+def _predict_steps(steps, estimate):
+    """Even step count at which the h^4 law puts an error ``estimate`` made
+    on ``steps`` steps at half of _STEP_TOL.
+
+    The factor 2 covers the error's pre-asymptotic fall, slower than h^4
+    on coarse grids, so the prediction rarely needs a doubling.
     """
-    boundary.validate(chart)
-    tau = boundary.span
-    steps, _ = grid_steps(tau, h)
-    n = chart.dim
-    target = np.concatenate([boundary.q_b, boundary.v_b])
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
+    return 2 * math.ceil(0.5 * steps * (2.0 * estimate / _STEP_TOL) ** 0.25)
 
-    if seed is None:
-        y, z = hermite_seed(boundary)
-    else:
-        y = np.asarray(seed[0], float).copy()
-        z = np.asarray(seed[1], float).copy()
 
-    def shoot(yy, zz):
-        return _shoot(chart, potential, boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a)
+def _richardson(fine: _Shot, coarse: _Shot) -> float:
+    """Step-doubling estimate of the relative error of ``fine``.
 
-    shot = shoot(y, z)
+    ``coarse`` is the same (y, z) shot on half the steps.  RK4 errors fall
+    as h^4, so the error of the fine shot is about |fine - coarse| / 15
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Both the endpoint
+    and the finite-difference Jacobian count: a curve at rest has an exact
+    endpoint on any grid while its Jacobian still carries the step error.
+    """
+    e = np.linalg.norm(fine.end - coarse.end) / (1.0 + np.linalg.norm(fine.end))
+    J = fine.jacobian()
+    dj = np.linalg.norm(J - coarse.jacobian()) / np.linalg.norm(J)
+    return float(max(e, dj) / 15.0)
+
+
+def _newton(shoot, shot, y, z, target, tol, max_iter):
+    """Damped Newton on the endpoint map from (y, z), whose pass is ``shot``.
+
+    ``shoot(y, z)`` makes one pass on the solve's grid.  Returns
+    (y, z, shot, residual, iterations) at the accepted iterate.
+    """
+    n = y.size
     r = shot.end - target
     rn = float(np.linalg.norm(r))
     best = (rn, y.copy(), z.copy())
@@ -247,10 +273,84 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
             f"(best residual {best[0]:.3e})",
             best={"y": best[1], "z": best[2], "residual": best[0]},
         )
+    return y, z, shot, rn, iterations
+
+
+def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50) -> ShootingResult:
+    """Damped Newton shooting for the endpoint position/velocity problem.
+
+    The residual stacks the chart-coordinate position mismatch over the
+    velocity mismatch.  Globalization is backtracking on the residual
+    norm (factor 0.5, at most 20 halvings); a trial that escapes the chart
+    only rejects that trial.  Nonconvergence carries the best iterate;
+    a singular Jacobian raises CriticalPointError since it is exactly the
+    degeneracy that signals possible biconjugacy.
+
+    An explicit ``h`` fixes the grid (``grid_steps``).  With ``h`` None
+    the step count is chosen by error control: the seed is shot at
+    ``_PILOT_STEPS`` and twice that, the step-doubling estimate of the
+    endpoint and Jacobian error (``_richardson``) predicts by the h^4 law
+    an even count N that meets ``_STEP_TOL`` (``_predict_steps``, at
+    least 2 * _PILOT_STEPS), and Newton runs at N.  The converged (y, z)
+    is then shot once on N/2 steps to confirm the estimate; above the
+    tolerance, N doubles and Newton resumes from there.  ``max_iter``
+    bounds each Newton run.  The result records N, the confirmed estimate
+    and the tolerance; the estimate exceeds the tolerance only when N
+    would double past ``_MAX_STEPS``.
+
+    Each trial is one ``_shoot`` pass that also yields the Jacobian and the
+    trajectory there, so on a fixed grid a solve makes 1 + (accepted
+    trials) + (rejected trials) flow passes: the seed's, then one per
+    line-search trial.  Error control adds the two pilot passes (the finer
+    one doubles as the seed's pass when N = 2 * _PILOT_STEPS) and a
+    confirmation pass on each grid tried; a grid after a doubling starts
+    from the accepted (y, z), and when Newton takes no step there its
+    confirmation reuses the previous grid's pass.
+    """
+    boundary.validate(chart)
+    tau = boundary.span
+    target = np.concatenate([boundary.q_b, boundary.v_b])
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
+
+    if seed is None:
+        y, z = hermite_seed(boundary)
+    else:
+        y = np.asarray(seed[0], float).copy()
+        z = np.asarray(seed[1], float).copy()
+
+    def shoot(steps, yy, zz):
+        return _shoot(chart, potential, boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a)
+
+    def newton(steps, shot, yy, zz):
+        return _newton(partial(shoot, steps), shot, yy, zz, target, tol, max_iter)
+
+    if h is not None:
+        steps, _ = grid_steps(tau, h)
+        y, z, shot, rn, iterations = newton(steps, shoot(steps, y, z), y, z)
+        estimate = step_tol = None
+    else:
+        step_tol = _STEP_TOL
+        # passes of the current (y, z), by step count
+        shots = {k: shoot(k, y, z) for k in (_PILOT_STEPS, 2 * _PILOT_STEPS)}
+        estimate = _richardson(shots[2 * _PILOT_STEPS], shots[_PILOT_STEPS])
+        steps = min(max(2 * _PILOT_STEPS, _predict_steps(2 * _PILOT_STEPS, estimate)), _MAX_STEPS)
+        iterations = 0
+        while True:
+            shot = shots.get(steps) or shoot(steps, y, z)
+            y, z, shot, rn, its = newton(steps, shot, y, z)
+            if its:
+                shots = {}
+                iterations += its
+            shots[steps] = shot
+            half = shots.get(steps // 2) or shoot(steps // 2, y, z)
+            estimate = _richardson(shot, half)
+            if estimate <= step_tol or 2 * steps > _MAX_STEPS:
+                break
+            steps *= 2
 
     sv = np.linalg.svd(shot.jacobian(), compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return ShootingResult(y, z, shot.trajectory, rn, cond, iterations)
+    return ShootingResult(y, z, shot.trajectory, rn, cond, iterations, steps, estimate, step_tol)
 
 
 def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):

@@ -86,6 +86,16 @@ def read_trajectory_csv(path: Path, chart, potential) -> Trajectory:
 
 
 def _solve_payload(result, chart, potential, boundary) -> dict:
+    """The solve.json record of one shooting result.
+
+    Keys: ``boundary`` (the problem), ``y`` and ``z`` (the initial
+    covariant acceleration and jerk), ``residual``, ``jacobian_condition``,
+    ``iterations`` (Newton steps), ``action``, and ``step_control``: the
+    trajectory's segment count ``steps``, and the step-doubling ``estimate``
+    of the relative error of the endpoint and Jacobian on that grid with
+    the ``tol`` it was held to.  Both are null when ``step``/``--step``
+    fixed the grid, since no grid was chosen.
+    """
     return {
         "boundary": {
             "q_a": boundary.q_a.tolist(),
@@ -100,6 +110,11 @@ def _solve_payload(result, chart, potential, boundary) -> dict:
         "jacobian_condition": result.jacobian_condition,
         "iterations": result.iterations,
         "action": action(chart, potential, result.trajectory),
+        "step_control": {
+            "steps": result.steps,
+            "estimate": result.estimate,
+            "tol": result.tol,
+        },
     }
 
 
@@ -253,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="scenario JSON file")
     shared.add_argument("--out", default=None, help="output directory override")
-    shared.add_argument("--step", type=float, default=None, help="integrator step override")
+    shared.add_argument(
+        "--step", type=float, default=None,
+        help="fixed integrator step; without it (and without a scenario 'step') "
+        "the solver chooses the step count by error control",
+    )
     shared.add_argument("--seed", type=int, default=None, help="RNG seed override (u64)")
 
     parser = argparse.ArgumentParser(

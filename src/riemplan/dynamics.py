@@ -13,11 +13,14 @@ them to coordinate derivatives through Gamma at the current point:
     a' = j - Gamma(v, a)
     j' = -R(a, v)v - grad V(q) - Gamma(v, j)
 
-Integration is fixed-step classical RK4 (``rk4.step``), default step
-T/2000, no adaptivity: determinism matters more than step control at desk
-scale, and step-halving supplies the error estimate in the tests.
-``integrate_ivp`` and ``bvp``'s shooting passes share one march, ``_flow``,
-stepping through ``_rk4_step`` here, where bench/layers.py traces it.
+Integration is classical RK4 (``rk4.step``) on a uniform grid whose step
+stays fixed through a march, so a given grid gives a deterministic curve.
+``integrate_ivp`` takes the step it is given, or T/2000 by default.
+``bvp.solve_bvp`` chooses its step count by error control unless it is
+given one: it compares passes on N and N/2 steps (step doubling) and
+picks N so that the estimate meets a fixed tolerance.  ``integrate_ivp``
+and ``bvp``'s shooting passes share one march, ``_flow``, stepping
+through ``_rk4_step`` here, where bench/layers.py traces it.
 """
 
 from __future__ import annotations
@@ -89,7 +92,10 @@ def grid_steps(T: float, h: float | None = None) -> tuple[int, float]:
     """Segment count and adjusted step for a window of length T.
 
     The count is forced even (composite Simpson runs on the same grid) and
-    the step is adjusted to divide T exactly.  Default step is T/2000.
+    the step is adjusted to divide T exactly.  With h None the count is
+    2000, the fixed default of ``integrate_ivp``, ``biexp`` and
+    ``biexp_jacobian``; ``solve_bvp`` does not use it, since it picks its
+    own count by error control when no step is given.
     """
     if T <= 0:
         raise ValueError("integration window must have T > 0")

@@ -30,7 +30,7 @@ from scipy.interpolate import BSpline
 from .dynamics import Trajectory, _action_from_positions, quadrature_weights
 from .errors import BasisError, ResolutionWarning
 from .geometry import transport_frame
-from .jacobi import _force_block, biconjugate_scan, operator_table
+from .jacobi import _force_block, biconjugate_scan, jacobi_operator, operator_table
 
 __all__ = [
     "AdmissibleField",
@@ -205,6 +205,19 @@ def second_variation_fd(chart, potential, trajectory: Trajectory, X: AdmissibleF
     return float((jpp - jpm - jmp + jmm) / (4.0 * eps * eps))
 
 
+def _profile_knots(T, m, dyadic=False):
+    """Interior knots of the m clamped quintic profiles on [0, T]."""
+    m = int(m)
+    if m < 2:
+        raise BasisError("need at least two spline profiles")
+    K = m - 2
+    if dyadic:
+        if (K + 1) & K:
+            raise BasisError("dyadic profile count must be 2^k + 1")
+        return T * np.arange(1, K + 1) / (K + 1)
+    return np.linspace(0.0, T, K + 2)[1:-1]
+
+
 def spline_profiles(ts, T, m, dyadic=False):
     """Clamped quintic B-spline profiles vanishing to first order at ends.
 
@@ -213,16 +226,7 @@ def spline_profiles(ts, T, m, dyadic=False):
     clamped basis are dropped to enforce the boundary behavior.  With
     dyadic=True, m must be 2^k + 1 so interior knots nest under refinement.
     """
-    m = int(m)
-    if m < 2:
-        raise BasisError("need at least two spline profiles")
-    K = m - 2
-    if dyadic:
-        if (K + 1) & K:
-            raise BasisError("dyadic profile count must be 2^k + 1")
-        interior = T * np.arange(1, K + 1) / (K + 1)
-    else:
-        interior = np.linspace(0.0, T, K + 2)[1:-1]
+    interior = _profile_knots(T, m, dyadic)
     kv = np.concatenate([np.zeros(6), interior, np.full(6, T)])
     nb = len(kv) - 6
     spl = BSpline(kv, np.eye(nb)[:, 2 : nb - 2], 5)
@@ -254,44 +258,57 @@ class IndexReport:
         }
 
 
-# Galerkin profiles are sampled this many nodes at a time, to bound memory
-_NODE_CHUNK = 512
+# Gauss-Legendre points per knot span: exact for the degree-10 products of
+# two quintic profiles, whatever the trajectory grid
+_GAUSS_POINTS = 6
+
+
+def _galerkin_points(T, knots):
+    """Gauss-Legendre times (from the window start) and weights on every knot span."""
+    x, wx = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    breaks = np.concatenate([[0.0], knots, [T]])
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * wx).ravel()
 
 
 def _galerkin_matrices(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False):
-    """Stiffness A, mass B (both (m n, m n), profile-major) and the knots."""
+    """Stiffness A, mass B (both (m n, m n), profile-major) and the knots.
+
+    The integrals run over Gauss-Legendre points on each knot span
+    (``_galerkin_points``).  The curve is sampled there through
+    ``Trajectory.interpolate``, the frame is transported along those times
+    and the force tables come from ``jacobi_operator`` at those states, so
+    the matrices depend on the trajectory grid only through its
+    interpolation error.
+    """
     n = chart.dim
-    ts, qs = trajectory.ts, trajectory.qs
-    S = len(ts)
-    frame = transport_frame(chart, ts, qs, trajectory.vs)
-    w = quadrature_weights(S, trajectory.h)
-    g = chart.metric(qs)
+    T = trajectory.T
+    knots = _profile_knots(T, m, dyadic)
+    s, w = _galerkin_points(T, knots)
+    states = trajectory.interpolate(float(trajectory.ts[0]) + s)
+    S = len(s)
+    P0, P1, P2, _ = spline_profiles(s, T, m, dyadic)
+    frame = transport_frame(chart, states.t, states.q, states.v)
+    g = chart.metric(states.q)
 
     # force on frame vector i placed in jet slot c: f[c][s, i]
-    force = _force_block(operator_table(chart, potential, trajectory)[0]).reshape(S, n, 3, n)
+    force = _force_block(jacobi_operator(chart, potential, states)).reshape(S, n, 3, n)
     f = np.einsum("sacb,sib->csia", force, frame)
 
     def pair(tab):
-        return np.einsum("sja,sab,sib->sji", frame, g, tab)
-
-    A0, A1, A2 = pair(f[0]), pair(f[1]), pair(f[2])
-    Gm = pair(frame)
+        # w[s] * <frame_j, tab_i>_g at each point: shape (S, n, n)
+        return np.einsum("s,sja,sab,sib->sji", w, frame, g, tab)
 
     def asm(Pl, Pk, wt):
         # out[l, j, k, i] = sum_s Pl[l, s] Pk[k, s] wt[s, j, i], one BLAS product
         out = (Pl[:, None, :] * wt.reshape(-1, n * n).T).reshape(m * n * n, -1) @ Pk.T
         return out.reshape(m, n, n, m).transpose(0, 1, 3, 2)
 
-    A = np.zeros((m, n, m, n))
-    B = np.zeros((m, n, m, n))
-    for lo in range(0, S, _NODE_CHUNK):
-        sl = slice(lo, lo + _NODE_CHUNK)
-        P0, P1, P2, knots = spline_profiles(ts[sl] - ts[0], trajectory.T, m, dyadic)
-        wl = w[sl, None, None]
-        G = wl * Gm[sl]
-        g22 = asm(P2, P2, G)
-        A += g22 + asm(P0, P0, wl * A0[sl]) + asm(P0, P1, wl * A1[sl]) + asm(P0, P2, wl * A2[sl])
-        B += asm(P0, P0, G) + asm(P1, P1, G) + g22
+    G = pair(frame)
+    g22 = asm(P2, P2, G)
+    A = g22 + asm(P0, P0, pair(f[0])) + asm(P0, P1, pair(f[1])) + asm(P0, P2, pair(f[2]))
+    B = asm(P0, P0, G) + asm(P1, P1, G) + g22
     dim = m * n
     A = A.reshape(dim, dim)
     B = B.reshape(dim, dim)
@@ -303,9 +320,11 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
 
     The trial space is every parallel-frame direction times each of m
     spline profiles.  Stiffness entries need only three scalar operator
-    tables per node because the frame directions are covariantly constant;
-    the tables come from the trajectory's field operator table.  The mass
-    matrix is the Sobolev-2 Gram form of the same fields.  Counts use the
+    tables per quadrature point because the frame directions are
+    covariantly constant; the tables come from ``jacobi_operator`` at the
+    Gauss points of the knot spans, so the count does not depend on the
+    trajectory grid beyond its interpolation error.  The mass matrix is
+    the Sobolev-2 Gram form of the same fields.  Counts use the
     +-1e-9 cutoffs; a mass condition number beyond 1e12 aborts.
     """
     A, B, knots = _galerkin_matrices(chart, potential, trajectory, m, dyadic)
@@ -344,10 +363,14 @@ class OptimalityReport:
     scan_report: object
     #: verdict-relevant warnings raised on the way, as "Category: message"
     warnings: list = field(default_factory=list)
+    #: the resolution the verdict rests on: trajectory segments and step,
+    #: and the Galerkin quadrature points
+    grid: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
             "classification": self.classification,
+            "grid": dict(self.grid),
             "certified_interval": [float(self.certified_interval[0]), float(self.certified_interval[1])],
             "galerkin": self.index_report.to_dict(),
             "rank_drops": self.scan_report.to_dict(),
@@ -364,7 +387,9 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
     nondegenerate candidate.  Restriction to short sub-windows always
     yields a minimizer, so the report carries the largest leading
     sub-interval free of detected pairs.  A ResolutionWarning from the scan
-    is recorded in the report and still issued.
+    is recorded in the report and still issued.  The report's ``grid``
+    states the resolution the verdict rests on: the trajectory's segments
+    and step, which the scan marches on, and the Galerkin quadrature points.
     """
     if m is None:
         m = int(np.ceil(120 / chart.dim))
@@ -393,4 +418,9 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
         index_report=rep,
         scan_report=scan,
         warnings=notes,
+        grid={
+            "segments": trajectory.segments,
+            "h": trajectory.h,
+            "galerkin_points": _GAUSS_POINTS * (len(rep.knots) + 1),
+        },
     )

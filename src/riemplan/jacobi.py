@@ -85,8 +85,14 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
     if not chart.locally_symmetric:
         out = out + chart.nabla2_R(q, v, X, v, v)
         out = out + chart.nabla_R(q, X, a, v, v)
-        out = out + 2.0 * (chart.nabla_R(q, v, dX, v, v) + chart.nabla_R(q, v, X, a, v))
-        out = out + 3.0 * chart.nabla_R(q, v, X, v, a)
+        # the three terms along W = qdot share one differencing geodesic pair
+        shape = np.broadcast_shapes(np.shape(X), np.shape(dX), np.shape(v))
+
+        def stack(*vecs):
+            return np.stack([np.broadcast_to(u, shape) for u in vecs])
+
+        D = chart.nabla_R(q, v, stack(dX, X, X), stack(v, a, v), stack(v, v, a))
+        out = out + 2.0 * (D[0] + D[1]) + 3.0 * D[2]
     return out
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riemplan import (
     BoundaryData,
@@ -262,11 +264,87 @@ def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
     for name in ("flat_obstacle", "well_top"):
         chart, pot, bd = scenario(name)
         calls[0] = 0
-        res = solve_bvp(chart, pot, bd)
-        steps, _ = grid_steps(bd.span)
+        h = bd.span / 2000
+        res = solve_bvp(chart, pot, bd, h=h)
+        steps, _ = grid_steps(bd.span, h)
         # the seed's pass, then one per accepted trial: no line-search rejections here
         assert calls[0] == steps * (1 + res.iterations)
         assert res.iterations == (0 if name == "well_top" else 2)
+
+
+def test_solve_step_control(scenario, monkeypatch):
+    passes = []
+    shoot = bvp._shoot
+
+    def counted(*args):
+        passes.append(args[7])  # the pass's step count
+        return shoot(*args)
+
+    monkeypatch.setattr(bvp, "_shoot", counted)
+    floor = 2 * bvp._PILOT_STEPS
+    for name in ("flat_obstacle", "well_top"):
+        chart, pot, bd = scenario(name)
+        passes.clear()
+        res = solve_bvp(chart, pot, bd)
+        N = res.steps
+        assert N % 2 == 0 and N >= floor
+        assert res.trajectory.segments == N
+        assert res.tol == bvp._STEP_TOL
+        assert res.estimate <= res.tol
+        # the two pilot passes come first, the confirmation on N/2 steps last
+        assert passes[:2] == [bvp._PILOT_STEPS, floor]
+        assert passes[-1] == N // 2
+        # the recorded estimate is the one at the returned (y, z)
+        full, half = (
+            bvp._shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
+        )
+        assert res.estimate == bvp._richardson(full, half)
+        if name == "flat_obstacle":
+            assert N <= 256
+        else:
+            # a curve at rest has an exact endpoint on any grid: its
+            # Jacobian alone asks for more than the floor
+            assert N > floor
+
+        # an explicit step makes no selection pass
+        passes.clear()
+        fixed = solve_bvp(chart, pot, bd, h=bd.span / 100)
+        assert passes == [100] * (1 + fixed.iterations)
+        assert (fixed.steps, fixed.estimate, fixed.tol) == (100, None, None)
+
+
+# (chart, potential, p, v, window) of the property test below
+ESTIMATE_CASES = {
+    "euclidean2-gaussian": (
+        EUC2, GaussianObstacle(EUC2, (0.5, 0.25), amplitude=1.0, width=0.4),
+        np.array([0.0, 0.0]), np.array([0.3, -0.2]), 1.0,
+    ),
+    "sphere2": (S2, ZeroPotential(S2), np.array([-0.8, 0.1]), np.array([0.5, 0.2]), 2.0),
+}
+
+
+@settings(max_examples=30)
+@given(
+    case=st.sampled_from(sorted(ESTIMATE_CASES)),
+    yz=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+)
+def test_step_estimate_is_not_optimistic(case, yz):
+    # the step-doubling estimate on N and N/2 steps against the actual error
+    # of the N-step shot, measured in the same norm against a shot 4x finer
+    chart, pot, p, v, T = ESTIMATE_CASES[case]
+    y, z = np.array(yz[:2]), np.array(yz[2:])
+    N = 2 * bvp._PILOT_STEPS
+    try:
+        half, shot, fine = (bvp._shoot(chart, pot, p, v, y, z, T, k) for k in (N // 2, N, 4 * N))
+        estimate = bvp._richardson(shot, half)
+        J, J_fine = shot.jacobian(), fine.jacobian()
+    except ChartEscapeError:
+        assume(False)
+    error = max(
+        np.linalg.norm(shot.end - fine.end) / (1.0 + np.linalg.norm(shot.end)),
+        np.linalg.norm(J - J_fine) / np.linalg.norm(J),
+    )
+    assert error / 10.0 <= estimate <= 10.0 * error
 
 
 def test_perturbation_escape_surfaces_only_with_the_jacobian():

@@ -80,6 +80,21 @@ def test_plan_step_override(tmp_path):
     assert data.shape[0] == 201
 
 
+def test_plan_records_step_control(tmp_path):
+    # a fixed step records no estimate; without one the solver picks the grid
+    fixed = write_cfg(tmp_path, name="fixed.json", out=str(tmp_path / "fixed"))
+    free = {k: v for k, v in FLAT.items() if k != "step"}
+    chosen = write_cfg(tmp_path, base=free, name="chosen.json", out=str(tmp_path / "chosen"))
+    assert main(["plan", "--config", str(fixed)]) == 0
+    assert main(["plan", "--config", str(chosen)]) == 0
+    got = json.loads((tmp_path / "fixed" / "solve.json").read_text())["step_control"]
+    assert got == {"steps": 400, "estimate": None, "tol": None}
+    got = json.loads((tmp_path / "chosen" / "solve.json").read_text())["step_control"]
+    data = np.loadtxt(tmp_path / "chosen" / "trajectory.csv", delimiter=",", skiprows=1)
+    assert data.shape[0] == got["steps"] + 1
+    assert 0.0 <= got["estimate"] <= got["tol"]
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["plan", "--config", str(cfg)]) == 0
@@ -128,6 +143,14 @@ def test_verify_accepts_stored_trajectory(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "out" / "verdict.json").read_text())
     assert payload["classification"] == "candidate"
+
+
+def test_verify_records_its_grid(tmp_path):
+    cfg = write_cfg(tmp_path, base=WELL_TOP)
+    assert main(["verify", "--config", str(cfg)]) == 4
+    grid = json.loads((tmp_path / "out" / "verdict.json").read_text())["grid"]
+    # 600 steps of 0.01; six Gauss points on each of the 23 knot spans of 24 profiles
+    assert grid == {"segments": 600, "h": pytest.approx(0.01, rel=1e-12), "galerkin_points": 138}
 
 
 def test_verify_not_local_exits_4(tmp_path):

@@ -36,7 +36,7 @@ from riemplan import (
     verdict,
 )
 from riemplan.dynamics import quadrature_weights
-from riemplan.index import _galerkin_matrices, field_from_profiles, spline_profiles
+from riemplan.index import _galerkin_matrices, _galerkin_points, field_from_profiles, spline_profiles
 from riemplan.jacobi import F_operator
 
 EUC1 = parse_manifold("euclidean:1")
@@ -322,13 +322,34 @@ def test_window_start_does_not_matter():
     assert abs(index_form(EUC1, pot, shifted, Y, Y) - index_form(EUC1, pot, traj, X, X)) <= 1e-10
 
 
-def test_extended_index_rejects_dependent_basis():
-    # far more profiles than grid nodes: the sampled Gram form degenerates
+def test_extended_index_profiles_finer_than_grid():
+    # far more profiles than grid nodes: the Gram form is integrated at
+    # Gauss points, not on the nodes, so it stays as well conditioned as
+    # on a fine grid
     pot = ZeroPotential(EUC1)
     z = np.zeros(1)
     coarse = integrate_ivp(EUC1, pot, CurveState(0.0, z, z, z, z), 1.0, h=1.0 / 20)
-    with pytest.raises(BasisError, match="condition"):
-        extended_index(EUC1, pot, coarse, 80)
+    _, fine = flat_rest()
+    a = extended_index(EUC1, pot, coarse, 80)
+    b = extended_index(EUC1, pot, fine, 80)
+    assert a.verdict == "positive_definite"
+    assert a.mass_condition == pytest.approx(b.mass_condition, rel=1e-9)
+    assert np.max(np.abs(a.eigenvalues / b.eigenvalues - 1.0)) <= 1e-9
+
+
+def test_galerkin_count_is_grid_independent(scenario):
+    # at 50 steps the node quadrature found 14 spurious negative eigenvalues
+    chart, pot, bd = scenario("flat_obstacle")
+    reps = [
+        verdict(chart, pot, solve_bvp(chart, pot, bd, h=bd.span / N).trajectory)
+        for N in (50, 400)
+    ]
+    for rep in reps:
+        assert rep.classification == "candidate"
+        assert rep.index_report.index == 0
+    coarse, fine = (r.index_report for r in reps)
+    assert abs(coarse.mass_condition / fine.mass_condition - 1.0) <= 1e-6
+    assert np.max(np.abs(coarse.eigenvalues[:8] / fine.eigenvalues[:8] - 1.0)) <= 1e-6
 
 
 def test_verdict_flat_candidate():
@@ -352,13 +373,15 @@ def test_verdict_past_first_rank_drop():
 
 
 def galerkin_reference(chart, pot, traj, m):
-    """A and B assembled pointwise: F_operator per jet slot, one BSpline per
-    profile, one einsum per block."""
-    ts, qs = traj.ts, traj.qs
-    frame = transport_frame(chart, ts, qs, traj.vs)
-    w = quadrature_weights(len(ts), traj.h)
+    """A and B assembled pointwise at the Galerkin quadrature points:
+    F_operator per jet slot, one BSpline per profile, one einsum per block."""
+    _, _, _, interior = spline_profiles(traj.ts, traj.T, m)
+    s, w = _galerkin_points(traj.T, interior)
+    cs = traj.interpolate(traj.ts[0] + s)
+    ts, qs = cs.t, cs.q
+    frame = transport_frame(chart, ts, qs, cs.v)
     g = chart.metric(qs)
-    states = CurveState(ts, qs[:, None], traj.vs[:, None], traj.accs[:, None], traj.jerks[:, None])
+    states = CurveState(ts, qs[:, None], cs.v[:, None], cs.a[:, None], cs.j[:, None])
     zero = np.zeros_like(frame)
     f0 = F_operator(chart, states, frame, zero, zero) + pot.hessian_op(qs[:, None], frame)
     f1 = F_operator(chart, states, zero, frame, zero)
@@ -367,12 +390,11 @@ def galerkin_reference(chart, pot, traj, m):
     def pair(tab):
         return np.einsum("sja,sab,sib->sji", frame, g, tab)
 
-    _, _, _, interior = spline_profiles(ts, traj.T, m)
     kv = np.concatenate([np.zeros(6), interior, np.full(6, traj.T)])
     P = np.zeros((3, m, len(ts)))
     for k in range(m):
         spl = BSpline(kv, np.eye(m + 4)[k + 2], 5)
-        P[0, k], P[1, k], P[2, k] = spl(ts), spl.derivative()(ts), spl.derivative(2)(ts)
+        P[0, k], P[1, k], P[2, k] = spl(s), spl.derivative()(s), spl.derivative(2)(s)
 
     def asm(Pl, Pk, tab):
         return np.einsum("ls,ks,sji->ljki", Pl, Pk, w[:, None, None] * tab)

@@ -111,6 +111,23 @@ def test_f_operator_linearity():
     assert np.max(np.abs(mix - split)) < 1e-12
 
 
+def test_f_operator_stacks_the_qdot_derivatives():
+    # the three (nab_qdot R) terms go through one stacked nabla_R call; it
+    # must equal the three-call form term by term
+    chart = WARPED
+    st = CurveState(0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5]))
+    X, dX, d2X = np.random.default_rng(3).normal(size=(3, 4, 2))
+    q, v, a, j = st.q, st.v, st.a, st.j
+    R, nR = chart.curvature, chart.nabla_R
+    ref = R(q, R(q, X, v, v), v, v) + R(q, X, j, v) + 2.0 * R(q, d2X, v, v)
+    ref = ref + 3.0 * (R(q, X, v, j) + R(q, X, a, a)) + 4.0 * R(q, dX, v, a)
+    ref = ref + chart.nabla2_R(q, v, X, v, v) + nR(q, X, a, v, v)
+    ref = ref + 2.0 * (nR(q, v, dX, v, v) + nR(q, v, X, a, v)) + 3.0 * nR(q, v, X, v, a)
+    got = F_operator(chart, st, X, dX, d2X)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_propagate_flat_polynomial():
     st = CurveState(0.0, np.zeros(2), np.array([0.4, -0.1]), np.array([0.2, 0.3]), np.array([-0.5, 0.1]))
     traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
