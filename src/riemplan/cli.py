@@ -77,6 +77,9 @@ def read_trajectory_csv(path: Path, chart, potential) -> Trajectory:
             f"trajectory CSV {path} has shape {data.shape}, expected"
             f" at least 3 rows of {1 + 4 * n} columns for dimension {n}"
         )
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"trajectory CSV {path} has nonfinite entries")
+    chart.check_point(data[:, 1 : 1 + n], f"a position of trajectory CSV {path}")
     ts = data[:, 0]
     steps = np.diff(ts)
     if steps.min() <= 0 or np.ptp(steps) > 1e-9 * max(steps.max(), 1.0):
@@ -188,9 +191,11 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
+    grid = args.grid if args.grid is not None else scenario.verify.get("grid")
+    if grid is not None and int(grid) < 1:
+        raise ConfigError(f"scan grid must be a positive sample count, got {grid}")
     traj = _obtain_trajectory(scenario, args)
     t1 = args.t1 if args.t1 is not None else scenario.verify.get("t1", traj.ts[0])
-    grid = args.grid if args.grid is not None else scenario.verify.get("grid")
     report = biconjugate_scan(
         scenario.chart,
         scenario.potential,

@@ -157,60 +157,64 @@ class ManifoldChart:
     nabla2_step: float = 1e-2
 
     def nabla_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab_W R)(X, Y)Z.  Exactly zero on locally symmetric charts."""
-        if self.locally_symmetric:
-            return np.zeros(np.broadcast(X, Y, Z).shape)
+        """(nab_W R)(X, Y)Z.  Exactly zero on locally symmetric charts.
+
+        Broadcasts like ``curvature``: x holds chart points on its leading
+        axes and W, X, Y, Z broadcast against it.  Tensorial in W: the
+        derivative is differenced along the coordinate basis and then
+        contracted with W, so the result is exactly linear in W.
+        """
         return self._nabla_R_fd(x, W, X, Y, Z, self.nabla_step, order=1)
 
     def nabla2_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W."""
-        if self.locally_symmetric:
-            return np.zeros(np.broadcast(X, Y, Z).shape)
+        """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W.
+
+        Broadcasts like ``nabla_R``; quadratic in W, differenced along W.
+        """
         return self._nabla_R_fd(x, W, X, Y, Z, self.nabla2_step, order=2)
 
     def _nabla_R_fd(self, x, W, X, Y, Z, step, order):
-        x = np.asarray(x, float)
-        if x.ndim != 1:
-            raise ValueError("nabla_R expects a single chart point")
-        W = np.asarray(W, float)
-        if W.ndim > 1:
-            args = [np.asarray(a, float) for a in (X, Y, Z)]
-            if order == 1 and all(a.ndim == 1 for a in args):
-                # first derivative is tensorial in the direction: contract
-                # a basis evaluation instead of differencing per row
-                D = np.stack(
-                    [self._nabla_R_fd(x, e, *args, step, order) for e in np.eye(x.size)]
-                )
-                return np.einsum("...k,kl->...l", W, D)
-            rows = W.reshape(-1, x.size)
-            spread = [np.broadcast_to(a, W.shape).reshape(-1, x.size) for a in args]
-            out = np.stack(
-                [
-                    self._nabla_R_fd(x, rows[i], *(s[i] for s in spread), step, order)
-                    for i in range(rows.shape[0])
-                ]
-            )
-            return out.reshape(W.shape)
-        h = step * (1.0 + float(np.linalg.norm(x)))
-        if h < 1e-12:
+        """Differences of parallel-transported curvature over a batch of points.
+
+        Each base point p gets the geodesics through p with velocity
+        +-h_p U on the common parameter interval [0, 1], h_p = step (1 + |p|).
+        For order 1, U runs over the coordinate basis and the central
+        differences are contracted with W; for order 2, U = W and a base
+        point is a (point, W) pair.  (X, Y, Z) are transported out along
+        every geodesic, R is evaluated at its end and transported back, so
+        the whole batch takes one geodesic march and two transport marches.
+        """
+        if self.locally_symmetric:
+            return np.zeros(np.broadcast(X, Y, Z).shape)
+        n = self.dim
+        x, W, X, Y, Z = (np.asarray(a, float) for a in (x, W, X, Y, Z))
+        full = np.broadcast_shapes(x.shape, W.shape, X.shape, Y.shape, Z.shape)
+        base = x.shape if order == 1 else np.broadcast_shapes(x.shape, W.shape)
+        # the non-singleton axes of the base shape index the base points; the
+        # rest of the broadcast shape is a batch of vectors at each point
+        axes = [i for i, size in enumerate(base[:-1], len(full) - len(base)) if size > 1]
+        front = list(range(len(axes)))
+        vecs = np.stack([np.moveaxis(np.broadcast_to(a, full), axes, front) for a in (W, X, Y, Z)])
+        P = int(np.prod(base[:-1], dtype=int))
+        W, X, Y, Z = vecs.reshape(4, P, -1, n)
+        p = np.broadcast_to(x, base).reshape(P, n)
+        h = step * (1.0 + np.linalg.norm(p, axis=-1))
+        if np.any(h < 1e-12):
             raise NumericalError("covariant-derivative step underflow")
-        wn = float(self.norm(x, W))
-        if wn == 0.0:
-            return np.zeros_like(np.asarray(X, float))
-        # geodesics through x with velocity +-W, sampled in parameter on [0, h]
-        sub = 8
-        ss = np.linspace(0.0, h, sub + 1)
-        args = np.broadcast_arrays(*(np.asarray(a, float) for a in (X, Y, Z)))
-        ends = []
-        for sign in (1.0, -1.0):
-            path = _geodesic(self, x, sign * W, h / sub, sub, keep=True)
-            qs, vs = path[:, 0], path[:, 1]
-            moved = parallel_transport(self, ss, qs, vs, np.stack(args))
-            Rq = self.curvature(qs[-1], *moved)
-            ends.append(parallel_transport(self, ss[::-1], qs[::-1], vs[::-1], Rq))
+        U = np.eye(n)[:, None, :] if order == 1 else W[None, :, 0]
+        vel = np.array([1.0, -1.0])[:, None, None, None] * (h[:, None] * U)
+        ss = np.linspace(0.0, 1.0, 9)
+        path = _geodesic(self, np.broadcast_to(p, vel.shape), vel, 1.0 / 8, 8, keep=True)
+        qs, vs = path[..., 0, :], path[..., 1, :]
+        moved = parallel_transport(self, ss, qs, vs, np.stack([X, Y, Z], axis=1)[None, None])
+        Rq = self.curvature(qs[-1][..., None, :], *np.moveaxis(moved, 3, 0))
+        ends = parallel_transport(self, ss[::-1], qs[::-1], vs[::-1], Rq)
         if order == 1:
-            return (ends[0] - ends[1]) / (2.0 * h)
-        return (ends[0] - 2.0 * self.curvature(x, *args) + ends[1]) / h**2
+            out = np.einsum("kpbl,pbk->pbl", ends[0] - ends[1], W) / (2.0 * h[:, None, None])
+        else:
+            center = self.curvature(p[:, None, :], X, Y, Z)
+            out = (ends[0, 0] - 2.0 * center + ends[1, 0]) / (h**2)[:, None, None]
+        return np.moveaxis(out.reshape(vecs.shape[1:]), front, axes)
 
     # -- geodesic layer -----------------------------------------------
 

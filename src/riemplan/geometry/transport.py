@@ -17,29 +17,35 @@ def _hermite_mid(qa, va, qb, vb, h):
 
 
 def parallel_transport(chart, ts, qs, vs, X0, return_all: bool = False):
-    """Transport X0 along the sampled curve (ts, qs, vs).
+    """Transport X0 along the sampled curve (ts, qs, vs), or a batch of curves.
 
-    ts must be strictly monotone (either direction); qs are positions,
-    vs coordinate velocities dq/dt at the samples.  X0 may carry leading
-    batch axes.  One classical RK4 step per sample interval, with cubic
-    Hermite midpoint reconstruction of the curve.  Transport is linear,
-    X' = B(t) X with B(t) = -Gamma(qdot, .), so B is built at every sample
-    and midpoint in one ``gamma`` call and the march is by step matrices.
+    ts must be strictly monotone (either direction) and is shared by the
+    batch; qs are positions and vs coordinate velocities dq/dt at the
+    samples, of shape (K+1, C..., n) for a batch C of curves (C = () for
+    one curve).  X0 has shape (C..., B..., n): its first len(C) axes pick
+    the curve (they may be 1 to broadcast) and B is any batch of vectors
+    carried along it.  One classical RK4 step per sample interval, with
+    cubic Hermite midpoint reconstruction of the curve.  Transport is
+    linear, X' = B(t) X with B(t) = -Gamma(qdot, .), so B is built at every
+    sample and midpoint of every curve in one ``gamma`` call and the march
+    is by step matrices.
     """
     ts = np.asarray(ts, float)
     qs = np.asarray(qs, float)
     vs = np.asarray(vs, float)
     X0 = np.asarray(X0, float)
     n = qs.shape[-1]
+    C = qs.shape[1:-1]
     K = len(ts) - 1
     hs = np.diff(ts)
-    qm, vm = _hermite_mid(qs[:-1], vs[:-1], qs[1:], vs[1:], hs[:, None])
-    at = np.concatenate([qs, qm])[:, None]
-    vel = np.concatenate([vs, vm])[:, None]
+    qm, vm = _hermite_mid(qs[:-1], vs[:-1], qs[1:], vs[1:], hs.reshape((K,) + (1,) * (qs.ndim - 1)))
+    at = np.concatenate([qs, qm])[..., None, :]
+    vel = np.concatenate([vs, vm])[..., None, :]
     # column i of B is -Gamma(qdot, e_i)
     B = -chart.gamma(at, vel, np.eye(n)).swapaxes(-1, -2)
+    X0 = np.broadcast_to(X0, C + X0.shape[len(C) :])
     Xs = rk4.march(
-        B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(-1, n), ts, "transported vector went nonfinite"
+        B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(C + (-1, n)), ts, "transported vector went nonfinite"
     )
     Xs = Xs.reshape((K + 1,) + X0.shape)
     return Xs if return_all else Xs[-1]

@@ -72,8 +72,6 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
     """The curvature coupling F(X, qdot) of the second variation.
 
     Linear in (X, dX, d2X); broadcasts field arguments against the state.
-    On charts that are not locally symmetric the state must be a single
-    point (the covariant-derivative differencing needs a base geodesic).
     """
     q, v, a, j = state.q, state.v, state.a, state.j
     R = chart.curvature
@@ -84,15 +82,12 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
     out = out + 4.0 * R(q, dX, v, a)
     if not chart.locally_symmetric:
         out = out + chart.nabla2_R(q, v, X, v, v)
-        out = out + chart.nabla_R(q, X, a, v, v)
-        # the three terms along W = qdot share one differencing geodesic pair
-        shape = np.broadcast_shapes(np.shape(X), np.shape(dX), np.shape(v))
-
-        def stack(*vecs):
-            return np.stack([np.broadcast_to(u, shape) for u in vecs])
-
-        D = chart.nabla_R(q, v, stack(dX, X, X), stack(v, a, v), stack(v, v, a))
-        out = out + 2.0 * (D[0] + D[1]) + 3.0 * D[2]
+        # the four first-derivative terms share the basis geodesics of one call
+        X, dX, v, a = np.broadcast_arrays(X, dX, v, a)
+        D = chart.nabla_R(
+            q, np.stack([X, v, v, v]), np.stack([a, dX, X, X]), np.stack([v, v, a, v]), np.stack([v, v, v, a])
+        )
+        out = out + D[0] + 2.0 * (D[1] + D[2]) + 3.0 * D[3]
     return out
 
 
@@ -115,33 +110,18 @@ def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
     u is the field 4-jet (X, DX, D2X, D3X) flattened to 4n entries, and
     column c of A is jacobi_rhs applied to the c-th unit jet, so jacobi_rhs
     stays the single definition of the ODE.  The state fields carry one
-    leading axis of length S; returns shape (S, 4n, 4n).  Locally
-    symmetric charts take every state in one broadcast call; elsewhere
-    F_operator needs single points, so the states are visited in turn.
+    leading axis of length S, and every state takes the same broadcast
+    call; returns shape (S, 4n, 4n).
     """
     n = chart.dim
     S = len(states.q)
-    jets = np.eye(4 * n).reshape(4 * n, 4, n)
-
-    def columns(state, batch):
-        u = np.broadcast_to(jets, batch + jets.shape)
-        cols = jacobi_rhs(
-            chart, potential, state,
-            JacobiState(state.t, u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]),
-        )
-        return np.stack(cols, axis=-2)
-
-    if chart.locally_symmetric:
-        pts = [np.asarray(a, float)[:, None] for a in (states.q, states.v, states.a, states.j)]
-        cols = columns(CurveState(states.t, *pts), (S,))
-    else:
-        cols = np.stack(
-            [
-                columns(CurveState(None, states.q[k], states.v[k], states.a[k], states.j[k]), ())
-                for k in range(S)
-            ]
-        )
-    return cols.reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
+    jets = np.broadcast_to(np.eye(4 * n).reshape(4 * n, 4, n), (S, 4 * n, 4, n))
+    pts = [np.asarray(a, float)[:, None] for a in (states.q, states.v, states.a, states.j)]
+    cols = jacobi_rhs(
+        chart, potential, CurveState(states.t, *pts),
+        JacobiState(states.t, jets[..., 0, :], jets[..., 1, :], jets[..., 2, :], jets[..., 3, :]),
+    )
+    return np.stack(cols, axis=-2).reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
 
 
 def operator_table(chart, potential, trajectory: Trajectory):
@@ -346,6 +326,8 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float = 0.0, 
     N = trajectory.segments
     k1 = int(np.clip(np.round((t1 - ts[0]) / trajectory.h), 0, N))
     t1_eff = float(ts[k1])
+    if grid is not None and grid < 1:
+        raise ValueError(f"scan grid must be a positive sample count, got {grid}")
     stride = 1 if grid is None else max(1, N // int(grid))
 
     found = []

@@ -48,17 +48,19 @@ def march(A0, Am, A1, h, u, ts, what):
     """States of u' = A(t) u at every node, u first.
 
     A0, Am, A1 hold the operator at the start, midpoint and end of each of
-    the K steps, h is the step (a scalar or one per step), u has shape
-    (..., m) and ts are the K+1 node times in march order.  Returns shape
-    (K+1, ..., m).  Raises NumericalError "<what> near t = ..." at the
-    first node whose state is nonfinite, the last node included.
+    the K steps, shape (K, C..., m, m) for a batch C of systems; h is the
+    step (a scalar or one per step); u has shape (..., m) for one system,
+    (C..., M, m) for M states of each system; ts are the K+1 node times in
+    march order.  Returns shape (K+1,) + u.shape.  Raises NumericalError
+    "<what> near t = ..." at the first node whose state is nonfinite, the
+    last node included.
     """
-    hs = np.broadcast_to(np.asarray(h, float), (len(A0),))
+    hs = np.broadcast_to(np.asarray(h, float), (len(A0),)).reshape((-1,) + (1,) * (A0.ndim - 1))
     states = np.empty((len(A0) + 1,) + u.shape)
     states[0] = u
     for lo in range(0, len(A0), _CHUNK):
         hi = lo + _CHUNK
-        phi = step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], hs[lo:hi, None, None])
+        phi = step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], hs[lo:hi])
         for k, mat in enumerate(phi.swapaxes(-1, -2), lo + 1):
             u = u @ mat
             if not np.all(np.isfinite(u)):

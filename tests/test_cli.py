@@ -43,6 +43,23 @@ WELL_TOP = {
 }
 
 
+WARP = "exp(2*(0.1*x0**3 + 0.05*x1**3))"
+
+# a conformally warped plane, not locally symmetric: verify differences nabla R
+WARPED = {
+    "potential": {"type": "gaussian", "center": [0.3, 0.1], "A": 0.8, "sigma": 0.5, "distance": "chart"},
+    "boundary": {
+        "q_a": [0.1, -0.2],
+        "v_a": [0.6, 0.4],
+        "q_b": [0.35, 0.0],
+        "v_b": [0.6, 0.5],
+    },
+    "interval": [0.0, 0.4],
+    "step": 0.01,
+    "verify": {"basis": 12},
+}
+
+
 def write_cfg(tmp_path, base=FLAT, name="scenario.json", **over):
     cfg = {**base, **over}
     cfg.setdefault("out", str(tmp_path / "out"))
@@ -145,6 +162,50 @@ def test_verify_accepts_stored_trajectory(tmp_path):
     assert payload["classification"] == "candidate"
 
 
+def test_numeric_chart_plan_and_verify(tmp_path):
+    metric = tmp_path / "warped.json"
+    metric.write_text(json.dumps({"dim": 2, "metric": [[WARP, "0"], ["0", WARP]], "domain_radius": 2}))
+    cfg = write_cfg(tmp_path, base={**FLAT, **WARPED}, manifold=f"numeric:{metric}")
+    assert main(["plan", "--config", str(cfg)]) == 0
+    csv = tmp_path / "out" / "trajectory.csv"
+    assert main(["verify", "--config", str(cfg), "--trajectory", str(csv)]) == 0
+    payload = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert payload["classification"] == "candidate"
+    assert payload["uniqueness"]["pass"] is True
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["t", "q0"])
+def test_verify_rejects_nonfinite_trajectory(tmp_path, capsys, column):
+    cfg = write_cfg(tmp_path, potential=None)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = "nan"
+    lines[5] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(cfg), "--trajectory", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "nonfinite" in err and "bad.csv" in err
+
+
+def test_verify_rejects_off_chart_trajectory(tmp_path, capsys):
+    # the flat plan ends at (1, 0.5), outside the Poincare disk
+    cfg = write_cfg(tmp_path, potential=None)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    disk = write_cfg(
+        tmp_path,
+        name="disk.json",
+        manifold="hyperbolic2",
+        potential=None,
+        boundary={"q_a": [0.0, 0.0], "v_a": [0.3, -0.2], "q_b": [0.5, 0.25], "v_b": [-0.1, 0.4]},
+    )
+    csv = tmp_path / "out" / "trajectory.csv"
+    assert main(["verify", "--config", str(disk), "--trajectory", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert "chart domain" in err and "trajectory.csv" in err
+
+
 def test_verify_records_its_grid(tmp_path):
     cfg = write_cfg(tmp_path, base=WELL_TOP)
     assert main(["verify", "--config", str(cfg)]) == 4
@@ -176,6 +237,14 @@ def test_scan_flat_empty_with_t1_flag(tmp_path):
     payload = json.loads((tmp_path / "out" / "biconjugate.json").read_text())
     assert payload["t1"] == 0.25
     assert payload["points"] == []
+
+
+@pytest.mark.parametrize("flag, verify", [("0", {}), ("-3", {}), (None, {"grid": 0})])
+def test_scan_rejects_nonpositive_grid(tmp_path, capsys, flag, verify):
+    cfg = write_cfg(tmp_path, potential=None, verify=verify)
+    argv = ["scan", "--config", str(cfg)] + (["--grid", flag] if flag else [])
+    assert main(argv) == 1
+    assert "positive sample count" in capsys.readouterr().err
 
 
 def test_sweep_rows_match_grid(tmp_path):

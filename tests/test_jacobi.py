@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import riemplan.geometry.base
 from riemplan import (
     ConstructionError,
     CurveState,
@@ -33,8 +34,9 @@ from riemplan import (
     negative_direction,
     parse_manifold,
     propagate_jacobi,
+    verdict,
 )
-from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_rhs, operator_table
+from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_operator, jacobi_rhs, operator_table
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -48,6 +50,9 @@ def _warped_metric(x):
 
 # not locally symmetric: the curvature-gradient terms participate
 WARPED = NumericChart(2, _warped_metric, domain_radius=2.0, name="warped-plane")
+WARPED_START = CurveState(
+    0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5])
+)
 
 # positive roots of cosh(t)cos(t) = 1
 BEAM_ROOTS = (4.730040744863, 7.853204624096, 10.995607838003, 14.137165491223)
@@ -67,6 +72,13 @@ def bump_rest(T):
 def bump_scan(T):
     pot, traj = bump_rest(T)
     return biconjugate_scan(EUC1, pot, traj)
+
+
+@functools.cache
+def warped_case():
+    # chart-coordinate distance keeps the generic-chart log out of the loop
+    pot = GaussianObstacle(WARPED, (0.3, 0.1), amplitude=0.8, width=0.5, distance="chart")
+    return pot, integrate_ivp(WARPED, pot, WARPED_START, 0.4, h=0.4 / 60)
 
 
 @functools.cache
@@ -112,10 +124,10 @@ def test_f_operator_linearity():
 
 
 def test_f_operator_stacks_the_qdot_derivatives():
-    # the three (nab_qdot R) terms go through one stacked nabla_R call; it
-    # must equal the three-call form term by term
+    # the four first-derivative terms go through one stacked nabla_R call;
+    # it must equal the four-call form term by term
     chart = WARPED
-    st = CurveState(0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5]))
+    st = WARPED_START
     X, dX, d2X = np.random.default_rng(3).normal(size=(3, 4, 2))
     q, v, a, j = st.q, st.v, st.a, st.j
     R, nR = chart.curvature, chart.nabla_R
@@ -126,6 +138,45 @@ def test_f_operator_stacks_the_qdot_derivatives():
     got = F_operator(chart, st, X, dX, d2X)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_nabla_R_is_linear_in_the_direction():
+    # the first derivative is differenced along the coordinate basis and
+    # contracted with W, so it is tensorial in W to rounding
+    x = np.array([0.3, -0.4])
+    W1, W2, X, Y, Z = np.random.default_rng(4).normal(size=(5, 2))
+    mix = WARPED.nabla_R(x, 0.7 * W1 + W2, X, Y, Z)
+    split = 0.7 * WARPED.nabla_R(x, W1, X, Y, Z) + WARPED.nabla_R(x, W2, X, Y, Z)
+    assert np.max(np.abs(mix - split)) <= 1e-12 * np.max(np.abs(split))
+
+
+@pytest.mark.parametrize("which", ["nabla_R", "nabla2_R"])
+def test_nabla_R_broadcasts_over_points(which):
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-0.6, 0.6, size=(4, 2))
+    W, X = rng.normal(size=(2, 4, 2))
+    Y, Z = rng.normal(size=(2, 2))
+    f = getattr(WARPED, which)
+    got = f(x, W, X, Y, Z)
+    ref = np.stack([f(x[i], W[i], X[i], Y, Z) for i in range(4)])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_jacobi_operator_marches_independent_of_state_count(monkeypatch):
+    # every state shares one geodesic march per covariant-derivative order
+    pot, traj = warped_case()
+    calls = []
+    march = riemplan.geometry.base._geodesic
+    monkeypatch.setattr(
+        riemplan.geometry.base, "_geodesic", lambda *a, **k: calls.append(1) or march(*a, **k)
+    )
+    counts = []
+    for S in (5, 50):
+        calls.clear()
+        jacobi_operator(WARPED, pot, traj.interpolate(np.linspace(0.0, traj.T, S)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_propagate_flat_polynomial():
@@ -193,11 +244,18 @@ def test_linearization_matches_fd_sphere():
 
 def test_linearization_matches_fd_numeric_chart():
     # non-symmetric metric: the curvature-gradient terms must participate
-    chart = WARPED
-    # chart-coordinate distance keeps the generic-chart log out of the loop
-    pot = GaussianObstacle(chart, (0.3, 0.1), amplitude=0.8, width=0.5, distance="chart")
-    st = CurveState(0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5]))
-    assert fd_linearization_gap(chart, pot, st, 0.4, 0.4 / 60) < 1e-3
+    pot, _ = warped_case()
+    assert fd_linearization_gap(WARPED, pot, WARPED_START, 0.4, 0.4 / 60) < 1e-3
+
+
+def test_verdict_on_numeric_chart():
+    # the Galerkin count builds the operator at every Gauss state of the
+    # default basis through the finite-difference nabla R
+    pot, traj = warped_case()
+    rep = verdict(WARPED, pot, traj)
+    assert rep.classification == "candidate"
+    assert rep.index_report.index == 0
+    assert rep.index_report.kernel_dim == 0
 
 
 def test_fundamental_system_stays_full_rank():
@@ -259,6 +317,13 @@ def test_scan_coarse_grid_warns():
     pot, traj = bump_rest(12.0)
     with pytest.warns(ResolutionWarning):
         biconjugate_scan(EUC1, pot, traj, grid=4)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_scan_rejects_nonpositive_grid(grid):
+    pot, traj = bump_rest(12.0)
+    with pytest.raises(ValueError, match="positive sample count"):
+        biconjugate_scan(EUC1, pot, traj, grid=grid)
 
 
 def test_negative_direction_first_pair():
@@ -354,13 +419,12 @@ MARCH_CASES = {
         1.5,
         40,
     ),
-    # every operator column costs a finite-difference nabla R here: keep N tiny
     "numeric": (
         WARPED,
         lambda c: GaussianObstacle(c, (0.3, 0.1), amplitude=0.8, width=0.5, distance="chart"),
         ((0.1, -0.2), (0.6, 0.4), (0.3, -0.1), (0.2, 0.5)),
         0.2,
-        2,
+        20,
     ),
 }
 
@@ -417,8 +481,6 @@ def test_table_march_matches_stagewise_rk4(name):
         back.append(stagewise_step(chart, pot, back[-1], -h, traj.state(k), mid, traj.state(k - 1)))
     flow = _propagate_bundle(chart, pot, traj, k0, u0, forward=False)
     assert rel_gap(flow.states, back[::-1]) <= 1e-12
-    if name == "numeric":
-        return  # the forward check above already covers its off-node step
     t = ts[0] + 0.61 * h
     s = traj.interpolate(np.array([ts[0], 0.5 * (ts[0] + t), t]))
     parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
