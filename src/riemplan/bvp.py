@@ -16,10 +16,18 @@ re-integrated after it converges.
 
 Unless the caller fixes the step, the grid is chosen by error control:
 step doubling (Richardson's h^4 estimate) on the seed's endpoint and
-Jacobian picks the step count for a relative error of 1e-9, one pass on
-half the steps confirms it at the solution, and a miss re-chooses the
-count and resumes Newton there.  That adds two pilot passes and one
-confirmation pass per grid to the count above.
+Jacobian picks the step count for a relative error of 1e-9, and a miss
+at the solution doubles the count and resumes Newton there.  Each pass
+then carries its half-grid twin, the same rows on half the steps,
+marched as a second row group of the same pass, so the estimate at the
+solution costs no pass of its own.  That adds one pilot pass, and one
+pass per doubling, to the count above.
+
+A solve is a generator of shooting requests (``_solve``, with Newton in
+``_newton``); ``_lockstep`` drives several of them together, marching
+the pending requests of all of them as the row groups of one flow pass
+per round.  ``solve_bvp`` drives one; the uniqueness probes in
+``oracle`` drive their sub-window solves and jet replays at once.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 # _rk4_step and integrate_ivp stay module attributes: bench/layers.py traces
 # them by name here.  The flow itself steps through dynamics._rk4_step (rk4.step).
-from .dynamics import Trajectory, _flow, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
+from .dynamics import CurveState, Trajectory, _flow, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
 from .errors import (
     ChartEscapeError,
     CriticalPointError,
@@ -136,6 +144,8 @@ class _Shot:
     trajectory: Trajectory
     _jacobian: np.ndarray | None
     _failure: Exception | None
+    #: the same (y, z) on half the steps, or that pass's failure
+    _twin: "_Shot | Exception | None" = None
 
     def jacobian(self) -> np.ndarray:
         """d(q(t), qdot(t)) / d(y, z); raises the perturbation bundle's failure."""
@@ -143,32 +153,108 @@ class _Shot:
             raise self._failure
         return self._jacobian
 
+    def twin(self) -> "_Shot":
+        """The half-grid twin's shot; raises its trial's failure."""
+        if isinstance(self._twin, Exception):
+            raise self._twin
+        return self._twin
+
+
+class _Request:
+    """One shooting pass: the row groups ``_flow`` marches for it, and the
+    ``_Shot`` made of their results.
+
+    The trial (y, z) from (p, v) over [t0, t0 + t] on ``steps`` steps is
+    row 0 and is stored at every node; with ``fd`` the 4n rows of its
+    ``_fd_rows`` bundle follow.  With ``twin`` the same rows march again
+    on steps / 2 at twice the step, as a second group, for the
+    step-doubling estimate.
+    """
+
+    def __init__(self, p, v, y, z, t, steps, t0=0.0, fd=True, twin=False):
+        y = np.asarray(y, float)
+        z = np.asarray(z, float)
+        n = y.size
+        ys, zs, self.step = _fd_rows(y, z) if fd else (np.empty((0, n)), np.empty((0, n)), None)
+        u = np.empty((1 + len(ys), 4, n))
+        u[:, 0] = p
+        u[:, 1] = v
+        u[0, 2], u[0, 3] = y, z
+        u[1:, 2], u[1:, 3] = ys, zs
+        self.groups = [(u, t0, t / steps, steps)]
+        if twin:
+            self.groups.append((u, t0, t / (steps // 2), steps // 2))
+
+    def finish(self, flows) -> _Shot:
+        """The shot from the ``_flow`` results of ``groups``.
+
+        A failure of the trial raises, exactly as a flow of the trial alone
+        would.  A perturbation row that goes nonfinite or leaves the chart
+        only drops the bundle: its error is kept and raised by
+        ``_Shot.jacobian``, so it surfaces only if the caller uses this
+        trial's Jacobian.  The twin's failures are kept the same way, for
+        ``_Shot.twin``.
+        """
+        shot = self._shot(*flows[0])
+        if len(flows) > 1:
+            try:
+                shot._twin = self._shot(*flows[1])
+            except (ChartEscapeError, NumericalError) as err:
+                shot._twin = err
+        return shot
+
+    def _shot(self, trajectory, u, failure) -> _Shot:
+        if trajectory is None:
+            raise failure
+        end = np.concatenate([u[0, 0], u[0, 1]])
+        jac = None
+        if self.step is not None and failure is None:
+            vals = np.concatenate([u[1:, 0], u[1:, 1]], axis=1)  # rows: perturbations
+            jac = ((vals[0::2] - vals[1::2]) / (2.0 * self.step)).T
+        return _Shot(end, trajectory, jac, failure)
+
 
 def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0, fd=True) -> _Shot:
-    """Integrate the trial (y, z) and, with ``fd``, its ``_fd_rows`` bundle.
+    """Integrate the trial (y, z) and, with ``fd``, its ``_fd_rows`` bundle,
+    in one pass (see ``_Request``)."""
+    req = _Request(p, v, y, z, t, steps, t0, fd)
+    return req.finish(_flow(chart, potential, req.groups))
 
-    Row 0 is the trial and is stored at every node.  Its failure raises at
-    once, exactly as a flow of the trial alone would.  A perturbation row
-    that goes nonfinite or leaves the chart drops the bundle from the rest
-    of the pass; the error is kept and raised by ``_Shot.jacobian``, so it
-    surfaces only if the caller uses this trial's Jacobian.
+
+def _lockstep(chart, potential, problems):
+    """Drive shooting generators together, one ``_flow`` pass per round.
+
+    Each generator yields a ``_Request`` and is sent its ``_Shot``, or has
+    the trial's ChartEscapeError or NumericalError thrown in.  Each round
+    marches the pending requests of all live generators as the row groups
+    of one pass.  Returns one (value, error) per generator: what it
+    returned, or the PlannerError it raised.
     """
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    n = y.size
-    ys, zs, step = _fd_rows(y, z) if fd else (np.empty((0, n)), np.empty((0, n)), None)
-    u = np.empty((1 + len(ys), 4, n))
-    u[:, 0] = p
-    u[:, 1] = v
-    u[0, 2], u[0, 3] = y, z
-    u[1:, 2], u[1:, 3] = ys, zs
-    trajectory, u, failure = _flow(chart, potential, u, t0, t / steps, steps)
-    end = np.concatenate([u[0, 0], u[0, 1]])
-    jac = None
-    if fd and failure is None:
-        vals = np.concatenate([u[1:, 0], u[1:, 1]], axis=1)  # rows: perturbations
-        jac = ((vals[0::2] - vals[1::2]) / (2.0 * step)).T
-    return _Shot(end, trajectory, jac, failure)
+    out = [None] * len(problems)
+    pending = {}
+
+    def advance(i, resume, *arg):
+        try:
+            pending[i] = resume(*arg)
+        except StopIteration as stop:
+            out[i] = (stop.value, None)
+        except PlannerError as err:
+            out[i] = (None, err)
+
+    for i, gen in enumerate(problems):
+        advance(i, gen.send, None)
+    while pending:
+        batch, pending = pending, {}
+        flows = iter(_flow(chart, potential, [g for req in batch.values() for g in req.groups]))
+        for i, req in batch.items():
+            results = [next(flows) for _ in req.groups]
+            try:
+                shot = req.finish(results)
+            except (ChartEscapeError, NumericalError) as err:
+                advance(i, problems[i].throw, err)
+            else:
+                advance(i, problems[i].send, shot)
+    return out
 
 
 def biexp(chart, potential, p, v, y, z, t, h=None):
@@ -187,11 +273,11 @@ def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
     return _shoot(chart, potential, p, v, y, z, t, steps).jacobian()
 
 
-# Default shooting grid.  The seed is shot at _PILOT_STEPS and at twice
-# that; the step count is then chosen so the step-doubling estimate of the
-# relative error of the endpoint and Jacobian meets _STEP_TOL, never below
-# the finer pilot grid, and doubled while the estimate at the solution
-# misses it, up to _MAX_STEPS.
+# Default shooting grid.  The seed is shot at twice _PILOT_STEPS, with its
+# twin at _PILOT_STEPS; the step count is then chosen so the step-doubling
+# estimate of the relative error of the endpoint and Jacobian meets
+# _STEP_TOL, never below the pilot grid, and doubled while the estimate at
+# the solution misses it, up to _MAX_STEPS.
 _STEP_TOL = 1e-9
 _PILOT_STEPS = 32
 _MAX_STEPS = 1 << 16
@@ -225,8 +311,11 @@ def _richardson(fine: _Shot, coarse: _Shot) -> float:
 def _newton(shoot, shot, y, z, target, tol, max_iter):
     """Damped Newton on the endpoint map from (y, z), whose pass is ``shot``.
 
-    ``shoot(y, z)`` makes one pass on the solve's grid.  Returns
-    (y, z, shot, residual, iterations) at the accepted iterate.
+    A generator: it yields ``shoot(y, z)``, the ``_Request`` of each
+    line-search trial on the solve's grid, and is sent the trial's
+    ``_Shot``, or has its chart escape or nonfinite state thrown in, which
+    halves the step.  Returns (y, z, shot, residual, iterations) at the
+    accepted iterate.
     """
     n = y.size
     r = shot.end - target
@@ -249,7 +338,7 @@ def _newton(shoot, shot, y, z, target, tol, max_iter):
             y_try = y + t_step * dyz[:n]
             z_try = z + t_step * dyz[n:]
             try:
-                trial = shoot(y_try, z_try)
+                trial = yield shoot(y_try, z_try)
             except (ChartEscapeError, NumericalError):
                 t_step *= 0.5
                 continue
@@ -287,26 +376,34 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     degeneracy that signals possible biconjugacy.
 
     An explicit ``h`` fixes the grid (``grid_steps``).  With ``h`` None
-    the step count is chosen by error control: the seed is shot at
-    ``_PILOT_STEPS`` and twice that, the step-doubling estimate of the
-    endpoint and Jacobian error (``_richardson``) predicts by the h^4 law
-    an even count N that meets ``_STEP_TOL`` (``_predict_steps``, at
-    least 2 * _PILOT_STEPS), and Newton runs at N.  The converged (y, z)
-    is then shot once on N/2 steps to confirm the estimate; above the
-    tolerance, N doubles and Newton resumes from there.  ``max_iter``
-    bounds each Newton run.  The result records N, the confirmed estimate
-    and the tolerance; the estimate exceeds the tolerance only when N
-    would double past ``_MAX_STEPS``.
+    the step count is chosen by error control.  Every pass then carries
+    its half-grid twin: the same (y, z) on half the steps, marched as a
+    second row group of the same pass.  The seed is shot at
+    2 * _PILOT_STEPS steps, with its twin at _PILOT_STEPS; the
+    step-doubling estimate of the endpoint and Jacobian error
+    (``_richardson``) predicts by the h^4 law an even count N that meets
+    ``_STEP_TOL`` (``_predict_steps``, at least 2 * _PILOT_STEPS), and
+    Newton runs at N.  The estimate at the converged (y, z) is read off
+    its pass's twin; above the tolerance, N doubles and Newton resumes
+    from there.  ``max_iter`` bounds each Newton run.  The result records
+    N, that estimate and the tolerance; the estimate exceeds the
+    tolerance only when N would double past ``_MAX_STEPS``.
 
-    Each trial is one ``_shoot`` pass that also yields the Jacobian and the
+    Each trial is one pass that also yields the Jacobian and the
     trajectory there, so on a fixed grid a solve makes 1 + (accepted
     trials) + (rejected trials) flow passes: the seed's, then one per
-    line-search trial.  Error control adds the two pilot passes (the finer
-    one doubles as the seed's pass when N = 2 * _PILOT_STEPS) and a
-    confirmation pass on each grid tried; a grid after a doubling starts
-    from the accepted (y, z), and when Newton takes no step there its
-    confirmation reuses the previous grid's pass.
+    line-search trial.  Error control adds the pilot pass (which doubles
+    as the seed's pass when N = 2 * _PILOT_STEPS) and, on each doubling,
+    the seed's pass on the new grid; no pass is made on N/2 alone.
     """
+    [(result, error)] = _lockstep(chart, potential, [_solve(chart, boundary, seed, h, max_iter)])
+    if error is not None:
+        raise error
+    return result
+
+
+def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50):
+    """``solve_bvp`` as a generator of shooting requests, for ``_lockstep``."""
     boundary.validate(chart)
     tau = boundary.span
     target = np.concatenate([boundary.q_b, boundary.v_b])
@@ -319,31 +416,29 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
         z = np.asarray(seed[1], float).copy()
 
     def shoot(steps, yy, zz):
-        return _shoot(chart, potential, boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a)
+        return _Request(boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a, twin=h is None)
 
     def newton(steps, shot, yy, zz):
         return _newton(partial(shoot, steps), shot, yy, zz, target, tol, max_iter)
 
     if h is not None:
         steps, _ = grid_steps(tau, h)
-        y, z, shot, rn, iterations = newton(steps, shoot(steps, y, z), y, z)
+        shot = yield shoot(steps, y, z)
+        y, z, shot, rn, iterations = yield from newton(steps, shot, y, z)
         estimate = step_tol = None
     else:
         step_tol = _STEP_TOL
-        # passes of the current (y, z), by step count
-        shots = {k: shoot(k, y, z) for k in (_PILOT_STEPS, 2 * _PILOT_STEPS)}
-        estimate = _richardson(shots[2 * _PILOT_STEPS], shots[_PILOT_STEPS])
-        steps = min(max(2 * _PILOT_STEPS, _predict_steps(2 * _PILOT_STEPS, estimate)), _MAX_STEPS)
+        steps = 2 * _PILOT_STEPS
+        shot = yield shoot(steps, y, z)
+        estimate = _richardson(shot, shot.twin())
+        steps = min(max(steps, _predict_steps(steps, estimate)), _MAX_STEPS)
         iterations = 0
         while True:
-            shot = shots.get(steps) or shoot(steps, y, z)
-            y, z, shot, rn, its = newton(steps, shot, y, z)
-            if its:
-                shots = {}
-                iterations += its
-            shots[steps] = shot
-            half = shots.get(steps // 2) or shoot(steps // 2, y, z)
-            estimate = _richardson(shot, half)
+            if shot.trajectory.segments != steps:
+                shot = yield shoot(steps, y, z)
+            y, z, shot, rn, its = yield from newton(steps, shot, y, z)
+            iterations += its
+            estimate = _richardson(shot, shot.twin())
             if estimate <= step_tol or 2 * steps > _MAX_STEPS:
                 break
             steps *= 2
@@ -351,6 +446,14 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     sv = np.linalg.svd(shot.jacobian(), compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     return ShootingResult(y, z, shot.trajectory, rn, cond, iterations, steps, estimate, step_tol)
+
+
+def _integrate(chart, initial: CurveState, T: float, h=None):
+    """``integrate_ivp`` as a one-request generator, for ``_lockstep``."""
+    steps, _ = grid_steps(T, h)
+    chart.check_point(initial.q, "initial point")
+    req = _Request(initial.q, initial.v, initial.a, initial.j, T, steps, float(initial.t), fd=False)
+    return (yield req).trajectory
 
 
 def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):

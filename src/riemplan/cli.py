@@ -174,13 +174,7 @@ def _obtain_trajectory(scenario, args):
 
 def cmd_verify(scenario, args) -> int:
     traj = _obtain_trajectory(scenario, args)
-    basis = scenario.verify.get("basis")
-    report = verdict(
-        scenario.chart,
-        scenario.potential,
-        traj,
-        m=int(basis) if basis is not None else None,
-    )
+    report = verdict(scenario.chart, scenario.potential, traj, m=scenario.verify.get("basis"))
     payload = report.to_dict()
     if report.classification.startswith("candidate"):
         payload["uniqueness"] = check_uniqueness_props(
@@ -192,7 +186,7 @@ def cmd_verify(scenario, args) -> int:
 
 def cmd_scan(scenario, args) -> int:
     grid = args.grid if args.grid is not None else scenario.verify.get("grid")
-    if grid is not None and int(grid) < 1:
+    if grid is not None and grid < 1:
         raise ConfigError(f"scan grid must be a positive sample count, got {grid}")
     traj = _obtain_trajectory(scenario, args)
     t1 = args.t1 if args.t1 is not None else scenario.verify.get("t1", traj.ts[0])
@@ -201,7 +195,7 @@ def cmd_scan(scenario, args) -> int:
         scenario.potential,
         traj,
         t1=float(t1),
-        grid=int(grid) if grid is not None else None,
+        grid=grid,
     )
     _write_json(scenario.out / "biconjugate.json", report.to_dict())
     return EXIT_OK

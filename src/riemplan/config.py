@@ -73,6 +73,20 @@ def _options(raw, where):
     return dict(raw)
 
 
+def _count(raw, where, least, what):
+    """An integer option of at least ``least``; ``what`` names the bound."""
+    try:
+        value = int(raw)
+        exact = not isinstance(raw, bool) and value == float(raw)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigError(f"{where} must be an integer, got {raw!r}")
+    if value < least:
+        raise ConfigError(f"{where} must be {what}, got {value}")
+    return value
+
+
 def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
     """Validate a raw config mapping; keyword overrides win over the file."""
     if not isinstance(cfg, dict):
@@ -132,6 +146,14 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
 
     out = Path(out if out is not None else cfg.get("out", "out"))
 
+    verify = _options(cfg.get("verify"), "verify")
+    for key, least, what in (
+        ("grid", 1, "a positive sample count"),
+        ("basis", 2, "at least 2 spline profiles"),
+    ):
+        if verify.get(key) is not None:
+            verify[key] = _count(verify[key], f"verify.{key}", least, what)
+
     return Scenario(
         manifold=str(cfg["manifold"]),
         chart=chart,
@@ -141,7 +163,7 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
         seed=seed,
         out=out,
         solver=_options(cfg.get("solver"), "solver"),
-        verify=_options(cfg.get("verify"), "verify"),
+        verify=verify,
         sweep=_options(cfg.get("sweep"), "sweep"),
         oracle=_options(cfg.get("oracle"), "oracle"),
     )

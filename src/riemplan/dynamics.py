@@ -18,9 +18,17 @@ stays fixed through a march, so a given grid gives a deterministic curve.
 ``integrate_ivp`` takes the step it is given, or T/2000 by default.
 ``bvp.solve_bvp`` chooses its step count by error control unless it is
 given one: it compares passes on N and N/2 steps (step doubling) and
-picks N so that the estimate meets a fixed tolerance.  ``integrate_ivp``
-and ``bvp``'s shooting passes share one march, ``_flow``, stepping
-through ``_rk4_step`` here, where bench/layers.py traces it.
+picks N so that the estimate meets a fixed tolerance.
+
+``integrate_ivp`` and ``bvp``'s shooting passes share one march,
+``_flow``.  It marches a list of row groups in one loop, one
+``_rk4_step`` call per step for all of them (bench/layers.py traces that
+call here).  Each group has its own start time, step, step count, stored
+head row and failure, and leaves the batch when it finishes or fails.
+The right-hand side acts row by row, so a row marched in a batch gets the
+same bits as marched alone; a step costs about the same at 5 rows as at
+100, so passes that can run together (a shot and its half-grid twin,
+the uniqueness probes' sub-window solves) are marched as one.
 """
 
 from __future__ import annotations
@@ -63,18 +71,23 @@ class CurveState:
 
 def ode_rhs(chart, potential, q, v, a, j):
     """Coordinate time-derivatives of (q, v, a, j); broadcasts."""
-    dq = v
-    dv = a - chart.gamma(q, v, v)
-    da = j - chart.gamma(q, v, a)
-    dj = -chart.curvature(q, a, v, v) - potential.gradient(q) - chart.gamma(q, v, j)
-    return dq, dv, da, dj
+    jets = np.broadcast_arrays(*(np.asarray(x, float) for x in (q, v, a, j)))
+    d = _rhs_stacked(chart, potential, np.stack(jets, axis=-2))
+    return d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :]
 
 
 def _rhs_stacked(chart, potential, u):
-    dq, dv, da, dj = ode_rhs(
-        chart, potential, u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]
-    )
-    return np.stack([dq, dv, da, dj], axis=-2)
+    """``ode_rhs`` on jet stacks u of shape (..., 4, n), with one Gamma call.
+
+    Gamma(v, .) is evaluated once on the stacked (v, a, j) at the point.
+    """
+    q, v, a = u[..., 0, :], u[..., 1, :], u[..., 2, :]
+    g = chart.gamma(q[..., None, :], v[..., None, :], u[..., 1:, :])
+    out = np.empty_like(u)
+    out[..., 0, :] = v
+    np.subtract(u[..., 2:, :], g[..., :2, :], out=out[..., 1:3, :])
+    out[..., 3, :] = -chart.curvature(q, a, v, v) - potential.gradient(q) - g[..., 2, :]
+    return out
 
 
 def _rk4_step(chart, potential, u, h):
@@ -183,40 +196,85 @@ class Trajectory:
 
 def _flow_failure(u, chart, t):
     """The error for a flow batch that went nonfinite or left the chart, else None."""
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         return NumericalError(f"nonfinite state at t = {t:.6g}")
-    if not np.all(chart.contains(u[:, 0])):
+    if not chart.contains(u[:, 0]).all():
         return ChartEscapeError("trajectory left the chart domain", t)
     return None
 
 
-def _flow(chart, potential, u, t0, h, steps):
-    """March a batch of jet stacks u, shape (rows, 4, n), over ``steps`` steps.
+class _Group:
+    """One row group of a ``_flow`` march: its rows, grid, head nodes, failure."""
 
-    Row 0 is stored at every node and returned as a Trajectory, with the
-    final batch.  A failure of row 0 (nonfinite, or out of the chart)
-    raises at once; a failure of any other row drops the other rows from
-    the rest of the march and is returned as the third value, else None.
+    def __init__(self, u, t0, h, steps):
+        self.u, self.t0, self.h, self.steps = u, t0, h, steps
+        self.nodes = np.empty((steps + 1,) + u.shape[1:])
+        self.nodes[0] = u[0]
+        self.failure = None
+
+    def settle(self, u, k, chart, check):
+        """Take the group's rows after step k, checking them if ``check``.
+
+        A failed head ends the group (``u`` None); a failure of another
+        row keeps the head alone.
+        """
+        if check:
+            t = self.t0 + k * self.h
+            err = _flow_failure(u, chart, t)
+            if err is not None:
+                self.failure = _flow_failure(u[:1], chart, t)
+                if self.failure is not None:
+                    self.u = None
+                    return
+                self.failure, u = err, u[:1]
+        self.u = u
+        self.nodes[k] = u[0]
+
+    def result(self, chart, potential):
+        if self.u is None:
+            return None, None, self.failure
+        nodes = self.nodes
+        traj = Trajectory(
+            chart, potential, self.t0 + self.h * np.arange(self.steps + 1),
+            nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
+        )
+        return traj, self.u, self.failure
+
+
+def _flow(chart, potential, groups):
+    """March row groups in one loop, one ``_rk4_step`` call per step.
+
+    ``groups`` lists (u, t0, h, steps): jet stacks u of shape
+    (rows, 4, n), each with its own start time, step and step count.
+    Returns one (trajectory, u, failure) per group.  Row 0 of a group,
+    its head, is stored at every node and returned as a Trajectory, with
+    the group's final rows.  A failure of the head (nonfinite, or out of
+    the chart) ends the group and returns (None, None, error); a failure
+    of any other row drops the group's other rows from the rest of its
+    march and is returned as ``failure``, else None.  A group leaves the
+    batch when it finishes or fails; the others march on unchanged.
     """
-    nodes = np.empty((steps + 1,) + u.shape[1:])
-    nodes[0] = u[0]
-    failure = None
-    for k in range(steps):
-        t = t0 + (k + 1) * h
-        # a module global, so a wrapper on dynamics._rk4_step sees every step
-        u = _rk4_step(chart, potential, u, h)
-        err = _flow_failure(u, chart, t)
-        if err is not None:
-            row0 = _flow_failure(u[:1], chart, t)
-            if row0 is not None:
-                raise row0
-            failure, u = err, u[:1]
-        nodes[k + 1] = u[0]
-    traj = Trajectory(
-        chart, potential, t0 + h * np.arange(steps + 1),
-        nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
-    )
-    return traj, u, failure
+    groups = [_Group(*g) for g in groups]
+    live, k = groups, 0
+    while live:
+        sizes = [len(g.u) for g in live]
+        heads = np.cumsum([0] + sizes[:-1]).tolist()
+        u = np.concatenate([g.u for g in live])
+        h = np.repeat([g.h for g in live], sizes)[:, None, None]
+        end = min(g.steps for g in live)
+        while True:
+            # a module global, so a wrapper on dynamics._rk4_step sees every step
+            u = _rk4_step(chart, potential, u, h)
+            k += 1
+            failed = not (np.isfinite(u).all() and chart.contains(u[:, 0]).all())
+            if failed or k == end:
+                break
+            for g, i in zip(live, heads):
+                g.nodes[k] = u[i]
+        for g, i, n in zip(live, heads, sizes):
+            g.settle(u[i : i + n], k, chart, failed)
+        live = [g for g in live if g.u is not None and k < g.steps]
+    return [g.result(chart, potential) for g in groups]
 
 
 def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | None = None) -> Trajectory:
@@ -235,7 +293,10 @@ def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | No
     )
     if u.ndim != 2:
         raise ValueError("integrate_ivp expects an unbatched initial state")
-    return _flow(chart, potential, u[None], float(initial.t), h, N)[0]
+    [(traj, _, failure)] = _flow(chart, potential, [(u[None], float(initial.t), h, N)])
+    if traj is None:
+        raise failure
+    return traj
 
 
 def quadrature_weights(n_nodes: int, h: float) -> np.ndarray:

@@ -186,18 +186,19 @@ class Sphere2Chart(_ConformalChart):
         out1 = w[..., 1] / d - p[..., 1] * w[..., 2] / d**2
         return np.stack([out0, out1], axis=-1)
 
-    def distance(self, x, y):
-        p = self.embed(np.asarray(x, float))
-        q = self.embed(np.asarray(y, float))
+    @staticmethod
+    def _angle(p, q):
+        """Great-circle distance of embedded points."""
         cross = np.cross(p, q)
         return np.arctan2(np.linalg.norm(cross, axis=-1), np.einsum("...a,...a->...", p, q))
 
+    def distance(self, x, y):
+        return self._angle(self.embed(np.asarray(x, float)), self.embed(np.asarray(y, float)))
+
     def log(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        p = self.embed(x)
-        q = self.embed(y)
-        d = self.distance(x, y)
+        p = self.embed(np.asarray(x, float))
+        q = self.embed(np.asarray(y, float))
+        d = self._angle(p, q)
         w = q - np.einsum("...a,...a->...", p, q)[..., None] * p
         wn = np.linalg.norm(w, axis=-1)
         if np.any((d > np.pi - 1e-6) | ((wn < 1e-14) & (d > 1e-7))):
@@ -252,12 +253,11 @@ class Hyperbolic2Chart(_ConformalChart):
         return np.arccosh(c)
 
     def log(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        p = self._embed(x)
-        q = self._embed(y)
-        d = self.distance(x, y)
-        w = q + self._ldot(p, q)[..., None] * p
+        p = self._embed(np.asarray(x, float))
+        q = self._embed(np.asarray(y, float))
+        pq = self._ldot(p, q)
+        d = np.arccosh(np.maximum(-pq, 1.0))
+        w = q + pq[..., None] * p
         wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
         scale = np.where(wn > 0, d / np.where(wn > 0, wn, 1.0), 0.0)
         w = scale[..., None] * w

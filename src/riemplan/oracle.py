@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bvp import BoundaryData, solve_bvp
-from .dynamics import CurveState, action as dyn_action, integrate_ivp
+# solve_bvp and integrate_ivp stay module attributes: bench/layers.py
+# traces them by name here.  The uniqueness probes march in lockstep.
+from .bvp import BoundaryData, _integrate, _lockstep, _solve, solve_bvp  # noqa: F401
+from .dynamics import CurveState, action as dyn_action, integrate_ivp  # noqa: F401
 from .errors import NonconvergenceError, PlannerError
 
 __all__ = [
@@ -372,35 +374,49 @@ def check_uniqueness_props(chart, potential, trajectory, rng_seed: int = 0) -> d
     ts, qs = trajectory.ts, trajectory.qs
     N = trajectory.segments
     h = trajectory.h
-    probes = []
-    conclusive = True
+    windows = []
     for _ in range(5):
         span = 2 * int(rng.integers(max(2, N // 16), max(3, N // 4)))
         i = int(rng.integers(0, N - span))
-        j = i + span
-        sub = BoundaryData(
-            qs[i], trajectory.vs[i], qs[j], trajectory.vs[j], a=float(ts[i]), b=float(ts[j])
-        )
-        entry = {"interval": [float(ts[i]), float(ts[j])]}
-        try:
-            res = solve_bvp(chart, potential, sub, h=h)
-            sup = float(np.max(np.abs(res.trajectory.qs - qs[i : j + 1])))
-            entry.update(sup=sup, converged=True, ok=bool(sup <= 1e-6))
-        except PlannerError as exc:
-            entry.update(sup=None, converged=False, ok=None, error=str(exc))
-            conclusive = False
-        probes.append(entry)
-
+        windows.append((i, i + span))
     # even k keeps both replay windows on even segment counts, so the
     # integrator grid lands exactly on the stored nodes
     k = 2 * int(rng.integers(N // 6, N // 3))
     st = trajectory.state(k)
-    fwd = integrate_ivp(
-        chart, potential, st, float(ts[-1] - ts[k]), h=h
-    )
-    fsup = float(np.max(np.abs(fwd.qs - qs[k:])))
     rev = CurveState(0.0, st.q, -st.v, st.a, -st.j)
-    bwd = integrate_ivp(chart, potential, rev, float(ts[k] - ts[0]), h=h)
+
+    # every sub-window solve and both replays march in lockstep: one flow
+    # pass per Newton round, the replays riding in the first
+    solves = [
+        _solve(
+            chart,
+            BoundaryData(qs[i], trajectory.vs[i], qs[j], trajectory.vs[j], a=float(ts[i]), b=float(ts[j])),
+            h=h,
+        )
+        for i, j in windows
+    ]
+    replays = [
+        _integrate(chart, st, float(ts[-1] - ts[k]), h),
+        _integrate(chart, rev, float(ts[k] - ts[0]), h),
+    ]
+    *outcomes, (fwd, ferr), (bwd, berr) = _lockstep(chart, potential, solves + replays)
+
+    probes = []
+    conclusive = True
+    for (i, j), (res, err) in zip(windows, outcomes):
+        entry = {"interval": [float(ts[i]), float(ts[j])]}
+        if err is None:
+            sup = float(np.max(np.abs(res.trajectory.qs - qs[i : j + 1])))
+            entry.update(sup=sup, converged=True, ok=bool(sup <= 1e-6))
+        else:
+            entry.update(sup=None, converged=False, ok=None, error=str(err))
+            conclusive = False
+        probes.append(entry)
+
+    for err in (ferr, berr):
+        if err is not None:
+            raise err
+    fsup = float(np.max(np.abs(fwd.qs - qs[k:])))
     bsup = float(np.max(np.abs(bwd.qs - qs[k::-1])))
 
     ok_probes = [p["ok"] for p in probes if p["ok"] is not None]

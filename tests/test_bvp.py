@@ -274,13 +274,13 @@ def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
 
 def test_solve_step_control(scenario, monkeypatch):
     passes = []
-    shoot = bvp._shoot
+    flow = bvp._flow
 
-    def counted(*args):
-        passes.append(args[7])  # the pass's step count
-        return shoot(*args)
+    def counted(chart, pot, groups):
+        passes.append([g[3] for g in groups])  # the step count of each row group
+        return flow(chart, pot, groups)
 
-    monkeypatch.setattr(bvp, "_shoot", counted)
+    monkeypatch.setattr(bvp, "_flow", counted)
     floor = 2 * bvp._PILOT_STEPS
     for name in ("flat_obstacle", "well_top"):
         chart, pot, bd = scenario(name)
@@ -291,9 +291,14 @@ def test_solve_step_control(scenario, monkeypatch):
         assert res.trajectory.segments == N
         assert res.tol == bvp._STEP_TOL
         assert res.estimate <= res.tol
-        # the two pilot passes come first, the confirmation on N/2 steps last
-        assert passes[:2] == [bvp._PILOT_STEPS, floor]
-        assert passes[-1] == N // 2
+        # one pilot pass with its twin comes first; every pass carries its
+        # half-grid twin, so none is made on N/2 alone, and the last is on N
+        assert passes[0] == [floor, bvp._PILOT_STEPS]
+        assert all(p == [p[0], p[0] // 2] for p in passes)
+        assert passes[-1] == [N, N // 2]
+        if name == "well_top":
+            # the seed converges at once: the pilot pass, then the seed's on N
+            assert res.iterations == 0 and len(passes) == 2
         # the recorded estimate is the one at the returned (y, z)
         full, half = (
             bvp._shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
@@ -306,10 +311,10 @@ def test_solve_step_control(scenario, monkeypatch):
             # Jacobian alone asks for more than the floor
             assert N > floor
 
-        # an explicit step makes no selection pass
+        # an explicit step makes no selection pass and no twin
         passes.clear()
         fixed = solve_bvp(chart, pot, bd, h=bd.span / 100)
-        assert passes == [100] * (1 + fixed.iterations)
+        assert passes == [[100]] * (1 + fixed.iterations)
         assert (fixed.steps, fixed.estimate, fixed.tol) == (100, None, None)
 
 

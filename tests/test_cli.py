@@ -247,6 +247,21 @@ def test_scan_rejects_nonpositive_grid(tmp_path, capsys, flag, verify):
     assert "positive sample count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", 0, -2, 2.5])
+@pytest.mark.parametrize("command, key", [("scan", "grid"), ("verify", "basis")])
+def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
+    # a configuration error (exit 1) naming the key, before any planning
+    cfg = write_cfg(tmp_path, potential=None, verify={key: value})
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"error: verify.{key} must be" in capsys.readouterr().err
+
+
+def test_verify_basis_needs_two_profiles(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, potential=None, verify={"basis": 1})
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "at least 2 spline profiles" in capsys.readouterr().err
+
+
 def test_sweep_rows_match_grid(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--lambdas", "0,0.5,1"]) == 0

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from riemplan import (
     ChartEscapeError,
+    NumericalError,
     CurveState,
     GaussianObstacle,
     QuadraticWell,
@@ -23,6 +24,7 @@ from riemplan import (
     integrate_ivp,
     parse_manifold,
 )
+from riemplan import dynamics
 from riemplan.dynamics import grid_steps, quadrature_weights
 
 RNG = np.random.default_rng(3)
@@ -31,6 +33,7 @@ EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
 H2 = parse_manifold("hyperbolic2")
+SO3 = parse_manifold("so3")
 
 
 def test_grid_steps_even_and_default():
@@ -229,3 +232,67 @@ def test_chart_escape_reports_time():
     with pytest.raises(ChartEscapeError) as err:
         integrate_ivp(H2, ZeroPotential(H2), st, 2.0)
     assert 0.0 < err.value.escape_time <= 2.0
+
+
+def assert_same_flow(got, ref):
+    """Two _flow group results agree bit for bit, failures included."""
+    (traj, u, failure), (traj_ref, u_ref, failure_ref) = got, ref
+    assert (traj is None) == (traj_ref is None) and (u is None) == (u_ref is None)
+    if traj is not None:
+        for a, b in zip(
+            (traj.ts, traj.qs, traj.vs, traj.accs, traj.jerks),
+            (traj_ref.ts, traj_ref.qs, traj_ref.vs, traj_ref.accs, traj_ref.jerks),
+        ):
+            assert np.array_equal(a, b)
+        assert np.array_equal(u, u_ref)
+    assert type(failure) is type(failure_ref) and str(failure) == str(failure_ref)
+    if isinstance(failure, ChartEscapeError):
+        assert failure.escape_time == failure_ref.escape_time
+
+
+@pytest.mark.parametrize("chart", [EUC2, S2, SO3], ids=lambda c: c.name)
+def test_row_groups_match_separate_marches(chart):
+    # groups of different sizes, starts, steps and step counts in one march
+    # give the same bits as one march per group
+    n = chart.dim
+    pot = GaussianObstacle(chart, np.full(n, 0.1), amplitude=1.0, width=0.4)
+    rng = np.random.default_rng(5)
+    groups = [
+        (0.2 * rng.normal(size=(rows, 4, n)), t0, h, steps)
+        for rows, t0, h, steps in ((9, 0.0, 0.01, 40), (1, 0.3, 0.023, 17), (5, -1.0, 0.005, 64))
+    ]
+    batched = dynamics._flow(chart, pot, groups)
+    assert len(batched) == len(groups)
+    for group, got in zip(groups, batched):
+        [ref] = dynamics._flow(chart, pot, [group])
+        assert ref[0].segments == group[3] and ref[2] is None
+        assert_same_flow(got, ref)
+
+
+def test_failed_head_leaves_other_groups_unchanged():
+    # on the capped disk: a head that leaves the chart, a bundle row that
+    # leaves it, a head that overflows, and a group that stays inside
+    V = ZeroPotential(H2)
+
+    def rows(*vs):
+        u = np.zeros((len(vs), 4, 2))
+        u[:, 0] = [0.5, 0.0]
+        u[:, 1] = vs
+        return u
+
+    groups = [
+        (rows([1.0, 0.0], [0.1, 0.0]), 0.0, 0.2, 16),  # head escapes
+        (rows([0.1, 0.0], [1.0, 0.0], [0.0, 0.1]), 0.0, 0.1, 30),  # bundle escapes
+        (rows([1e300, 0.0]), 0.5, 0.1, 8),  # head overflows
+        (rows([0.0, 0.1], [0.1, 0.1]), 1.0, 0.05, 24),  # stays inside
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = dynamics._flow(H2, V, groups)
+        refs = [dynamics._flow(H2, V, [g])[0] for g in groups]
+    for got, ref in zip(batched, refs):
+        assert_same_flow(got, ref)
+    (t0, u0, f0), (t1, u1, f1), (t2, u2, f2), (t3, u3, f3) = batched
+    assert t0 is None and isinstance(f0, ChartEscapeError)
+    assert t1.segments == 30 and len(u1) == 1 and isinstance(f1, ChartEscapeError)
+    assert t2 is None and isinstance(f2, NumericalError)
+    assert t3.segments == 24 and len(u3) == 2 and f3 is None

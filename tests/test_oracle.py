@@ -20,12 +20,14 @@ from riemplan import (
     CurveState,
     GaussianObstacle,
     NonconvergenceError,
+    PlannerError,
     ZeroPotential,
     action,
     integrate_ivp,
     parse_manifold,
     solve_bvp,
 )
+from riemplan import bvp, oracle
 from riemplan.oracle import (
     DiscretePath,
     _banded_hessian,
@@ -329,6 +331,45 @@ def test_uniqueness_probes_flat_obstacle():
     assert rep["jet_forward_sup"] <= 1e-7
     assert rep["jet_backward_sup"] <= 1e-7
     assert 0.0 < rep["jet_time"] < 1.0
+
+
+def sequential_probes(chart, pot, traj, probes, max_iter):
+    """The probe entries of ``probes``' windows from one solve_bvp call each."""
+    ts, qs = traj.ts, traj.qs
+    out = []
+    for pr in probes:
+        i, j = (int(np.argmin(np.abs(ts - t))) for t in pr["interval"])
+        sub = BoundaryData(qs[i], traj.vs[i], qs[j], traj.vs[j], a=float(ts[i]), b=float(ts[j]))
+        try:
+            res = solve_bvp(chart, pot, sub, h=traj.h, max_iter=max_iter)
+        except PlannerError as exc:
+            out.append({"sup": None, "converged": False, "error": str(exc)})
+        else:
+            out.append({"sup": float(np.max(np.abs(res.trajectory.qs - qs[i : j + 1]))), "converged": True})
+    return out
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+@pytest.mark.parametrize("case", ["flat_obstacle", "sphere_geodesic"])
+def test_lockstep_probes_match_sequential_solves(monkeypatch, case, max_iter):
+    # the probes march in lockstep; each entry must be exactly what its own
+    # solve gives.  An iteration cap of 2 fails the longer obstacle windows
+    # and converges the others
+    if case == "flat_obstacle":
+        chart, pot = EUC2, GaussianObstacle(EUC2, (0.5, 0.25), amplitude=3.0, width=0.3)
+        traj = solve_bvp(chart, pot, FLAT_BD, h=1.0 / 200).trajectory
+    else:
+        chart, pot = S2, ZeroPotential(S2)
+        st = CurveState(0.0, np.array([-0.5, 0.2]), np.array([0.4, 0.1]), np.zeros(2), np.zeros(2))
+        traj = integrate_ivp(chart, pot, st, 1.2, h=1.2 / 200)
+    monkeypatch.setattr(oracle, "_solve", functools.partial(bvp._solve, max_iter=max_iter))
+    probes = check_uniqueness_props(chart, pot, traj, rng_seed=1)["restriction_probes"]
+    ref = sequential_probes(chart, pot, traj, probes, max_iter)
+    assert [{k: p.get(k) for k in ("sup", "converged", "error")} for p in probes] == [
+        {k: r.get(k) for k in ("sup", "converged", "error")} for r in ref
+    ]
+    if max_iter == 2 and case == "flat_obstacle":
+        assert {p["converged"] for p in probes} == {True, False}
 
 
 def test_uniqueness_probes_sphere_geodesic():
