@@ -4,37 +4,38 @@ The bi-exponential map sends initial covariant acceleration and jerk (y, z)
 to the endpoint position and velocity of the trajectory ODE started at
 (p, v).  When its differential in (y, z) is invertible, prescribing both
 endpoint positions and velocities is a well-posed local problem; the solver
-is a damped Newton iteration on that map with a finite-difference Jacobian.
+is a damped Newton iteration on that map.
 
-The Newton iteration runs on the discretized flow: residual, Jacobian and
-the returned trajectory all share one RK4 grid, so convergence is
-measured against the same curve the caller receives.  They also share one
-flow pass: each line-search trial integrates the trial (y, z) together with
-the 4n perturbations of its central-difference Jacobian, so on a given
-grid a solve costs 1 + (line-search trials) passes and nothing is
-re-integrated after it converges.
+The differential is the bundle of Jacobi fields vanishing to first order
+at the start, read at the end: the bundle whose rank drops the biconjugate
+scan looks for (``jacobi.shooting_jacobian``), so a singular shooting
+Jacobian and a biconjugate endpoint are one test.  Residual, Jacobian and
+returned trajectory all come from one RK4 pass of the trial (y, z), so
+convergence is measured against the curve the caller receives; on a given
+grid a solve costs 1 + (line-search trials) passes, and only accepted
+iterates march their field bundle.
 
 Unless the caller fixes the step, the grid is chosen by error control:
 step doubling (Richardson's h^4 estimate) on the seed's endpoint and
 Jacobian picks the step count for a relative error of 1e-9, and a miss
 at the solution doubles the count and resumes Newton there.  Each pass
-then carries its half-grid twin, the same rows on half the steps,
-marched as a second row group of the same pass, so the estimate at the
+then carries its half-grid twin, the same (y, z) on half the steps,
+marched as a second row of the same pass, so the estimate at the
 solution costs no pass of its own.  That adds one pilot pass, and one
 pass per doubling, to the count above.
 
 A solve is a generator of shooting requests (``_solve``, with Newton in
 ``_newton``); ``_lockstep`` drives several of them together, marching
-the pending requests of all of them as the row groups of one flow pass
-per round.  ``solve_bvp`` drives one; the uniqueness probes in
+the pending requests of all of them as the rows of one flow pass per
+round.  ``solve_bvp`` drives one; the uniqueness probes in
 ``oracle`` drive their sub-window solves and jet replays at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
     NumericalError,
     PlannerError,
 )
+from .jacobi import shooting_jacobian
 
 __all__ = [
     "BoundaryData",
@@ -95,7 +97,6 @@ class ShootingResult:
     z: np.ndarray
     trajectory: Trajectory
     residual: float
-    jacobian_condition: float
     iterations: int
     #: segments of the returned trajectory
     steps: int
@@ -103,6 +104,14 @@ class ShootingResult:
     #: and the tolerance it was held to; both None on a grid the caller fixed
     estimate: float | None
     tol: float | None
+    _shot: _Shot = field(repr=False)
+
+    @property
+    def jacobian_condition(self) -> float:
+        """sigma_max / sigma_min of the Jacobian at the returned (y, z),
+        built on first use: the uniqueness probes never read it."""
+        sv = np.linalg.svd(self._shot.jacobian(), compute_uv=False)
+        return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
 def hermite_seed(boundary: BoundaryData) -> tuple[np.ndarray, np.ndarray]:
@@ -118,40 +127,28 @@ def hermite_seed(boundary: BoundaryData) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * c2, 6.0 * c3
 
 
-def _fd_rows(y, z):
-    """Perturbation bundle for the central-difference Jacobian in (y, z).
-
-    Row layout: (y+he_1, y-he_1, ..., z+he_n, z-he_n); one shared step per
-    the documented 1e-5 relative rule.
-    """
-    n = y.size
-    step = 1e-5 * (1.0 + float(np.linalg.norm(np.concatenate([y, z]))))
-    ys = np.tile(y, (4 * n, 1))
-    zs = np.tile(z, (4 * n, 1))
-    for i in range(n):
-        ys[2 * i, i] += step
-        ys[2 * i + 1, i] -= step
-        zs[2 * n + 2 * i, i] += step
-        zs[2 * n + 2 * i + 1, i] -= step
-    return ys, zs, step
-
-
 @dataclass
 class _Shot:
-    """One flow pass at a trial (y, z): its endpoint, its curve, its Jacobian."""
+    """One flow pass at a trial (y, z): its curve, endpoint and Jacobian."""
 
-    end: np.ndarray
     trajectory: Trajectory
-    _jacobian: np.ndarray | None
-    _failure: Exception | None
     #: the same (y, z) on half the steps, or that pass's failure
     _twin: "_Shot | Exception | None" = None
 
+    @property
+    def end(self) -> np.ndarray:
+        return np.concatenate([self.trajectory.qs[-1], self.trajectory.vs[-1]])
+
+    @cached_property
+    def linearization(self):
+        """(Jacobian, whether the scan's rank test flags the endpoint),
+        off the curve's Jacobi field bundle (``shooting_jacobian``)."""
+        traj = self.trajectory
+        return shooting_jacobian(traj.chart, traj.potential, traj)
+
     def jacobian(self) -> np.ndarray:
-        """d(q(t), qdot(t)) / d(y, z); raises the perturbation bundle's failure."""
-        if self._failure is not None:
-            raise self._failure
-        return self._jacobian
+        """d(q(T), qdot(T)) / d(y, z)."""
+        return self.linearization[0]
 
     def twin(self) -> "_Shot":
         """The half-grid twin's shot; raises its trial's failure."""
@@ -161,64 +158,40 @@ class _Shot:
 
 
 class _Request:
-    """One shooting pass: the row groups ``_flow`` marches for it, and the
+    """One shooting pass: the rows ``_flow`` marches for it, and the
     ``_Shot`` made of their results.
 
     The trial (y, z) from (p, v) over [t0, t0 + t] on ``steps`` steps is
-    row 0 and is stored at every node; with ``fd`` the 4n rows of its
-    ``_fd_rows`` bundle follow.  With ``twin`` the same rows march again
-    on steps / 2 at twice the step, as a second group, for the
-    step-doubling estimate.
+    one row, stored at every node.  With ``twin`` the same row marches
+    again on steps / 2 at twice the step, for the step-doubling estimate.
     """
 
-    def __init__(self, p, v, y, z, t, steps, t0=0.0, fd=True, twin=False):
-        y = np.asarray(y, float)
-        z = np.asarray(z, float)
-        n = y.size
-        ys, zs, self.step = _fd_rows(y, z) if fd else (np.empty((0, n)), np.empty((0, n)), None)
-        u = np.empty((1 + len(ys), 4, n))
-        u[:, 0] = p
-        u[:, 1] = v
-        u[0, 2], u[0, 3] = y, z
-        u[1:, 2], u[1:, 3] = ys, zs
-        self.groups = [(u, t0, t / steps, steps)]
+    def __init__(self, p, v, y, z, t, steps, t0=0.0, twin=False):
+        u = np.array([p, v, y, z], float)
+        self.rows = [(u, t0, t / steps, steps)]
         if twin:
-            self.groups.append((u, t0, t / (steps // 2), steps // 2))
+            self.rows.append((u, t0, t / (steps // 2), steps // 2))
 
     def finish(self, flows) -> _Shot:
-        """The shot from the ``_flow`` results of ``groups``.
+        """The shot from the ``_flow`` results of ``rows``.
 
         A failure of the trial raises, exactly as a flow of the trial alone
-        would.  A perturbation row that goes nonfinite or leaves the chart
-        only drops the bundle: its error is kept and raised by
-        ``_Shot.jacobian``, so it surfaces only if the caller uses this
-        trial's Jacobian.  The twin's failures are kept the same way, for
-        ``_Shot.twin``.
+        would.  The twin's failure is kept for ``_Shot.twin``.
         """
-        shot = self._shot(*flows[0])
-        if len(flows) > 1:
-            try:
-                shot._twin = self._shot(*flows[1])
-            except (ChartEscapeError, NumericalError) as err:
-                shot._twin = err
+        (trajectory, failure), *twin = flows
+        if failure is not None:
+            raise failure
+        shot = _Shot(trajectory)
+        if twin:
+            [(trajectory, failure)] = twin
+            shot._twin = _Shot(trajectory) if failure is None else failure
         return shot
 
-    def _shot(self, trajectory, u, failure) -> _Shot:
-        if trajectory is None:
-            raise failure
-        end = np.concatenate([u[0, 0], u[0, 1]])
-        jac = None
-        if self.step is not None and failure is None:
-            vals = np.concatenate([u[1:, 0], u[1:, 1]], axis=1)  # rows: perturbations
-            jac = ((vals[0::2] - vals[1::2]) / (2.0 * self.step)).T
-        return _Shot(end, trajectory, jac, failure)
 
-
-def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0, fd=True) -> _Shot:
-    """Integrate the trial (y, z) and, with ``fd``, its ``_fd_rows`` bundle,
-    in one pass (see ``_Request``)."""
-    req = _Request(p, v, y, z, t, steps, t0, fd)
-    return req.finish(_flow(chart, potential, req.groups))
+def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0) -> _Shot:
+    """Integrate the trial (y, z) in one pass (see ``_Request``)."""
+    req = _Request(p, v, y, z, t, steps, t0)
+    return req.finish(_flow(chart, potential, req.rows))
 
 
 def _lockstep(chart, potential, problems):
@@ -226,8 +199,8 @@ def _lockstep(chart, potential, problems):
 
     Each generator yields a ``_Request`` and is sent its ``_Shot``, or has
     the trial's ChartEscapeError or NumericalError thrown in.  Each round
-    marches the pending requests of all live generators as the row groups
-    of one pass.  Returns one (value, error) per generator: what it
+    marches the pending requests of all live generators as the rows of
+    one pass.  Returns one (value, error) per generator: what it
     returned, or the PlannerError it raised.
     """
     out = [None] * len(problems)
@@ -245,9 +218,9 @@ def _lockstep(chart, potential, problems):
         advance(i, gen.send, None)
     while pending:
         batch, pending = pending, {}
-        flows = iter(_flow(chart, potential, [g for req in batch.values() for g in req.groups]))
+        flows = iter(_flow(chart, potential, [r for req in batch.values() for r in req.rows]))
         for i, req in batch.items():
-            results = [next(flows) for _ in req.groups]
+            results = [next(flows) for _ in req.rows]
             try:
                 shot = req.finish(results)
             except (ChartEscapeError, NumericalError) as err:
@@ -260,12 +233,13 @@ def _lockstep(chart, potential, problems):
 def biexp(chart, potential, p, v, y, z, t, h=None):
     """(q(t), qdot(t)) for the trajectory started at the 4-jet (p, v, y, z)."""
     steps, _ = grid_steps(t, h)
-    q, qd = np.split(_shoot(chart, potential, p, v, y, z, t, steps, fd=False).end, 2)
+    q, qd = np.split(_shoot(chart, potential, p, v, y, z, t, steps).end, 2)
     return q, qd
 
 
 def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
-    """d(q(t), qdot(t)) / d(y, z) by central finite differences.
+    """d(q(t), qdot(t)) / d(y, z), off the Jacobi fields of the integrated
+    curve on its own grid (``jacobi.shooting_jacobian``).
 
     Columns ordered (y_1..y_n, z_1..z_n); row blocks (q; qdot).
     """
@@ -299,8 +273,9 @@ def _richardson(fine: _Shot, coarse: _Shot) -> float:
     ``coarse`` is the same (y, z) shot on half the steps.  RK4 errors fall
     as h^4, so the error of the fine shot is about |fine - coarse| / 15
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Both the endpoint
-    and the finite-difference Jacobian count: a curve at rest has an exact
-    endpoint on any grid while its Jacobian still carries the step error.
+    and the Jacobian, each shot's own field bundle, count: a curve at rest
+    has an exact endpoint on any grid while its Jacobian still carries the
+    step error of the fields.
     """
     e = np.linalg.norm(fine.end - coarse.end) / (1.0 + np.linalg.norm(fine.end))
     J = fine.jacobian()
@@ -325,9 +300,8 @@ def _newton(shoot, shot, y, z, target, tol, max_iter):
     for _ in range(max_iter):
         if rn <= tol:
             break
-        J = shot.jacobian()
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] < 1e-12 * sv[0]:
+        J, biconjugate = shot.linearization
+        if biconjugate:
             raise CriticalPointError(
                 "bi-exponential differential is singular at the current iterate; "
                 "the endpoint may be close to biconjugate"
@@ -371,14 +345,16 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     The residual stacks the chart-coordinate position mismatch over the
     velocity mismatch.  Globalization is backtracking on the residual
     norm (factor 0.5, at most 20 halvings); a trial that escapes the chart
-    only rejects that trial.  Nonconvergence carries the best iterate;
-    a singular Jacobian raises CriticalPointError since it is exactly the
-    degeneracy that signals possible biconjugacy.
+    only rejects that trial.  Nonconvergence carries the best iterate.
+    The Jacobian is the Jacobi field bundle of the iterate's curve read at
+    the end (``biexp_jacobian``); when the scan's rank test, normalized
+    for the window length, flags that end as biconjugate, Newton raises
+    CriticalPointError.
 
     An explicit ``h`` fixes the grid (``grid_steps``).  With ``h`` None
     the step count is chosen by error control.  Every pass then carries
     its half-grid twin: the same (y, z) on half the steps, marched as a
-    second row group of the same pass.  The seed is shot at
+    second row of the same pass.  The seed is shot at
     2 * _PILOT_STEPS steps, with its twin at _PILOT_STEPS; the
     step-doubling estimate of the endpoint and Jacobian error
     (``_richardson``) predicts by the h^4 law an even count N that meets
@@ -389,10 +365,11 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     N, that estimate and the tolerance; the estimate exceeds the
     tolerance only when N would double past ``_MAX_STEPS``.
 
-    Each trial is one pass that also yields the Jacobian and the
-    trajectory there, so on a fixed grid a solve makes 1 + (accepted
-    trials) + (rejected trials) flow passes: the seed's, then one per
-    line-search trial.  Error control adds the pilot pass (which doubles
+    Each trial is one pass that yields the residual and the trajectory
+    there, whose field bundle gives the Jacobian when the trial is
+    accepted, so on a fixed grid a solve makes 1 + (accepted trials) +
+    (rejected trials) flow passes: the seed's, then one per line-search
+    trial.  Error control adds the pilot pass (which doubles
     as the seed's pass when N = 2 * _PILOT_STEPS) and, on each doubling,
     the seed's pass on the new grid; no pass is made on N/2 alone.
     """
@@ -443,16 +420,14 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
                 break
             steps *= 2
 
-    sv = np.linalg.svd(shot.jacobian(), compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return ShootingResult(y, z, shot.trajectory, rn, cond, iterations, steps, estimate, step_tol)
+    return ShootingResult(y, z, shot.trajectory, rn, iterations, steps, estimate, step_tol, shot)
 
 
 def _integrate(chart, initial: CurveState, T: float, h=None):
     """``integrate_ivp`` as a one-request generator, for ``_lockstep``."""
     steps, _ = grid_steps(T, h)
     chart.check_point(initial.q, "initial point")
-    req = _Request(initial.q, initial.v, initial.a, initial.j, T, steps, float(initial.t), fd=False)
+    req = _Request(initial.q, initial.v, initial.a, initial.j, T, steps, float(initial.t))
     return (yield req).trajectory
 
 

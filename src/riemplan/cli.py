@@ -132,9 +132,9 @@ def _plan_trajectory(scenario):
             scenario.chart,
             scenario.potential,
             scenario.boundary,
-            n_seeds=int(opts.get("seeds", 10)),
+            n_seeds=opts.get("seeds", 10),
             rng_seed=scenario.seed,
-            spread=float(opts.get("spread", 1.0)),
+            spread=opts.get("spread", 1.0),
             h=scenario.step,
         )
         if not results:
@@ -145,7 +145,7 @@ def _plan_trajectory(scenario):
         scenario.potential,
         scenario.boundary,
         h=scenario.step,
-        max_iter=int(opts.get("max_iter", 50)),
+        max_iter=opts.get("max_iter", 50),
     )
     return res, None
 
@@ -185,30 +185,20 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
-    grid = args.grid if args.grid is not None else scenario.verify.get("grid")
-    if grid is not None and grid < 1:
-        raise ConfigError(f"scan grid must be a positive sample count, got {grid}")
     traj = _obtain_trajectory(scenario, args)
-    t1 = args.t1 if args.t1 is not None else scenario.verify.get("t1", traj.ts[0])
     report = biconjugate_scan(
         scenario.chart,
         scenario.potential,
         traj,
-        t1=float(t1),
-        grid=grid,
+        t1=scenario.verify.get("t1", traj.ts[0]),
+        grid=scenario.verify.get("grid"),
     )
     _write_json(scenario.out / "biconjugate.json", report.to_dict())
     return EXIT_OK
 
 
 def cmd_sweep(scenario, args) -> int:
-    if args.lambdas is not None:
-        lams = [float(v) for v in args.lambdas.split(",") if v != ""]
-    else:
-        lams = [float(v) for v in scenario.sweep.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0])]
-    if not lams:
-        raise ConfigError("sweep needs a nonempty lambda grid")
-
+    lams = scenario.sweep.get("lambdas", [0.0, 0.25, 0.5, 0.75, 1.0])
     base = scenario.potential
     results = continuation_sweep(
         scenario.chart,
@@ -238,14 +228,13 @@ def cmd_sweep(scenario, args) -> int:
 def cmd_oracle_compare(scenario, args) -> int:
     traj = _obtain_trajectory(scenario, args)
     opts = scenario.oracle
-    nodes = args.nodes if args.nodes is not None else int(opts.get("nodes", 400))
     path = minimize_discrete(
         scenario.chart,
         scenario.potential,
         scenario.boundary,
-        N=int(nodes),
-        method=str(opts.get("method", "newton")),
-        gtol=float(opts.get("gtol", 1e-7)),
+        N=opts.get("nodes", 400),
+        method=opts.get("method", "newton"),
+        gtol=opts.get("gtol", 1e-7),
     )
     payload = compare_with_trajectory(scenario.chart, scenario.potential, path, traj)
     payload["grad_sup"] = path.grad_sup
@@ -304,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config, step=args.step, seed=args.seed, out=args.out)
+        flags = {key: getattr(args, key, None) for key in ("grid", "t1", "nodes", "lambdas")}
+        scenario = load_scenario(args.config, step=args.step, seed=args.seed, out=args.out, flags=flags)
         return _COMMANDS[args.command](scenario, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ all schema knowledge lives here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +72,7 @@ def _options(raw, where):
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    return dict(raw)
+    return {key: value for key, value in raw.items() if value is not None}  # null: the default
 
 
 def _count(raw, where, least, what):
@@ -87,8 +89,56 @@ def _count(raw, where, least, what):
     return value
 
 
-def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
-    """Validate a raw config mapping; keyword overrides win over the file."""
+def _real(raw, where, least=None, strict=False):
+    """A finite number, at least ``least`` (above it with ``strict``) if given."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    if least is not None and (value < least or strict and value == least):
+        raise ConfigError(f"{where} must be {'above' if strict else 'at least'} {least:g}, got {value:g}")
+    return value
+
+
+def _lambdas(raw, where):
+    """A continuation grid: a nonempty list of numbers starting at 0."""
+    if isinstance(raw, str):  # the command line's comma-separated grid
+        raw = [v for v in raw.split(",") if v]
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"{where} must be a nonempty list of numbers, got {raw!r}")
+    lams = [_real(v, f"{where}[{i}]") for i, v in enumerate(raw)]
+    if lams[0] != 0.0:
+        raise ConfigError(f"{where} must start at 0, got {lams[0]:g}")
+    return lams
+
+
+def _method(raw, where):
+    if raw not in ("newton", "gd"):
+        raise ConfigError(f"{where} must be 'newton' or 'gd', got {raw!r}")
+    return raw
+
+
+# (block, key, check(raw, where) -> value) for every option a command reads
+_CHECKS = (
+    ("verify", "grid", partial(_count, least=1, what="a positive sample count")),
+    ("verify", "basis", partial(_count, least=2, what="at least 2 spline profiles")),
+    ("verify", "t1", _real),
+    ("solver", "max_iter", partial(_count, least=0, what="at least 0")),
+    ("solver", "seeds", partial(_count, least=1, what="at least 1")),
+    ("solver", "spread", partial(_real, least=0.0)),
+    ("oracle", "nodes", partial(_count, least=6, what="at least 6 segments")),
+    ("oracle", "gtol", partial(_real, least=0.0, strict=True)),
+    ("oracle", "method", _method),
+    ("sweep", "lambdas", _lambdas),
+)
+
+
+def scenario_from_dict(cfg: dict, step=None, seed=None, out=None, flags=None) -> Scenario:
+    """Validate a raw config mapping; keyword overrides win over the file,
+    and so do ``flags``, command-line option values by key (None: not
+    given).  Every option a command reads is checked here, before any work."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario config must be a JSON object")
     unknown = sorted(set(cfg) - _TOP_KEYS)
@@ -104,10 +154,7 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
     interval = cfg["interval"]
     if not isinstance(interval, (list, tuple)) or len(interval) != 2:
         raise ConfigError("interval must be [a, b]")
-    try:
-        a, b = float(interval[0]), float(interval[1])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("interval entries must be numbers") from exc
+    a, b = (_real(x, "interval entry") for x in interval)
     if not b > a:
         raise ConfigError(f"interval needs b > a, got [{a}, {b}]")
 
@@ -131,28 +178,24 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
     if step is None:
         step = cfg.get("step")
     if step is not None:
-        step = float(step)
-        if not step > 0:
-            raise ConfigError(f"step must be positive, got {step}")
+        step = _real(step, "step", 0.0, strict=True)
 
     if seed is None:
         seed = cfg.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("seed must be an integer") from exc
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    seed = _count(seed, "seed", 0, "an unsigned 64-bit integer")
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
     out = Path(out if out is not None else cfg.get("out", "out"))
 
-    verify = _options(cfg.get("verify"), "verify")
-    for key, least, what in (
-        ("grid", 1, "a positive sample count"),
-        ("basis", 2, "at least 2 spline profiles"),
-    ):
-        if verify.get(key) is not None:
-            verify[key] = _count(verify[key], f"verify.{key}", least, what)
+    blocks = {name: _options(cfg.get(name), name) for name in ("solver", "verify", "sweep", "oracle")}
+    flags = flags or {}
+    for block, key, check in _CHECKS:
+        where = f"{block}.{key}"
+        if flags.get(key) is not None:
+            blocks[block][key], where = flags[key], f"--{key}"
+        if key in blocks[block]:
+            blocks[block][key] = check(blocks[block][key], where)
 
     return Scenario(
         manifold=str(cfg["manifold"]),
@@ -162,14 +205,11 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None) -> Scenario:
         step=step,
         seed=seed,
         out=out,
-        solver=_options(cfg.get("solver"), "solver"),
-        verify=verify,
-        sweep=_options(cfg.get("sweep"), "sweep"),
-        oracle=_options(cfg.get("oracle"), "oracle"),
+        **blocks,
     )
 
 
-def load_scenario(path, step=None, seed=None, out=None) -> Scenario:
+def load_scenario(path, step=None, seed=None, out=None, flags=None) -> Scenario:
     """Load and validate a scenario JSON file.
 
     Malformed JSON reports the file, line, and column; schema problems
@@ -186,4 +226,4 @@ def load_scenario(path, step=None, seed=None, out=None) -> Scenario:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from exc
-    return scenario_from_dict(cfg, step=step, seed=seed, out=out)
+    return scenario_from_dict(cfg, step=step, seed=seed, out=out, flags=flags)

@@ -21,14 +21,16 @@ given one: it compares passes on N and N/2 steps (step doubling) and
 picks N so that the estimate meets a fixed tolerance.
 
 ``integrate_ivp`` and ``bvp``'s shooting passes share one march,
-``_flow``.  It marches a list of row groups in one loop, one
+``_flow``.  It marches a list of curves, one row each, in one loop, one
 ``_rk4_step`` call per step for all of them (bench/layers.py traces that
-call here).  Each group has its own start time, step, step count, stored
-head row and failure, and leaves the batch when it finishes or fails.
+call here).  Each row has its own start time, step and step count, is
+stored at every node, and leaves the batch when it finishes or fails.
 The right-hand side acts row by row, so a row marched in a batch gets the
 same bits as marched alone; a step costs about the same at 5 rows as at
 100, so passes that can run together (a shot and its half-grid twin,
-the uniqueness probes' sub-window solves) are marched as one.
+the uniqueness probes' sub-window solves) are marched as one.  Nothing
+here linearizes the flow: shooting reads its Jacobian off the Jacobi
+field bundle of the stored curve (``jacobi``).
 """
 
 from __future__ import annotations
@@ -195,73 +197,50 @@ class Trajectory:
 
 
 def _flow_failure(u, chart, t):
-    """The error for a flow batch that went nonfinite or left the chart, else None."""
+    """The error for a row (4, n) that went nonfinite or left the chart, else None."""
     if not np.isfinite(u).all():
         return NumericalError(f"nonfinite state at t = {t:.6g}")
-    if not chart.contains(u[:, 0]).all():
+    if not np.all(chart.contains(u[0])):
         return ChartEscapeError("trajectory left the chart domain", t)
     return None
 
 
-class _Group:
-    """One row group of a ``_flow`` march: its rows, grid, head nodes, failure."""
+class _Row:
+    """One row of a ``_flow`` march: its grid, its nodes and its failure."""
 
     def __init__(self, u, t0, h, steps):
-        self.u, self.t0, self.h, self.steps = u, t0, h, steps
-        self.nodes = np.empty((steps + 1,) + u.shape[1:])
-        self.nodes[0] = u[0]
+        self.t0, self.h, self.steps = t0, h, steps
+        self.nodes = np.empty((steps + 1,) + u.shape)
+        self.nodes[0] = u
         self.failure = None
 
-    def settle(self, u, k, chart, check):
-        """Take the group's rows after step k, checking them if ``check``.
-
-        A failed head ends the group (``u`` None); a failure of another
-        row keeps the head alone.
-        """
-        if check:
-            t = self.t0 + k * self.h
-            err = _flow_failure(u, chart, t)
-            if err is not None:
-                self.failure = _flow_failure(u[:1], chart, t)
-                if self.failure is not None:
-                    self.u = None
-                    return
-                self.failure, u = err, u[:1]
-        self.u = u
-        self.nodes[k] = u[0]
-
     def result(self, chart, potential):
-        if self.u is None:
-            return None, None, self.failure
+        if self.failure is not None:
+            return None, self.failure
         nodes = self.nodes
         traj = Trajectory(
             chart, potential, self.t0 + self.h * np.arange(self.steps + 1),
             nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
         )
-        return traj, self.u, self.failure
+        return traj, None
 
 
-def _flow(chart, potential, groups):
-    """March row groups in one loop, one ``_rk4_step`` call per step.
+def _flow(chart, potential, rows):
+    """March curves as the rows of one loop, one ``_rk4_step`` call per step.
 
-    ``groups`` lists (u, t0, h, steps): jet stacks u of shape
-    (rows, 4, n), each with its own start time, step and step count.
-    Returns one (trajectory, u, failure) per group.  Row 0 of a group,
-    its head, is stored at every node and returned as a Trajectory, with
-    the group's final rows.  A failure of the head (nonfinite, or out of
-    the chart) ends the group and returns (None, None, error); a failure
-    of any other row drops the group's other rows from the rest of its
-    march and is returned as ``failure``, else None.  A group leaves the
-    batch when it finishes or fails; the others march on unchanged.
+    ``rows`` lists (u, t0, h, steps): a jet stack u of shape (4, n) with
+    its own start time, step and step count.  Returns one
+    (trajectory, None) per row, or (None, error) for a row that went
+    nonfinite (NumericalError) or left the chart (ChartEscapeError).  A
+    row leaves the batch when it finishes or fails; the others march on
+    unchanged.
     """
-    groups = [_Group(*g) for g in groups]
-    live, k = groups, 0
+    rows = [_Row(*r) for r in rows]
+    live, k = rows, 0
     while live:
-        sizes = [len(g.u) for g in live]
-        heads = np.cumsum([0] + sizes[:-1]).tolist()
-        u = np.concatenate([g.u for g in live])
-        h = np.repeat([g.h for g in live], sizes)[:, None, None]
-        end = min(g.steps for g in live)
+        u = np.stack([r.nodes[k] for r in live])
+        h = np.array([r.h for r in live])[:, None, None]
+        end = min(r.steps for r in live)
         while True:
             # a module global, so a wrapper on dynamics._rk4_step sees every step
             u = _rk4_step(chart, potential, u, h)
@@ -269,12 +248,14 @@ def _flow(chart, potential, groups):
             failed = not (np.isfinite(u).all() and chart.contains(u[:, 0]).all())
             if failed or k == end:
                 break
-            for g, i in zip(live, heads):
-                g.nodes[k] = u[i]
-        for g, i, n in zip(live, heads, sizes):
-            g.settle(u[i : i + n], k, chart, failed)
-        live = [g for g in live if g.u is not None and k < g.steps]
-    return [g.result(chart, potential) for g in groups]
+            for r, row in zip(live, u):
+                r.nodes[k] = row
+        for r, row in zip(live, u):
+            if failed:
+                r.failure = _flow_failure(row, chart, r.t0 + k * r.h)
+            r.nodes[k] = row
+        live = [r for r in live if r.failure is None and k < r.steps]
+    return [r.result(chart, potential) for r in rows]
 
 
 def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | None = None) -> Trajectory:
@@ -293,7 +274,7 @@ def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | No
     )
     if u.ndim != 2:
         raise ValueError("integrate_ivp expects an unbatched initial state")
-    [(traj, _, failure)] = _flow(chart, potential, [(u[None], float(initial.t), h, N)])
+    [(traj, failure)] = _flow(chart, potential, [(u, float(initial.t), h, N)])
     if traj is None:
         raise failure
     return traj

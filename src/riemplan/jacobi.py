@@ -23,7 +23,9 @@ midpoint in one call (``operator_table``), and each classical RK4 step of
 the march is the product of u with a precomputed step matrix.  A bundle
 of fields marches as one matrix; off-node values take one partial step
 out of the enclosing node through the same operator.  The second-variation
-forms in ``index`` read F(X, qdot) + nab_X grad V off the same table.
+forms in ``index`` read F(X, qdot) + nab_X grad V off the same table, and
+shooting in ``bvp`` reads its Jacobian off the scan's bundle at the last
+node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk4
-from .dynamics import CurveState, Trajectory
+from .dynamics import CurveState, Trajectory, quadrature_weights
 from .errors import ConstructionError, ResolutionWarning
 from .geometry import parallel_transport
 
@@ -52,6 +54,7 @@ __all__ = [
     "jacobi_operator",
     "operator_table",
     "propagate_jacobi",
+    "shooting_jacobian",
     "biconjugate_scan",
     "negative_direction",
 ]
@@ -242,6 +245,31 @@ def _basis_bundle(n):
 def _boundary_matrix(u):
     """2n x 2n matrix whose columns are (X_i, DX_i) of the bundle solutions."""
     return np.concatenate([u[..., 0, :], u[..., 1, :]], axis=-1).swapaxes(-1, -2)
+
+
+def shooting_jacobian(chart, potential, trajectory: Trajectory):
+    """d(q(T), qdot(T)) / d(y, z) off the scan's field bundle from the first node.
+
+    Field y_i (z_i) starts with X = DX = 0 and unit D2X (D3X), so dq = X(T)
+    and dqdot = DX(T) - Gamma(qdot(T), X(T)).  Returns the Jacobian, row
+    blocks (q; qdot), and whether the scan's rank test (sigma ratio at most
+    1e-8) flags T.  The test reads the boundary matrix in the scan's
+    determinant normalization: DX rows times T, y columns over T^2 and z
+    columns over T^3, which makes the flat matrix the same for every T, so
+    a short window is not mistaken for a rank drop.
+    """
+    n = chart.dim
+    nodes, mids = operator_table(chart, potential, trajectory)
+    u = rk4.march(
+        nodes[:-1], mids, nodes[1:], trajectory.h, _flat(_basis_bundle(n)), trajectory.ts,
+        "perturbation field blew up",
+    )[-1].reshape(2 * n, 4, n)
+    T = trajectory.T
+    M = _boundary_matrix(u) * np.repeat([1.0, T], n)[:, None] * np.repeat([T**-2, T**-3], n)
+    sv = np.linalg.svd(M, compute_uv=False)
+    X = u[:, 0]
+    qdot = u[:, 1] - chart.gamma(trajectory.qs[-1], trajectory.vs[-1], X)
+    return np.concatenate([X, qdot], axis=1).T, bool(sv[-1] <= _SIGMA_RATIO * sv[0])
 
 
 @dataclass
@@ -521,11 +549,7 @@ def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: 
             if not has_x and bump is None:
                 continue
             grid = _segment_nodes(a, b)
-            w = np.zeros(len(grid))
-            h = grid[1] - grid[0]
-            w[0] = w[-1] = h / 3.0
-            w[1:-1:2] = 4.0 * h / 3.0
-            w[2:-1:2] = 2.0 * h / 3.0
+            w = quadrature_weights(len(grid), grid[1] - grid[0])
             states = trajectory.interpolate(grid)
             Xj = np.zeros((len(grid), 4, n))
             if has_x:

@@ -368,12 +368,20 @@ def check_uniqueness_props(chart, potential, trajectory, rng_seed: int = 0) -> d
     and measures the sup distance to the stored restriction.  (b) Replays
     the curve from an interior 4-jet toward both ends; solutions are
     determined by any interior jet, forward and (with odd jets flipped)
-    backward.  Solver failures mark the report inconclusive, not failed.
+    backward.  Solver failures mark the report inconclusive, not failed,
+    and so does a grid of fewer than 6 segments, which has no room for
+    a sub-window or an interior jet: it gets no probes at all.
     """
-    rng = np.random.default_rng(rng_seed)
     ts, qs = trajectory.ts, trajectory.qs
     N = trajectory.segments
     h = trajectory.h
+    if N < 6:
+        return {
+            "restriction_probes": [], "restriction_pass": False, "jet_time": None,
+            "jet_forward_sup": None, "jet_backward_sup": None, "jet_pass": False,
+            "conclusive": False, "pass": False,
+        }
+    rng = np.random.default_rng(rng_seed)
     windows = []
     for _ in range(5):
         span = 2 * int(rng.integers(max(2, N // 16), max(3, N // 4)))

@@ -53,7 +53,8 @@ def march(A0, Am, A1, h, u, ts, what):
     (C..., M, m) for M states of each system; ts are the K+1 node times in
     march order.  Returns shape (K+1,) + u.shape.  Raises NumericalError
     "<what> near t = ..." at the first node whose state is nonfinite, the
-    last node included.
+    last node included.  Finiteness is checked once per chunk of steps: a
+    nonfinite state stays so, and the chunk's first is the march's first.
     """
     hs = np.broadcast_to(np.asarray(h, float), (len(A0),)).reshape((-1,) + (1,) * (A0.ndim - 1))
     states = np.empty((len(A0) + 1,) + u.shape)
@@ -61,9 +62,10 @@ def march(A0, Am, A1, h, u, ts, what):
     for lo in range(0, len(A0), _CHUNK):
         hi = lo + _CHUNK
         phi = step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], hs[lo:hi])
-        for k, mat in enumerate(phi.swapaxes(-1, -2), lo + 1):
-            u = u @ mat
-            if not np.all(np.isfinite(u)):
-                raise NumericalError(f"{what} near t = {float(ts[k]):.6g}")
-            states[k] = u
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, mat in enumerate(phi.swapaxes(-1, -2), lo + 1):
+                u = states[k] = u @ mat
+        bad = ~np.isfinite(states[lo + 1 : lo + 1 + len(phi)]).reshape(len(phi), -1).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"{what} near t = {float(ts[lo + 1 + np.argmax(bad)]):.6g}")
     return states

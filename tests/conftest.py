@@ -12,10 +12,12 @@ a deadline, so a run is reproducible and free of timing flakes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from riemplan import BoundaryData, GaussianObstacle, QuadraticWell, ZeroPotential, parse_manifold
+from riemplan import BoundaryData, GaussianObstacle, QuadraticWell, ZeroPotential, dynamics, parse_manifold
+from riemplan.dynamics import grid_steps
 
 settings.register_profile("riemplan", derandomize=True, deadline=None, database=None)
 settings.load_profile("riemplan")
@@ -85,3 +87,34 @@ def scenario():
         return chart, pot(chart), BoundaryData(q_a, v_a, q_b, v_b, a, b)
 
     return build
+
+
+@pytest.fixture
+def fd_jacobian():
+    """``fd_jacobian(chart, potential, p, v, y, z, t, h, rel=1e-5)``: central
+    differences of ``biexp`` in (y, z), one shared step rel * (1 + |(y, z)|).
+
+    A reference for ``biexp_jacobian`` that does not share its
+    linearization: columns (y_1..y_n, z_1..z_n), row blocks (q; qdot).
+    The 4n perturbed curves march as the rows of one ``dynamics._flow``
+    pass, which gives each the bits ``biexp`` gives it alone.
+    """
+
+    def jacobian(chart, potential, p, v, y, z, t, h, rel=1e-5):
+        yz = np.concatenate([y, z])
+        step = rel * (1.0 + float(np.linalg.norm(yz)))
+        N, h = grid_steps(t, h)
+        rows = [
+            (np.array([p, v, *np.split(x, 2)], float), 0.0, h, N)
+            for e in step * np.eye(len(yz))
+            for x in (yz + e, yz - e)
+        ]
+        ends = []
+        for traj, failure in dynamics._flow(chart, potential, rows):
+            if failure is not None:
+                raise failure
+            ends.append(np.concatenate([traj.qs[-1], traj.vs[-1]]))
+        ends = np.array(ends)
+        return ((ends[0::2] - ends[1::2]) / (2.0 * step)).T
+
+    return jacobian

@@ -16,6 +16,7 @@ from riemplan import (
     BoundaryData,
     ChartDomainError,
     ChartEscapeError,
+    CriticalPointError,
     CurveState,
     GaussianObstacle,
     NonconvergenceError,
@@ -91,8 +92,8 @@ def test_jacobian_small_time_determinant():
     assert abs(np.linalg.det(J) / (t**4 / 12) ** 2 - 1.0) < 1e-2
 
 
-def test_jacobian_fd_richardson():
-    # rebuild the stencil at half step; entries must already be settled
+def test_jacobian_fd_richardson(fd_jacobian):
+    # central differences at half the old 1e-5 step agree with the field bundle
     pot = GaussianObstacle(EUC2, (0.5, 0.25), amplitude=1.0, width=0.4)
     p = np.array([0.2, 0.1])
     v = np.array([0.4, -0.3])
@@ -100,16 +101,22 @@ def test_jacobian_fd_richardson():
     z = np.array([-0.5, 0.6])
     t, h = 0.6, 0.6 / 300
     J = biexp_jacobian(EUC2, pot, p, v, y, z, t, h=h)
-    step = 0.5 * 1e-5 * (1.0 + float(np.linalg.norm(np.concatenate([y, z]))))
-    J2 = np.empty((4, 4))
-    for c in range(4):
-        dy = np.zeros(2)
-        dz = np.zeros(2)
-        (dy if c < 2 else dz)[c % 2] = step
-        qp, qdp = biexp(EUC2, pot, p, v, y + dy, z + dz, t, h=h)
-        qm, qdm = biexp(EUC2, pot, p, v, y - dy, z - dz, t, h=h)
-        J2[:, c] = np.concatenate([qp - qm, qdp - qdm]) / (2.0 * step)
+    J2 = fd_jacobian(EUC2, pot, p, v, y, z, t, h, rel=0.5e-5)
     assert np.max(np.abs(J - J2)) / np.max(np.abs(J)) < 1e-6
+
+
+def test_jacobian_matches_converged_differences_on_long_window(scenario, fd_jacobian):
+    # on well_top_long the fields grow like e^t over T = 12, so central
+    # differences at a 1e-5 step leave the linear range (2.3e-3 relative
+    # error); at 1e-7 they have converged and must agree with the bundle
+    chart, pot, bd = scenario("well_top_long")
+    res = solve_bvp(chart, pot, bd)
+    h = bd.span / res.steps
+    J = biexp_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
+    ref = fd_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h, rel=1e-7)
+    assert np.linalg.norm(J - ref) / np.linalg.norm(ref) < 1e-6
+    sv = np.linalg.svd(ref, compute_uv=False)
+    assert res.jacobian_condition == pytest.approx(sv[0] / sv[-1], rel=1e-5)
 
 
 def test_solve_flat_hermite():
@@ -167,6 +174,29 @@ def test_nonconvergence_carries_best():
     best = err.value.best
     assert set(best) >= {"y", "z", "residual"}
     assert best["residual"] > 0.0
+
+
+def test_biconjugate_endpoint_is_a_critical_point(scenario):
+    # the rest state on the bump is first biconjugate at the clamped-beam
+    # root 4.7300...; the seed's curve toward a nearby endpoint there fails
+    # the scan's rank test at T (normalized sigma ratio 1.5e-9), so Newton
+    # stops
+    chart, pot, _ = scenario("well_top")
+    T = 4.730040744863
+    bd = BoundaryData(np.zeros(1), np.zeros(1), np.array([1e-3]), np.zeros(1), 0.0, T)
+    with pytest.raises(CriticalPointError, match="biconjugate"):
+        solve_bvp(chart, pot, bd, h=T / 2000)
+
+
+@pytest.mark.parametrize("T", [1e-4, 1e-5])
+def test_short_window_is_not_a_critical_point(T):
+    # the flat boundary matrix scales like T^2 / 12, so an unnormalized rank
+    # test would flag every short window; from a seed off the Hermite guess
+    # Newton must run and converge
+    bd = BoundaryData(np.zeros(2), np.array([0.3, -0.2]), np.array([0.3 * T, 0.0]), np.array([0.3, -0.2]), 0.0, T)
+    y, z = hermite_seed(bd)
+    res = solve_bvp(EUC2, ZeroPotential(EUC2), bd, seed=(1.1 * y, 0.9 * z))
+    assert res.iterations >= 1 and res.residual < 1e-10
 
 
 def test_boundary_validation():
@@ -232,9 +262,10 @@ def test_multi_seed_dedup():
 
 
 @pytest.mark.parametrize("name", ["flat_obstacle", "sphere_obstacle", "rotation"])
-def test_solve_returns_its_fused_pass(scenario, name):
+def test_solve_returns_its_fused_pass(scenario, fd_jacobian, name):
     # the returned curve and condition number come from the accepted trial's
-    # pass; they must equal a fresh integration and a fresh Jacobian there
+    # pass; they must equal a fresh integration and a fresh Jacobian there,
+    # and that Jacobian must match central differences of biexp
     chart, pot, bd = scenario(name)
     h = bd.span / 100
     res = solve_bvp(chart, pot, bd, h=h)
@@ -246,10 +277,13 @@ def test_solve_returns_its_fused_pass(scenario, name):
     ):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-14
-    sv = np.linalg.svd(
-        biexp_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h), compute_uv=False
-    )
+    J = biexp_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
+    sv = np.linalg.svd(J, compute_uv=False)
     assert res.jacobian_condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+    J_fd = fd_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
+    # the two linearizations differ by the RK4 error of the fields, here
+    # 1.9e-7 relative on sphere_obstacle at 100 steps
+    assert np.linalg.norm(J - J_fd) <= 1e-6 * np.linalg.norm(J_fd)
 
 
 def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
@@ -352,9 +386,10 @@ def test_step_estimate_is_not_optimistic(case, yz):
     assert error / 10.0 <= estimate <= 10.0 * error
 
 
-def test_perturbation_escape_surfaces_only_with_the_jacobian():
+def test_cap_touching_shot_has_a_finite_jacobian():
     # a radial geodesic on the capped disk, timed to end exactly on the cap:
-    # the trial stays in the chart, a perturbation row leaves it
+    # the trial stays in the chart, and its Jacobian, marched along the
+    # trial's own curve, needs no perturbed curve that could leave it
     V = ZeroPotential(H2)
     p, v, y, z = np.array([0.5, 0.0]), np.array([1.0, 0.0]), np.zeros(2), np.zeros(2)
     lo, hi = 0.1, 3.0
@@ -370,17 +405,13 @@ def test_perturbation_escape_surfaces_only_with_the_jacobian():
     shot = bvp._shoot(H2, V, p, v, y, z, T, 16)
     assert np.array_equal(shot.end, np.concatenate([q, qd]))
     assert np.array_equal(shot.trajectory.qs[-1], q)
-    with pytest.raises(ChartEscapeError):
-        shot.jacobian()
-    with pytest.raises(ChartEscapeError) as err:
-        biexp_jacobian(H2, V, p, v, y, z, T, h=T / 16)
-    assert 0.0 < err.value.escape_time <= T
-    # seeded at the exact solution: the solve converges at once and then
-    # needs the Jacobian for its condition number
+    J = biexp_jacobian(H2, V, p, v, y, z, T, h=T / 16)
+    assert np.all(np.isfinite(J)) and np.array_equal(J, shot.jacobian())
+    assert np.linalg.matrix_rank(J) == 4
+    # seeded at the exact solution: the solve converges at once and reports
+    # the condition number of that Jacobian
     bd = BoundaryData(p, v, q, qd, 0.0, T)
-    with pytest.raises(ChartEscapeError):
-        solve_bvp(H2, V, bd, seed=(y, z), h=T / 16)
-    # no iteration allowed: the Jacobian is never used, so the iteration cap
-    # is reported instead of the escape
-    with pytest.raises(NonconvergenceError):
-        solve_bvp(H2, V, bd, seed=(y, z), h=T / 16, max_iter=0)
+    res = solve_bvp(H2, V, bd, seed=(y, z), h=T / 16)
+    assert res.iterations == 0 and res.residual == 0.0
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert res.jacobian_condition == sv[0] / sv[-1]

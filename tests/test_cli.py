@@ -256,6 +256,46 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
     assert f"error: verify.{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, over, flags, key",
+    [
+        ("plan", {"solver": {"max_iter": -1}}, [], "solver.max_iter"),
+        ("plan", {"solver": {"max_iter": "abc"}}, [], "solver.max_iter"),
+        ("plan", {"solver": {"multi_seed": True, "seeds": 0}}, [], "solver.seeds"),
+        ("plan", {"solver": {"multi_seed": True, "spread": -1.0}}, [], "solver.spread"),
+        ("plan", {"solver": {"multi_seed": True, "spread": "nan"}}, [], "solver.spread"),
+        ("oracle-compare", {"oracle": {"nodes": 5}}, [], "oracle.nodes"),
+        ("oracle-compare", {}, ["--nodes", "3"], "--nodes"),
+        ("oracle-compare", {"oracle": {"gtol": 0}}, [], "oracle.gtol"),
+        ("oracle-compare", {"oracle": {"gtol": "inf"}}, [], "oracle.gtol"),
+        ("oracle-compare", {"oracle": {"method": "bfgs"}}, [], "oracle.method"),
+        ("sweep", {"sweep": {"lambdas": [0.0, "abc"]}}, [], "sweep.lambdas[1]"),
+        ("sweep", {"sweep": {"lambdas": [0.5, 1.0]}}, [], "sweep.lambdas"),
+        ("sweep", {"sweep": {"lambdas": []}}, [], "sweep.lambdas"),
+        ("sweep", {}, ["--lambdas", "0,x"], "--lambdas[1]"),
+        ("sweep", {}, ["--lambdas", "1,2"], "--lambdas"),
+        ("sweep", {}, ["--lambdas", ","], "--lambdas"),
+    ],
+)
+def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):
+    # a configuration error (exit 1) naming the option, before any work
+    cfg = write_cfg(tmp_path, **over)
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    assert f"error: {key} must " in capsys.readouterr().err
+
+
+def test_verify_on_a_grid_too_short_for_probes(tmp_path):
+    # 4 segments leave no room for a sub-window or an interior jet: the
+    # uniqueness block is inconclusive and empty, and verify still succeeds
+    cfg = write_cfg(tmp_path, potential=None, step=0.25, verify={"basis": 4})
+    assert main(["verify", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert payload["classification"] == "candidate"
+    uniqueness = payload["uniqueness"]
+    assert uniqueness["conclusive"] is False and uniqueness["pass"] is False
+    assert uniqueness["restriction_probes"] == []
+
+
 def test_verify_basis_needs_two_profiles(tmp_path, capsys):
     cfg = write_cfg(tmp_path, potential=None, verify={"basis": 1})
     assert main(["verify", "--config", str(cfg)]) == 1

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import riemplan.geometry.base
+from riemplan import rk4
 from riemplan import (
     ConstructionError,
     CurveState,
@@ -29,7 +30,6 @@ from riemplan import (
     ResolutionWarning,
     ZeroPotential,
     biconjugate_scan,
-    biexp_jacobian,
     integrate_ivp,
     negative_direction,
     parse_manifold,
@@ -220,11 +220,11 @@ def test_propagate_requires_start_time():
         propagate_jacobi(S2, pot, traj, JacobiState(0.5, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)))
 
 
-def fd_linearization_gap(chart, pot, st, T, h):
+def fd_linearization_gap(fd_jacobian, chart, pot, st, T, h):
     """Sup-norm gap between propagated fields and the FD endpoint Jacobian."""
     traj = integrate_ivp(chart, pot, st, T, h=h)
     n = chart.dim
-    J_fd = biexp_jacobian(chart, pot, st.q, st.v, st.a, st.j, T, h=h)
+    J_fd = fd_jacobian(chart, pot, st.q, st.v, st.a, st.j, T, h)
     zero = np.zeros((2 * n, n))
     jets = np.zeros((2 * n, 2, n))
     for i in range(n):
@@ -237,15 +237,15 @@ def fd_linearization_gap(chart, pot, st, T, h):
     return np.max(np.abs(J_prop - J_fd)) / np.max(np.abs(J_fd))
 
 
-def test_linearization_matches_fd_sphere():
+def test_linearization_matches_fd_sphere(fd_jacobian):
     pot, st, _ = sphere_case()
-    assert fd_linearization_gap(S2, pot, st, 1.0, None) < 1e-4
+    assert fd_linearization_gap(fd_jacobian, S2, pot, st, 1.0, None) < 1e-4
 
 
-def test_linearization_matches_fd_numeric_chart():
+def test_linearization_matches_fd_numeric_chart(fd_jacobian):
     # non-symmetric metric: the curvature-gradient terms must participate
     pot, _ = warped_case()
-    assert fd_linearization_gap(WARPED, pot, WARPED_START, 0.4, 0.4 / 60) < 1e-3
+    assert fd_linearization_gap(fd_jacobian, WARPED, pot, WARPED_START, 0.4, 0.4 / 60) < 1e-3
 
 
 def test_verdict_on_numeric_chart():
@@ -387,6 +387,21 @@ def test_bundle_overflow_on_last_step_raises():
         with pytest.raises(NumericalError, match="blew up") as err:
             _propagate_bundle(EUC1, pot, traj, traj.segments - steps, u0)
     assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(traj.T, rel=1e-5)
+
+
+@pytest.mark.parametrize("first", [3, 256, 257, 600])
+def test_march_reports_the_first_nonfinite_node(first):
+    # u' = u multiplies u by one factor per step, so the start value sets the
+    # first node to overflow: inside a 256-step chunk, on its last node, on
+    # the next chunk's first and on the march's last
+    K, h = 600, 0.5
+    A = np.ones((K, 1, 1))
+    f = rk4.step_matrices(A[0], A[0], A[0], h)[0, 0]
+    u0 = np.array([np.finfo(float).max / f ** (first - 0.5)])
+    ts = h * np.arange(K + 1)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+        rk4.march(A, A, A, h, u0, ts, "growth")
+    assert str(err.value) == f"growth near t = {ts[first]:.6g}"
 
 
 # chart, potential factory, initial state, window, segments
