@@ -7,6 +7,9 @@ sphere2         unit sphere, stereographic projection from the south pole
 hyperbolic2     curvature -1 plane, unit-disk model, radius capped at 0.95
 so3             rotation group, axis-angle chart, bi-invariant metric,
                 angle capped at pi - 0.2
+
+sphere2 and hyperbolic2 share one closed form for log and distance,
+written in chart coordinates (``_ConformalChart``).
 """
 
 from __future__ import annotations
@@ -69,9 +72,24 @@ class EuclideanChart(ManifoldChart):
 
 
 class _ConformalChart(ManifoldChart):
-    """g = e^{2 phi} * I on a disk-like domain; subclasses supply phi."""
+    """g = e^{2 phi} * I on a disk-like domain; subclasses supply phi.
+
+    Both subclasses are stereographic charts of a space of constant
+    curvature k = ``space_curvature`` = +-1, with e^phi = 2 / (1 + k|x|^2),
+    and share one closed form for log and distance in chart coordinates.
+    With A = 1 + k|x|^2, B = 1 + k|y|^2, u = y - x and s = |u|^2 / (AB),
+
+        s = sin^2(d/2) on the sphere,  sinh^2(d/2) on the disk,
+        log_x(y) = d / sqrt(s |1 - k s|) * A / (2B) * (u + k |u|^2 / A * x).
+
+    The ratio d / sqrt(s |1 - k s|) tends to 2 as s -> 0 and takes that
+    value at y = x, so log keeps its relative precision next to the base
+    point.  Subclasses give d(s) as ``_arc``; ``log`` raises
+    InjectivityError where d exceeds ``_log_cut``.
+    """
 
     curvature_kind = "constant_curvature"
+    _log_cut = np.inf
 
     def _phi_grad(self, x):
         raise NotImplementedError
@@ -135,6 +153,37 @@ class _ConformalChart(ManifoldChart):
         out -= np.einsum("...lk,ij->...lkij", ph, eye)
         return out
 
+    @staticmethod
+    def _arc(s):
+        """Geodesic distance d as a function of s."""
+        raise NotImplementedError
+
+    def _chord(self, x, y):
+        """u = y - x, |u|^2, A and B of the closed form."""
+        y = np.asarray(y, float)
+        k = self.space_curvature
+        u = y - x
+        uu = np.einsum("...a,...a->...", u, u)
+        A = 1.0 + k * np.einsum("...a,...a->...", x, x)
+        B = 1.0 + k * np.einsum("...a,...a->...", y, y)
+        return u, uu, A, B
+
+    def distance(self, x, y):
+        _, uu, A, B = self._chord(np.asarray(x, float), y)
+        return self._arc(uu / (A * B))
+
+    def log(self, x, y):
+        x = np.asarray(x, float)
+        u, uu, A, B = self._chord(x, y)
+        k = self.space_curvature
+        s = uu / (A * B)
+        d = self._arc(s)
+        if (d > self._log_cut).any():
+            raise InjectivityError(f"{self.name} log requested at or past the antipode")
+        root = np.sqrt(s * np.abs(1.0 - k * s))
+        ratio = np.divide(d, root, out=np.full_like(d, 2.0), where=s > 0)
+        return (ratio * A / (2.0 * B))[..., None] * (u + (k * uu / A)[..., None] * x)
+
 
 class Sphere2Chart(_ConformalChart):
     """Unit 2-sphere in stereographic coordinates.
@@ -148,6 +197,7 @@ class Sphere2Chart(_ConformalChart):
     name = "sphere2"
     space_curvature = 1.0
     radius_cap = 5.0
+    _log_cut = np.pi - 1e-6
 
     def _lam(self, x):
         r2 = np.einsum("...a,...a->...", x, x)
@@ -169,42 +219,10 @@ class Sphere2Chart(_ConformalChart):
         ok = np.all(np.isfinite(x), axis=-1)
         return ok & (np.einsum("...a,...a->...", x, x) <= self.radius_cap**2)
 
-    # embedding helpers (projection from the south pole (0,0,-1))
-    def embed(self, x):
-        x = np.asarray(x, float)
-        r2 = np.einsum("...a,...a->...", x, x)
-        d = 1.0 + r2
-        return np.stack(
-            [2 * x[..., 0] / d, 2 * x[..., 1] / d, (1.0 - r2) / d], axis=-1
-        )
-
-    def _push_to_chart(self, p, w):
-        """Differential of the chart map applied to an embedded tangent w at p."""
-        z = p[..., 2]
-        d = 1.0 + z
-        out0 = w[..., 0] / d - p[..., 0] * w[..., 2] / d**2
-        out1 = w[..., 1] / d - p[..., 1] * w[..., 2] / d**2
-        return np.stack([out0, out1], axis=-1)
-
     @staticmethod
-    def _angle(p, q):
-        """Great-circle distance of embedded points."""
-        cross = np.cross(p, q)
-        return np.arctan2(np.linalg.norm(cross, axis=-1), np.einsum("...a,...a->...", p, q))
-
-    def distance(self, x, y):
-        return self._angle(self.embed(np.asarray(x, float)), self.embed(np.asarray(y, float)))
-
-    def log(self, x, y):
-        p = self.embed(np.asarray(x, float))
-        q = self.embed(np.asarray(y, float))
-        d = self._angle(p, q)
-        w = q - np.einsum("...a,...a->...", p, q)[..., None] * p
-        wn = np.linalg.norm(w, axis=-1)
-        if np.any((d > np.pi - 1e-6) | ((wn < 1e-14) & (d > 1e-7))):
-            raise InjectivityError("sphere log requested at or past the antipode")
-        scale = np.where(wn > 0, d / np.where(wn > 0, wn, 1.0), 0.0)
-        return self._push_to_chart(p, scale[..., None] * w)
+    def _arc(s):
+        # 2 asin(sqrt(s)); this form stays defined where rounding puts s above 1
+        return 2.0 * np.arctan2(np.sqrt(s), np.sqrt(np.maximum(1.0 - s, 0.0)))
 
 
 class Hyperbolic2Chart(_ConformalChart):
@@ -235,37 +253,9 @@ class Hyperbolic2Chart(_ConformalChart):
         ok = np.all(np.isfinite(x), axis=-1)
         return ok & (np.einsum("...a,...a->...", x, x) <= self.radius_cap**2)
 
-    def _embed(self, x):
-        """Disk point to the standard two-sheeted hyperboloid."""
-        r2 = np.einsum("...a,...a->...", x, x)
-        d = 1.0 - r2
-        x0 = (1.0 + r2) / d
-        return np.stack([x0, 2 * x[..., 0] / d, 2 * x[..., 1] / d], axis=-1)
-
     @staticmethod
-    def _ldot(p, q):
-        return -p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
-
-    def distance(self, x, y):
-        p = self._embed(np.asarray(x, float))
-        q = self._embed(np.asarray(y, float))
-        c = np.maximum(-self._ldot(p, q), 1.0)
-        return np.arccosh(c)
-
-    def log(self, x, y):
-        p = self._embed(np.asarray(x, float))
-        q = self._embed(np.asarray(y, float))
-        pq = self._ldot(p, q)
-        d = np.arccosh(np.maximum(-pq, 1.0))
-        w = q + pq[..., None] * p
-        wn = np.sqrt(np.maximum(self._ldot(w, w), 0.0))
-        scale = np.where(wn > 0, d / np.where(wn > 0, wn, 1.0), 0.0)
-        w = scale[..., None] * w
-        # push the hyperboloid tangent back to disk coordinates
-        x0 = p[..., 0]
-        out = w[..., 1:] / (1.0 + x0)[..., None]
-        out -= p[..., 1:] * (w[..., 0] / (1.0 + x0) ** 2)[..., None]
-        return out
+    def _arc(s):
+        return 2.0 * np.arcsinh(np.sqrt(s))
 
 
 class SO3Chart(ManifoldChart):

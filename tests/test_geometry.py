@@ -13,18 +13,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riemplan import (
     ChartDomainError,
     ChartEscapeError,
     ConfigError,
+    InjectivityError,
     NumericalError,
     NumericChart,
     parallel_transport,
     parse_manifold,
     transport_frame,
 )
-from riemplan.geometry import Sphere2Chart
+from riemplan.geometry import ManifoldChart, Sphere2Chart
 
 RNG = np.random.default_rng(7)
 
@@ -244,6 +247,70 @@ def test_distance_basics():
     # symmetric within tolerance
     a, b = np.array([0.2, -0.4]), np.array([-0.1, 0.3])
     assert abs(float(S2.distance(a, b)) - float(S2.distance(b, a))) < 1e-8
+
+
+@pytest.mark.parametrize("chart", [S2, H2], ids=lambda c: c.name)
+@pytest.mark.parametrize("size", [1e-6, 1e-9])
+def test_log_and_distance_next_to_the_base_point(chart, size):
+    # log_x(x + delta) = delta + Gamma(delta, delta)/2 + O(|delta|^3), and the
+    # chart segment's length, sqrt(g(delta, delta)) at its midpoint, equals
+    # the distance up to O(|delta|^3)
+    x = np.array([0.3, -0.2])
+    y = x + size * np.array([0.6, 0.8])
+    delta = y - x
+    want = delta + 0.5 * chart.gamma(x, delta, delta)
+    assert np.linalg.norm(chart.log(x, y) - want) < 1e-6 * np.linalg.norm(want)
+    length = float(chart.norm(x + 0.5 * delta, delta))
+    assert abs(float(chart.distance(x, y)) - length) < 1e-6 * length
+
+
+def _disk_point(radius, angle):
+    return np.array([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+@settings(max_examples=20)
+@given(
+    name=st.sampled_from(["sphere2", "hyperbolic2"]),
+    polar=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_closed_form_log_matches_generic_shooting(name, polar):
+    # the sphere's pairs stay within a quarter circle, where Newton shooting
+    # from y - x reaches the minimizing geodesic; the disk needs no bound
+    chart, radius = {"sphere2": (S2, 1.5), "hyperbolic2": (H2, 0.6)}[name]
+    x = _disk_point(radius * polar[0], 2.0 * np.pi * polar[1])
+    y = _disk_point(radius * polar[2], 2.0 * np.pi * polar[3])
+    d = float(chart.distance(x, y))
+    assert d == pytest.approx(float(chart.distance(y, x)), rel=1e-12, abs=1e-15)
+    assume(name == "hyperbolic2" or d <= np.pi / 2)
+    v = chart.log(x, y)
+    assert float(chart.norm(x, v)) == pytest.approx(d, rel=1e-12, abs=1e-15)
+    # the generic route inherits its RK4 exp error: a few 1e-8 relative here
+    reference = ManifoldChart.log(chart, x, y)
+    assert np.linalg.norm(v - reference) <= 1e-7 * max(np.linalg.norm(reference), 1e-12)
+
+
+def _sphere_point_at(x, d):
+    """A chart point at distance d from x, built on the embedded sphere."""
+    r2 = float(x @ x)
+    p = np.array([2.0 * x[0], 2.0 * x[1], 1.0 - r2]) / (1.0 + r2)
+    t = np.cross(p, [0.0, 0.0, 1.0])
+    t /= np.linalg.norm(t)
+    q = np.cos(d) * p + np.sin(d) * t
+    return q[:2] / (1.0 + q[2])
+
+
+def test_sphere_log_guards_the_antipode():
+    x = np.array([0.8, -0.5])
+    with pytest.raises(InjectivityError):
+        S2.log(x, -x / float(x @ x))
+    with pytest.raises(InjectivityError):
+        S2.log(x, _sphere_point_at(x, np.pi - 1e-7))
+    y = _sphere_point_at(x, np.pi - 1e-3)
+    v = S2.log(x, y)
+    assert np.all(np.isfinite(v))
+    d = float(S2.distance(x, y))
+    assert abs(d - (np.pi - 1e-3)) < 1e-9
+    assert abs(float(S2.norm(x, v)) - d) < 1e-9 * d
 
 
 @pytest.mark.parametrize("chart", ANALYTIC, ids=lambda c: c.name)

@@ -101,12 +101,13 @@ def test_hessian_symmetry_and_linearity(name, pot):
     assert np.max(np.abs(lin)) < 1e-12
 
 
-def test_gaussian_center_properties():
-    pot = GaussianObstacle(EUC2, (0.4, -0.2), amplitude=1.3, width=0.5)
+@pytest.mark.parametrize("chart", [EUC2, S2, H2], ids=lambda c: c.name)
+def test_gaussian_center_properties(chart):
+    pot = GaussianObstacle(chart, (0.4, -0.2), amplitude=1.3, width=0.5)
     c = np.array([0.4, -0.2])
     assert np.max(np.abs(pot.gradient(c))) < 1e-12
     assert abs(float(pot.value(c)) - 1.3) < 1e-14
-    # hessian at the center is -(A / sigma^2) I on a flat chart
+    # hessian at the center is -(A / sigma^2) I, where log_c(c) = 0
     X = np.array([0.7, -1.1])
     assert np.allclose(pot.hessian_op(c, X), -(1.3 / 0.25) * X, atol=1e-9)
 
