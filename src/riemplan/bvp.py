@@ -11,18 +11,23 @@ at the start, read at the end: the bundle whose rank drops the biconjugate
 scan looks for (``jacobi.shooting_jacobian``), so a singular shooting
 Jacobian and a biconjugate endpoint are one test.  Residual, Jacobian and
 returned trajectory all come from one RK4 pass of the trial (y, z), so
-convergence is measured against the curve the caller receives; on a given
-grid a solve costs 1 + (line-search trials) passes, and only accepted
-iterates march their field bundle.
+convergence is measured against the curve the caller receives; on each
+grid a solve costs one pass for its start and one per line-search trial,
+and only accepted iterates march their field bundle.
+
+Newton is mesh-sequenced (Ascher, Mattheij & Russell, Numerical
+Solution of Boundary Value Problems for ODEs, 1995): it converges on
+a coarse grid first, then finishes on the solve's own grid, where one or
+two iterations usually remain.  A coarse stage that fails leaves the
+solve on the fine grid from the seed, as if it had not run.
 
 Unless the caller fixes the step, the grid is chosen by error control:
-step doubling (Richardson's h^4 estimate) on the seed's endpoint and
-Jacobian picks the step count for a relative error of 1e-9, and a miss
-at the solution doubles the count and resumes Newton there.  Each pass
-then carries its half-grid twin, the same (y, z) on half the steps,
-marched as a second row of the same pass, so the estimate at the
-solution costs no pass of its own.  That adds one pilot pass, and one
-pass per doubling, to the count above.
+step doubling (Richardson's h^4 estimate) of the endpoint and Jacobian
+at the solution on the pilot grid picks the step count for a relative
+error of 1e-9, and a miss at the final solution doubles the count and
+resumes Newton there.  Each pass then carries its half-grid twin, the
+same (y, z) on half the steps, marched as a second row of the same pass,
+so no estimate costs a pass of its own.
 
 A solve is a generator of shooting requests (``_solve``, with Newton in
 ``_newton``); ``_lockstep`` drives several of them together, marching
@@ -97,7 +102,11 @@ class ShootingResult:
     z: np.ndarray
     trajectory: Trajectory
     residual: float
+    #: Newton iterations, the coarse stage's included
     iterations: int
+    #: of those, the iterations on the coarse grid (0 when it did not run
+    #: or failed)
+    coarse_iterations: int
     #: segments of the returned trajectory
     steps: int
     #: step-doubling estimate of the relative error at the returned (y, z),
@@ -201,7 +210,10 @@ def _lockstep(chart, potential, problems):
     the trial's ChartEscapeError or NumericalError thrown in.  Each round
     marches the pending requests of all live generators as the rows of
     one pass.  Returns one (value, error) per generator: what it
-    returned, or the PlannerError it raised.
+    returned, or the PlannerError it raised.  A PlannerError that ends a
+    whole pass, not one row of it (a potential that cannot be evaluated
+    at some row's state), is charged to the generators whose requests
+    raise it when marched alone, as if each were driven by itself.
     """
     out = [None] * len(problems)
     pending = {}
@@ -218,11 +230,20 @@ def _lockstep(chart, potential, problems):
         advance(i, gen.send, None)
     while pending:
         batch, pending = pending, {}
-        flows = iter(_flow(chart, potential, [r for req in batch.values() for r in req.rows]))
-        for i, req in batch.items():
-            results = [next(flows) for _ in req.rows]
+        try:
+            flows = iter(_flow(chart, potential, [r for req in batch.values() for r in req.rows]))
+            marched = {i: [next(flows) for _ in req.rows] for i, req in batch.items()}
+        except PlannerError:
+            marched = {}
+            for i, req in batch.items():
+                try:
+                    marched[i] = _flow(chart, potential, req.rows)
+                except PlannerError as err:
+                    problems[i].close()
+                    out[i] = (None, err)
+        for i, results in marched.items():
             try:
-                shot = req.finish(results)
+                shot = batch[i].finish(results)
             except (ChartEscapeError, NumericalError) as err:
                 advance(i, problems[i].throw, err)
             else:
@@ -256,6 +277,10 @@ _STEP_TOL = 1e-9
 _PILOT_STEPS = 32
 _MAX_STEPS = 1 << 16
 
+# What ends a coarse Newton stage and sends the solve on from its seed:
+# Newton's own failures, and a coarse pass that could not be marched.
+_COARSE_FAILURES = (NonconvergenceError, CriticalPointError, ChartEscapeError, NumericalError)
+
 
 def _predict_steps(steps, estimate):
     """Even step count at which the h^4 law puts an error ``estimate`` made
@@ -283,11 +308,23 @@ def _richardson(fine: _Shot, coarse: _Shot) -> float:
     return float(max(e, dj) / 15.0)
 
 
+def _linearize(shot: _Shot) -> np.ndarray:
+    """The Jacobian of ``shot``; raises CriticalPointError when the scan's
+    rank test flags its end as biconjugate."""
+    J, biconjugate = shot.linearization
+    if biconjugate:
+        raise CriticalPointError(
+            "bi-exponential differential is singular at the current iterate; "
+            "the endpoint may be close to biconjugate"
+        )
+    return J
+
+
 def _newton(shoot, shot, y, z, target, tol, max_iter):
     """Damped Newton on the endpoint map from (y, z), whose pass is ``shot``.
 
     A generator: it yields ``shoot(y, z)``, the ``_Request`` of each
-    line-search trial on the solve's grid, and is sent the trial's
+    line-search trial on its grid, and is sent the trial's
     ``_Shot``, or has its chart escape or nonfinite state thrown in, which
     halves the step.  Returns (y, z, shot, residual, iterations) at the
     accepted iterate.
@@ -300,13 +337,7 @@ def _newton(shoot, shot, y, z, target, tol, max_iter):
     for _ in range(max_iter):
         if rn <= tol:
             break
-        J, biconjugate = shot.linearization
-        if biconjugate:
-            raise CriticalPointError(
-                "bi-exponential differential is singular at the current iterate; "
-                "the endpoint may be close to biconjugate"
-            )
-        dyz = np.linalg.solve(J, -r)
+        dyz = np.linalg.solve(_linearize(shot), -r)
         t_step = 1.0
         for _ in range(20):
             y_try = y + t_step * dyz[:n]
@@ -351,27 +382,44 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     for the window length, flags that end as biconjugate, Newton raises
     CriticalPointError.
 
-    An explicit ``h`` fixes the grid (``grid_steps``).  With ``h`` None
-    the step count is chosen by error control.  Every pass then carries
-    its half-grid twin: the same (y, z) on half the steps, marched as a
-    second row of the same pass.  The seed is shot at
-    2 * _PILOT_STEPS steps, with its twin at _PILOT_STEPS; the
-    step-doubling estimate of the endpoint and Jacobian error
-    (``_richardson``) predicts by the h^4 law an even count N that meets
-    ``_STEP_TOL`` (``_predict_steps``, at least 2 * _PILOT_STEPS), and
-    Newton runs at N.  The estimate at the converged (y, z) is read off
+    Newton is mesh-sequenced: it converges on a coarse grid, held to the
+    full tolerance, and then finishes on the solve's grid N.  If the
+    coarse stage fails (Newton stalls or meets a critical point there, or
+    a coarse pass cannot be marched), Newton runs on N from the seed as
+    if that stage had not been tried.  ``max_iter`` bounds each Newton
+    run; ``iterations`` counts them all and ``coarse_iterations`` the
+    coarse stage's share.
+
+    An explicit ``h`` fixes N (``grid_steps``).  The seed is shot and
+    judged on N: a seed that already meets the tolerance returns, and one
+    the rank test flags raises CriticalPointError, since the coarse grid
+    cannot resolve that test near a biconjugate end.  When
+    N > 2 * _PILOT_STEPS the coarse grid is _PILOT_STEPS steps; on
+    smaller N there is no coarse stage.
+
+    With ``h`` None the step count is chosen by error control.  Every
+    pass then carries its half-grid twin: the same (y, z) on half the
+    steps, marched as a second row of the same pass.  The coarse grid is
+    the pilot grid, 2 * _PILOT_STEPS steps with its twin at
+    _PILOT_STEPS.  The step-doubling estimate of the endpoint and
+    Jacobian error at the coarse solution (``_richardson``; at the seed
+    if the coarse stage failed) predicts by the h^4 law an even count N
+    that meets ``_STEP_TOL`` (``_predict_steps``, at least
+    2 * _PILOT_STEPS).  The estimate at the converged (y, z) is read off
     its pass's twin; above the tolerance, N doubles and Newton resumes
-    from there.  ``max_iter`` bounds each Newton run.  The result records
-    N, that estimate and the tolerance; the estimate exceeds the
-    tolerance only when N would double past ``_MAX_STEPS``.
+    from there.  The result records N, that estimate and the tolerance;
+    the estimate exceeds the tolerance only when N would double past
+    ``_MAX_STEPS``.
 
     Each trial is one pass that yields the residual and the trajectory
     there, whose field bundle gives the Jacobian when the trial is
-    accepted, so on a fixed grid a solve makes 1 + (accepted trials) +
-    (rejected trials) flow passes: the seed's, then one per line-search
-    trial.  Error control adds the pilot pass (which doubles
-    as the seed's pass when N = 2 * _PILOT_STEPS) and, on each doubling,
-    the seed's pass on the new grid; no pass is made on N/2 alone.
+    accepted.  So each Newton run makes 1 + (accepted trials) +
+    (rejected trials) flow passes on its grid: its start's, then one
+    per line-search trial.  A fixed-step solve adds the seed's pass on N
+    before its coarse stage; under error control the pilot pass is the
+    coarse run's start and is reused on N = 2 * _PILOT_STEPS, each
+    doubling adds one start pass on the new grid, and no pass is made on
+    N/2 alone.
     """
     [(result, error)] = _lockstep(chart, potential, [_solve(chart, boundary, seed, h, max_iter)])
     if error is not None:
@@ -398,16 +446,34 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
     def newton(steps, shot, yy, zz):
         return _newton(partial(shoot, steps), shot, yy, zz, target, tol, max_iter)
 
+    coarse_its = 0
     if h is not None:
         steps, _ = grid_steps(tau, h)
         shot = yield shoot(steps, y, z)
+        # the seed is judged on the solve's grid, whose rank test the
+        # coarse grid cannot resolve near a biconjugate end
+        if steps > 2 * _PILOT_STEPS and np.linalg.norm(shot.end - target) > tol:
+            _linearize(shot)
+            try:
+                coarse = yield shoot(_PILOT_STEPS, y, z)
+                y, z, _, _, coarse_its = yield from newton(_PILOT_STEPS, coarse, y, z)
+            except _COARSE_FAILURES:
+                pass
+            else:
+                shot = yield shoot(steps, y, z)
         y, z, shot, rn, iterations = yield from newton(steps, shot, y, z)
         estimate = step_tol = None
     else:
         step_tol = _STEP_TOL
         steps = 2 * _PILOT_STEPS
         shot = yield shoot(steps, y, z)
-        estimate = _richardson(shot, shot.twin())
+        try:
+            y_c, z_c, coarse, _, its = yield from newton(steps, shot, y, z)
+            estimate = _richardson(coarse, coarse.twin())
+        except _COARSE_FAILURES:
+            estimate = _richardson(shot, shot.twin())
+        else:
+            y, z, shot, coarse_its = y_c, z_c, coarse, its
         steps = min(max(steps, _predict_steps(steps, estimate)), _MAX_STEPS)
         iterations = 0
         while True:
@@ -420,7 +486,9 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
                 break
             steps *= 2
 
-    return ShootingResult(y, z, shot.trajectory, rn, iterations, steps, estimate, step_tol, shot)
+    return ShootingResult(
+        y, z, shot.trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, step_tol, shot
+    )
 
 
 def _integrate(chart, initial: CurveState, T: float, h=None):
@@ -457,7 +525,8 @@ def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):
 def multi_seed_scan(chart, potential, boundary: BoundaryData, n_seeds: int = 10, rng_seed: int = 0, spread: float = 1.0, h=None):
     """Probe for distinct solutions from scattered seeds; rank by action.
 
-    Seeds are the flat cubic guess plus Gaussian perturbations.  Convergent
+    Seeds are the flat cubic guess plus Gaussian perturbations, solved
+    together in lockstep (one flow pass per Newton round).  Convergent
     results are deduplicated on (y, z) rounded to 1e-5 granularity and
     returned sorted by increasing action.
     """
@@ -469,10 +538,8 @@ def multi_seed_scan(chart, potential, boundary: BoundaryData, n_seeds: int = 10,
         dy, dz = rng.normal(size=(2, chart.dim)) * scale
         seeds.append((y0 + dy, z0 + dz))
     found = {}
-    for s in seeds:
-        try:
-            res = solve_bvp(chart, potential, boundary, seed=s, h=h)
-        except PlannerError:
+    for res, error in _lockstep(chart, potential, [_solve(chart, boundary, s, h) for s in seeds]):
+        if error is not None:
             continue
         key = tuple(
             np.round(np.concatenate([res.y, res.z]) / 1e-5).astype(np.int64).tolist()

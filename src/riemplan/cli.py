@@ -93,11 +93,14 @@ def _solve_payload(result, chart, potential, boundary) -> dict:
 
     Keys: ``boundary`` (the problem), ``y`` and ``z`` (the initial
     covariant acceleration and jerk), ``residual``, ``jacobian_condition``,
-    ``iterations`` (Newton steps), ``action``, and ``step_control``: the
-    trajectory's segment count ``steps``, and the step-doubling ``estimate``
-    of the relative error of the endpoint and Jacobian on that grid with
-    the ``tol`` it was held to.  Both are null when ``step``/``--step``
-    fixed the grid, since no grid was chosen.
+    ``iterations`` (Newton steps, on every grid), ``action``, and
+    ``step_control``: the trajectory's segment count ``steps``;
+    ``coarse_iterations``, the share of ``iterations`` Newton took on the
+    coarse grid before finishing on ``steps`` (0 when that stage did not
+    run or failed); and the step-doubling ``estimate`` of the relative
+    error of the endpoint and Jacobian on that grid with the ``tol`` it
+    was held to.  The last two are null when ``step``/``--step`` fixed
+    the grid, since no grid was chosen.
     """
     return {
         "boundary": {
@@ -115,6 +118,7 @@ def _solve_payload(result, chart, potential, boundary) -> dict:
         "action": action(chart, potential, result.trajectory),
         "step_control": {
             "steps": result.steps,
+            "coarse_iterations": result.coarse_iterations,
             "estimate": result.estimate,
             "tol": result.tol,
         },

@@ -29,6 +29,10 @@ from .. import rk4
 from ..errors import ChartDomainError, ChartEscapeError, InjectivityError, NumericalError
 from .transport import parallel_transport
 
+# Gauss-Legendre rule on [0, 1] for ManifoldChart._segment_length
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
 __all__ = ["ManifoldChart"]
 
 
@@ -240,7 +244,10 @@ class ManifoldChart:
         """Initial velocity of the geodesic from x reaching y at time 1.
 
         Generic implementation: Newton shooting on exp with an FD
-        Jacobian.  Charts with a closed form override this.
+        Jacobian.  Charts with a closed form override this.  Shooting can
+        reach a longer geodesic than the minimizing one; a result longer
+        than the chart segment from x to y, a curve that joins them too,
+        raises InjectivityError.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -254,6 +261,10 @@ class ManifoldChart:
         for _ in range(50):
             r = self.exp(x, v) - y
             if float(np.linalg.norm(r)) <= 1e-10 * scale:
+                # the margin covers exp's RK4 error where the segment is
+                # itself a geodesic (8e-9 relative on a sphere2 radius)
+                if float(self.norm(x, v)) > self._segment_length(x, y) * (1.0 + 1e-6):
+                    raise InjectivityError("log-map shooting reached a non-minimizing geodesic")
                 return v
             J = np.empty((self.dim, self.dim))
             for j in range(self.dim):
@@ -272,6 +283,11 @@ class ManifoldChart:
                 t *= 0.5
             v = v + t * dv
         raise InjectivityError("log-map shooting did not converge")
+
+    def _segment_length(self, x: np.ndarray, y: np.ndarray) -> float:
+        """g-length of the chart segment from x to y (16-point Gauss-Legendre)."""
+        u = y - x
+        return float(_GL_WEIGHTS @ self.norm(x + _GL_NODES[:, None] * u, u))
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.norm(x, self.log(x, y))

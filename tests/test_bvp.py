@@ -19,7 +19,9 @@ from riemplan import (
     CriticalPointError,
     CurveState,
     GaussianObstacle,
+    InjectivityError,
     NonconvergenceError,
+    NumericalError,
     ZeroPotential,
     action,
     biexp,
@@ -151,9 +153,11 @@ def test_short_window_seed_independence():
     bd = BoundaryData(st.q, st.v, traj.qs[-1], traj.vs[-1], 0.0, 0.5)
     ref = solve_bvp(S2, pot, bd, h=h)
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        seed = (ref.y + rng.normal(scale=0.5, size=2), ref.z + rng.normal(scale=0.5, size=2))
-        res = solve_bvp(S2, pot, bd, seed=seed, h=h)
+    seeds = [(ref.y + rng.normal(scale=0.5, size=2), ref.z + rng.normal(scale=0.5, size=2)) for _ in range(10)]
+    # the ten solves march in lockstep, one flow pass per Newton round
+    for res, error in bvp._lockstep(S2, pot, [bvp._solve(S2, bd, seed, h) for seed in seeds]):
+        if error is not None:
+            raise error
         assert np.max(np.abs(res.y - ref.y)) < 1e-6
         assert np.max(np.abs(res.z - ref.z)) < 1e-6
 
@@ -186,6 +190,18 @@ def test_biconjugate_endpoint_is_a_critical_point(scenario):
     bd = BoundaryData(np.zeros(1), np.zeros(1), np.array([1e-3]), np.zeros(1), 0.0, T)
     with pytest.raises(CriticalPointError, match="biconjugate"):
         solve_bvp(chart, pot, bd, h=T / 2000)
+
+
+def test_biconjugate_endpoint_is_a_critical_point_under_error_control(scenario):
+    # the pilot grid cannot resolve the rank test there (normalized sigma
+    # ratio 3.3e-9 at 64 steps); the coarse stage's failure leaves the
+    # solve on the grid error control picks, where Newton stops as on a
+    # fixed one
+    chart, pot, _ = scenario("well_top")
+    T = 4.730040744863
+    bd = BoundaryData(np.zeros(1), np.zeros(1), np.array([1e-3]), np.zeros(1), 0.0, T)
+    with pytest.raises(CriticalPointError, match="biconjugate"):
+        solve_bvp(chart, pot, bd)
 
 
 @pytest.mark.parametrize("T", [1e-4, 1e-5])
@@ -295,15 +311,25 @@ def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
+    coarse = bvp._PILOT_STEPS
     for name in ("flat_obstacle", "well_top"):
         chart, pot, bd = scenario(name)
         calls[0] = 0
         h = bd.span / 2000
         res = solve_bvp(chart, pot, bd, h=h)
         steps, _ = grid_steps(bd.span, h)
-        # the seed's pass, then one per accepted trial: no line-search rejections here
-        assert calls[0] == steps * (1 + res.iterations)
-        assert res.iterations == (0 if name == "well_top" else 2)
+        if name == "well_top":
+            # the seed converges on the solve's grid: its pass is the only one
+            assert (res.iterations, res.coarse_iterations) == (0, 0)
+            assert calls[0] == steps
+            continue
+        # the seed's pass on the solve's grid; on the coarse grid the seed's
+        # pass and one per accepted trial; back on the solve's grid the
+        # coarse solution's pass and one per accepted trial: no line-search
+        # rejections here
+        fine = res.iterations - res.coarse_iterations
+        assert (res.coarse_iterations, fine) == (2, 1)
+        assert calls[0] == steps * (2 + fine) + coarse * (1 + res.coarse_iterations)
 
 
 def test_solve_step_control(scenario, monkeypatch):
@@ -325,14 +351,18 @@ def test_solve_step_control(scenario, monkeypatch):
         assert res.trajectory.segments == N
         assert res.tol == bvp._STEP_TOL
         assert res.estimate <= res.tol
-        # one pilot pass with its twin comes first; every pass carries its
-        # half-grid twin, so none is made on N/2 alone, and the last is on N
-        assert passes[0] == [floor, bvp._PILOT_STEPS]
-        assert all(p == [p[0], p[0] // 2] for p in passes)
-        assert passes[-1] == [N, N // 2]
+        # Newton converges on the pilot grid, each pass with its twin, then
+        # finishes on N: the coarse solution's pass and one per accepted
+        # trial, each with its half-grid twin, and none on N/2 alone
+        fine = res.iterations - res.coarse_iterations
+        assert passes == (
+            [[floor, bvp._PILOT_STEPS]] * (1 + res.coarse_iterations) + [[N, N // 2]] * (1 + fine)
+        )
         if name == "well_top":
             # the seed converges at once: the pilot pass, then the seed's on N
             assert res.iterations == 0 and len(passes) == 2
+        else:
+            assert (res.coarse_iterations, fine) == (2, 0)
         # the recorded estimate is the one at the returned (y, z)
         full, half = (
             bvp._shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
@@ -345,11 +375,165 @@ def test_solve_step_control(scenario, monkeypatch):
             # Jacobian alone asks for more than the floor
             assert N > floor
 
-        # an explicit step makes no selection pass and no twin
+        # an explicit step makes no selection pass and no twin; past twice
+        # the pilot grid, the seed is judged on the solve's grid, then
+        # Newton converges on _PILOT_STEPS before it finishes there
         passes.clear()
         fixed = solve_bvp(chart, pot, bd, h=bd.span / 100)
-        assert passes == [[100]] * (1 + fixed.iterations)
+        fine = fixed.iterations - fixed.coarse_iterations
+        if name == "well_top":
+            assert passes == [[100]] and fixed.iterations == 0
+        else:
+            assert (fixed.coarse_iterations, fine) == (2, 1)
+            assert passes == [[100]] + [[bvp._PILOT_STEPS]] * 3 + [[100]] * 2
         assert (fixed.steps, fixed.estimate, fixed.tol) == (100, None, None)
+
+
+def _direct_newton(chart, pot, bd, seed, steps, twin=False):
+    """Newton on ``steps`` steps from ``seed`` with no coarse stage:
+    (y, z, shot, residual, iterations)."""
+    target = np.concatenate([bd.q_b, bd.v_b])
+    tol = 1e-8 * (1.0 + np.linalg.norm(target))
+
+    def shoot(y, z):
+        return bvp._Request(bd.q_a, bd.v_a, y, z, bd.span, steps, bd.a, twin=twin)
+
+    def run():
+        shot = yield shoot(*seed)
+        return (yield from bvp._newton(shoot, shot, *seed, target, tol, 50))
+
+    [(out, error)] = bvp._lockstep(chart, pot, [run()])
+    if error is not None:
+        raise error
+    return out
+
+
+def test_mesh_sequencing_step_budget(scenario, monkeypatch):
+    # Newton converges on the coarse grid and finishes on N: 2,792 RK4
+    # steps under error control and 900 at step 0.02 on a fine-grid-only
+    # Newton, 1,452 and 588 here
+    calls = [0]
+    step = dynamics._rk4_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counted)
+    chart, pot, bd = scenario("sphere_obstacle")
+    for h, budget in ((None, 1500), (0.02, 600)):
+        calls[0] = 0
+        res = solve_bvp(chart, pot, bd, h=h)
+        assert res.coarse_iterations > 0
+        assert calls[0] <= budget
+
+
+def test_coarse_failure_falls_back_to_the_fine_grid(scenario, monkeypatch):
+    # fixed step: every coarse pass goes nonfinite; Newton runs on N from
+    # the seed's pass in hand, exactly as with no coarse stage
+    chart, pot, bd = scenario("sphere_obstacle")
+    N = 100
+    y, z, _, rn, its = _direct_newton(chart, pot, bd, hermite_seed(bd), N)
+    flow = bvp._flow
+
+    def coarse_fails(chart, pot, rows):
+        out = flow(chart, pot, rows)
+        return [(None, NumericalError("coarse")) if r[3] == bvp._PILOT_STEPS else o for r, o in zip(rows, out)]
+
+    monkeypatch.setattr(bvp, "_flow", coarse_fails)
+    res = solve_bvp(chart, pot, bd, h=bd.span / N)
+    assert (res.steps, res.coarse_iterations, res.iterations) == (N, 0, its)
+    assert np.array_equal(res.y, y) and np.array_equal(res.z, z) and res.residual == rn
+    monkeypatch.setattr(bvp, "_flow", flow)
+
+    # error control: Newton meets a critical point on the pilot grid; N is
+    # predicted from the seed's estimate and Newton runs there from the seed
+    chart, pot, bd = scenario("flat_obstacle")
+    seed = hermite_seed(bd)
+    pilot = 2 * bvp._PILOT_STEPS
+    full, half = (bvp._shoot(chart, pot, bd.q_a, bd.v_a, *seed, bd.span, k) for k in (pilot, pilot // 2))
+    N = bvp._predict_steps(pilot, bvp._richardson(full, half))
+    y, z, shot, rn, its = _direct_newton(chart, pot, bd, seed, N, twin=True)
+    estimate = bvp._richardson(shot, shot.twin())
+    assert estimate <= bvp._STEP_TOL  # so N does not double
+    newton = bvp._newton
+
+    def coarse_critical(shoot, shot, *args):
+        if shot.trajectory.segments == pilot:
+            raise CriticalPointError("coarse")
+        return (yield from newton(shoot, shot, *args))
+
+    monkeypatch.setattr(bvp, "_newton", coarse_critical)
+    res = solve_bvp(chart, pot, bd)
+    assert (res.steps, res.coarse_iterations, res.iterations, res.estimate) == (N, 0, its, estimate)
+    assert np.array_equal(res.y, y) and np.array_equal(res.z, z) and res.residual == rn
+
+
+SEQUENCING_POT = GaussianObstacle(S2, (0.4, 0.2), amplitude=1.0, width=0.6)
+SEQUENCING_START = CurveState(0.0, np.array([-0.3, 0.1]), np.array([0.5, 0.2]), np.array([0.2, -0.3]), np.array([0.1, 0.4]))
+SEQUENCING_STEPS = 128
+
+
+def _sequencing_boundary():
+    """The endpoints of SEQUENCING_START's curve over [0, 1] on the fine grid."""
+    end = integrate_ivp(S2, SEQUENCING_POT, SEQUENCING_START, 1.0, h=1.0 / SEQUENCING_STEPS)
+    return BoundaryData(SEQUENCING_START.q, SEQUENCING_START.v, end.qs[-1], end.vs[-1], 0.0, 1.0)
+
+
+SEQUENCING_BOUNDARY = _sequencing_boundary()
+
+
+@settings(max_examples=6)
+@given(offset=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_mesh_sequencing_matches_fine_newton(offset):
+    # from a perturbed seed, converging on the coarse grid first lands on
+    # the solution that Newton on the fine grid alone reaches
+    bd, start = SEQUENCING_BOUNDARY, SEQUENCING_START
+    seed = (start.a + np.array(offset[:2]), start.j + np.array(offset[2:]))
+    try:
+        direct = _direct_newton(S2, SEQUENCING_POT, bd, seed, SEQUENCING_STEPS)
+        res = solve_bvp(S2, SEQUENCING_POT, bd, seed=seed, h=1.0 / SEQUENCING_STEPS)
+    except (NonconvergenceError, CriticalPointError, ChartEscapeError):
+        assume(False)
+    assert res.coarse_iterations > 0 or direct[4] == 0
+    tol = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([bd.q_b, bd.v_b])))
+    gap = np.linalg.norm(np.concatenate([res.y - direct[0], res.z - direct[1]]))
+    assert gap <= 10.0 * tol
+
+
+def test_multi_seed_scan_matches_sequential_solves():
+    # the seeds march in lockstep; each must get the bits a solve of its
+    # own gives it, also where the potential refuses some seed's curve,
+    # which ends the whole pass that curve rides in
+    class Fenced(GaussianObstacle):
+        def gradient(self, x):
+            if np.any(np.linalg.norm(x, axis=-1) > 1.2):
+                raise InjectivityError("outside the fence")
+            return super().gradient(x)
+
+    pot = Fenced(EUC2, (0.5, 0.0), amplitude=2.0, width=0.2)
+    bd = BoundaryData(np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    h, n_seeds = 0.01, 8
+    ranked = multi_seed_scan(EUC2, pot, bd, n_seeds=n_seeds, h=h)
+
+    y0, z0 = hermite_seed(bd)
+    scale = 1.0 + float(np.linalg.norm(np.concatenate([y0, z0])))
+    rng = np.random.default_rng(0)
+    seeds = [(y0, z0)] + [(y0 + dy, z0 + dz) for dy, dz in (rng.normal(size=(2, 2)) * scale for _ in range(n_seeds - 1))]
+    alone, refused = {}, 0
+    for seed in seeds:
+        try:
+            res = solve_bvp(EUC2, pot, bd, seed=seed, h=h)
+        except InjectivityError:
+            refused += 1
+            continue
+        alone.setdefault(tuple(np.round(np.concatenate([res.y, res.z]) / 1e-5).astype(np.int64).tolist()), res)
+    assert refused > 0 and alone
+    expected = sorted(alone.values(), key=lambda r: action(EUC2, pot, r.trajectory))
+    assert len(ranked) == len(expected)
+    for got, want in zip(ranked, expected):
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.z, want.z)
+        assert (got.iterations, got.coarse_iterations, got.residual) == (want.iterations, want.coarse_iterations, want.residual)
 
 
 # (chart, potential, p, v, window) of the property test below

@@ -105,7 +105,8 @@ def test_plan_records_step_control(tmp_path):
     assert main(["plan", "--config", str(fixed)]) == 0
     assert main(["plan", "--config", str(chosen)]) == 0
     got = json.loads((tmp_path / "fixed" / "solve.json").read_text())["step_control"]
-    assert got == {"steps": 400, "estimate": None, "tol": None}
+    # Newton converges on the coarse grid in two iterations, then finishes on 400 steps
+    assert got == {"steps": 400, "coarse_iterations": 2, "estimate": None, "tol": None}
     got = json.loads((tmp_path / "chosen" / "solve.json").read_text())["step_control"]
     data = np.loadtxt(tmp_path / "chosen" / "trajectory.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == got["steps"] + 1

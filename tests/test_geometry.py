@@ -289,6 +289,32 @@ def test_closed_form_log_matches_generic_shooting(name, polar):
     assert np.linalg.norm(v - reference) <= 1e-7 * max(np.linalg.norm(reference), 1e-12)
 
 
+@pytest.mark.parametrize(
+    "x, y, minimizing",
+    [
+        # Newton shooting from y - x reaches a longer geodesic: |v|_g 3.57
+        # and 3.34 where the distance is 2.72 and 2.95
+        ((-1.243, -0.79), (0.904, 0.246), False),
+        ((0.858, -0.059), (-1.419, 0.111), False),
+        # it reaches the minimizing one
+        ((0.704, -1.159), (-0.326, 0.05), True),
+        ((-0.334, -0.359), (1.228, -0.321), True),
+        # a radius, where the chart segment is the minimizing geodesic and
+        # only exp's RK4 error separates the two lengths
+        ((-0.78, -0.26), (1.05, 0.35), True),
+    ],
+)
+def test_generic_log_refuses_a_non_minimizing_geodesic(x, y, minimizing):
+    x, y = np.array(x), np.array(y)
+    d = float(S2.distance(x, y))
+    if not minimizing:
+        with pytest.raises(InjectivityError, match="non-minimizing"):
+            ManifoldChart.log(S2, x, y)
+        return
+    v = ManifoldChart.log(S2, x, y)
+    assert float(S2.norm(x, v)) == pytest.approx(d, rel=1e-7)
+
+
 def _sphere_point_at(x, d):
     """A chart point at distance d from x, built on the embedded sphere."""
     r2 = float(x @ x)
