@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import rk4
-from ..errors import ChartDomainError, ChartEscapeError, InjectivityError, NumericalError
-from .transport import parallel_transport
+from ..errors import ChartDomainError, ChartEscapeError, InjectivityError
 
 # Gauss-Legendre rule on [0, 1] for ManifoldChart._segment_length
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -40,7 +39,8 @@ class ManifoldChart:
     """Base chart: generic coordinate formulas over ``metric``/``dmetric``.
 
     Subclasses must set ``dim``, ``name`` and ``curvature_kind`` and
-    implement ``metric``; everything else has a working (if slower)
+    implement ``metric`` and ``dmetric`` (and ``nabla_R``, ``nabla2_R``
+    unless locally symmetric); everything else has a working (if slower)
     default.  ``curvature_kind`` is one of ``"flat"``,
     ``"constant_curvature"``, ``"lie_group_so3"``, ``"generic_numeric"``.
     """
@@ -50,7 +50,7 @@ class ManifoldChart:
     curvature_kind: str = "generic_numeric"
     #: sectional curvature when the space has a constant one, else None
     space_curvature: float | None = None
-    #: relative step for finite-difference fallbacks on analytic data
+    #: relative step of the finite-difference ``dchristoffel`` fallback
     fd_step: float = 1e-6
 
     # -- metric layer -------------------------------------------------
@@ -59,18 +59,7 @@ class ManifoldChart:
         raise NotImplementedError
 
     def dmetric(self, x: np.ndarray) -> np.ndarray:
-        """Coordinate derivative of the metric, central differences by default."""
-        x = np.asarray(x, float)
-        n = self.dim
-        out = np.empty(x.shape[:-1] + (n, n, n))
-        for l in range(n):
-            h = self.fd_step * (1.0 + np.abs(x[..., l : l + 1]))
-            e = np.zeros(n)
-            e[l] = 1.0
-            gp = self.metric(x + h * e)
-            gm = self.metric(x - h * e)
-            out[..., l, :, :] = (gp - gm) / (2.0 * h[..., None])
-        return out
+        raise NotImplementedError
 
     def metric_inv(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.inv(self.metric(x))
@@ -154,71 +143,24 @@ class ManifoldChart:
         """True when nabla R vanishes identically on this chart."""
         return self.curvature_kind in ("flat", "constant_curvature", "lie_group_so3")
 
-    # steps for the finite-difference covariant derivatives of R; the
-    # second difference needs a much coarser step because the numeric
-    # curvature itself carries FD noise that a 1/h^2 factor would amplify
-    nabla_step: float = 1e-4
-    nabla2_step: float = 1e-2
-
     def nabla_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab_W R)(X, Y)Z.  Exactly zero on locally symmetric charts.
+        """(nab_W R)(X, Y)Z: exactly zero on the locally symmetric charts that use this default.
 
         Broadcasts like ``curvature``: x holds chart points on its leading
-        axes and W, X, Y, Z broadcast against it.  Tensorial in W: the
-        derivative is differenced along the coordinate basis and then
-        contracted with W, so the result is exactly linear in W.
+        axes and W, X, Y, Z broadcast against it.
         """
-        return self._nabla_R_fd(x, W, X, Y, Z, self.nabla_step, order=1)
+        if not self.locally_symmetric:
+            raise NotImplementedError(f"{self.name} chart does not provide nabla R")
+        return np.zeros(np.broadcast(X, Y, Z).shape)
 
     def nabla2_R(self, x, W, X, Y, Z) -> np.ndarray:
         """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W.
 
-        Broadcasts like ``nabla_R``; quadratic in W, differenced along W.
+        Broadcasts like ``nabla_R``; quadratic in W.
         """
-        return self._nabla_R_fd(x, W, X, Y, Z, self.nabla2_step, order=2)
-
-    def _nabla_R_fd(self, x, W, X, Y, Z, step, order):
-        """Differences of parallel-transported curvature over a batch of points.
-
-        Each base point p gets the geodesics through p with velocity
-        +-h_p U on the common parameter interval [0, 1], h_p = step (1 + |p|).
-        For order 1, U runs over the coordinate basis and the central
-        differences are contracted with W; for order 2, U = W and a base
-        point is a (point, W) pair.  (X, Y, Z) are transported out along
-        every geodesic, R is evaluated at its end and transported back, so
-        the whole batch takes one geodesic march and two transport marches.
-        """
-        if self.locally_symmetric:
-            return np.zeros(np.broadcast(X, Y, Z).shape)
-        n = self.dim
-        x, W, X, Y, Z = (np.asarray(a, float) for a in (x, W, X, Y, Z))
-        full = np.broadcast_shapes(x.shape, W.shape, X.shape, Y.shape, Z.shape)
-        base = x.shape if order == 1 else np.broadcast_shapes(x.shape, W.shape)
-        # the non-singleton axes of the base shape index the base points; the
-        # rest of the broadcast shape is a batch of vectors at each point
-        axes = [i for i, size in enumerate(base[:-1], len(full) - len(base)) if size > 1]
-        front = list(range(len(axes)))
-        vecs = np.stack([np.moveaxis(np.broadcast_to(a, full), axes, front) for a in (W, X, Y, Z)])
-        P = int(np.prod(base[:-1], dtype=int))
-        W, X, Y, Z = vecs.reshape(4, P, -1, n)
-        p = np.broadcast_to(x, base).reshape(P, n)
-        h = step * (1.0 + np.linalg.norm(p, axis=-1))
-        if np.any(h < 1e-12):
-            raise NumericalError("covariant-derivative step underflow")
-        U = np.eye(n)[:, None, :] if order == 1 else W[None, :, 0]
-        vel = np.array([1.0, -1.0])[:, None, None, None] * (h[:, None] * U)
-        ss = np.linspace(0.0, 1.0, 9)
-        path = _geodesic(self, np.broadcast_to(p, vel.shape), vel, 1.0 / 8, 8, keep=True)
-        qs, vs = path[..., 0, :], path[..., 1, :]
-        moved = parallel_transport(self, ss, qs, vs, np.stack([X, Y, Z], axis=1)[None, None])
-        Rq = self.curvature(qs[-1][..., None, :], *np.moveaxis(moved, 3, 0))
-        ends = parallel_transport(self, ss[::-1], qs[::-1], vs[::-1], Rq)
-        if order == 1:
-            out = np.einsum("kpbl,pbk->pbl", ends[0] - ends[1], W) / (2.0 * h[:, None, None])
-        else:
-            center = self.curvature(p[:, None, :], X, Y, Z)
-            out = (ends[0, 0] - 2.0 * center + ends[1, 0]) / (h**2)[:, None, None]
-        return np.moveaxis(out.reshape(vecs.shape[1:]), front, axes)
+        if not self.locally_symmetric:
+            raise NotImplementedError(f"{self.name} chart does not provide nabla^2 R")
+        return np.zeros(np.broadcast(X, Y, Z).shape)
 
     # -- geodesic layer -----------------------------------------------
 
@@ -306,11 +248,10 @@ class ManifoldChart:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _geodesic(chart, x, v, h, steps, keep=False):
+def _geodesic(chart, x, v, h, steps):
     """RK4 march of the geodesic equation from q = x, dq/ds = v.
 
-    Returns the jet stack (q, dq/ds) of shape (..., 2, n) at the last
-    node, or with ``keep`` at every node, stacked along a new first axis.
+    Returns the jet stack (q, dq/ds) of shape (..., 2, n) at the last node.
     """
 
     def rhs(u):
@@ -318,9 +259,6 @@ def _geodesic(chart, x, v, h, steps, keep=False):
         return np.stack([w, -chart.gamma(q, w, w)], axis=-2)
 
     u = np.stack([x, v], axis=-2)
-    nodes = [u]
     for _ in range(steps):
         u = rk4.step(rhs, u, h)
-        if keep:
-            nodes.append(u)
-    return np.stack(nodes) if keep else u
+    return u

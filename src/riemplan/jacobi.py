@@ -14,7 +14,7 @@ where F collects every curvature coupling of the second variation:
             + 4 R(nab_Y X, Y)nab_Y Y
 
 with Y = qdot.  The nab R terms vanish identically on the locally
-symmetric built-in charts and are finite-differenced elsewhere.
+symmetric built-in charts; numeric charts evaluate them exactly.
 
 The ODE is linear in the field jet u = (X, DX, D2X, D3X), and its
 coefficients depend only on the stored curve.  So the operator A(t) of
@@ -85,7 +85,7 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
     out = out + 4.0 * R(q, dX, v, a)
     if not chart.locally_symmetric:
         out = out + chart.nabla2_R(q, v, X, v, v)
-        # the four first-derivative terms share the basis geodesics of one call
+        # the four first-derivative terms share one evaluation of nabla R
         X, dX, v, a = np.broadcast_arrays(X, dX, v, a)
         D = chart.nabla_R(
             q, np.stack([X, v, v, v]), np.stack([a, dX, X, X]), np.stack([v, v, a, v]), np.stack([v, v, v, a])

@@ -48,10 +48,9 @@ def march(A0, Am, A1, h, u, ts, what):
     """States of u' = A(t) u at every node, u first.
 
     A0, Am, A1 hold the operator at the start, midpoint and end of each of
-    the K steps, shape (K, C..., m, m) for a batch C of systems; h is the
-    step (a scalar or one per step); u has shape (..., m) for one system,
-    (C..., M, m) for M states of each system; ts are the K+1 node times in
-    march order.  Returns shape (K+1,) + u.shape.  Raises NumericalError
+    the K steps, shape (K, m, m); h is the step (a scalar or one per step);
+    u has shape (..., m) for any batch of states; ts are the K+1 node times
+    in march order.  Returns shape (K+1,) + u.shape.  Raises NumericalError
     "<what> near t = ..." at the first node whose state is nonfinite, the
     last node included.  Finiteness is checked once per chunk of steps: a
     nonfinite state stays so, and the chunk's first is the march's first.

@@ -45,7 +45,7 @@ WELL_TOP = {
 
 WARP = "exp(2*(0.1*x0**3 + 0.05*x1**3))"
 
-# a conformally warped plane, not locally symmetric: verify differences nabla R
+# a conformally warped plane, not locally symmetric: verify needs nabla R
 WARPED = {
     "potential": {"type": "gaussian", "center": [0.3, 0.1], "A": 0.8, "sigma": 0.5, "distance": "chart"},
     "boundary": {

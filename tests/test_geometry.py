@@ -3,8 +3,8 @@
 Most checks here are algebraic identities sampled at random points:
 curvature symmetries, compatibility of the metric with the connection,
 constant-curvature closed forms against the coordinate route, and
-transport isometry.  Tolerances are 1e-8/1e-9 on analytic charts and
-looser on the finite-difference chart.
+transport isometry.  Tolerances are 1e-8/1e-9 on analytic charts and on
+the numeric chart, whose derivatives come from exact Taylor series.
 """
 
 from __future__ import annotations
@@ -54,14 +54,12 @@ def sample_points(chart, n):
     return x
 
 
-def numeric_sphere():
-    """The round-sphere metric handed over as a plain callable."""
-    def g(x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        lam2 = (2.0 / (1.0 + r2)) ** 2
-        return lam2[..., None, None] * np.eye(2)
+SPHERE_CONF = "4 / (1 + x0**2 + x1**2)**2"
 
-    return NumericChart(2, g, domain_radius=5.0, name="numeric-sphere")
+
+def numeric_sphere():
+    """The round-sphere metric handed over as an expression table."""
+    return NumericChart(2, [[SPHERE_CONF, "0"], ["0", SPHERE_CONF]], domain_radius=5.0, name="numeric-sphere")
 
 
 @pytest.mark.parametrize("chart", ANALYTIC, ids=lambda c: c.name)
@@ -81,7 +79,7 @@ def test_christoffel_torsion_free(chart):
 
 @pytest.mark.parametrize(
     "chart,tol",
-    [(EUC3, 1e-8), (S2, 1e-8), (H2, 1e-8), (SO3, 1e-8), (numeric_sphere(), 1e-5)],
+    [(EUC3, 1e-8), (S2, 1e-8), (H2, 1e-8), (SO3, 1e-8), (numeric_sphere(), 1e-8)],
     ids=lambda c: getattr(c, "name", str(c)),
 )
 def test_metric_compatibility(chart, tol):
@@ -180,16 +178,114 @@ def test_numeric_sphere_curvature_and_nabla_R():
     assert not num.locally_symmetric
     x = np.array([0.4, -0.3])
     X, Y, Z, W = RNG.normal(size=(4, 2))
-    # FD curvature against the analytic constant-curvature value
+    # series curvature against the analytic constant-curvature value
     exact = S2.curvature(x, X, Y, Z)
-    assert np.max(np.abs(num.curvature(x, X, Y, Z) - exact)) < 1e-5
+    assert np.max(np.abs(num.curvature(x, X, Y, Z) - exact)) < 1e-12
     # covariant derivative of R vanishes on the round sphere
-    assert np.max(np.abs(num.nabla_R(x, W, X, Y, Z))) < 1e-4
-    assert np.max(np.abs(num.nabla2_R(x, W, X, Y, Z))) < 5e-3
+    assert np.max(np.abs(num.nabla_R(x, W, X, Y, Z))) < 1e-12
+    assert np.max(np.abs(num.nabla2_R(x, W, X, Y, Z))) < 1e-12
+
+
+# every whitelisted function and operator; the floors stay constant on [-1, 1]^2
+SERIES_TABLE = [
+    [
+        "2 + exp(0.3*sin(x0)) + 0.1*cosh(x1) + 0.2*tanh(x0*x1) - 0.1*cos(pi*x0/4)",
+        "0.1*abs(x0 - 3)/(2 + x1**2) + 0.05*(x0 + 4)**(0.5*x1) + 0.01*x1*((x0 + 7)//5) + 0.02*((x1 + 7) % (5 + 0.1*x0))",
+    ],
+    [
+        "0.1*abs(x0 - 3)/(2 + x1**2) + 0.05*(x0 + 4)**(0.5*x1) + 0.01*x1*((x0 + 7)//5) + 0.02*((x1 + 7) % (5 + 0.1*x0))",
+        "2 + 0.1*log(2 + cos(x0)) + 0.1*sqrt(1 + x1**2) + 0.1*sinh(x0)*tan(0.3*x1) + 0.05*e**(-x1) + 0.01*x0**3",
+    ],
+]
+
+
+NUMPY_NAMES = {f: getattr(np, f) for f in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "abs")}
+
+
+@settings(max_examples=30)
+@given(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_series_derivatives_match_central_differences(p):
+    # numpy evaluates the table's values; central differences of them are
+    # the reference for the series' first and second derivatives
+    chart = NumericChart(2, SERIES_TABLE, name="series-table")
+    x = np.array(p)
+    names = {**NUMPY_NAMES, "pi": np.pi, "e": np.e, "x0": x[0], "x1": x[1]}
+    ref = np.array([[eval(e, {"__builtins__": {}}, names) for e in row] for row in SERIES_TABLE])
+    assert np.max(np.abs(chart.metric(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    h = 1e-5
+    steps = [h * e for e in np.eye(2)]
+    fd_g = np.stack([(chart.metric(x + e) - chart.metric(x - e)) / (2 * h) for e in steps])
+    fd_gam = np.stack([(chart.christoffel(x + e) - chart.christoffel(x - e)) / (2 * h) for e in steps])
+    dg, dgam = chart.dmetric(x), chart.dchristoffel(x)
+    assert np.max(np.abs(dg - fd_g)) <= 1e-6 * np.max(np.abs(dg))
+    assert np.max(np.abs(dgam - fd_gam)) <= 1e-6 * np.max(np.abs(dgam))
+    # R and nabla R through their own series: the coordinate route and the
+    # second Bianchi identity (nab_X R)(Y, Z) + (nab_Y R)(Z, X) + (nab_Z R)(X, Y) = 0
+    X, Y, Z, U = np.random.default_rng(5).normal(size=(4, 2))
+    R = chart.curvature(x, X, Y, Z)
+    assert np.max(np.abs(R - chart.curvature_from_christoffel(x, X, Y, Z))) <= 1e-12 * np.max(np.abs(R))
+    nR = chart.nabla_R
+    bianchi = nR(x, X, Y, Z, U) + nR(x, Y, Z, X, U) + nR(x, Z, X, Y, U)
+    assert np.max(np.abs(bianchi)) <= 1e-12 * np.max(np.abs(nR(x, X, Y, Z, U)))
+
+
+# identities that vanish for |x0|, |x1| <= 1, through every whitelisted function and operator;
+# ZERO_A varies with x1 and ZERO_B with x0, so an error in either bends the diagonal metric
+ZERO_A = (
+    "sin(pi*x1)**2 + cos(pi*x1)**2 - 1 + tan(x1)*cos(x1) - sin(x1)"
+    " + cosh(x1 - x0)**2 - sinh(x1 - x0)**2 - 1 + tanh(x0*x1)*cosh(x0*x1) - sinh(x0*x1)"
+)
+ZERO_B = "exp(log(2 + x0)) - x0 - 2 + sqrt(2 + x0*x1)**2 - x0*x1 - 2 + (1 + x0**2)**2.5 - (1 + x0**2)**2*sqrt(1 + x0**2)"
+ZERO_C = (
+    "abs(x1 - 3) + x1 - 3 + (2 + x1)**(x0 + 1) - (2 + x1)*(2 + x1)**x0 + e**x0 - exp(x0)"
+    " + (x0 + 7)//5 - 1 + (x1 + 7) % 5 - x1 - 2 + 1/(1 + x0**2) - (1 + x0**2)**-1"
+)
+
+
+def test_series_identities_give_a_flat_metric():
+    # the metric is 3 I written through identities, so every coefficient of
+    # its order-4 series beyond the constant cancels: Gamma, R, nabla R and
+    # nabla^2 R must vanish to rounding, which checks each rule to order 4
+    table = [[f"3 + {ZERO_A}", ZERO_C], [ZERO_C, f"3 + {ZERO_B}"]]
+    chart = NumericChart(2, table, name="identities")
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(50, 2))
+    W, X, Y, Z = np.random.default_rng(2).normal(size=(4, 50, 2))
+    assert np.max(np.abs(chart.metric(x) - 3.0 * np.eye(2))) < 1e-13
+    assert np.max(np.abs(chart.christoffel(x))) < 1e-13
+    assert np.max(np.abs(chart.curvature(x, X, Y, Z))) < 1e-13
+    assert np.max(np.abs(chart.nabla_R(x, W, X, Y, Z))) < 1e-13
+    assert np.max(np.abs(chart.nabla2_R(x, W, X, Y, Z))) < 1e-12
+
+
+def test_numeric_metric_file_rejects_unknown_keys(tmp_path):
+    # the retired finite-difference step "h" would otherwise be ignored silently
+    path = tmp_path / "sphere.json"
+    table = [[SPHERE_CONF, "0"], ["0", SPHERE_CONF]]
+    path.write_text(json.dumps({"dim": 2, "metric": table, "h": 1e-4, "radius": 5.0}))
+    with pytest.raises(ConfigError, match="unknown metric file keys .*: h, radius$"):
+        parse_manifold(f"numeric:{path}")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 0, "metric": []},
+        {"dim": 2, "metric": "x0"},
+        {"dim": 2, "metric": [["1", "0"], ["1"]]},
+        {"metric": [["1"]]},
+        [1],
+    ],
+    ids=["dim-0", "not-a-table", "ragged", "no-dim", "not-an-object"],
+)
+def test_numeric_metric_file_rejects_a_bad_table(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        parse_manifold(f"numeric:{path}")
 
 
 def test_numeric_metric_file_loads_sphere(tmp_path):
-    conf = "4 / (1 + x0**2 + x1**2)**2"
+    conf = SPHERE_CONF
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps({"dim": 2, "metric": [[conf, "0"], ["0", conf]], "domain_radius": 5.0}))
     chart = parse_manifold(f"numeric:{path}")

@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import riemplan.geometry.base
 from riemplan import rk4
 from riemplan import (
     ConstructionError,
@@ -36,20 +35,17 @@ from riemplan import (
     propagate_jacobi,
     verdict,
 )
-from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_operator, jacobi_rhs, operator_table
+from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_rhs, operator_table
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
 
 
-def _warped_metric(x):
-    f = 0.1 * x[..., 0] ** 3 + 0.05 * x[..., 1] ** 3
-    return np.exp(2.0 * f)[..., None, None] * np.eye(2)
-
-
-# not locally symmetric: the curvature-gradient terms participate
-WARPED = NumericChart(2, _warped_metric, domain_radius=2.0, name="warped-plane")
+# g = exp(2 f) delta with f = 0.1 x0^3 + 0.05 x1^3: not locally symmetric,
+# so the curvature-gradient terms participate
+WARP = "exp(2*(0.1*x0**3 + 0.05*x1**3))"
+WARPED = NumericChart(2, [[WARP, "0"], ["0", WARP]], domain_radius=2.0, name="warped-plane")
 WARPED_START = CurveState(
     0.0, np.array([0.1, -0.2]), np.array([0.6, 0.4]), np.array([0.3, -0.1]), np.array([0.2, 0.5])
 )
@@ -141,8 +137,7 @@ def test_f_operator_stacks_the_qdot_derivatives():
 
 
 def test_nabla_R_is_linear_in_the_direction():
-    # the first derivative is differenced along the coordinate basis and
-    # contracted with W, so it is tensorial in W to rounding
+    # nabla R is a tensor contracted with W, so it is linear in W to rounding
     x = np.array([0.3, -0.4])
     W1, W2, X, Y, Z = np.random.default_rng(4).normal(size=(5, 2))
     mix = WARPED.nabla_R(x, 0.7 * W1 + W2, X, Y, Z)
@@ -163,20 +158,39 @@ def test_nabla_R_broadcasts_over_points(which):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_jacobi_operator_marches_independent_of_state_count(monkeypatch):
-    # every state shares one geodesic march per covariant-derivative order
-    pot, traj = warped_case()
-    calls = []
-    march = riemplan.geometry.base._geodesic
-    monkeypatch.setattr(
-        riemplan.geometry.base, "_geodesic", lambda *a, **k: calls.append(1) or march(*a, **k)
+def test_warped_curvature_matches_the_conformal_closed_form():
+    # in 2-D, R(X, Y)Z = K (<Y,Z>X - <X,Z>Y) with K = -exp(-2f) lap f; that
+    # bracket is parallel, so nab_W R = dK(W) (...) and
+    # nab^2_{W,W} R = (d^2 K - Gamma dK)(W, W) (...), conformal Gamma
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.2, 1.2, size=(16, 2))
+    W, X, Y, Z = rng.normal(size=(4, 16, 2))
+    c = np.array([0.6, 0.3])
+    f = 0.1 * x[:, 0] ** 3 + 0.05 * x[:, 1] ** 3
+    df = np.stack([0.3 * x[:, 0] ** 2, 0.15 * x[:, 1] ** 2], axis=-1)
+    d2f = np.stack([0.6 * x[:, 0], 0.3 * x[:, 1]], axis=-1)  # diagonal of the Hessian
+    lap = x @ c
+    E = np.exp(-2.0 * f)
+    K = -E * lap
+    dK = E[:, None] * (2.0 * df * lap[:, None] - c)
+    cdf = df[:, :, None] * c
+    d2K = E[:, None, None] * (
+        -4.0 * lap[:, None, None] * df[:, :, None] * df[:, None, :]
+        + 2.0 * (cdf + cdf.swapaxes(1, 2))
+        + 2.0 * lap[:, None, None] * (d2f[:, :, None] * np.eye(2))
     )
-    counts = []
-    for S in (5, 50):
-        calls.clear()
-        jacobi_operator(WARPED, pot, traj.interpolate(np.linspace(0.0, traj.T, S)))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    # Gamma^k_ij = delta^k_i d_j f + delta^k_j d_i f - delta_ij d_k f
+    WW = np.sum(W * W, axis=-1)
+    gam_WW = 2.0 * W * np.sum(df * W, axis=-1)[:, None] - WW[:, None] * df
+    hess = np.einsum("pij,pi,pj->p", d2K, W, W) - np.sum(dK * gam_WW, axis=-1)
+    g = np.exp(2.0 * f)[:, None]
+    bracket = g * (np.sum(Y * Z, axis=-1)[:, None] * X - np.sum(X * Z, axis=-1)[:, None] * Y)
+    for got, want in (
+        (WARPED.curvature(x, X, Y, Z), K[:, None] * bracket),
+        (WARPED.nabla_R(x, W, X, Y, Z), np.sum(dK * W, axis=-1)[:, None] * bracket),
+        (WARPED.nabla2_R(x, W, X, Y, Z), hess[:, None] * bracket),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_propagate_flat_polynomial():
