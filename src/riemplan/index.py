@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import BSpline
 
 from .dynamics import Trajectory, _action_from_positions, quadrature_weights
 from .errors import BasisError, ResolutionWarning
@@ -225,12 +223,41 @@ def spline_profiles(ts, T, m, dyadic=False):
     first two derivatives on ts, which count from the window start.  The first and last two members of the
     clamped basis are dropped to enforce the boundary behavior.  With
     dyadic=True, m must be 2^k + 1 so interior knots nest under refinement.
+    The nu-th derivatives sum the degree-(5 - nu) B-splines nonzero on each
+    point's knot span, from the local Cox-de Boor recursion, against the
+    differenced coefficients (de Boor, A Practical Guide to Splines, 1978,
+    ch. X) in scipy BSpline's order, so they match it bit for bit.  Points
+    at or past T use the last span's polynomial, points before 0 the first's.
     """
+    d = 5
     interior = _profile_knots(T, m, dyadic)
-    kv = np.concatenate([np.zeros(6), interior, np.full(6, T)])
-    nb = len(kv) - 6
-    spl = BSpline(kv, np.eye(nb)[:, 2 : nb - 2], 5)
-    return spl(ts).T, spl.derivative()(ts).T, spl.derivative(2)(ts).T, interior
+    kv = np.concatenate([np.zeros(d + 1), interior, np.full(d + 1, T)])
+    nb = len(kv) - d - 1
+    x = np.asarray(ts, float)[:, None]
+    span = np.clip(np.searchsorted(kv, x[:, 0], side="right") - 1, d, nb - 1)
+    # B[k]: the k + 1 degree-k B-splines nonzero on each point's span
+    B, z = [np.ones_like(x)], np.zeros_like(x)
+    for j in range(1, d + 1):
+        idx = span[:, None] + np.arange(1, j + 1)
+        xb, xa = kv[idx], kv[idx - j]
+        w = B[-1] / (xb - xa)
+        B.append(np.hstack([w * (xb - x), z]) + np.hstack([z, w * (x - xa)]))
+    # rows[s]: the members nonzero at point s; coef[:, q]: the B-spline
+    # coefficients of member q's nu-th derivative
+    rows = (span - d)[:, None] + np.arange(d + 1)
+    coef = np.eye(nb)
+    out = []
+    for nu in range(3):
+        if nu:
+            dt = kv[d + 1 : nb + d + 1 - nu] - kv[nu:nb]
+            coef = (coef[1:] - coef[:-1]) * (d + 1 - nu) / dt[:, None]
+        local = coef[rows[:, : d + 1 - nu, None], rows[:, None, :]]
+        vals = sum(local[:, a] * B[d - nu][:, a : a + 1] for a in range(d + 1 - nu))
+        # point-major, as BSpline returns it: the Galerkin products run faster on it
+        full = np.zeros((len(x), nb))
+        full[np.arange(len(x))[:, None], rows] = vals
+        out.append(full[:, 2 : nb - 2].T)
+    return (*out, interior)
 
 
 @dataclass
@@ -324,16 +351,23 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
     covariantly constant; the tables come from ``jacobi_operator`` at the
     Gauss points of the knot spans, so the count does not depend on the
     trajectory grid beyond its interpolation error.  The mass matrix is
-    the Sobolev-2 Gram form of the same fields.  Counts use the
-    +-1e-9 cutoffs; a mass condition number beyond 1e12 aborts.
+    the Sobolev-2 Gram form of the same fields.  With B = L L^T the
+    eigenvalues are those of L^-1 A L^-T, the reduction LAPACK's sygvd
+    makes.  Counts use the +-1e-9 cutoffs; a mass condition number beyond
+    1e12 or NaN, or a mass matrix without a Cholesky factor, aborts.
     """
     A, B, knots = _galerkin_matrices(chart, potential, trajectory, m, dyadic)
-    cond = float(np.linalg.cond(B))
-    if cond > 1e12:
-        raise BasisError(
-            f"profile basis is numerically dependent (mass condition {cond:.2e})"
-        )
-    evals = scipy.linalg.eigh(A, B, eigvals_only=True)
+    try:
+        cond = float(np.linalg.cond(B))
+        if not cond <= 1e12:
+            raise BasisError(
+                f"profile basis is numerically dependent (mass condition {cond:.2e})"
+            )
+        Li = np.linalg.inv(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError as exc:
+        raise BasisError(f"Galerkin mass matrix cannot be factored: {exc}") from None
+    C = Li @ A @ Li.T
+    evals = np.linalg.eigvalsh(0.5 * (C + C.T))
     idx = int(np.sum(evals < -_EIG_TOL))
     ker = int(np.sum(np.abs(evals) <= _EIG_TOL))
     if idx > 0:
@@ -345,7 +379,7 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
     return IndexReport(
         m=m,
         n_fields=len(A),
-        eigenvalues=np.sort(evals),
+        eigenvalues=evals,
         index=idx,
         kernel_dim=ker,
         extended_index=idx + ker,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # solve_bvp and integrate_ivp stay module attributes: bench/layers.py
 # traces them by name here.  The uniqueness probes march in lockstep.
@@ -210,6 +209,10 @@ def _damped_newton(grad, u, n, gtol, assemblies=8, inner=12):
     Cholesky makes each solve O(N).  Returns the point, its gradient and
     the number of accepted steps.
     """
+    # imported here: scipy.linalg takes about 0.35 s to load, and only the
+    # banded Cholesky below needs it, never plan or verify
+    import scipy.linalg
+
     g = grad(u)
     mu = 0.0
     steps = 0

@@ -7,7 +7,11 @@ scenario file under tmp_path, so artifact directories never collide.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,27 @@ def test_oracle_compare_agreement(tmp_path):
     assert payload["sup_distance"] < 5e-3
     assert payload["action_gap"] < 1e-3 * (1.0 + abs(payload["action_quadrature"]))
     assert payload["grad_sup"] <= 1e-7
+
+
+def test_plan_and_verify_never_import_scipy(tmp_path):
+    """A fresh interpreter plans and verifies without loading scipy; only
+    oracle-compare's banded Cholesky brings in scipy.linalg."""
+    cfg = str(write_cfg(tmp_path))
+    csv = str(tmp_path / "out" / "trajectory.csv")
+    code = f"""
+import sys
+from riemplan.cli import main
+assert main(["plan", "--config", {cfg!r}]) == 0
+assert main(["verify", "--config", {cfg!r}, "--trajectory", {csv!r}]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert main(["oracle-compare", "--config", {cfg!r}, "--nodes", "40"]) == 0
+assert "scipy.linalg" in sys.modules
+assert "scipy.interpolate" not in sys.modules
+"""
+    src = str(Path(riemplan.index.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_scenario_key_exits_1(tmp_path, capsys):

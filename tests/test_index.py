@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 from scipy.interpolate import BSpline
 
+import riemplan.index
 from riemplan import (
     AdmissibleField,
     BasisError,
@@ -266,6 +267,35 @@ def test_spline_profiles_dyadic_nesting_rules():
         spline_profiles(ts, 1.0, 1)
 
 
+@pytest.mark.parametrize("m, dyadic", [(2, False), (3, False), (7, False), (60, False), (5, True)])
+def test_spline_profiles_match_scipy_bspline(m, dyadic):
+    T = 1.7
+    knots = spline_profiles(np.zeros(1), T, m, dyadic)[3]
+    # every knot, both ends among them, and the Galerkin quadrature points
+    ts = np.concatenate([[0.0], knots, [T], _galerkin_points(T, knots)[0]])
+    spl = BSpline(np.concatenate([np.zeros(6), knots, np.full(6, T)]), np.eye(m + 4)[:, 2:-2], 5)
+    ref = (spl(ts).T, spl.derivative()(ts).T, spl.derivative(2)(ts).T)
+    for got, want in zip(spline_profiles(ts, T, m, dyadic)[:3], ref):
+        assert got.shape == want.shape == (m, len(ts))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("bad", ["nan", "indefinite"])
+def test_extended_index_rejects_a_bad_mass_matrix(monkeypatch, bad):
+    """A mass matrix with a NaN, or an indefinite one of condition 1, is a
+    BasisError that names the mass matrix, not a linear-algebra error."""
+    pot, traj = flat_rest()
+
+    def broken(chart, potential, trajectory, m, dyadic=False):
+        B = np.eye(m * chart.dim)
+        B[1, 1] = np.nan if bad == "nan" else -1.0
+        return np.eye(len(B)), B, np.linspace(0.0, trajectory.T, m)[1:-1]
+
+    monkeypatch.setattr(riemplan.index, "_galerkin_matrices", broken)
+    with pytest.raises(BasisError, match="mass"):
+        extended_index(EUC1, pot, traj, 6)
+
+
 def test_extended_index_flat_positive():
     pot, traj = flat_rest()
     rep = extended_index(EUC1, pot, traj, 12)
@@ -425,7 +455,9 @@ def test_galerkin_assembly_matches_einsum_reference(scenario, name):
     def counts(ev):
         return int(np.sum(ev < -1e-9)), int(np.sum(np.abs(ev) <= 1e-9))
 
-    ref = counts(scipy.linalg.eigh(A_ref, B_ref, eigvals_only=True))
+    evals = np.sort(scipy.linalg.eigh(A_ref, B_ref, eigvals_only=True))
+    ref = counts(evals)
     rep = extended_index(chart, pot, traj, m)
     assert (rep.index, rep.kernel_dim) == ref
+    assert np.max(np.abs(rep.eigenvalues - evals)) <= 1e-10
     assert ref == {"flat_obstacle": (0, 0), "well_top": (1, 0), "sphere_curve": (0, 0)}[name]
