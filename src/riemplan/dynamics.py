@@ -13,6 +13,10 @@ them to coordinate derivatives through Gamma at the current point:
     a' = j - Gamma(v, a)
     j' = -R(a, v)v - grad V(q) - Gamma(v, j)
 
+On a flat chart (``curvature_kind == "flat"``) Gamma and R vanish and the
+system is q'''' = -grad V(q): the right side is the shift (v, a, j) over
+-grad V(q), with no Gamma or curvature call.
+
 Integration is classical RK4 (``rk4.step``) on a uniform grid whose step
 stays fixed through a march, so a given grid gives a deterministic curve.
 ``integrate_ivp`` takes the step it is given, or T/2000 by default.
@@ -79,13 +83,17 @@ def ode_rhs(chart, potential, q, v, a, j):
 
 
 def _rhs_stacked(chart, potential, u):
-    """``ode_rhs`` on jet stacks u of shape (..., 4, n), with one Gamma call.
+    """``ode_rhs`` on jet stacks u of shape (..., 4, n): one Gamma call, none on flat charts.
 
     Gamma(v, .) is evaluated once on the stacked (v, a, j) at the point.
     """
     q, v, a = u[..., 0, :], u[..., 1, :], u[..., 2, :]
-    g = chart.gamma(q[..., None, :], v[..., None, :], u[..., 1:, :])
     out = np.empty_like(u)
+    if chart.curvature_kind == "flat":
+        out[..., :3, :] = u[..., 1:, :]
+        out[..., 3, :] = -potential.gradient(q)
+        return out
+    g = chart.gamma(q[..., None, :], v[..., None, :], u[..., 1:, :])
     out[..., 0, :] = v
     np.subtract(u[..., 2:, :], g[..., :2, :], out=out[..., 1:3, :])
     out[..., 3, :] = -chart.curvature(q, a, v, v) - potential.gradient(q) - g[..., 2, :]

@@ -95,9 +95,15 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
 
 
 def jacobi_rhs(chart, potential, state: CurveState, jac: JacobiState):
-    """Coordinate time-derivatives of the field 4-jet (X, dX, d2X, d3X)."""
+    """Coordinate time-derivatives of the field 4-jet (X, dX, d2X, d3X).
+
+    On a flat chart F and Gamma vanish and the ODE is X'''' = -Hess V X,
+    so only the potential's Hessian is evaluated.
+    """
     q, v = state.q, state.v
     X, dX, d2X, d3X = jac.X, jac.dX, jac.d2X, jac.d3X
+    if chart.curvature_kind == "flat":
+        return dX, d2X, d3X, -potential.hessian_op(q, X)
     force = -F_operator(chart, state, X, dX, d2X) - potential.hessian_op(q, X)
     return (
         dX - chart.gamma(q, v, X),

@@ -122,15 +122,20 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     two through the velocity entering the quadratic connection term, and
     the node itself through the metric, connection, and potential
     derivatives.  The eliminated nodes pass a quarter of their gradient to
-    the adjacent free node.
+    the adjacent free node.  On a flat chart (Gamma = 0, g = I) only the
+    second-difference stencil and the potential gradient remain.
     """
     qs, h = path.qs, path.h
     N = path.segments
+    flat = chart.curvature_kind == "flat"
     v, c = _node_kinematics(path)
-    G = chart.christoffel(qs)
-    a = c + np.einsum("...kij,...i,...j->...k", G, v, v)
-    g = chart.metric(qs)
-    b = np.einsum("...ab,...b->...a", g, a)
+    if flat:
+        b = c
+    else:
+        G = chart.christoffel(qs)
+        a = c + np.einsum("...kij,...i,...j->...k", G, v, v)
+        g = chart.metric(qs)
+        b = np.einsum("...ab,...b->...a", g, a)
     w = _trapezoid(N + 1, h)
 
     grad = np.zeros_like(qs)
@@ -138,17 +143,20 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     grad[0:-2] += wb / h**2
     grad[1:-1] -= 2.0 * wb / h**2
     grad[2:] += wb / h**2
-    C = np.einsum("...c,...cdb,...b->...d", b[1:-1], G[1:-1], v[1:-1])
-    wc = w[1:-1, None] * C
-    grad[2:] += wc / h
-    grad[0:-2] -= wc / h
+    if flat:
+        grad[1:-1] += w[1:-1, None] * potential.gradient(qs[1:-1])
+    else:
+        C = np.einsum("...c,...cdb,...b->...d", b[1:-1], G[1:-1], v[1:-1])
+        wc = w[1:-1, None] * C
+        grad[2:] += wc / h
+        grad[0:-2] -= wc / h
 
-    dg = chart.dmetric(qs[1:-1])
-    dG = chart.dchristoffel(qs[1:-1])
-    E = 0.5 * np.einsum("...a,...b,...lab->...l", a[1:-1], a[1:-1], dg)
-    E += np.einsum("...ab,...b->...a", g[1:-1], potential.gradient(qs[1:-1]))
-    D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], dG, v[1:-1], v[1:-1])
-    grad[1:-1] += w[1:-1, None] * (E + D)
+        dg = chart.dmetric(qs[1:-1])
+        dG = chart.dchristoffel(qs[1:-1])
+        E = 0.5 * np.einsum("...a,...b,...lab->...l", a[1:-1], a[1:-1], dg)
+        E += np.einsum("...ab,...b->...a", g[1:-1], potential.gradient(qs[1:-1]))
+        D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], dG, v[1:-1], v[1:-1])
+        grad[1:-1] += w[1:-1, None] * (E + D)
 
     for k, sgn in ((0, 1), (N, -1)):
         grad[k + sgn] += 2.0 * w[k] * b[k] / h**2

@@ -253,10 +253,14 @@ class GaussianObstacle(Potential):
         d2 = self.chart.inner(x, logv, logv)
         e = self.amplitude * np.exp(-0.5 * d2 / s2)
         lX = self.chart.inner(x, logv, X)
-        # Hess(d^2/2)(X) = mu X + kappa*deficit * <X, log> log  (radial part 1)
-        y = kappa * d2
-        hs = _cot_factor(y)[..., None] * X
-        hs += (kappa * _cot_deficit(y) * lX)[..., None] * logv
+        # Hess(d^2/2)(X) = mu X + kappa*deficit * <X, log> log  (radial part 1),
+        # the identity on a flat chart
+        if self.chart.curvature_kind == "flat":
+            hs = X
+        else:
+            y = kappa * d2
+            hs = _cot_factor(y)[..., None] * X
+            hs += (kappa * _cot_deficit(y) * lX)[..., None] * logv
         return (e / s2**2 * lX)[..., None] * logv - (e / s2)[..., None] * hs
 
 
