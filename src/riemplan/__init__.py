@@ -40,7 +40,6 @@ from .potentials import (
     ScaledPotential,
     SumPotential,
     ZeroPotential,
-    potential_from_config,
 )
 from .dynamics import (
     CurveState,
@@ -58,6 +57,7 @@ from .bvp import (
     multi_seed_scan,
     solve_bvp,
 )
+from .config import potential_from_config
 from .jacobi import (
     BiconjugateReport,
     JacobiState,

@@ -169,9 +169,14 @@ def cmd_plan(scenario, args) -> int:
 
 def _obtain_trajectory(scenario, args):
     if getattr(args, "trajectory", None):
-        return read_trajectory_csv(
-            Path(args.trajectory), scenario.chart, scenario.potential
-        )
+        traj = read_trajectory_csv(Path(args.trajectory), scenario.chart, scenario.potential)
+        a, b = scenario.boundary.a, scenario.boundary.b
+        if max(abs(traj.ts[0] - a), abs(traj.ts[-1] - b)) > 1e-9 * traj.h:
+            raise ConfigError(
+                f"trajectory CSV {args.trajectory} covers [{traj.ts[0]:g}, {traj.ts[-1]:g}],"
+                f" not the scenario interval [{a:g}, {b:g}]"
+            )
+        return traj
     res, _ = _plan_trajectory(scenario)
     return res.trajectory
 
@@ -194,7 +199,7 @@ def cmd_scan(scenario, args) -> int:
         scenario.chart,
         scenario.potential,
         traj,
-        t1=scenario.verify.get("t1", traj.ts[0]),
+        t1=scenario.verify.get("t1"),
         grid=scenario.verify.get("grid"),
     )
     _write_json(scenario.out / "biconjugate.json", report.to_dict())

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .bvp import BoundaryData
-from .errors import ConfigError
+from .errors import ChartDomainError, ConfigError
 from .geometry import ManifoldChart, parse_manifold
-from .potentials import Potential, potential_from_config
+from .potentials import GaussianObstacle, Potential, QuadraticWell, SumPotential, ZeroPotential
 
-__all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
+__all__ = ["Scenario", "load_scenario", "scenario_from_dict", "potential_from_config"]
 
 _TOP_KEYS = {
     "manifold",
@@ -89,8 +89,8 @@ def _count(raw, where, least, what):
     return value
 
 
-def _real(raw, where, least=None, strict=False):
-    """A finite number, at least ``least`` (above it with ``strict``) if given."""
+def _real(raw, where, least=None, strict=False, most=None):
+    """A finite number, at least ``least`` (above it with ``strict``) and at most ``most`` if given."""
     try:
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -99,6 +99,8 @@ def _real(raw, where, least=None, strict=False):
         raise ConfigError(f"{where} must be a finite number, got {raw!r}")
     if least is not None and (value < least or strict and value == least):
         raise ConfigError(f"{where} must be {'above' if strict else 'at least'} {least:g}, got {value:g}")
+    if most is not None and value > most:
+        raise ConfigError(f"{where} must be at most {most:g}, got {value:g}")
     return value
 
 
@@ -120,11 +122,64 @@ def _method(raw, where):
     return raw
 
 
+# the keys each potential type accepts
+_POTENTIAL_KEYS = {
+    "zero": {"type"},
+    "gaussian": {"type", "center", "A", "sigma", "distance"},
+    "quadratic": {"type", "center", "k"},
+    "sum": {"type", "terms"},
+}
+
+
+def potential_from_config(chart, cfg, where="potential") -> Potential:
+    """Build a potential from its config object (None: V = 0).
+
+    Every error is a ConfigError naming the offending key under ``where``.
+    """
+    if cfg is None:
+        return ZeroPotential(chart)
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise ConfigError(f"{where} must be an object with a 'type'")
+    kind = cfg["type"]
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"{where}.type must be one of {', '.join(_POTENTIAL_KEYS)}, got {kind!r}")
+    unknown = sorted(set(cfg) - _POTENTIAL_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"unknown {where} keys for a {kind} potential: {', '.join(unknown)}")
+
+    def center():
+        return _vector(cfg["center"], chart.dim, f"{where}.center")
+
+    def positive(key, default=None):
+        return _real(cfg.get(key, default), f"{where}.{key}", 0.0, strict=True)
+
+    if kind == "zero":
+        return ZeroPotential(chart)
+    try:
+        if kind == "gaussian":
+            missing = sorted({"center", "A", "sigma"} - set(cfg))
+            if missing:
+                raise ConfigError(f"{where} is missing {', '.join(missing)}")
+            mode = cfg.get("distance", "riemannian")
+            if mode not in ("riemannian", "chart"):
+                raise ConfigError(f"{where}.distance must be 'riemannian' or 'chart', got {mode!r}")
+            return GaussianObstacle(chart, center(), positive("A"), positive("sigma"), mode)
+        if kind == "quadratic":
+            well_center = center() if cfg.get("center") is not None else None
+            return QuadraticWell(chart, well_center, positive("k", 1.0))
+    except ChartDomainError as exc:
+        # the constructors check the center against the chart domain
+        raise ConfigError(f"{where}.center must lie in the {chart.name} chart domain") from exc
+    terms = cfg.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise ConfigError(f"{where}.terms must be a nonempty list of potentials")
+    return SumPotential([potential_from_config(chart, t, f"{where}.terms[{i}]") for i, t in enumerate(terms)])
+
+
 # (block, key, check(raw, where) -> value) for every option a command reads
 _CHECKS = (
     ("verify", "grid", partial(_count, least=1, what="a positive sample count")),
     ("verify", "basis", partial(_count, least=2, what="at least 2 spline profiles")),
-    ("verify", "t1", _real),
     ("solver", "max_iter", partial(_count, least=0, what="at least 0")),
     ("solver", "seeds", partial(_count, least=1, what="at least 1")),
     ("solver", "spread", partial(_real, least=0.0)),
@@ -190,7 +245,8 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None, flags=None) ->
 
     blocks = {name: _options(cfg.get(name), name) for name in ("solver", "verify", "sweep", "oracle")}
     flags = flags or {}
-    for block, key, check in _CHECKS:
+    # the scan's left time lies in the window
+    for block, key, check in _CHECKS + (("verify", "t1", partial(_real, least=a, most=b)),):
         where = f"{block}.{key}"
         if flags.get(key) is not None:
             blocks[block][key], where = flags[key], f"--{key}"

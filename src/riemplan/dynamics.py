@@ -13,9 +13,9 @@ them to coordinate derivatives through Gamma at the current point:
     a' = j - Gamma(v, a)
     j' = -R(a, v)v - grad V(q) - Gamma(v, j)
 
-On a flat chart (``curvature_kind == "flat"``) Gamma and R vanish and the
-system is q'''' = -grad V(q): the right side is the shift (v, a, j) over
--grad V(q), with no Gamma or curvature call.
+On a flat chart (``chart.flat``, a ``space_curvature`` of 0) Gamma and R
+vanish and the system is q'''' = -grad V(q): the right side is the shift
+(v, a, j) over -grad V(q), with no Gamma or curvature call.
 
 Integration is classical RK4 (``rk4.step``) on a uniform grid whose step
 stays fixed through a march, so a given grid gives a deterministic curve.
@@ -89,7 +89,7 @@ def _rhs_stacked(chart, potential, u):
     """
     q, v, a = u[..., 0, :], u[..., 1, :], u[..., 2, :]
     out = np.empty_like(u)
-    if chart.curvature_kind == "flat":
+    if chart.flat:
         out[..., :3, :] = u[..., 1:, :]
         out[..., 3, :] = -potential.gradient(q)
         return out

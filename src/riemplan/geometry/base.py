@@ -28,6 +28,8 @@ import numpy as np
 from .. import rk4
 from ..errors import ChartDomainError, ChartEscapeError, InjectivityError
 
+# relative step of the finite-difference ``dchristoffel`` fallback
+_FD_STEP = 1e-6
 # Gauss-Legendre rule on [0, 1] for ManifoldChart._segment_length
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
@@ -38,20 +40,28 @@ __all__ = ["ManifoldChart"]
 class ManifoldChart:
     """Base chart: generic coordinate formulas over ``metric``/``dmetric``.
 
-    Subclasses must set ``dim``, ``name`` and ``curvature_kind`` and
-    implement ``metric`` and ``dmetric`` (and ``nabla_R``, ``nabla2_R``
-    unless locally symmetric); everything else has a working (if slower)
-    default.  ``curvature_kind`` is one of ``"flat"``,
-    ``"constant_curvature"``, ``"lie_group_so3"``, ``"generic_numeric"``.
+    Subclasses must set ``dim`` and ``name`` and implement ``metric`` and
+    ``dmetric``; everything else has a working (if slower) default.
+    ``space_curvature`` is the one declaration of the chart's curvature:
+    0.0 on a flat chart, the sectional curvature on a space of constant
+    curvature, None otherwise.  ``flat`` and ``locally_symmetric`` follow
+    from it; a chart that leaves it None must provide ``nabla_R`` and
+    ``nabla2_R``.
     """
 
     dim: int = 0
     name: str = ""
-    curvature_kind: str = "generic_numeric"
-    #: sectional curvature when the space has a constant one, else None
     space_curvature: float | None = None
-    #: relative step of the finite-difference ``dchristoffel`` fallback
-    fd_step: float = 1e-6
+
+    @property
+    def flat(self) -> bool:
+        """True when Gamma and R vanish identically on this chart."""
+        return self.space_curvature == 0.0
+
+    @property
+    def locally_symmetric(self) -> bool:
+        """True when nabla R vanishes identically on this chart."""
+        return self.space_curvature is not None
 
     # -- metric layer -------------------------------------------------
 
@@ -95,7 +105,7 @@ class ManifoldChart:
         n = self.dim
         out = np.empty(x.shape[:-1] + (n, n, n, n))
         for l in range(n):
-            h = self.fd_step * (1.0 + np.abs(x[..., l : l + 1]))
+            h = _FD_STEP * (1.0 + np.abs(x[..., l : l + 1]))
             e = np.zeros(n)
             e[l] = 1.0
             cp = self.christoffel(x + h * e)
@@ -108,17 +118,19 @@ class ManifoldChart:
     def curvature(
         self, x: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
     ) -> np.ndarray:
-        """R(X, Y)Z at x.  Dispatches on ``curvature_kind``."""
-        kind = self.curvature_kind
-        if kind == "flat":
+        """R(X, Y)Z at x: k(<Y,Z>X - <X,Z>Y) with k = ``space_curvature``.
+
+        Charts without a constant curvature take the coordinate formula.
+        """
+        k = self.space_curvature
+        if k is None:
+            return self.curvature_from_christoffel(x, X, Y, Z)
+        if self.flat:
             return np.zeros(np.broadcast(X, Y, Z).shape)
-        if kind == "constant_curvature":
-            k = self.space_curvature
-            return k * (
-                self.inner(x, Y, Z)[..., None] * X
-                - self.inner(x, X, Z)[..., None] * Y
-            )
-        return self.curvature_from_christoffel(x, X, Y, Z)
+        return k * (
+            self.inner(x, Y, Z)[..., None] * X
+            - self.inner(x, X, Z)[..., None] * Y
+        )
 
     def curvature_from_christoffel(
         self, x: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
@@ -126,7 +138,7 @@ class ManifoldChart:
         """R(X, Y)Z from the coordinate formula.
 
         R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik.
-        Works on every chart; the kind-specific paths are cross-checked
+        Works on every chart; the constant-curvature formula is cross-checked
         against this in the test suite.
         """
         dG = self.dchristoffel(x)
@@ -137,11 +149,6 @@ class ManifoldChart:
         t3 = self.gamma(x, X, gYZ)
         t4 = self.gamma(x, Y, gXZ)
         return t1 - t2 + t3 - t4
-
-    @property
-    def locally_symmetric(self) -> bool:
-        """True when nabla R vanishes identically on this chart."""
-        return self.curvature_kind in ("flat", "constant_curvature", "lie_group_so3")
 
     def nabla_R(self, x, W, X, Y, Z) -> np.ndarray:
         """(nab_W R)(X, Y)Z: exactly zero on the locally symmetric charts that use this default.
@@ -164,7 +171,7 @@ class ManifoldChart:
 
     # -- geodesic layer -----------------------------------------------
 
-    def exp(self, x: np.ndarray, v: np.ndarray, steps: int | None = None) -> np.ndarray:
+    def exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Endpoint of the geodesic from x with initial velocity v.
 
         Integrates the geodesic equation with fixed-step classical RK4;
@@ -174,9 +181,8 @@ class ManifoldChart:
         x = np.asarray(x, float)
         v = np.asarray(v, float)
         x, v = np.broadcast_arrays(x, v)
-        if steps is None:
-            speed = float(np.max(self.norm(x, v))) if x.size else 0.0
-            steps = min(512, max(16, int(48.0 * speed) + 1))
+        speed = float(np.max(self.norm(x, v))) if x.size else 0.0
+        steps = min(512, max(16, int(48.0 * speed) + 1))
         q = _geodesic(self, x, v, 1.0 / steps, steps)[..., 0, :]
         if not np.all(self.contains(q)):
             raise ChartEscapeError("geodesic left the chart domain", 1.0)

@@ -24,7 +24,6 @@ __all__ = ["EuclideanChart", "Sphere2Chart", "Hyperbolic2Chart", "SO3Chart"]
 
 
 class EuclideanChart(ManifoldChart):
-    curvature_kind = "flat"
     space_curvature = 0.0
 
     def __init__(self, n: int):
@@ -61,7 +60,7 @@ class EuclideanChart(ManifoldChart):
     def metric_inv(self, x):
         return self.metric(x)
 
-    def exp(self, x, v, steps=None):
+    def exp(self, x, v):
         return np.asarray(x, float) + np.asarray(v, float)
 
     def log(self, x, y):
@@ -88,7 +87,6 @@ class _ConformalChart(ManifoldChart):
     InjectivityError where d exceeds ``_log_cut``.
     """
 
-    curvature_kind = "constant_curvature"
     _log_cut = np.inf
 
     def _phi_grad(self, x):
@@ -263,15 +261,15 @@ class SO3Chart(ManifoldChart):
 
     The metric is the pullback of <omega, omega> on body angular
     velocities, g(x) = J_r(x)^T J_r(x) = u(|x|) I + beta(|x|) x x^T.  The
-    space is locally symmetric with constant sectional curvature 1/4; the
-    curvature endomorphism is evaluated through the Lie-bracket route in
-    the body frame, which the tests cross-check against both the
-    constant-curvature closed form and the coordinate formula.
+    space has constant sectional curvature 1/4 (Milnor, *Curvatures of
+    left invariant metrics on Lie groups*, Adv. Math. 1976), so the body
+    frame's R(X, Y)Z = -[[X, Y], Z]/4 is the base class's
+    constant-curvature formula; the tests cross-check it against the
+    coordinate formula.
     """
 
     dim = 3
     name = "so3"
-    curvature_kind = "lie_group_so3"
     space_curvature = 0.25
     angle_cap = np.pi - 0.2
 
@@ -298,15 +296,6 @@ class SO3Chart(ManifoldChart):
             np.einsum("al,...b->...lab", eye, x) + np.einsum("bl,...a->...lab", eye, x)
         )
         return out
-
-    def curvature(self, x, X, Y, Z):
-        x = np.asarray(x, float)
-        J = _so3.right_jacobian(x)
-        bx = np.einsum("...ab,...b->...a", J, np.asarray(X, float))
-        by = np.einsum("...ab,...b->...a", J, np.asarray(Y, float))
-        bz = np.einsum("...ab,...b->...a", J, np.asarray(Z, float))
-        body = -0.25 * np.cross(np.cross(bx, by), bz)
-        return np.einsum("...ab,...b->...a", _so3.right_jacobian_inv(x), body)
 
     def contains(self, x):
         x = np.asarray(x, float)

@@ -173,8 +173,6 @@ def _compile_expr(text: str, dim: int):
 class NumericChart(ManifoldChart):
     """Chart of a metric given as a dim x dim table of expressions in x0..x{dim-1}."""
 
-    curvature_kind = "generic_numeric"
-
     def __init__(self, dim: int, exprs, domain_radius: float = np.inf, name: str = "numeric"):
         if dim < 1 or not isinstance(exprs, list) or len(exprs) != dim or any(
             not isinstance(row, list) or len(row) != dim for row in exprs

@@ -49,15 +49,6 @@ def cos_coeff(theta):
     )
 
 
-def jerk_coeff(theta):
-    """(theta - sin(theta))/theta^3."""
-    return _series(
-        theta,
-        [1 / 6, -1 / 120, 1 / 5040, -1 / 362880],
-        lambda t: (t - np.sin(t)) / t**3,
-    )
-
-
 def metric_radial(theta):
     """u(theta) = (2 - 2 cos theta)/theta^2, the transverse metric eigenvalue."""
     return _series(
@@ -133,18 +124,6 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
         theta, [1.0, 1 / 6, 7 / 360, 31 / 15120], lambda t: t / np.sin(t)
     )
     return fac[..., None] * w
-
-
-def right_jacobian(w: np.ndarray) -> np.ndarray:
-    """J_r with body velocity = J_r(w) wdot for the axis-angle chart."""
-    w = np.asarray(w, float)
-    theta = np.linalg.norm(w, axis=-1)
-    K = hat(w)
-    return (
-        np.eye(3)
-        - cos_coeff(theta)[..., None, None] * K
-        + jerk_coeff(theta)[..., None, None] * (K @ K)
-    )
 
 
 def right_jacobian_inv(w: np.ndarray) -> np.ndarray:

@@ -429,7 +429,7 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
         m = int(np.ceil(120 / chart.dim))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResolutionWarning)
-        scan = biconjugate_scan(chart, potential, trajectory, t1=float(trajectory.ts[0]))
+        scan = biconjugate_scan(chart, potential, trajectory)
     notes = []
     for w in caught:
         if issubclass(w.category, ResolutionWarning):

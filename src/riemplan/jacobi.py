@@ -102,7 +102,7 @@ def jacobi_rhs(chart, potential, state: CurveState, jac: JacobiState):
     """
     q, v = state.q, state.v
     X, dX, d2X, d3X = jac.X, jac.dX, jac.d2X, jac.d3X
-    if chart.curvature_kind == "flat":
+    if chart.flat:
         return dX, d2X, d3X, -potential.hessian_op(q, X)
     force = -F_operator(chart, state, X, dX, d2X) - potential.hessian_op(q, X)
     return (
@@ -342,8 +342,8 @@ _SIGMA_RATIO = 1e-8
 _EXCLUDE_NODES = 4
 
 
-def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float = 0.0, grid: int | None = None) -> BiconjugateReport:
-    """Locate the times paired with t1 by first-order-vanishing fields.
+def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float | None = None, grid: int | None = None) -> BiconjugateReport:
+    """Locate the times paired with t1 (default: the window start) by first-order-vanishing fields.
 
     The 2n fundamental solutions launched at t1 with unit higher jets give
     a 2n x 2n endpoint matrix M(t); biconjugate times are its rank drops.
@@ -353,11 +353,16 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float = 0.0, 
     to remove the forced zero at t1; a window of grid nodes around t1 is
     excluded for the same reason.  Scans run from t1 toward both grid ends;
     each direction is one table march of the 2n-field bundle, and the
-    refinement steps off the nodes through the same operator.
+    refinement steps off the nodes through the same operator.  A t1 more
+    than 1e-9 h outside the trajectory window raises ValueError.
     """
     n = chart.dim
     ts = trajectory.ts
     N = trajectory.segments
+    t1 = ts[0] if t1 is None else t1
+    slack = 1e-9 * trajectory.h
+    if not ts[0] - slack <= t1 <= ts[-1] + slack:
+        raise ValueError(f"scan time t1 = {t1:.17g} outside the trajectory window [{ts[0]:.17g}, {ts[-1]:.17g}]")
     k1 = int(np.clip(np.round((t1 - ts[0]) / trajectory.h), 0, N))
     t1_eff = float(ts[k1])
     if grid is not None and grid < 1:

@@ -127,7 +127,7 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     """
     qs, h = path.qs, path.h
     N = path.segments
-    flat = chart.curvature_kind == "flat"
+    flat = chart.flat
     v, c = _node_kinematics(path)
     if flat:
         b = c

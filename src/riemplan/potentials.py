@@ -7,12 +7,14 @@ broadcasting over leading axes:
     gradient(x)       metric-raised gradient vector in chart components
     hessian_op(x, X)  nab_X grad V, the covariant Hessian as an operator
 
-For potentials given by a closed form in the chart coordinates the Hessian
-comes from (nab dV)_ij = d_i d_j V - Gamma^k_ij d_k V and is exact.  For
-radially symmetric bumps composed with Riemannian distance the Hessian of
-the squared distance has a closed form on flat and constant-curvature
-charts; elsewhere a finite-difference fallback on the gradient field is
-used.  ``hessian_op_fd`` is always available as an independent oracle.
+The quadratic well and the Gaussian obstacle are both profiles of the
+squared distance to a center, and share one pipeline
+(``_DistancePotential``): with the chart-coordinate distance the Hessian
+comes from (nab dV)_ij = d_i d_j V - Gamma^k_ij d_k V and is exact; with
+the Riemannian distance the Hessian of the squared distance has a closed
+form on charts with a ``space_curvature``, and elsewhere a
+finite-difference fallback on the gradient field is used.
+``hessian_op_fd`` is always available as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "QuadraticWell",
     "SumPotential",
     "ScaledPotential",
-    "potential_from_config",
 ]
 
 
@@ -109,159 +110,124 @@ class ZeroPotential(Potential):
         return np.zeros(np.broadcast(np.asarray(x, float), np.asarray(X, float)).shape)
 
 
-class _CoordinatePotential(Potential):
-    """V given in closed form in the chart coordinates.
+class _DistancePotential(Potential):
+    """V a profile of the squared distance d^2 from x to ``center``.
 
-    Subclasses provide the coordinate value, the differential dV (a
-    covector) and the coordinate second derivative; the covariant pieces
-    follow exactly.
+    d is the Riemannian distance (``distance="riemannian"``; the center's
+    injectivity region must cover the scenario) or the chart-coordinate
+    distance |x - center| (``distance="chart"``).  Subclasses give the
+    profile as ``_profile(d2, order)``: V at order 0, s = -dV/dr at order
+    1 and the pair (s, d^2V/dr^2) at order 2, with r = d^2/2.
+
+    In chart mode V is a plain function of the coordinates, with
+    dV = -s u for u = x - center, and the covariant Hessian
+    g^-1 (d d V - Gamma . dV) is exact on every chart.  In Riemannian mode
+    grad r = -log_x(center), and Hess r has a closed form on charts of
+    constant curvature; elsewhere ``hessian_op_fd`` stands in.
     """
 
-    def _cvalue(self, x):
-        raise NotImplementedError
-
-    def _cgrad(self, x):
-        raise NotImplementedError
-
-    def _chess(self, x):
-        raise NotImplementedError
-
-    def value(self, x):
-        return self._cvalue(np.asarray(x, float))
-
-    def gradient(self, x):
-        x = np.asarray(x, float)
-        return self.chart.raise_covector(x, self._cgrad(x))
-
-    def hessian_op(self, x, X):
-        x = np.asarray(x, float)
-        X = np.asarray(X, float)
-        dv = self._cgrad(x)
-        # (nab dV)_ij = d_i d_j V - Gamma^k_ij dV_k, then raise the first slot
-        nabdv = self._chess(x) - np.einsum(
-            "...kij,...k->...ij", self.chart.christoffel(x), dv
-        )
-        return self.chart.raise_covector(x, np.einsum("...ij,...j->...i", nabdv, X))
-
-
-class QuadraticWell(_CoordinatePotential):
-    """V = k/2 * |x - center|^2 in chart coordinates."""
-
-    def __init__(self, chart, center=None, stiffness: float = 1.0):
+    def __init__(self, chart, center, distance: str):
         super().__init__(chart)
-        if stiffness <= 0:
-            raise ConfigError("quadratic well needs stiffness > 0")
-        self.center = (
-            np.zeros(chart.dim) if center is None else np.asarray(center, float)
-        )
-        if self.center.shape != (chart.dim,):
-            raise ConfigError(
-                f"well center must be a {chart.dim}-vector, got shape {self.center.shape}"
-            )
-        chart.check_point(self.center, "well center")
-        self.stiffness = float(stiffness)
-
-    def _cvalue(self, x):
-        u = x - self.center
-        return 0.5 * self.stiffness * np.einsum("...a,...a->...", u, u)
-
-    def _cgrad(self, x):
-        return self.stiffness * (x - self.center)
-
-    def _chess(self, x):
-        n = self.chart.dim
-        return np.broadcast_to(
-            self.stiffness * np.eye(n), x.shape[:-1] + (n, n)
-        ).copy()
-
-
-class GaussianObstacle(Potential):
-    """V = A exp(-rho^2 / (2 sigma^2)) around an obstacle center.
-
-    rho is either the Riemannian distance to the center (the default; the
-    center's injectivity region must cover the scenario) or the plain
-    chart-coordinate distance.  Both choices are smooth and nonnegative on
-    the working region; scenario configs record which one is in force.
-    """
-
-    def __init__(self, chart, center, amplitude: float, width: float, distance: str = "riemannian"):
-        super().__init__(chart)
-        if amplitude <= 0:
-            raise ConfigError("gaussian obstacle needs amplitude > 0")
-        if width <= 0:
-            raise ConfigError("gaussian obstacle needs width > 0")
         if distance not in ("riemannian", "chart"):
             raise ConfigError(f"unknown distance mode {distance!r}")
         self.center = np.asarray(center, float)
         if self.center.shape != (chart.dim,):
             raise ConfigError(
-                f"obstacle center must be a {chart.dim}-vector, got shape {self.center.shape}"
+                f"{type(self).__name__} center must be a {chart.dim}-vector, got shape {self.center.shape}"
             )
-        chart.check_point(self.center, "obstacle center")
-        self.amplitude = float(amplitude)
-        self.width = float(width)
+        chart.check_point(self.center, f"{type(self).__name__} center")
         self.distance = distance
 
-    # -- chart-coordinate branch, plain smooth function of x ----------
+    def _profile(self, d2, order):
+        raise NotImplementedError
 
-    def _chart_pieces(self, x):
+    def _offset(self, x):
+        """u = x - center and its squared coordinate length."""
         u = x - self.center
-        r2 = np.einsum("...a,...a->...", u, u)
-        e = self.amplitude * np.exp(-0.5 * r2 / self.width**2)
-        return u, e
-
-    # -- shared interface ---------------------------------------------
+        return u, np.einsum("...a,...a->...", u, u)
 
     def value(self, x):
         x = np.asarray(x, float)
         if self.distance == "chart":
-            return self._chart_pieces(x)[1]
-        d = self.chart.distance(x, self.center)
-        return self.amplitude * np.exp(-0.5 * d**2 / self.width**2)
+            return self._profile(self._offset(x)[1], 0)
+        return self._profile(self.chart.distance(x, self.center) ** 2, 0)
 
     def gradient(self, x):
         x = np.asarray(x, float)
-        s2 = self.width**2
         if self.distance == "chart":
-            u, e = self._chart_pieces(x)
-            return self.chart.raise_covector(x, -(e / s2)[..., None] * u)
-        # grad of d^2/2 is -log_x(center), so grad V points at the center
+            u, d2 = self._offset(x)
+            return self.chart.raise_covector(x, -self._profile(d2, 1)[..., None] * u)
         logv = self.chart.log(x, self.center)
-        d2 = self.chart.inner(x, logv, logv)
-        e = self.amplitude * np.exp(-0.5 * d2 / s2)
-        return (e / s2)[..., None] * logv
+        return self._profile(self.chart.inner(x, logv, logv), 1)[..., None] * logv
 
     def hessian_op(self, x, X):
         x = np.asarray(x, float)
         X = np.asarray(X, float)
-        s2 = self.width**2
         if self.distance == "chart":
-            u, e = self._chart_pieces(x)
-            dv = -(e / s2)[..., None] * u
-            chess = (e / s2**2)[..., None, None] * np.einsum("...i,...j->...ij", u, u)
-            chess -= (e / s2)[..., None, None] * np.eye(self.chart.dim)
-            nabdv = chess - np.einsum(
-                "...kij,...k->...ij", self.chart.christoffel(x), dv
-            )
-            return self.chart.raise_covector(
-                x, np.einsum("...ij,...j->...i", nabdv, X)
-            )
+            u, d2 = self._offset(x)
+            s, c = self._profile(d2, 2)
+            dv = -s[..., None] * u
+            chess = c[..., None, None] * np.einsum("...i,...j->...ij", u, u)
+            chess -= s[..., None, None] * np.eye(self.chart.dim)
+            nabdv = chess - np.einsum("...kij,...k->...ij", self.chart.christoffel(x), dv)
+            return self.chart.raise_covector(x, np.einsum("...ij,...j->...i", nabdv, X))
         kappa = self.chart.space_curvature
         if kappa is None:
             return self.hessian_op_fd(x, X)
         logv = self.chart.log(x, self.center)
         d2 = self.chart.inner(x, logv, logv)
-        e = self.amplitude * np.exp(-0.5 * d2 / s2)
+        s, c = self._profile(d2, 2)
         lX = self.chart.inner(x, logv, X)
-        # Hess(d^2/2)(X) = mu X + kappa*deficit * <X, log> log  (radial part 1),
+        # Hess r (X) = mu X + kappa*deficit * <X, log> log  (radial part 1),
         # the identity on a flat chart
-        if self.chart.curvature_kind == "flat":
+        if self.chart.flat:
             hs = X
         else:
             y = kappa * d2
             hs = _cot_factor(y)[..., None] * X
             hs += (kappa * _cot_deficit(y) * lX)[..., None] * logv
-        return (e / s2**2 * lX)[..., None] * logv - (e / s2)[..., None] * hs
+        return (c * lX)[..., None] * logv - s[..., None] * hs
+
+
+class QuadraticWell(_DistancePotential):
+    """V = k/2 * |x - center|^2 in chart coordinates."""
+
+    def __init__(self, chart, center=None, stiffness: float = 1.0):
+        if stiffness <= 0:
+            raise ConfigError("quadratic well needs stiffness > 0")
+        super().__init__(chart, np.zeros(chart.dim) if center is None else center, "chart")
+        self.stiffness = float(stiffness)
+
+    def _profile(self, d2, order):
+        if order == 0:
+            return 0.5 * self.stiffness * d2
+        # s = -k and d^2V/dr^2 = 0 everywhere; 0-d arrays broadcast against any batch
+        s = np.array(-self.stiffness)
+        return s if order == 1 else (s, np.array(0.0))
+
+
+class GaussianObstacle(_DistancePotential):
+    """V = A exp(-d^2 / (2 sigma^2)) around an obstacle center.
+
+    Both distance modes are smooth and nonnegative on the working region;
+    scenario configs record which one is in force.
+    """
+
+    def __init__(self, chart, center, amplitude: float, width: float, distance: str = "riemannian"):
+        if amplitude <= 0:
+            raise ConfigError("gaussian obstacle needs amplitude > 0")
+        if width <= 0:
+            raise ConfigError("gaussian obstacle needs width > 0")
+        super().__init__(chart, center, distance)
+        self.amplitude = float(amplitude)
+        self.width = float(width)
+
+    def _profile(self, d2, order):
+        s2 = self.width**2
+        e = self.amplitude * np.exp(-0.5 * d2 / s2)
+        if order == 0:
+            return e
+        return e / s2 if order == 1 else (e / s2, e / s2**2)
 
 
 class SumPotential(Potential):
@@ -311,33 +277,3 @@ class ScaledPotential(Potential):
 
     def hessian_op(self, x, X):
         return self.factor * self.base.hessian_op(x, X)
-
-
-def potential_from_config(chart, cfg) -> Potential:
-    """Build a potential from its config dict (or None for V = 0)."""
-    if cfg is None:
-        return ZeroPotential(chart)
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigError("potential config must be an object with a 'type'")
-    kind = cfg["type"]
-    if kind == "zero":
-        return ZeroPotential(chart)
-    if kind == "gaussian":
-        try:
-            center = cfg["center"]
-            amp = float(cfg["A"])
-            sig = float(cfg["sigma"])
-        except KeyError as exc:
-            raise ConfigError(f"gaussian potential config missing {exc}") from exc
-        mode = cfg.get("distance", "riemannian")
-        return GaussianObstacle(chart, center, amp, sig, mode)
-    if kind == "quadratic":
-        center = cfg.get("center")
-        k = float(cfg.get("k", 1.0))
-        return QuadraticWell(chart, center, k)
-    if kind == "sum":
-        terms = cfg.get("terms")
-        if not terms:
-            raise ConfigError("sum potential config needs nonempty 'terms'")
-        return SumPotential([potential_from_config(chart, t) for t in terms])
-    raise ConfigError(f"unknown potential type {kind!r}")

@@ -211,6 +211,18 @@ def test_verify_rejects_off_chart_trajectory(tmp_path, capsys):
     assert "chart domain" in err and "trajectory.csv" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_stored_trajectory_must_cover_the_interval(tmp_path, capsys, command):
+    # a [0, 1] trajectory is not a solution on [0, 2], and t1 = 1.5 lies outside it
+    cfg = write_cfg(tmp_path, potential=None)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    longer = write_cfg(tmp_path, name="long.json", potential=None, interval=[0.0, 2.0])
+    csv = tmp_path / "out" / "trajectory.csv"
+    argv = [command, "--config", str(longer), "--trajectory", str(csv)]
+    assert main(argv + (["--t1", "1.5"] if command == "scan" else [])) == 1
+    assert "not the scenario interval [0, 2]" in capsys.readouterr().err
+
+
 def test_verify_records_its_grid(tmp_path):
     cfg = write_cfg(tmp_path, base=WELL_TOP)
     assert main(["verify", "--config", str(cfg)]) == 4
@@ -280,6 +292,20 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
         ("sweep", {}, ["--lambdas", "0,x"], "--lambdas[1]"),
         ("sweep", {}, ["--lambdas", "1,2"], "--lambdas"),
         ("sweep", {}, ["--lambdas", ","], "--lambdas"),
+        ("plan", {"potential": {**FLAT["potential"], "A": "x"}}, [], "potential.A"),
+        ("plan", {"potential": {**FLAT["potential"], "A": float("nan")}}, [], "potential.A"),
+        ("plan", {"potential": {**FLAT["potential"], "sigma": float("inf")}}, [], "potential.sigma"),
+        ("plan", {"potential": {**FLAT["potential"], "center": "ab"}}, [], "potential.center"),
+        ("plan", {"potential": {"type": "quadratic", "k": "soft"}}, [], "potential.k"),
+        (
+            "plan",
+            {"potential": {"type": "sum", "terms": [{"type": "zero"}, {**FLAT["potential"], "sigma": 0}]}},
+            [],
+            "potential.terms[1].sigma",
+        ),
+        ("scan", {}, ["--t1", "5"], "--t1"),
+        ("scan", {}, ["--t1", "-3"], "--t1"),
+        ("scan", {"verify": {"t1": 1.5}}, [], "verify.t1"),
     ],
 )
 def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):

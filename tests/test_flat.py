@@ -41,7 +41,7 @@ class ZeroCurvedChart(EuclideanChart):
     Hessian and the full contractions of the discrete gradient.
     """
 
-    curvature_kind = "constant_curvature"
+    flat = False
 
 
 POTENTIALS = {

@@ -39,18 +39,18 @@ SO3 = parse_manifold("so3")
 ANALYTIC = [EUC3, S2, H2, SO3]
 
 
-def sample_points(chart, n):
+def sample_points(chart, n, rng=RNG):
     """Random points comfortably inside the chart's validity region."""
     if chart.name.startswith("euclidean"):
-        return RNG.normal(size=(n, chart.dim))
+        return rng.normal(size=(n, chart.dim))
     if chart.name == "sphere2":
         r = 2.0
     elif chart.name == "hyperbolic2":
         r = 0.75
     else:
         r = 2.2  # so3, angle cap pi - 0.2
-    x = RNG.normal(size=(n, chart.dim))
-    x *= (r * RNG.random((n, 1)) ** (1.0 / chart.dim)) / np.linalg.norm(x, axis=1, keepdims=True)
+    x = rng.normal(size=(n, chart.dim))
+    x *= (r * rng.random((n, 1)) ** (1.0 / chart.dim)) / np.linalg.norm(x, axis=1, keepdims=True)
     return x
 
 
@@ -112,10 +112,17 @@ def test_curvature_antisymmetries_and_bianchi(chart):
     assert np.max(np.abs(bianchi)) < 1e-9
 
 
-@pytest.mark.parametrize("chart,kappa", [(S2, 1.0), (H2, -1.0)], ids=["sphere2", "hyperbolic2"])
-def test_constant_curvature_closed_form(chart, kappa):
-    x = sample_points(chart, 30)
-    X, Y, Z = RNG.normal(size=(3, 30, chart.dim))
+@pytest.mark.parametrize(
+    "chart,kappa,seed",
+    [(S2, 1.0, None), (H2, -1.0, None), (SO3, 0.25, 3)],
+    ids=["sphere2", "hyperbolic2", "so3"],
+)
+def test_constant_curvature_closed_form(chart, kappa, seed):
+    # a case with a seed draws from its own generator, leaving the shared
+    # stream that the later tests in this module read untouched
+    rng = RNG if seed is None else np.random.default_rng(seed)
+    x = sample_points(chart, 30, rng)
+    X, Y, Z = rng.normal(size=(3, 30, chart.dim))
     closed = kappa * (
         chart.inner(x, Y, Z)[..., None] * X - chart.inner(x, X, Z)[..., None] * Y
     )

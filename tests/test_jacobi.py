@@ -340,6 +340,13 @@ def test_scan_rejects_nonpositive_grid(grid):
         biconjugate_scan(EUC1, pot, traj, grid=grid)
 
 
+@pytest.mark.parametrize("t1", [-3.0, 12.0 + 1e-6])
+def test_scan_rejects_t1_outside_window(t1):
+    pot, traj = bump_rest(12.0)
+    with pytest.raises(ValueError, match="outside the trajectory window"):
+        biconjugate_scan(EUC1, pot, traj, t1=t1)
+
+
 def test_negative_direction_first_pair():
     pot, traj = bump_rest(6.0)
     report = bump_scan(6.0)

@@ -48,6 +48,8 @@ def make_potentials():
         ),
         ("gauss_hyp", GaussianObstacle(H2, (0.1, -0.05), amplitude=0.7, width=0.4)),
         ("well", QuadraticWell(EUC2, center=(0.2, 0.1), stiffness=1.7)),
+        ("well_sphere", QuadraticWell(S2, center=(0.3, -0.2), stiffness=1.4)),
+        ("well_hyp", QuadraticWell(H2, center=(0.1, 0.05), stiffness=0.8)),
         (
             "sum",
             SumPotential(
@@ -187,9 +189,23 @@ def test_potential_from_config():
         {"type": "gaussian", "center": [0.0, 0.0], "A": 1.0, "sigma": 0.0},
         {"type": "gaussian", "center": [9.0, 0.0], "A": 1.0, "sigma": 0.3},  # off chart
         {"type": "sum", "terms": []},
+        {"type": "gaussian", "center": [0.0, 0.0], "A": "x", "sigma": 0.3},
+        {"type": "gaussian", "center": "ab", "A": 1.0, "sigma": 0.3},
+        {"type": "quadratic", "k": "soft"},
+        {"type": "gaussian", "center": [0.0, 0.0], "A": float("nan"), "sigma": 0.3},
+        {"type": "gaussian", "center": [0.0, 0.0], "A": 1.0, "sigma": float("inf")},
+        {"type": "gaussian", "center": [0.0, 0.0], "A": 1.0, "sigma": 0.3, "extra": 3},
+        {"type": "gaussian", "center": [0.0, 0.0], "A": 1.0},  # no sigma
+        {"type": "gaussian", "center": [0.0, 0.0], "A": 1.0, "sigma": 0.3, "distance": "taxicab"},
+        {"type": "sum", "terms": [{"type": "zero"}, {"type": "quadratic", "k": 0}]},
     ],
 )
 def test_config_rejections(bad):
     chart = S2 if bad.get("center") == [9.0, 0.0] else EUC2
-    with pytest.raises((ConfigError, Exception)):
+    with pytest.raises(ConfigError):
         potential_from_config(chart, bad)
+
+
+def test_well_center_null_is_the_origin():
+    well = potential_from_config(S2, {"type": "quadratic", "center": None, "k": 2.0})
+    assert np.array_equal(well.center, np.zeros(2))
