@@ -152,8 +152,7 @@ class _Shot:
     def linearization(self):
         """(Jacobian, whether the scan's rank test flags the endpoint),
         off the curve's Jacobi field bundle (``shooting_jacobian``)."""
-        traj = self.trajectory
-        return shooting_jacobian(traj.chart, traj.potential, traj)
+        return shooting_jacobian(self.trajectory)
 
     def jacobian(self) -> np.ndarray:
         """d(q(T), qdot(T)) / d(y, z)."""
@@ -378,9 +377,9 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     norm (factor 0.5, at most 20 halvings); a trial that escapes the chart
     only rejects that trial.  Nonconvergence carries the best iterate.
     The Jacobian is the Jacobi field bundle of the iterate's curve read at
-    the end (``biexp_jacobian``); when the scan's rank test, normalized
-    for the window length, flags that end as biconjugate, Newton raises
-    CriticalPointError.
+    the end (``jacobi.shooting_jacobian``); when the scan's rank test,
+    normalized for the window length, flags that end as biconjugate,
+    Newton raises CriticalPointError.
 
     Newton is mesh-sequenced: it converges on a coarse grid, held to the
     full tolerance, and then finishes on the solve's grid N.  If the
@@ -547,5 +546,5 @@ def multi_seed_scan(chart, potential, boundary: BoundaryData, n_seeds: int = 10,
         if key not in found:
             found[key] = res
     ranked = [found[k] for k in sorted(found)]
-    ranked.sort(key=lambda r: action(chart, potential, r.trajectory))
+    ranked.sort(key=lambda r: action(r.trajectory))
     return ranked

@@ -88,7 +88,7 @@ def read_trajectory_csv(path: Path, chart, potential) -> Trajectory:
     return Trajectory(chart, potential, ts, *blocks)
 
 
-def _solve_payload(result, chart, potential, boundary) -> dict:
+def _solve_payload(result, boundary) -> dict:
     """The solve.json record of one shooting result.
 
     Keys: ``boundary`` (the problem), ``y`` and ``z`` (the initial
@@ -115,7 +115,7 @@ def _solve_payload(result, chart, potential, boundary) -> dict:
         "residual": result.residual,
         "jacobian_condition": result.jacobian_condition,
         "iterations": result.iterations,
-        "action": action(chart, potential, result.trajectory),
+        "action": action(result.trajectory),
         "step_control": {
             "steps": result.steps,
             "coarse_iterations": result.coarse_iterations,
@@ -156,12 +156,9 @@ def _plan_trajectory(scenario):
 
 def cmd_plan(scenario, args) -> int:
     res, scan = _plan_trajectory(scenario)
-    payload = _solve_payload(res, scenario.chart, scenario.potential, scenario.boundary)
+    payload = _solve_payload(res, scenario.boundary)
     if scan is not None:
-        payload["solutions"] = [
-            _solve_payload(r, scenario.chart, scenario.potential, scenario.boundary)
-            for r in scan
-        ]
+        payload["solutions"] = [_solve_payload(r, scenario.boundary) for r in scan]
     write_trajectory_csv(scenario.out / "trajectory.csv", res.trajectory)
     _write_json(scenario.out / "solve.json", payload)
     return EXIT_OK
@@ -183,12 +180,10 @@ def _obtain_trajectory(scenario, args):
 
 def cmd_verify(scenario, args) -> int:
     traj = _obtain_trajectory(scenario, args)
-    report = verdict(scenario.chart, scenario.potential, traj, m=scenario.verify.get("basis"))
+    report = verdict(traj, m=scenario.verify.get("basis"))
     payload = report.to_dict()
     if report.classification.startswith("candidate"):
-        payload["uniqueness"] = check_uniqueness_props(
-            scenario.chart, scenario.potential, traj, rng_seed=scenario.seed
-        )
+        payload["uniqueness"] = check_uniqueness_props(traj, rng_seed=scenario.seed)
     _write_json(scenario.out / "verdict.json", payload)
     return EXIT_NOT_LOCAL if report.classification == "not_omega_local" else EXIT_OK
 
@@ -196,11 +191,7 @@ def cmd_verify(scenario, args) -> int:
 def cmd_scan(scenario, args) -> int:
     traj = _obtain_trajectory(scenario, args)
     report = biconjugate_scan(
-        scenario.chart,
-        scenario.potential,
-        traj,
-        t1=scenario.verify.get("t1"),
-        grid=scenario.verify.get("grid"),
+        traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
     )
     _write_json(scenario.out / "biconjugate.json", report.to_dict())
     return EXIT_OK
@@ -223,9 +214,8 @@ def cmd_sweep(scenario, args) -> int:
     cols += ["J", "residual"]
     rows = []
     for lam, res in zip(lams, results):
-        val = action(scenario.chart, ScaledPotential(base, lam), res.trajectory)
         rows.append(
-            np.concatenate([[lam], res.y, res.z, [val, res.residual]])
+            np.concatenate([[lam], res.y, res.z, [action(res.trajectory), res.residual]])
         )
     path = scenario.out / "sweep.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -245,7 +235,7 @@ def cmd_oracle_compare(scenario, args) -> int:
         method=opts.get("method", "newton"),
         gtol=opts.get("gtol", 1e-7),
     )
-    payload = compare_with_trajectory(scenario.chart, scenario.potential, path, traj)
+    payload = compare_with_trajectory(path, traj)
     payload["grad_sup"] = path.grad_sup
     payload["iterations"] = path.iterations
     _write_json(scenario.out / "compare.json", payload)

@@ -40,6 +40,7 @@ field bundle of the stored curve (``jacobi``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .potentials import Potential
 __all__ = [
     "CurveState",
     "Trajectory",
-    "ode_rhs",
     "integrate_ivp",
     "action",
     "first_variation",
@@ -75,15 +75,9 @@ class CurveState:
     j: np.ndarray
 
 
-def ode_rhs(chart, potential, q, v, a, j):
-    """Coordinate time-derivatives of (q, v, a, j); broadcasts."""
-    jets = np.broadcast_arrays(*(np.asarray(x, float) for x in (q, v, a, j)))
-    d = _rhs_stacked(chart, potential, np.stack(jets, axis=-2))
-    return d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :]
-
-
 def _rhs_stacked(chart, potential, u):
-    """``ode_rhs`` on jet stacks u of shape (..., 4, n): one Gamma call, none on flat charts.
+    """Coordinate time-derivatives of jet stacks u of shape (..., 4, n), the
+    levels (q, v, a, j) along axis -2: one Gamma call, none on flat charts.
 
     Gamma(v, .) is evaluated once on the stacked (v, a, j) at the point.
     """
@@ -136,9 +130,13 @@ def grid_steps(T: float, h: float | None = None) -> tuple[int, float]:
 class Trajectory:
     """Uniformly sampled solution curve with covariant jets at the nodes.
 
-    Dense output is cubic Hermite per component using the exact coordinate
+    The trajectory owns the chart and potential it solves the ODE for:
+    every function that analyzes it (its action, its field bundles, its
+    second variation, the oracle's comparisons) reads them here.  Dense
+    output is cubic Hermite per component using the exact coordinate
     derivatives from the ODE right side, matching the integrator's order.
-    Immutable by convention; the lazy caches are derived data only.
+    Immutable by convention; its cached tables (``node_rhs`` and
+    ``jacobi.operator_table``'s ``_ops``) are derived data only.
     """
 
     chart: ManifoldChart
@@ -148,9 +146,8 @@ class Trajectory:
     vs: np.ndarray
     accs: np.ndarray
     jerks: np.ndarray
-    _node_rhs: tuple | None = field(default=None, repr=False, compare=False)
-    _mid: "CurveState | None" = field(default=None, repr=False, compare=False)
-    _ops: tuple | None = field(default=None, repr=False, compare=False)
+    # not an __init__ argument, so dataclasses.replace starts a new table
+    _ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -167,13 +164,11 @@ class Trajectory:
     def state(self, k: int) -> CurveState:
         return CurveState(float(self.ts[k]), self.qs[k], self.vs[k], self.accs[k], self.jerks[k])
 
-    def node_rhs(self):
-        """Coordinate derivatives of all four jet levels at every node."""
-        if self._node_rhs is None:
-            self._node_rhs = ode_rhs(
-                self.chart, self.potential, self.qs, self.vs, self.accs, self.jerks
-            )
-        return self._node_rhs
+    @cached_property
+    def node_rhs(self) -> np.ndarray:
+        """Coordinate derivatives of the four jet levels at every node, (N+1, 4, n)."""
+        jets = np.stack([self.qs, self.vs, self.accs, self.jerks], axis=-2)
+        return _rhs_stacked(self.chart, self.potential, jets)
 
     def interpolate(self, t) -> CurveState:
         """Jets at time(s) t; t may leave [ts[0], ts[-1]] by roundoff (1e-9 h) only."""
@@ -189,19 +184,14 @@ class Trajectory:
         k = np.clip(np.floor(s).astype(int), 0, self.segments - 1)
         u = s - k
         h00, h10, h01, h11 = _hermite(u[..., None])
-        dqs, dvs, das, djs = self.node_rhs()
+        d = self.node_rhs
         out = []
-        for y, dy in ((self.qs, dqs), (self.vs, dvs), (self.accs, das), (self.jerks, djs)):
+        for i, y in enumerate((self.qs, self.vs, self.accs, self.jerks)):
+            dy = d[:, i]
             out.append(
                 h00 * y[k] + h10 * h * dy[k] + h01 * y[k + 1] + h11 * h * dy[k + 1]
             )
         return CurveState(t, *out)
-
-    def midpoints(self) -> CurveState:
-        """Jets at the segment midpoints (cached; used by field propagation)."""
-        if self._mid is None:
-            self._mid = self.interpolate(self.ts[:-1] + 0.5 * self.h)
-        return self._mid
 
 
 def _flow_failure(u, chart, t):
@@ -314,11 +304,11 @@ def quadrature_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def action(chart, potential, trajectory: Trajectory) -> float:
+def action(trajectory: Trajectory) -> float:
     """J = integral of  |a|^2_g / 2 + V(q)  over the trajectory window."""
     qs = trajectory.qs
-    integrand = 0.5 * chart.inner(qs, trajectory.accs, trajectory.accs)
-    integrand = integrand + potential.value(qs)
+    integrand = 0.5 * trajectory.chart.inner(qs, trajectory.accs, trajectory.accs)
+    integrand = integrand + trajectory.potential.value(qs)
     val = float(quadrature_weights(len(qs), trajectory.h) @ integrand)
     return max(val, 0.0)
 
@@ -345,7 +335,7 @@ def _action_from_positions(chart, potential, h, qs, va=None, vb=None):
     return float(quadrature_weights(len(qs), h) @ integrand)
 
 
-def first_variation(chart, potential, trajectory: Trajectory, W, eps: float = 1e-5) -> float:
+def first_variation(trajectory: Trajectory, W, eps: float = 1e-5) -> float:
     """dJ in the direction of the variation field W, by central differences.
 
     W is sampled on the trajectory grid and must vanish together with its
@@ -355,6 +345,7 @@ def first_variation(chart, potential, trajectory: Trajectory, W, eps: float = 1e
     W = np.asarray(W, float)
     if W.shape != trajectory.qs.shape:
         raise ValueError("variation field must be sampled on the trajectory grid")
+    chart, potential = trajectory.chart, trajectory.potential
     h = trajectory.h
     sup = float(np.max(chart.norm(trajectory.qs, W))) if W.size else 0.0
     # covariant end derivatives from one-sided differences

@@ -16,16 +16,17 @@ def _hermite_mid(qa, va, qb, vb, h):
     return qm, vm
 
 
-def parallel_transport(chart, ts, qs, vs, X0, return_all: bool = False):
-    """Transport X0 along the sampled curve (ts, qs, vs).
+def parallel_transport(chart, ts, qs, vs, X0):
+    """Transport X0 along the sampled curve (ts, qs, vs), at every sample.
 
     ts must be strictly monotone (either direction); qs are positions and
     vs coordinate velocities dq/dt at the samples, of shape (K+1, n).  X0
     has shape (B..., n) for any batch B of vectors carried along the
-    curve.  One classical RK4 step per sample interval, with cubic Hermite
-    midpoint reconstruction of the curve.  Transport is linear,
-    X' = B(t) X with B(t) = -Gamma(qdot, .), so B is built at every sample
-    and midpoint in one ``gamma`` call and the march is by step matrices.
+    curve; the result has shape (K+1, B..., n).  One classical RK4 step
+    per sample interval, with cubic Hermite midpoint reconstruction of
+    the curve.  Transport is linear, X' = B(t) X with B(t) =
+    -Gamma(qdot, .), so B is built at every sample and midpoint in one
+    ``gamma`` call and the march is by step matrices.
     """
     ts = np.asarray(ts, float)
     qs = np.asarray(qs, float)
@@ -40,8 +41,7 @@ def parallel_transport(chart, ts, qs, vs, X0, return_all: bool = False):
     # column i of B is -Gamma(qdot, e_i)
     B = -chart.gamma(at, vel, np.eye(n)).swapaxes(-1, -2)
     Xs = rk4.march(B[:K], B[K + 1 :], B[1 : K + 1], hs, X0.reshape(-1, n), ts, "transported vector went nonfinite")
-    Xs = Xs.reshape((K + 1,) + X0.shape)
-    return Xs if return_all else Xs[-1]
+    return Xs.reshape((K + 1,) + X0.shape)
 
 
 def transport_frame(chart, ts, qs, vs):
@@ -55,4 +55,4 @@ def transport_frame(chart, ts, qs, vs):
     """
     qs = np.asarray(qs, float)
     frame0 = np.linalg.inv(np.linalg.cholesky(chart.metric(qs[0])))
-    return parallel_transport(chart, ts, qs, vs, frame0, return_all=True)
+    return parallel_transport(chart, ts, qs, vs, frame0)

@@ -65,11 +65,12 @@ class AdmissibleField:
         if self.X.shape != (len(self.ts),) + self.X.shape[1:]:
             raise ValueError("field samples must align with the time grid")
 
-    def validate(self, chart, trajectory: Trajectory):
+    def validate(self, trajectory: Trajectory):
         if len(self.ts) != len(trajectory.ts) or not np.allclose(
             self.ts, trajectory.ts, atol=1e-12 * (1.0 + trajectory.T)
         ):
             raise ValueError("field grid does not match the trajectory grid")
+        chart = trajectory.chart
         scale = max(float(np.max(chart.norm(trajectory.qs, self.X))), 1e-300)
         ends = max(
             float(chart.norm(trajectory.qs[0], self.X[0])),
@@ -138,36 +139,38 @@ def random_field(trajectory: Trajectory, rng, modes: int = 4, frame=None) -> Adm
     return fld
 
 
-def _force(chart, potential, trajectory, X, dX, d2X):
+def _force(trajectory, X, dX, d2X):
     """F(X, qdot) + potential Hessian along the whole grid."""
-    force = _force_block(operator_table(chart, potential, trajectory)[0])
+    force = _force_block(operator_table(trajectory)[0])
     return np.einsum("sij,sj->si", force, np.concatenate([X, dX, d2X], axis=-1))
 
 
-def index_form(chart, potential, trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField) -> float:
+def index_form(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField) -> float:
     """Second-variation pairing of two admissible fields by grid quadrature."""
-    X.validate(chart, trajectory)
-    Y.validate(chart, trajectory)
+    X.validate(trajectory)
+    Y.validate(trajectory)
+    chart = trajectory.chart
     w = quadrature_weights(len(trajectory.ts), trajectory.h)
     qs = trajectory.qs
-    fx = _force(chart, potential, trajectory, X.X, X.dX, X.d2X)
+    fx = _force(trajectory, X.X, X.dX, X.d2X)
     vals = chart.inner(qs, X.d2X, Y.d2X) + chart.inner(qs, Y.X, fx)
     return float(w @ vals)
 
 
-def decompose(chart, potential, trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
+def decompose(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
     """Split the pairing into curvature part and potential couplings.
 
     Returns (I_c, P_plus, P_minus) with I_c + P_plus + P_minus equal to
     index_form(X, Y) under the same quadrature.
     """
-    X.validate(chart, trajectory)
-    Y.validate(chart, trajectory)
+    X.validate(trajectory)
+    Y.validate(trajectory)
+    chart, potential = trajectory.chart, trajectory.potential
     w = quadrature_weights(len(trajectory.ts), trajectory.h)
     qs = trajectory.qs
     hx = potential.hessian_op(qs, X.X)
     hy = potential.hessian_op(qs, Y.X)
-    fx = _force(chart, potential, trajectory, X.X, X.dX, X.d2X) - hx
+    fx = _force(trajectory, X.X, X.dX, X.d2X) - hx
     i_c = float(w @ (chart.inner(qs, X.d2X, Y.d2X) + chart.inner(qs, Y.X, fx)))
     yhx = chart.inner(qs, Y.X, hx)
     xhy = chart.inner(qs, X.X, hy)
@@ -176,11 +179,12 @@ def decompose(chart, potential, trajectory: Trajectory, X: AdmissibleField, Y: A
     return i_c, p_plus, p_minus
 
 
-def second_variation_fd(chart, potential, trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField, eps: float = 1e-3) -> float:
+def second_variation_fd(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField, eps: float = 1e-3) -> float:
     """Mixed finite difference of the action through a two-parameter
     pointwise-exponential variation; the module's independent oracle."""
-    X.validate(chart, trajectory)
-    Y.validate(chart, trajectory)
+    X.validate(trajectory)
+    Y.validate(trajectory)
+    chart, potential = trajectory.chart, trajectory.potential
     qs, h = trajectory.qs, trajectory.h
     va, vb = trajectory.vs[0], trajectory.vs[-1]
 
@@ -203,34 +207,33 @@ def second_variation_fd(chart, potential, trajectory: Trajectory, X: AdmissibleF
     return float((jpp - jpm - jmp + jmm) / (4.0 * eps * eps))
 
 
-def _profile_knots(T, m, dyadic=False):
-    """Interior knots of the m clamped quintic profiles on [0, T]."""
+def _profile_knots(T, m):
+    """Interior knots of the m clamped quintic profiles on [0, T].
+
+    Uniform, so the knots for m profiles are among those for 2m - 1: the
+    counts 2^k + 1 nest under refinement.
+    """
     m = int(m)
     if m < 2:
         raise BasisError("need at least two spline profiles")
-    K = m - 2
-    if dyadic:
-        if (K + 1) & K:
-            raise BasisError("dyadic profile count must be 2^k + 1")
-        return T * np.arange(1, K + 1) / (K + 1)
-    return np.linspace(0.0, T, K + 2)[1:-1]
+    return np.linspace(0.0, T, m)[1:-1]
 
 
-def spline_profiles(ts, T, m, dyadic=False):
+def spline_profiles(ts, T, m):
     """Clamped quintic B-spline profiles vanishing to first order at ends.
 
     Returns (Phi0, Phi1, Phi2, knots): m rows of profile samples and their
-    first two derivatives on ts, which count from the window start.  The first and last two members of the
-    clamped basis are dropped to enforce the boundary behavior.  With
-    dyadic=True, m must be 2^k + 1 so interior knots nest under refinement.
-    The nu-th derivatives sum the degree-(5 - nu) B-splines nonzero on each
-    point's knot span, from the local Cox-de Boor recursion, against the
-    differenced coefficients (de Boor, A Practical Guide to Splines, 1978,
-    ch. X) in scipy BSpline's order, so they match it bit for bit.  Points
-    at or past T use the last span's polynomial, points before 0 the first's.
+    first two derivatives on ts, which count from the window start.  The
+    first and last two members of the clamped basis are dropped to enforce
+    the boundary behavior.  The nu-th derivatives sum the degree-(5 - nu)
+    B-splines nonzero on each point's knot span, from the local Cox-de
+    Boor recursion, against the differenced coefficients (de Boor, A
+    Practical Guide to Splines, 1978, ch. X) in scipy BSpline's order, so
+    they match it bit for bit.  Points at or past T use the last span's
+    polynomial, points before 0 the first's.
     """
     d = 5
-    interior = _profile_knots(T, m, dyadic)
+    interior = _profile_knots(T, m)
     kv = np.concatenate([np.zeros(d + 1), interior, np.full(d + 1, T)])
     nb = len(kv) - d - 1
     x = np.asarray(ts, float)[:, None]
@@ -299,7 +302,7 @@ def _galerkin_points(T, knots):
     return (mid + half * x).ravel(), (half * wx).ravel()
 
 
-def _galerkin_matrices(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False):
+def _galerkin_matrices(trajectory: Trajectory, m: int):
     """Stiffness A, mass B (both (m n, m n), profile-major) and the knots.
 
     The integrals run over Gauss-Legendre points on each knot span
@@ -309,18 +312,19 @@ def _galerkin_matrices(chart, potential, trajectory: Trajectory, m: int, dyadic:
     the matrices depend on the trajectory grid only through its
     interpolation error.
     """
+    chart = trajectory.chart
     n = chart.dim
     T = trajectory.T
-    knots = _profile_knots(T, m, dyadic)
+    knots = _profile_knots(T, m)
     s, w = _galerkin_points(T, knots)
     states = trajectory.interpolate(float(trajectory.ts[0]) + s)
     S = len(s)
-    P0, P1, P2, _ = spline_profiles(s, T, m, dyadic)
+    P0, P1, P2, _ = spline_profiles(s, T, m)
     frame = transport_frame(chart, states.t, states.q, states.v)
     g = chart.metric(states.q)
 
     # force on frame vector i placed in jet slot c: f[c][s, i]
-    force = _force_block(jacobi_operator(chart, potential, states)).reshape(S, n, 3, n)
+    force = _force_block(jacobi_operator(chart, trajectory.potential, states)).reshape(S, n, 3, n)
     f = np.einsum("sacb,sib->csia", force, frame)
 
     def pair(tab):
@@ -342,7 +346,7 @@ def _galerkin_matrices(chart, potential, trajectory: Trajectory, m: int, dyadic:
     return 0.5 * (A + A.T), 0.5 * (B + B.T), knots
 
 
-def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: bool = False) -> IndexReport:
+def extended_index(trajectory: Trajectory, m: int) -> IndexReport:
     """Galerkin sign count of the second variation on frame x profile fields.
 
     The trial space is every parallel-frame direction times each of m
@@ -356,7 +360,7 @@ def extended_index(chart, potential, trajectory: Trajectory, m: int, dyadic: boo
     makes.  Counts use the +-1e-9 cutoffs; a mass condition number beyond
     1e12 or NaN, or a mass matrix without a Cholesky factor, aborts.
     """
-    A, B, knots = _galerkin_matrices(chart, potential, trajectory, m, dyadic)
+    A, B, knots = _galerkin_matrices(trajectory, m)
     try:
         cond = float(np.linalg.cond(B))
         if not cond <= 1e12:
@@ -412,7 +416,7 @@ class OptimalityReport:
         }
 
 
-def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
+def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
     """Classify a solved trajectory by rank-drop scan plus spectral count.
 
     A first-order-vanishing pair strictly inside the window, or any
@@ -426,16 +430,16 @@ def verdict(chart, potential, trajectory: Trajectory, m: int | None = None) -> O
     and step, which the scan marches on, and the Galerkin quadrature points.
     """
     if m is None:
-        m = int(np.ceil(120 / chart.dim))
+        m = int(np.ceil(120 / trajectory.chart.dim))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResolutionWarning)
-        scan = biconjugate_scan(chart, potential, trajectory)
+        scan = biconjugate_scan(trajectory)
     notes = []
     for w in caught:
         if issubclass(w.category, ResolutionWarning):
             notes.append(f"{w.category.__name__}: {w.message}")
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    rep = extended_index(chart, potential, trajectory, m)
+    rep = extended_index(trajectory, m)
     T_hi = float(trajectory.ts[-1])
     edge = 2.0 * trajectory.h
     interior = [t for t in scan.times if t < T_hi - edge]

@@ -17,7 +17,9 @@ with Y = qdot.  The nab R terms vanish identically on the locally
 symmetric built-in charts; numeric charts evaluate them exactly.
 
 The ODE is linear in the field jet u = (X, DX, D2X, D3X), and its
-coefficients depend only on the stored curve.  So the operator A(t) of
+coefficients depend only on the stored curve.  A ``Trajectory`` owns its
+chart, its potential and its cached tables, so every function here that
+analyzes one takes the trajectory alone.  The operator A(t) of
 u' = A(t) u is built once per trajectory, at every node and segment
 midpoint in one call (``operator_table``), and each classical RK4 step of
 the march is the product of u with a precomputed step matrix.  A bundle
@@ -133,23 +135,22 @@ def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
     return np.stack(cols, axis=-2).reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
 
 
-def operator_table(chart, potential, trajectory: Trajectory):
+def operator_table(trajectory: Trajectory):
     """jacobi_operator at every node and every segment midpoint.
 
     Built in one call and cached on the trajectory, so the field march,
     its off-node steps and the second-variation forms share one table.
     Returns (nodes, mids) of shapes (N+1, 4n, 4n) and (N, 4n, 4n).
     """
-    cached = trajectory._ops
-    if cached is None or cached[0] is not chart or cached[1] is not potential:
-        mids = trajectory.midpoints()
+    if trajectory._ops is None:
+        mids = trajectory.interpolate(trajectory.ts[:-1] + 0.5 * trajectory.h)
         at_nodes = (trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks)
         at_mids = (mids.q, mids.v, mids.a, mids.j)
         both = CurveState(None, *(np.concatenate(ab) for ab in zip(at_nodes, at_mids)))
-        A = jacobi_operator(chart, potential, both)
+        A = jacobi_operator(trajectory.chart, trajectory.potential, both)
         S = len(trajectory.ts)
-        cached = trajectory._ops = (chart, potential, A[:S], A[S:])
-    return cached[2], cached[3]
+        trajectory._ops = (A[:S], A[S:])
+    return trajectory._ops
 
 
 def _force_block(A):
@@ -175,9 +176,7 @@ class _StoredFlow:
     order without re-propagating from the anchor.
     """
 
-    def __init__(self, chart, potential, traj: Trajectory, states, k_lo, k_hi):
-        self.chart = chart
-        self.potential = potential
+    def __init__(self, traj: Trajectory, states, k_lo, k_hi):
         self.traj = traj
         self.states = states
         self.k_lo = k_lo
@@ -195,19 +194,19 @@ class _StoredFlow:
         if abs(dt) < 1e-14:
             return u
         A = jacobi_operator(
-            self.chart, self.potential, traj.interpolate(np.array([tk, tk + 0.5 * dt, t]))
+            traj.chart, traj.potential, traj.interpolate(np.array([tk, tk + 0.5 * dt, t]))
         )
         phi = rk4.step_matrices(A[0], A[1], A[2], dt)
         return (_flat(u) @ phi.T).reshape(u.shape)
 
 
-def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=True):
+def _propagate_bundle(traj: Trajectory, k_anchor, u0, forward=True):
     """March a field bundle from a node to the grid end, storing every node.
 
     Every step is one product with that segment's RK4 step matrix
     (``rk4.march``), built from the trajectory's operator table.
     """
-    nodes, mids = operator_table(chart, potential, traj)
+    nodes, mids = operator_table(traj)
     k = k_anchor
     if forward:
         h, ts = traj.h, traj.ts[k:]
@@ -218,11 +217,11 @@ def _propagate_bundle(chart, potential, traj: Trajectory, k_anchor, u0, forward=
     states = rk4.march(A0, Am, A1, h, _flat(u0), ts, "perturbation field blew up")
     states = states.reshape(states.shape[:-1] + u0.shape[-2:])
     if forward:
-        return _StoredFlow(chart, potential, traj, states, k_anchor, traj.segments)
-    return _StoredFlow(chart, potential, traj, states[::-1].copy(), 0, k_anchor)
+        return _StoredFlow(traj, states, k_anchor, traj.segments)
+    return _StoredFlow(traj, states[::-1].copy(), 0, k_anchor)
 
 
-def propagate_jacobi(chart, potential, trajectory: Trajectory, initial: JacobiState) -> JacobiState:
+def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiState:
     """Integrate the field ODE over the whole trajectory grid.
 
     The initial state must sit at the first node; its fields may carry a
@@ -234,7 +233,7 @@ def propagate_jacobi(chart, potential, trajectory: Trajectory, initial: JacobiSt
         [np.asarray(a, float) for a in (initial.X, initial.dX, initial.d2X, initial.d3X)],
         axis=-2,
     )
-    flow = _propagate_bundle(chart, potential, trajectory, 0, u0, forward=True)
+    flow = _propagate_bundle(trajectory, 0, u0, forward=True)
     s = np.moveaxis(flow.states, -2, 0)
     return JacobiState(trajectory.ts.copy(), s[0], s[1], s[2], s[3])
 
@@ -253,7 +252,7 @@ def _boundary_matrix(u):
     return np.concatenate([u[..., 0, :], u[..., 1, :]], axis=-1).swapaxes(-1, -2)
 
 
-def shooting_jacobian(chart, potential, trajectory: Trajectory):
+def shooting_jacobian(trajectory: Trajectory):
     """d(q(T), qdot(T)) / d(y, z) off the scan's field bundle from the first node.
 
     Field y_i (z_i) starts with X = DX = 0 and unit D2X (D3X), so dq = X(T)
@@ -264,8 +263,9 @@ def shooting_jacobian(chart, potential, trajectory: Trajectory):
     columns over T^3, which makes the flat matrix the same for every T, so
     a short window is not mistaken for a rank drop.
     """
+    chart = trajectory.chart
     n = chart.dim
-    nodes, mids = operator_table(chart, potential, trajectory)
+    nodes, mids = operator_table(trajectory)
     u = rk4.march(
         nodes[:-1], mids, nodes[1:], trajectory.h, _flat(_basis_bundle(n)), trajectory.ts,
         "perturbation field blew up",
@@ -342,7 +342,7 @@ _SIGMA_RATIO = 1e-8
 _EXCLUDE_NODES = 4
 
 
-def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float | None = None, grid: int | None = None) -> BiconjugateReport:
+def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int | None = None) -> BiconjugateReport:
     """Locate the times paired with t1 (default: the window start) by first-order-vanishing fields.
 
     The 2n fundamental solutions launched at t1 with unit higher jets give
@@ -356,7 +356,7 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float | None 
     refinement steps off the nodes through the same operator.  A t1 more
     than 1e-9 h outside the trajectory window raises ValueError.
     """
-    n = chart.dim
+    n = trajectory.chart.dim
     ts = trajectory.ts
     N = trajectory.segments
     t1 = ts[0] if t1 is None else t1
@@ -378,9 +378,7 @@ def biconjugate_scan(chart, potential, trajectory: Trajectory, t1: float | None 
         span = N - k1 if forward else k1
         if span <= _EXCLUDE_NODES:
             continue
-        flow = _propagate_bundle(
-            chart, potential, trajectory, k1, _basis_bundle(n), forward
-        )
+        flow = _propagate_bundle(trajectory, k1, _basis_bundle(n), forward)
         ks = (
             np.arange(k1 + _EXCLUDE_NODES, N + 1, stride)
             if forward
@@ -472,7 +470,7 @@ def _transport_from_end(traj: Trajectory, grid, vecs, from_start):
     """Parallel-transport vectors from one end of a time grid to every node."""
     path = grid if from_start else grid[::-1]
     cs = traj.interpolate(path)
-    out = parallel_transport(traj.chart, path, cs.q, cs.v, np.stack(vecs), return_all=True)
+    out = parallel_transport(traj.chart, path, cs.q, cs.v, np.stack(vecs))
     return list(np.moveaxis(out if from_start else out[::-1], 1, 0))
 
 
@@ -480,7 +478,7 @@ def _segment_nodes(a, b, m=40):
     return np.linspace(a, b, 2 * m + 1)
 
 
-def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: float, delta: float | None = None, eps: float | None = None) -> NegativeDirectionReport:
+def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: float | None = None, eps: float | None = None) -> NegativeDirectionReport:
     """Build an admissible field with negative second variation from a
     detected pair (t1, t2).
 
@@ -496,10 +494,11 @@ def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: 
     T_lo = float(ts[0])
     if not (T_lo <= t1 < t2 <= T_hi):
         raise ValueError("need t_lo <= t1 < t2 <= t_hi on the trajectory window")
+    chart = trajectory.chart
     n = chart.dim
     k1 = int(np.clip(np.round((t1 - T_lo) / trajectory.h), 0, trajectory.segments))
     t1 = float(ts[k1])
-    flow = _propagate_bundle(chart, potential, trajectory, k1, _basis_bundle(n), True)
+    flow = _propagate_bundle(trajectory, k1, _basis_bundle(n), True)
 
     M = _boundary_matrix(flow.at_time(t2))
     _, s_svd, vh_svd = np.linalg.svd(M)
@@ -578,7 +577,7 @@ def negative_direction(chart, potential, trajectory: Trajectory, t1: float, t2: 
                 Yj[:, 1] = (dphi[:, None] / dl) * At + dpsi[:, None] * Bt
                 Yj[:, 2] = (d2phi[:, None] / dl**2) * At + (d2psi[:, None] / dl) * Bt
 
-            force = _force_block(jacobi_operator(chart, potential, states))
+            force = _force_block(jacobi_operator(chart, trajectory.potential, states))
 
             def op(j):
                 return np.einsum("sij,sj->si", force, j[:, :3].reshape(len(grid), 3 * n))

@@ -348,15 +348,17 @@ def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: Di
     return path
 
 
-def compare_with_trajectory(chart, potential, path: DiscretePath, trajectory) -> dict:
+def compare_with_trajectory(path: DiscretePath, trajectory) -> dict:
     """Cross-method agreement between a discrete minimizer and a solved curve.
 
     The solved curve is sampled onto the path's grid and both actions are
     taken with the discrete functional there, so its O(h^2) discretization
     bias cancels from the gap and what remains measures how far apart the
     two methods actually landed.  The quadrature-grade action of the solved
-    curve is reported alongside for reference.
+    curve is reported alongside for reference.  The chart and potential
+    are the trajectory's.
     """
+    chart, potential = trajectory.chart, trajectory.potential
     ts = path.ts
     qs_ref = trajectory.interpolate(ts).q
     sampled = DiscretePath(ts.copy(), qs_ref, path.boundary)
@@ -368,11 +370,11 @@ def compare_with_trajectory(chart, potential, path: DiscretePath, trajectory) ->
         "action_discrete": float(act_path),
         "action_reference": float(act_ref),
         "action_gap": float(abs(act_path - act_ref)),
-        "action_quadrature": float(dyn_action(chart, potential, trajectory)),
+        "action_quadrature": float(dyn_action(trajectory)),
     }
 
 
-def check_uniqueness_props(chart, potential, trajectory, rng_seed: int = 0) -> dict:
+def check_uniqueness_props(trajectory, rng_seed: int = 0) -> dict:
     """Probe restriction and jet-determinism properties of a solved curve.
 
     (a) Re-solves the boundary problem on random grid-aligned sub-windows
@@ -383,6 +385,7 @@ def check_uniqueness_props(chart, potential, trajectory, rng_seed: int = 0) -> d
     and so does a grid of fewer than 6 segments, which has no room for
     a sub-window or an interior jet: it gets no probes at all.
     """
+    chart, potential = trajectory.chart, trajectory.potential
     ts, qs = trajectory.ts, trajectory.qs
     N = trajectory.segments
     h = trajectory.h

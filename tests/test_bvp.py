@@ -254,7 +254,7 @@ def test_continuation_growing_obstacle():
     lams = [0.0, 0.5, 1.0, 1.5]
     family = make_family(EUC2)
     results = continuation_sweep(EUC2, family, bd, lams, h=1.0 / 500)
-    actions = [float(action(EUC2, family(l), r.trajectory)) for l, r in zip(lams, results)]
+    actions = [float(action(r.trajectory)) for r in results]
     for res in results:
         assert res.residual <= 1e-8 * (1.0 + np.linalg.norm(np.concatenate([bd.q_b, bd.v_b])))
     assert all(a2 > a1 - 1e-12 for a1, a2 in zip(actions, actions[1:]))
@@ -529,7 +529,7 @@ def test_multi_seed_scan_matches_sequential_solves():
             continue
         alone.setdefault(tuple(np.round(np.concatenate([res.y, res.z]) / 1e-5).astype(np.int64).tolist()), res)
     assert refused > 0 and alone
-    expected = sorted(alone.values(), key=lambda r: action(EUC2, pot, r.trajectory))
+    expected = sorted(alone.values(), key=lambda r: action(r.trajectory))
     assert len(ranked) == len(expected)
     for got, want in zip(ranked, expected):
         assert np.array_equal(got.y, want.y) and np.array_equal(got.z, want.z)

@@ -8,6 +8,9 @@ reproduced to roundoff and the linear case shows clean 4th order.
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -113,7 +116,7 @@ def test_sphere_geodesic_invariants():
             assert abs(d - speed * t) < 1e-6
     # acceleration stays zero: geodesics solve the full equation
     assert np.max(np.abs(traj.accs)) < 1e-9
-    assert float(action(S2, ZeroPotential(S2), traj)) < 1e-10
+    assert float(action(traj)) < 1e-10
 
 
 def test_cubic_residual_from_stored_jets():
@@ -134,14 +137,14 @@ def test_action_flat_hand_integral():
     # q(t) = t^3/6 on [0,1]: the acceleration is t, J = 1/6
     st = CurveState(0.0, np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
     traj = integrate_ivp(EUC1, ZeroPotential(EUC1), st, 1.0)
-    assert abs(float(action(EUC1, ZeroPotential(EUC1), traj)) - 1.0 / 6.0) < 1e-8
+    assert abs(float(action(traj)) - 1.0 / 6.0) < 1e-8
 
 
 def test_action_nonnegative_with_potential():
     pot = GaussianObstacle(EUC2, (0.5, 0.0), amplitude=1.0, width=0.4)
     st = CurveState(0.0, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
     traj = integrate_ivp(EUC2, pot, st, 1.0)
-    assert float(action(EUC2, pot, traj)) >= 0.0
+    assert float(action(traj)) >= 0.0
 
 
 def test_midpoint_restart_consistency():
@@ -206,25 +209,44 @@ def test_first_variation_vanishes_on_solutions():
     traj = integrate_ivp(EUC2, pot, st, 1.0)
     for w in admissible_bumps(traj, 20):
         sup = float(np.max(EUC2.norm(traj.qs, w)))
-        dj = first_variation(EUC2, pot, traj, w)
+        dj = first_variation(traj, w)
         assert abs(dj) <= 1e-4 * (1.0 + sup**2)
 
 
 def test_first_variation_detects_wrong_potential():
     # a V=0 solution is not critical for the obstacle action
     st = CurveState(0.0, np.zeros(2), np.array([1.0, 0.3]), np.array([0.2, -0.4]), np.zeros(2))
-    traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
     pot = GaussianObstacle(EUC2, (0.5, 0.2), amplitude=5.0, width=0.3)
-    vals = [abs(first_variation(EUC2, pot, traj, w)) for w in admissible_bumps(traj, 5)]
+    traj = replace(integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0), potential=pot)
+    vals = [abs(first_variation(traj, w)) for w in admissible_bumps(traj, 5)]
     assert max(vals) > 1e-2
 
 
 def test_first_variation_contracts():
     st = CurveState(0.0, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
     traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
-    assert first_variation(EUC2, ZeroPotential(EUC2), traj, np.zeros_like(traj.qs)) == 0.0
+    assert first_variation(traj, np.zeros_like(traj.qs)) == 0.0
     with pytest.raises(ValueError):
-        first_variation(EUC2, ZeroPotential(EUC2), traj, np.ones_like(traj.qs))
+        first_variation(traj, np.ones_like(traj.qs))
+
+
+def test_trajectory_analyses_read_its_chart_and_potential():
+    # a trajectory carries the chart and potential it solves for, so nothing
+    # that analyzes one takes a second pair that could disagree with it
+    from riemplan import index, jacobi, oracle
+
+    found = [index.AdmissibleField.validate]
+    for mod in (dynamics, jacobi, index, oracle):
+        found += [getattr(mod, name) for name in mod.__all__]
+    checked = 0
+    for fn in found:
+        if not callable(fn):
+            continue
+        params = inspect.signature(fn).parameters
+        if "trajectory" in params:
+            checked += 1
+            assert not {"chart", "potential"} & set(params), fn.__qualname__
+    assert checked >= 15
 
 
 def test_chart_escape_reports_time():

@@ -86,13 +86,13 @@ def combine(f1, f2, a):
 def test_index_form_zero_field():
     pot, traj = flat_rest()
     zero = AdmissibleField(traj.ts, np.zeros_like(traj.qs), np.zeros_like(traj.qs), np.zeros_like(traj.qs))
-    assert index_form(EUC1, pot, traj, zero, zero) == 0.0
+    assert index_form(traj, zero, zero) == 0.0
 
 
 def test_index_form_hand_integral():
     pot, traj = flat_rest()
     X = polynomial_field(traj)
-    assert abs(index_form(EUC1, pot, traj, X, X) - 0.8) < 1e-8
+    assert abs(index_form(traj, X, X) - 0.8) < 1e-8
 
 
 def test_index_form_bilinear():
@@ -100,8 +100,8 @@ def test_index_form_bilinear():
     X1 = random_field(traj, RNG)
     X2 = random_field(traj, RNG)
     Y = random_field(traj, RNG)
-    lhs = index_form(S2, pot, traj, combine(X1, X2, 0.7), Y)
-    rhs = 0.7 * index_form(S2, pot, traj, X1, Y) + index_form(S2, pot, traj, X2, Y)
+    lhs = index_form(traj, combine(X1, X2, 0.7), Y)
+    rhs = 0.7 * index_form(traj, X1, Y) + index_form(traj, X2, Y)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -110,14 +110,14 @@ def test_index_form_grid_mismatch():
     _, other = flat_rest(2.0)
     X = polynomial_field(other)
     with pytest.raises(ValueError, match="grid"):
-        index_form(EUC1, pot, traj, X, X)
+        index_form(traj, X, X)
 
 
 def test_admissible_field_end_validation():
     pot, traj = flat_rest()
     bad = AdmissibleField(traj.ts, np.ones_like(traj.qs), np.zeros_like(traj.qs), np.zeros_like(traj.qs))
     with pytest.raises(ValueError, match="vanish"):
-        index_form(EUC1, pot, traj, bad, bad)
+        index_form(traj, bad, bad)
 
 
 def test_random_field_unit_sobolev_norm():
@@ -142,8 +142,8 @@ def test_decompose_sums_to_index_form():
     pot, traj = sphere_obstacle()
     X = random_field(traj, RNG)
     Y = random_field(traj, RNG)
-    i_c, p_plus, p_minus = decompose(S2, pot, traj, X, Y)
-    total = index_form(S2, pot, traj, X, Y)
+    i_c, p_plus, p_minus = decompose(traj, X, Y)
+    total = index_form(traj, X, Y)
     assert abs(i_c + p_plus + p_minus - total) < 1e-10
 
 
@@ -151,13 +151,13 @@ def test_decompose_symmetries():
     pot, traj = sphere_obstacle()
     X = random_field(traj, RNG)
     Y = random_field(traj, RNG)
-    cx, px, mx = decompose(S2, pot, traj, X, Y)
-    cy, py, my = decompose(S2, pot, traj, Y, X)
+    cx, px, mx = decompose(traj, X, Y)
+    cy, py, my = decompose(traj, Y, X)
     assert abs(cx - cy) < 1e-10
     assert abs(px - py) < 1e-10
     assert abs(mx + my) < 1e-10
     # diagonal antisymmetric part cancels identically
-    _, _, diag = decompose(S2, pot, traj, X, X)
+    _, _, diag = decompose(traj, X, X)
     assert diag == 0.0
 
 
@@ -165,15 +165,15 @@ def test_decompose_skew_pairing_identity():
     pot, traj = sphere_obstacle()
     X = random_field(traj, RNG)
     Y = random_field(traj, RNG)
-    _, _, p_minus = decompose(S2, pot, traj, X, Y)
-    gap = index_form(S2, pot, traj, X, Y) - index_form(S2, pot, traj, Y, X)
+    _, _, p_minus = decompose(traj, X, Y)
+    gap = index_form(traj, X, Y) - index_form(traj, Y, X)
     assert abs(gap - 2.0 * p_minus) < 1e-9
 
 
 def test_decompose_zero_potential_couplings():
     pot, traj = flat_rest()
     X = polynomial_field(traj)
-    i_c, p_plus, p_minus = decompose(EUC1, pot, traj, X, X)
+    i_c, p_plus, p_minus = decompose(traj, X, X)
     assert p_plus == 0.0 and p_minus == 0.0
     assert abs(i_c - 0.8) < 1e-8
 
@@ -181,7 +181,7 @@ def test_decompose_zero_potential_couplings():
 def test_fd_matches_hand_integral():
     pot, traj = flat_rest()
     X = polynomial_field(traj)
-    fd = second_variation_fd(EUC1, pot, traj, X, X)
+    fd = second_variation_fd(traj, X, X)
     assert abs(fd - 0.8) < 1e-3
 
 
@@ -189,15 +189,15 @@ def test_fd_zero_field():
     pot, traj = flat_rest()
     X = polynomial_field(traj)
     zero = AdmissibleField(traj.ts, 0.0 * X.X, 0.0 * X.dX, 0.0 * X.d2X)
-    assert abs(second_variation_fd(EUC1, pot, traj, X, zero)) < 1e-12
+    assert abs(second_variation_fd(traj, X, zero)) < 1e-12
 
 
 def test_fd_matches_index_form_on_sphere():
     pot, traj = sphere_obstacle()
     X = random_field(traj, RNG)
     Y = random_field(traj, RNG)
-    val = index_form(S2, pot, traj, X, Y)
-    fd = second_variation_fd(S2, pot, traj, X, Y)
+    val = index_form(traj, X, Y)
+    fd = second_variation_fd(traj, X, Y)
     assert abs(fd - val) <= 1e-3 * (1.0 + abs(val))
 
 
@@ -213,8 +213,8 @@ def test_fd_kinked_field_needs_no_knot_correction():
     dP = (dbase + 0.8 * (2.0 * u * (1.0 - t) ** 2 - 2.0 * u**2 * (1.0 - t)))[:, None]
     d2P = (d2base + 0.8 * (2.0 * (t > 0.5) * (1.0 - t) ** 2 - 8.0 * u * (1.0 - t) + 2.0 * u**2))[:, None]
     X = field_from_profiles(traj, P, dP, d2P)
-    val = index_form(EUC1, pot, traj, X, X)
-    fd = second_variation_fd(EUC1, pot, traj, X, X)
+    val = index_form(traj, X, X)
+    fd = second_variation_fd(traj, X, X)
     assert abs(fd - val) <= 1e-3 * (1.0 + abs(val))
 
 
@@ -225,18 +225,18 @@ def test_fd_warns_when_roundoff_dominates():
     traj = integrate_ivp(EUC1, pot, CurveState(0.0, z, z, z, np.ones(1)), 1.0)
     X = polynomial_field(traj)
     with pytest.warns(RuntimeWarning, match="roundoff"):
-        second_variation_fd(EUC1, pot, traj, X, X, eps=1e-8)
+        second_variation_fd(traj, X, X, eps=1e-8)
 
 
 def test_kernel_field_annihilates_the_pairing():
     # window ending exactly at the first rank-drop time: the witness is an
     # admissible field in the kernel of the pairing
     pot, traj6 = bump_rest(6.0)
-    report = biconjugate_scan(EUC1, pot, traj6)
+    report = biconjugate_scan(traj6)
     t2 = report.times[0]
     w2, w3 = report.witnesses[0]
     pot, traj = bump_rest(t2)
-    out = propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, np.zeros(1), np.zeros(1), w2, w3))
+    out = propagate_jacobi(traj, JacobiState(0.0, np.zeros(1), np.zeros(1), w2, w3))
     X, dX, d2X = out.X.copy(), out.dX.copy(), out.d2X.copy()
     for arr in (X, dX):  # clamp the integrator residual at the ends
         arr[0] = 0.0
@@ -244,7 +244,7 @@ def test_kernel_field_annihilates_the_pairing():
     kern = AdmissibleField(traj.ts, X, dX, d2X)
     for _ in range(5):
         Y = random_field(traj, RNG)
-        assert abs(index_form(EUC1, pot, traj, kern, Y)) <= 1e-5
+        assert abs(index_form(traj, kern, Y)) <= 1e-5
 
 
 def test_spline_profiles_shapes_and_boundary():
@@ -258,24 +258,23 @@ def test_spline_profiles_shapes_and_boundary():
 
 def test_spline_profiles_dyadic_nesting_rules():
     ts = np.linspace(0.0, 1.0, 101)
-    _, _, _, k3 = spline_profiles(ts, 1.0, 3, dyadic=True)
-    _, _, _, k5 = spline_profiles(ts, 1.0, 5, dyadic=True)
+    _, _, _, k3 = spline_profiles(ts, 1.0, 3)
+    _, _, _, k5 = spline_profiles(ts, 1.0, 5)
     assert set(np.round(k3, 12)) <= set(np.round(k5, 12))
-    with pytest.raises(BasisError):
-        spline_profiles(ts, 1.0, 4, dyadic=True)
     with pytest.raises(BasisError):
         spline_profiles(ts, 1.0, 1)
 
 
-@pytest.mark.parametrize("m, dyadic", [(2, False), (3, False), (7, False), (60, False), (5, True)])
-def test_spline_profiles_match_scipy_bspline(m, dyadic):
+# the ids keep the names of the former (m, dyadic) cases; the knots of all are uniform
+@pytest.mark.parametrize("m", [2, 3, 7, 60, 5], ids=["2-False", "3-False", "7-False", "60-False", "5-True"])
+def test_spline_profiles_match_scipy_bspline(m):
     T = 1.7
-    knots = spline_profiles(np.zeros(1), T, m, dyadic)[3]
+    knots = spline_profiles(np.zeros(1), T, m)[3]
     # every knot, both ends among them, and the Galerkin quadrature points
     ts = np.concatenate([[0.0], knots, [T], _galerkin_points(T, knots)[0]])
     spl = BSpline(np.concatenate([np.zeros(6), knots, np.full(6, T)]), np.eye(m + 4)[:, 2:-2], 5)
     ref = (spl(ts).T, spl.derivative()(ts).T, spl.derivative(2)(ts).T)
-    for got, want in zip(spline_profiles(ts, T, m, dyadic)[:3], ref):
+    for got, want in zip(spline_profiles(ts, T, m)[:3], ref):
         assert got.shape == want.shape == (m, len(ts))
         assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=1, keepdims=True))
 
@@ -286,19 +285,19 @@ def test_extended_index_rejects_a_bad_mass_matrix(monkeypatch, bad):
     BasisError that names the mass matrix, not a linear-algebra error."""
     pot, traj = flat_rest()
 
-    def broken(chart, potential, trajectory, m, dyadic=False):
-        B = np.eye(m * chart.dim)
+    def broken(trajectory, m):
+        B = np.eye(m * trajectory.chart.dim)
         B[1, 1] = np.nan if bad == "nan" else -1.0
         return np.eye(len(B)), B, np.linspace(0.0, trajectory.T, m)[1:-1]
 
     monkeypatch.setattr(riemplan.index, "_galerkin_matrices", broken)
     with pytest.raises(BasisError, match="mass"):
-        extended_index(EUC1, pot, traj, 6)
+        extended_index(traj, 6)
 
 
 def test_extended_index_flat_positive():
     pot, traj = flat_rest()
-    rep = extended_index(EUC1, pot, traj, 12)
+    rep = extended_index(traj, 12)
     assert rep.verdict == "positive_definite"
     assert rep.index == 0 and rep.kernel_dim == 0
     assert rep.extended_index == 0
@@ -310,30 +309,30 @@ def test_extended_index_quadratic_well_positive():
     pot = QuadraticWell(EUC1, center=(0.0,), stiffness=1.0)
     st = CurveState(0.0, np.array([0.1]), np.array([0.05]), np.array([-0.02]), np.array([0.01]))
     traj = integrate_ivp(EUC1, pot, st, 12.0)
-    rep = extended_index(EUC1, pot, traj, 24)
+    rep = extended_index(traj, 24)
     assert rep.verdict == "positive_definite"
     assert rep.index == 0
 
 
 def test_extended_index_counts_rank_drops():
     pot, traj3 = bump_rest(3.0)
-    assert extended_index(EUC1, pot, traj3, 20).index == 0
+    assert extended_index(traj3, 20).index == 0
     pot, traj6 = bump_rest(6.0)
-    assert extended_index(EUC1, pot, traj6, 20).index >= 1
+    assert extended_index(traj6, 20).index >= 1
     pot, traj9 = bump_rest(9.0)
-    assert extended_index(EUC1, pot, traj9, 24).index >= 2
+    assert extended_index(traj9, 24).index >= 2
 
 
 def test_extended_index_stabilizes():
     pot, traj = bump_rest(6.0)
-    counts = [extended_index(EUC1, pot, traj, m).index for m in (10, 20, 40)]
+    counts = [extended_index(traj, m).index for m in (10, 20, 40)]
     assert counts[1] == counts[2]
     assert counts[0] <= counts[1]
 
 
 def test_extended_index_dyadic_monotone():
     pot, traj = bump_rest(6.0)
-    counts = [extended_index(EUC1, pot, traj, m, dyadic=True).index for m in (3, 5, 9, 17)]
+    counts = [extended_index(traj, m).index for m in (3, 5, 9, 17)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -343,13 +342,13 @@ def test_window_start_does_not_matter():
     pot, traj = bump_rest(6.0)
     z = np.zeros(1)
     shifted = integrate_ivp(EUC1, pot, CurveState(1.5, z, z, z, z), 6.0)
-    a = extended_index(EUC1, pot, traj, 20)
-    b = extended_index(EUC1, pot, shifted, 20)
+    a = extended_index(traj, 20)
+    b = extended_index(shifted, 20)
     assert b.index == a.index >= 1
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-10
     X = random_field(traj, np.random.default_rng(5))
     Y = random_field(shifted, np.random.default_rng(5))
-    assert abs(index_form(EUC1, pot, shifted, Y, Y) - index_form(EUC1, pot, traj, X, X)) <= 1e-10
+    assert abs(index_form(shifted, Y, Y) - index_form(traj, X, X)) <= 1e-10
 
 
 def test_extended_index_profiles_finer_than_grid():
@@ -360,8 +359,8 @@ def test_extended_index_profiles_finer_than_grid():
     z = np.zeros(1)
     coarse = integrate_ivp(EUC1, pot, CurveState(0.0, z, z, z, z), 1.0, h=1.0 / 20)
     _, fine = flat_rest()
-    a = extended_index(EUC1, pot, coarse, 80)
-    b = extended_index(EUC1, pot, fine, 80)
+    a = extended_index(coarse, 80)
+    b = extended_index(fine, 80)
     assert a.verdict == "positive_definite"
     assert a.mass_condition == pytest.approx(b.mass_condition, rel=1e-9)
     assert np.max(np.abs(a.eigenvalues / b.eigenvalues - 1.0)) <= 1e-9
@@ -371,7 +370,7 @@ def test_galerkin_count_is_grid_independent(scenario):
     # at 50 steps the node quadrature found 14 spurious negative eigenvalues
     chart, pot, bd = scenario("flat_obstacle")
     reps = [
-        verdict(chart, pot, solve_bvp(chart, pot, bd, h=bd.span / N).trajectory)
+        verdict(solve_bvp(chart, pot, bd, h=bd.span / N).trajectory)
         for N in (50, 400)
     ]
     for rep in reps:
@@ -385,7 +384,7 @@ def test_galerkin_count_is_grid_independent(scenario):
 def test_verdict_flat_candidate():
     # the flat rest state, and a short window on the curved sphere_obstacle curve
     for chart, (pot, traj) in ((EUC1, flat_rest()), (S2, sphere_obstacle())):
-        rep = verdict(chart, pot, traj, m=24)
+        rep = verdict(traj, m=24)
         assert rep.classification == "candidate"
         assert rep.certified_interval == (0.0, 1.0)
         assert rep.index_report.index == 0
@@ -397,7 +396,7 @@ def test_verdict_flat_candidate():
 
 def test_verdict_past_first_rank_drop():
     pot, traj = bump_rest(6.0)
-    rep = verdict(EUC1, pot, traj, m=24)
+    rep = verdict(traj, m=24)
     assert rep.classification == "not_omega_local"
     assert abs(rep.certified_interval[1] - FIRST_BEAM_ROOT) < 1e-5
 
@@ -447,7 +446,7 @@ def test_galerkin_assembly_matches_einsum_reference(scenario, name):
         chart, pot, bd = scenario(name)
         traj = solve_bvp(chart, pot, bd, h=bd.span / 200).trajectory
     m = 30
-    A, B, _ = _galerkin_matrices(chart, pot, traj, m)
+    A, B, _ = _galerkin_matrices(traj, m)
     A_ref, B_ref = galerkin_reference(chart, pot, traj, m)
     assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
     assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
@@ -457,7 +456,7 @@ def test_galerkin_assembly_matches_einsum_reference(scenario, name):
 
     evals = np.sort(scipy.linalg.eigh(A_ref, B_ref, eigvals_only=True))
     ref = counts(evals)
-    rep = extended_index(chart, pot, traj, m)
+    rep = extended_index(traj, m)
     assert (rep.index, rep.kernel_dim) == ref
     assert np.max(np.abs(rep.eigenvalues - evals)) <= 1e-10
     assert ref == {"flat_obstacle": (0, 0), "well_top": (1, 0), "sphere_curve": (0, 0)}[name]

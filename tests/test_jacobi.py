@@ -9,6 +9,7 @@ high-precision offline root solve.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from riemplan import (
     propagate_jacobi,
     verdict,
 )
-from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_rhs, operator_table
+from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_operator, jacobi_rhs, operator_table
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -67,7 +68,7 @@ def bump_rest(T):
 @functools.cache
 def bump_scan(T):
     pot, traj = bump_rest(T)
-    return biconjugate_scan(EUC1, pot, traj)
+    return biconjugate_scan(traj)
 
 
 @functools.cache
@@ -197,7 +198,7 @@ def test_propagate_flat_polynomial():
     st = CurveState(0.0, np.zeros(2), np.array([0.4, -0.1]), np.array([0.2, 0.3]), np.array([-0.5, 0.1]))
     traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
     c = RNG.normal(size=(4, 2))
-    out = propagate_jacobi(EUC2, ZeroPotential(EUC2), traj, JacobiState(0.0, c[0], c[1], c[2], c[3]))
+    out = propagate_jacobi(traj, JacobiState(0.0, c[0], c[1], c[2], c[3]))
     t = traj.ts[:, None]
     exact = c[0] + c[1] * t + c[2] * t**2 / 2 + c[3] * t**3 / 6
     assert np.max(np.abs(out.X - exact)) < 1e-12
@@ -208,7 +209,7 @@ def test_propagate_quadratic_well_closed_form():
     st = CurveState(0.0, np.array([0.2]), np.array([-0.1]), np.array([0.3]), np.array([0.1]))
     traj = integrate_ivp(EUC1, pot, st, 1.0)
     u0 = np.array([0.5, -0.3, 0.2, 0.4])
-    out = propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, u0[:1], u0[1:2], u0[2:3], u0[3:4]))
+    out = propagate_jacobi(traj, JacobiState(0.0, u0[:1], u0[1:2], u0[2:3], u0[3:4]))
     A = np.diag(np.ones(3), 1)
     A[3, 0] = -1.0
     exact = np.stack([scipy.linalg.expm(A * t) @ u0 for t in traj.ts])
@@ -219,9 +220,7 @@ def test_propagate_superposition_and_zero():
     pot, _, traj = sphere_case()
     u1, u2 = RNG.normal(size=(2, 4, 2))
     batch = np.stack([u1, u2, 0.7 * u1 + u2, np.zeros((4, 2))])
-    out = propagate_jacobi(
-        S2, pot, traj, JacobiState(0.0, batch[:, 0], batch[:, 1], batch[:, 2], batch[:, 3])
-    )
+    out = propagate_jacobi(traj, JacobiState(0.0, batch[:, 0], batch[:, 1], batch[:, 2], batch[:, 3]))
     mix = 0.7 * out.X[:, 0] + out.X[:, 1]
     assert np.max(np.abs(out.X[:, 2] - mix)) < 1e-9
     assert np.all(out.X[:, 3] == 0.0)
@@ -231,7 +230,7 @@ def test_propagate_superposition_and_zero():
 def test_propagate_requires_start_time():
     pot, _, traj = sphere_case()
     with pytest.raises(ValueError):
-        propagate_jacobi(S2, pot, traj, JacobiState(0.5, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)))
+        propagate_jacobi(traj, JacobiState(0.5, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)))
 
 
 def fd_linearization_gap(fd_jacobian, chart, pot, st, T, h):
@@ -244,7 +243,7 @@ def fd_linearization_gap(fd_jacobian, chart, pot, st, T, h):
     for i in range(n):
         jets[i, 0, i] = 1.0
         jets[n + i, 1, i] = 1.0
-    out = propagate_jacobi(chart, pot, traj, JacobiState(0.0, zero, zero, jets[:, 0], jets[:, 1]))
+    out = propagate_jacobi(traj, JacobiState(0.0, zero, zero, jets[:, 0], jets[:, 1]))
     X_T = out.X[-1]
     Xdot_T = out.dX[-1] - chart.gamma(traj.qs[-1], traj.vs[-1], X_T)
     J_prop = np.concatenate([X_T, Xdot_T], axis=1).T
@@ -266,7 +265,7 @@ def test_verdict_on_numeric_chart():
     # the Galerkin count builds the operator at every Gauss state of the
     # default basis through the finite-difference nabla R
     pot, traj = warped_case()
-    rep = verdict(WARPED, pot, traj)
+    rep = verdict(traj)
     assert rep.classification == "candidate"
     assert rep.index_report.index == 0
     assert rep.index_report.kernel_dim == 0
@@ -275,7 +274,7 @@ def test_verdict_on_numeric_chart():
 def test_fundamental_system_stays_full_rank():
     pot, _, traj = sphere_case()
     u0 = np.eye(8).reshape(8, 4, 2)
-    out = propagate_jacobi(S2, pot, traj, JacobiState(0.0, u0[:, 0], u0[:, 1], u0[:, 2], u0[:, 3]))
+    out = propagate_jacobi(traj, JacobiState(0.0, u0[:, 0], u0[:, 1], u0[:, 2], u0[:, 3]))
     final = np.concatenate([out.X[-1], out.dX[-1], out.d2X[-1], out.d3X[-1]], axis=1)
     sv = np.linalg.svd(final, compute_uv=False)
     assert sv[-1] / sv[0] >= 1e-10
@@ -284,7 +283,7 @@ def test_fundamental_system_stays_full_rank():
 def test_scan_flat_empty():
     st = CurveState(0.0, np.zeros(2), np.array([0.4, -0.1]), np.array([0.2, 0.3]), np.array([-0.5, 0.1]))
     traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
-    report = biconjugate_scan(EUC2, ZeroPotential(EUC2), traj)
+    report = biconjugate_scan(traj)
     assert len(report) == 0
 
 
@@ -293,7 +292,7 @@ def test_scan_quadratic_well_empty():
     pot = QuadraticWell(EUC1, center=(0.0,), stiffness=1.0)
     st = CurveState(0.0, np.array([0.1]), np.array([0.05]), np.array([-0.02]), np.array([0.01]))
     traj = integrate_ivp(EUC1, pot, st, 6.0)
-    assert len(biconjugate_scan(EUC1, pot, traj)) == 0
+    assert len(biconjugate_scan(traj)) == 0
 
 
 def test_scan_finds_beam_roots():
@@ -308,7 +307,7 @@ def test_scan_finds_beam_roots():
 
 def test_scan_interior_anchor():
     pot, traj = bump_rest(12.0)
-    report = biconjugate_scan(EUC1, pot, traj, t1=2.0)
+    report = biconjugate_scan(traj, t1=2.0)
     # constant coefficients: pairs depend only on |t2 - t1|
     expected = [report.t1 + r for r in BEAM_ROOTS if report.t1 + r < 12.0]
     assert len(report) == len(expected)
@@ -321,7 +320,7 @@ def test_scan_witness_repropagation():
     for t2, (w2, w3) in zip(report.times, report.witnesses):
         # re-integrate with the detected time as the final grid node
         pot, traj = bump_rest(t2)
-        out = propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, np.zeros(1), np.zeros(1), w2, w3))
+        out = propagate_jacobi(traj, JacobiState(0.0, np.zeros(1), np.zeros(1), w2, w3))
         sup = float(np.max(np.abs(out.X)))
         gap = abs(float(out.X[-1, 0])) + abs(float(out.dX[-1, 0]))
         assert gap <= 1e-6 * sup
@@ -330,21 +329,21 @@ def test_scan_witness_repropagation():
 def test_scan_coarse_grid_warns():
     pot, traj = bump_rest(12.0)
     with pytest.warns(ResolutionWarning):
-        biconjugate_scan(EUC1, pot, traj, grid=4)
+        biconjugate_scan(traj, grid=4)
 
 
 @pytest.mark.parametrize("grid", [0, -3])
 def test_scan_rejects_nonpositive_grid(grid):
     pot, traj = bump_rest(12.0)
     with pytest.raises(ValueError, match="positive sample count"):
-        biconjugate_scan(EUC1, pot, traj, grid=grid)
+        biconjugate_scan(traj, grid=grid)
 
 
 @pytest.mark.parametrize("t1", [-3.0, 12.0 + 1e-6])
 def test_scan_rejects_t1_outside_window(t1):
     pot, traj = bump_rest(12.0)
     with pytest.raises(ValueError, match="outside the trajectory window"):
-        biconjugate_scan(EUC1, pot, traj, t1=t1)
+        biconjugate_scan(traj, t1=t1)
 
 
 def test_negative_direction_first_pair():
@@ -352,7 +351,7 @@ def test_negative_direction_first_pair():
     report = bump_scan(6.0)
     assert len(report) == 1
     t2 = report.times[0]
-    nd = negative_direction(EUC1, pot, traj, 0.0, t2)
+    nd = negative_direction(traj, 0.0, t2)
     assert nd.value < 0.0
     assert 0.0 < nd.delta < t2
     assert nd.eps > 0.0
@@ -363,20 +362,20 @@ def test_negative_direction_first_pair():
 def test_negative_direction_witness_residual():
     pot, traj = bump_rest(6.0)
     t2 = bump_scan(6.0).times[0]
-    nd = negative_direction(EUC1, pot, traj, 0.0, t2, delta=0.3, eps=0.0)
+    nd = negative_direction(traj, 0.0, t2, delta=0.3, eps=0.0)
     assert abs(nd.value) < 1e-3
 
 
 def test_negative_direction_rejects_regular_pair():
     pot, traj = bump_rest(6.0)
     with pytest.raises(ValueError, match="not a detected pair"):
-        negative_direction(EUC1, pot, traj, 0.0, 2.0)
+        negative_direction(traj, 0.0, 2.0)
 
 
 def test_negative_direction_rejects_bad_order():
     pot, traj = bump_rest(6.0)
     with pytest.raises(ValueError):
-        negative_direction(EUC1, pot, traj, 3.0, 3.0)
+        negative_direction(traj, 3.0, 3.0)
 
 
 def test_negative_direction_needs_interior_room():
@@ -384,13 +383,13 @@ def test_negative_direction_needs_interior_room():
     z = np.zeros(1)
     traj = integrate_ivp(EUC1, pot, CurveState(0.0, z, z, z, z), BEAM_ROOTS[0])
     with pytest.raises(ConstructionError):
-        negative_direction(EUC1, pot, traj, 0.0, BEAM_ROOTS[0])
+        negative_direction(traj, 0.0, BEAM_ROOTS[0])
 
 
 def test_propagate_overflow_reports_blowup():
     pot, traj = bump_rest(800.0)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="blew up"):
-        propagate_jacobi(EUC1, pot, traj, JacobiState(0.0, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)))
+        propagate_jacobi(traj, JacobiState(0.0, np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1)))
 
 
 def test_bundle_overflow_on_last_step_raises():
@@ -401,12 +400,12 @@ def test_bundle_overflow_on_last_step_raises():
     u0 = np.array([[[1.0], [0.0], [0.0], [0.0]]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="blew up") as err:
-            _propagate_bundle(EUC1, pot, traj, 0, u0)
+            _propagate_bundle(traj, 0, u0)
         steps = round(float(str(err.value).rsplit("= ", 1)[1]) / traj.h)
         assert steps < traj.segments
-        _propagate_bundle(EUC1, pot, traj, traj.segments - steps + 1, u0)
+        _propagate_bundle(traj, traj.segments - steps + 1, u0)
         with pytest.raises(NumericalError, match="blew up") as err:
-            _propagate_bundle(EUC1, pot, traj, traj.segments - steps, u0)
+            _propagate_bundle(traj, traj.segments - steps, u0)
     assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(traj.T, rel=1e-5)
 
 
@@ -502,7 +501,7 @@ def test_table_march_matches_stagewise_rk4(name):
     for k in range(k0, N):
         mid = traj.interpolate(ts[k] + 0.5 * h)
         ref.append(stagewise_step(chart, pot, ref[-1], h, traj.state(k), mid, traj.state(k + 1)))
-    flow = _propagate_bundle(chart, pot, traj, k0, u0, forward=True)
+    flow = _propagate_bundle(traj, k0, u0, forward=True)
     assert rel_gap(flow.states, ref) <= 1e-12
     # off-node: one partial step out of the enclosing node
     t = ts[N - 1] + 0.37 * h
@@ -515,7 +514,7 @@ def test_table_march_matches_stagewise_rk4(name):
     for k in range(k0, 0, -1):
         mid = traj.interpolate(ts[k - 1] + 0.5 * h)
         back.append(stagewise_step(chart, pot, back[-1], -h, traj.state(k), mid, traj.state(k - 1)))
-    flow = _propagate_bundle(chart, pot, traj, k0, u0, forward=False)
+    flow = _propagate_bundle(traj, k0, u0, forward=False)
     assert rel_gap(flow.states, back[::-1]) <= 1e-12
     t = ts[0] + 0.61 * h
     s = traj.interpolate(np.array([ts[0], 0.5 * (ts[0] + t), t]))
@@ -534,8 +533,20 @@ def test_operator_table_applies_jacobi_rhs(name, data):
         hnp.arrays(float, (4, n), elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
         label="jets",
     )
-    nodes, _ = operator_table(chart, pot, traj)
+    nodes, _ = operator_table(traj)
     want = np.stack(jacobi_rhs(chart, pot, traj.state(k), JacobiState(traj.ts[k], *u)))
     got = nodes[k] @ u.ravel()
     scale = np.max(np.abs(nodes[k]) @ np.abs(u.ravel()))
     assert np.max(np.abs(got - want.ravel())) <= 1e-12 * scale + 1e-300
+
+
+def test_replaced_potential_gets_its_own_tables():
+    # the tables cached on a trajectory belong to its own chart and
+    # potential: a copy with another potential builds them afresh
+    chart, pot, traj = march_case("euclidean2")
+    nodes, _ = operator_table(traj)
+    other = replace(traj, potential=ZeroPotential(chart))
+    want = jacobi_operator(chart, other.potential, CurveState(traj.ts, traj.qs, traj.vs, traj.accs, traj.jerks))
+    assert np.allclose(operator_table(other)[0], want, rtol=0.0, atol=1e-12)
+    assert not np.allclose(nodes, want, rtol=0.0, atol=1e-3)
+    assert np.array_equal(other.node_rhs[:, 3], np.zeros_like(traj.qs))

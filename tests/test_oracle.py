@@ -277,7 +277,7 @@ def test_discretization_consistency_order(name, chart, pot_center, state, T):
     pot = GaussianObstacle(chart, pot_center, amplitude=0.8, width=0.6)
     q, v, acc, j = (np.array(x) for x in state)
     traj = integrate_ivp(chart, pot, CurveState(0.0, q, v, acc, j), T, h=T / 512)
-    ref = action(chart, pot, traj)
+    ref = action(traj)
     bd = BoundaryData(traj.qs[0], traj.vs[0], traj.qs[-1], traj.vs[-1], b=T)
     errs = []
     for N in (64, 128, 256):
@@ -302,7 +302,7 @@ def test_minimizer_beats_random_perturbations():
 def test_compare_with_trajectory_report():
     pot, p = bump_min()
     traj = solve_bvp(EUC2, pot, FLAT_BD, h=1.0 / 512).trajectory
-    rep = compare_with_trajectory(EUC2, pot, p, traj)
+    rep = compare_with_trajectory(p, traj)
     assert rep["nodes"] == p.segments + 1
     assert rep["sup_distance"] < 5e-3
     assert rep["action_gap"] < 1e-3 * (1.0 + abs(rep["action_quadrature"]))
@@ -316,7 +316,7 @@ def test_sphere_minimizer_matches_shooting():
     p = minimize_discrete(S2, pot, bd, 400)
     assert p.grad_sup <= 1e-7
     traj = solve_bvp(S2, pot, bd, h=bd.span / 100).trajectory
-    rep = compare_with_trajectory(S2, pot, p, traj)
+    rep = compare_with_trajectory(p, traj)
     assert rep["sup_distance"] <= 5e-3
     assert rep["action_gap"] <= 1e-3
 
@@ -324,7 +324,7 @@ def test_sphere_minimizer_matches_shooting():
 def test_uniqueness_probes_flat_obstacle():
     pot = GaussianObstacle(EUC2, (0.5, 0.25), amplitude=1.0, width=0.4)
     traj = solve_bvp(EUC2, pot, FLAT_BD, h=1.0 / 800).trajectory
-    rep = check_uniqueness_props(EUC2, pot, traj)
+    rep = check_uniqueness_props(traj)
     assert rep["conclusive"] and rep["pass"]
     assert len(rep["restriction_probes"]) == 5
     assert all(pr["ok"] for pr in rep["restriction_probes"])
@@ -363,7 +363,7 @@ def test_lockstep_probes_match_sequential_solves(monkeypatch, case, max_iter):
         st = CurveState(0.0, np.array([-0.5, 0.2]), np.array([0.4, 0.1]), np.zeros(2), np.zeros(2))
         traj = integrate_ivp(chart, pot, st, 1.2, h=1.2 / 200)
     monkeypatch.setattr(oracle, "_solve", functools.partial(bvp._solve, max_iter=max_iter))
-    probes = check_uniqueness_props(chart, pot, traj, rng_seed=1)["restriction_probes"]
+    probes = check_uniqueness_props(traj, rng_seed=1)["restriction_probes"]
     ref = sequential_probes(chart, pot, traj, probes, max_iter)
     assert [{k: p.get(k) for k in ("sup", "converged", "error")} for p in probes] == [
         {k: r.get(k) for k in ("sup", "converged", "error")} for r in ref
@@ -378,5 +378,5 @@ def test_uniqueness_probes_sphere_geodesic():
     st = CurveState(0.0, np.array([-0.5, 0.2]), np.array([0.4, 0.1]),
                     np.zeros(2), np.zeros(2))
     traj = integrate_ivp(S2, ZeroPotential(S2), st, 1.2, h=1.2 / 800)
-    rep = check_uniqueness_props(S2, ZeroPotential(S2), traj, rng_seed=4)
+    rep = check_uniqueness_props(traj, rng_seed=4)
     assert rep["conclusive"] and rep["pass"]
