@@ -13,9 +13,11 @@ them to coordinate derivatives through Gamma at the current point:
     a' = j - Gamma(v, a)
     j' = -R(a, v)v - grad V(q) - Gamma(v, j)
 
-On a flat chart (``chart.flat``, a ``space_curvature`` of 0) Gamma and R
-vanish and the system is q'''' = -grad V(q): the right side is the shift
-(v, a, j) over -grad V(q), with no Gamma or curvature call.
+Each stage reads Gamma, R and the potential's metric off one evaluation
+of the chart at q (``chart.at``).  On a flat chart (``chart.flat``, a
+``space_curvature`` of 0) Gamma and R vanish and the system is
+q'''' = -grad V(q): the right side is the shift (v, a, j) over
+-grad V(q), and the chart is not evaluated.
 
 Integration is classical RK4 (``rk4.step``) on a uniform grid whose step
 stays fixed through a march, so a given grid gives a deterministic curve.
@@ -77,9 +79,9 @@ class CurveState:
 
 def _rhs_stacked(chart, potential, u):
     """Coordinate time-derivatives of jet stacks u of shape (..., 4, n), the
-    levels (q, v, a, j) along axis -2: one Gamma call, none on flat charts.
+    levels (q, v, a, j) along axis -2: one chart evaluation, none on flat charts.
 
-    Gamma(v, .) is evaluated once on the stacked (v, a, j) at the point.
+    Gamma(v, .) is contracted once with the stacked (v, a, j) at the point.
     """
     q, v, a = u[..., 0, :], u[..., 1, :], u[..., 2, :]
     out = np.empty_like(u)
@@ -87,10 +89,11 @@ def _rhs_stacked(chart, potential, u):
         out[..., :3, :] = u[..., 1:, :]
         out[..., 3, :] = -potential.gradient(q)
         return out
-    g = chart.gamma(q[..., None, :], v[..., None, :], u[..., 1:, :])
+    p = chart.at(q, 1 if chart.locally_symmetric else 2)
+    g = np.einsum("...kij,...i,...rj->...rk", p.Gamma, v, u[..., 1:, :])
     out[..., 0, :] = v
     np.subtract(u[..., 2:, :], g[..., :2, :], out=out[..., 1:3, :])
-    out[..., 3, :] = -chart.curvature(q, a, v, v) - potential.gradient(q) - g[..., 2, :]
+    out[..., 3, :] = -p.curvature(a, v, v) - potential.gradient(q, p) - g[..., 2, :]
     return out
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .base import ManifoldChart
+from .base import ChartPoint, ManifoldChart
 from .charts import EuclideanChart, Hyperbolic2Chart, SO3Chart, Sphere2Chart
 from .numeric import NumericChart, numeric_chart_from_file
 from .transport import parallel_transport, transport_frame
 
 __all__ = [
+    "ChartPoint",
     "ManifoldChart",
     "EuclideanChart",
     "Sphere2Chart",

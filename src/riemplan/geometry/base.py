@@ -1,17 +1,20 @@
 """Coordinate-chart differential geometry.
 
 Everything operates on plain numpy arrays of chart coordinates.  A chart
-knows its metric and the metric's coordinate derivative; Christoffel
-symbols, curvature, geodesics, distance and transport all follow from
-those.  Point and vector arguments broadcast over leading axes; the last
-axis is always the coordinate axis.
+evaluates its geometry at a stack of points once, ``ManifoldChart.at(x,
+order)``, into a ``ChartPoint`` record; every other geometric method
+reads that record, and geodesics, distance and transport follow.  Point
+and vector arguments broadcast over leading axes; the last axis is always
+the coordinate axis.  Index conventions:
 
-Index conventions:
+    metric(x), ChartPoint.g                 [..., a, b]        g_ab
+    metric_inv(x), ChartPoint.ginv          [..., a, b]        g^ab
+    dmetric(x)                              [..., l, a, b]     d_l g_ab
+    christoffel(x), ChartPoint.Gamma        [..., k, i, j]     Gamma^k_ij (symmetric in i, j)
+    dchristoffel(x), ChartPoint.dGamma      [..., l, k, i, j]  d_l Gamma^k_ij
+    ChartPoint.R                            [..., l, i, j, k]  R^l_ijk X^i Y^j Z^k = R(X, Y)Z^l
 
-    metric(x)[..., a, b]              g_ab
-    dmetric(x)[..., l, a, b]          d_l g_ab
-    christoffel(x)[..., k, i, j]      Gamma^k_ij   (symmetric in i, j)
-    dchristoffel(x)[..., l, k, i, j]  d_l Gamma^k_ij
+and each covariant derivative of R appends its index (``nR``, ``nnR``).
 
 The curvature endomorphism uses the convention
 
@@ -28,25 +31,63 @@ import numpy as np
 from .. import rk4
 from ..errors import ChartDomainError, ChartEscapeError, InjectivityError
 
-# relative step of the finite-difference ``dchristoffel`` fallback
-_FD_STEP = 1e-6
 # Gauss-Legendre rule on [0, 1] for ManifoldChart._segment_length
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
-__all__ = ["ManifoldChart"]
+__all__ = ["ChartPoint", "ManifoldChart"]
+
+
+class ChartPoint:
+    """A chart's geometry at a stack of points, up to the order given to ``ManifoldChart.at``.
+
+    g and ginv always, Gamma from order 1, dGamma from order 2.  Where
+    ``kappa`` (the ``space_curvature``) is None, R, nR and nnR come at
+    orders 2, 3 and 4; else R(X, Y)Z = kappa (<Y,Z>X - <X,Z>Y), nabla R = 0.
+    A field beyond the order is None.
+    """
+
+    def __init__(self, kappa, g, ginv, Gamma=None, dGamma=None, R=None, nR=None, nnR=None):
+        self.kappa, self.g, self.ginv, self.Gamma, self.dGamma = kappa, g, ginv, Gamma, dGamma
+        self.R, self.nR, self.nnR = R, nR, nnR
+
+    def inner(self, u, v):
+        # lowered first, so g = I gives the bits of the plain dot product
+        return np.einsum("...a,...a->...", u, np.einsum("...ab,...b->...a", self.g, v))
+
+    def raise_covector(self, w):
+        return np.einsum("...ab,...b->...a", self.ginv, w)
+
+    def gamma(self, u, v):
+        return np.einsum("...kij,...i,...j->...k", self.Gamma, u, v)
+
+    def curvature(self, X, Y, Z):
+        k = self.kappa
+        if k is None:
+            return np.einsum("...lijk,...i,...j,...k->...l", self.R, X, Y, Z)
+        gZ = np.einsum("...ab,...b->...a", self.g, Z)
+        return k * (np.einsum("...a,...a->...", Y, gZ)[..., None] * X - np.einsum("...a,...a->...", X, gZ)[..., None] * Y)
+
+    def nabla_R(self, W, X, Y, Z):
+        if self.kappa is not None:
+            return np.zeros(np.broadcast(X, Y, Z).shape)
+        return np.einsum("...lijkw,...i,...j,...k,...w->...l", self.nR, X, Y, Z, W)
+
+    def nabla2_R(self, W, X, Y, Z):
+        if self.kappa is not None:
+            return np.zeros(np.broadcast(X, Y, Z).shape)
+        return np.einsum("...lijkwp,...i,...j,...k,...w,...p->...l", self.nnR, X, Y, Z, W, W)
 
 
 class ManifoldChart:
-    """Base chart: generic coordinate formulas over ``metric``/``dmetric``.
+    """Base chart: every geometric quantity is read off one evaluation, ``at``.
 
-    Subclasses must set ``dim`` and ``name`` and implement ``metric`` and
-    ``dmetric``; everything else has a working (if slower) default.
-    ``space_curvature`` is the one declaration of the chart's curvature:
-    0.0 on a flat chart, the sectional curvature on a space of constant
-    curvature, None otherwise.  ``flat`` and ``locally_symmetric`` follow
-    from it; a chart that leaves it None must provide ``nabla_R`` and
-    ``nabla2_R``.
+    Subclasses set ``dim`` and ``name`` and implement ``at`` and
+    ``dmetric``; a kernel that needs several quantities at the same points
+    calls ``at`` once.  ``space_curvature`` is the one declaration of the
+    chart's curvature: 0.0 on a flat chart, the sectional curvature on a
+    space of constant curvature, None otherwise.  ``flat`` and
+    ``locally_symmetric`` follow from it.
     """
 
     dim: int = 0
@@ -63,55 +104,41 @@ class ManifoldChart:
         """True when nabla R vanishes identically on this chart."""
         return self.space_curvature is not None
 
+    def at(self, x: np.ndarray, order: int) -> ChartPoint:
+        """The geometry at the points x up to ``order`` (see ``ChartPoint``)."""
+        raise NotImplementedError
+
     # -- metric layer -------------------------------------------------
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.at(x, 0).g
 
     def dmetric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def metric_inv(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(self.metric(x))
+        return self.at(x, 0).ginv
 
     def inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...ab,...a,...b->...", self.metric(x), u, v)
+        return self.at(x, 0).inner(u, v)
 
     def norm(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.inner(x, u, u), 0.0))
 
     def raise_covector(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.einsum("...ab,...b->...a", self.metric_inv(x), w)
+        return self.at(x, 0).raise_covector(w)
 
     # -- connection layer ---------------------------------------------
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        g_inv = self.metric_inv(x)
-        dg = self.dmetric(x)
-        # S[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        s = (
-            np.einsum("...ijl->...ijl", dg)
-            + np.einsum("...jil->...ijl", dg)
-            - np.einsum("...lij->...ijl", dg)
-        )
-        return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, s)
+        return self.at(x, 1).Gamma
 
     def gamma(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gamma(u, v)^k, the Christoffel contraction used by every ODE here."""
-        return np.einsum("...kij,...i,...j->...k", self.christoffel(x), u, v)
+        return self.at(x, 1).gamma(u, v)
 
     def dchristoffel(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        n = self.dim
-        out = np.empty(x.shape[:-1] + (n, n, n, n))
-        for l in range(n):
-            h = _FD_STEP * (1.0 + np.abs(x[..., l : l + 1]))
-            e = np.zeros(n)
-            e[l] = 1.0
-            cp = self.christoffel(x + h * e)
-            cm = self.christoffel(x - h * e)
-            out[..., l, :, :, :] = (cp - cm) / (2.0 * h[..., None, None])
-        return out
+        return self.at(x, 2).dGamma
 
     # -- curvature layer ----------------------------------------------
 
@@ -120,17 +147,11 @@ class ManifoldChart:
     ) -> np.ndarray:
         """R(X, Y)Z at x: k(<Y,Z>X - <X,Z>Y) with k = ``space_curvature``.
 
-        Charts without a constant curvature take the coordinate formula.
+        Charts without a constant curvature contract their R tensor.
         """
-        k = self.space_curvature
-        if k is None:
-            return self.curvature_from_christoffel(x, X, Y, Z)
         if self.flat:
             return np.zeros(np.broadcast(X, Y, Z).shape)
-        return k * (
-            self.inner(x, Y, Z)[..., None] * X
-            - self.inner(x, X, Z)[..., None] * Y
-        )
+        return self.at(x, 0 if self.locally_symmetric else 2).curvature(X, Y, Z)
 
     def curvature_from_christoffel(
         self, x: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
@@ -141,33 +162,18 @@ class ManifoldChart:
         Works on every chart; the constant-curvature formula is cross-checked
         against this in the test suite.
         """
-        dG = self.dchristoffel(x)
-        t1 = np.einsum("...iljk,...i,...j,...k->...l", dG, X, Y, Z)
-        t2 = np.einsum("...jlik,...i,...j,...k->...l", dG, X, Y, Z)
-        gYZ = self.gamma(x, Y, Z)
-        gXZ = self.gamma(x, X, Z)
-        t3 = self.gamma(x, X, gYZ)
-        t4 = self.gamma(x, Y, gXZ)
-        return t1 - t2 + t3 - t4
+        p = self.at(x, 2)
+        t1 = np.einsum("...iljk,...i,...j,...k->...l", p.dGamma, X, Y, Z)
+        t2 = np.einsum("...jlik,...i,...j,...k->...l", p.dGamma, X, Y, Z)
+        return t1 - t2 + p.gamma(X, p.gamma(Y, Z)) - p.gamma(Y, p.gamma(X, Z))
 
     def nabla_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab_W R)(X, Y)Z: exactly zero on the locally symmetric charts that use this default.
-
-        Broadcasts like ``curvature``: x holds chart points on its leading
-        axes and W, X, Y, Z broadcast against it.
-        """
-        if not self.locally_symmetric:
-            raise NotImplementedError(f"{self.name} chart does not provide nabla R")
-        return np.zeros(np.broadcast(X, Y, Z).shape)
+        """(nab_W R)(X, Y)Z, broadcast like ``curvature``: exactly zero on locally symmetric charts."""
+        return self.at(x, 3).nabla_R(W, X, Y, Z)
 
     def nabla2_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W.
-
-        Broadcasts like ``nabla_R``; quadratic in W.
-        """
-        if not self.locally_symmetric:
-            raise NotImplementedError(f"{self.name} chart does not provide nabla^2 R")
-        return np.zeros(np.broadcast(X, Y, Z).shape)
+        """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W; quadratic in W."""
+        return self.at(x, 4).nabla2_R(W, X, Y, Z)
 
     # -- geodesic layer -----------------------------------------------
 
@@ -178,24 +184,17 @@ class ManifoldChart:
         broadcasts over leading axes.  Raises ChartEscapeError if the
         geodesic leaves the chart domain.
         """
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        x, v = np.broadcast_arrays(x, v)
-        speed = float(np.max(self.norm(x, v))) if x.size else 0.0
-        steps = min(512, max(16, int(48.0 * speed) + 1))
-        q = _geodesic(self, x, v, 1.0 / steps, steps)[..., 0, :]
-        if not np.all(self.contains(q)):
-            raise ChartEscapeError("geodesic left the chart domain", 1.0)
-        return q
+        return _geodesic(self, x, v)[..., 0, :]
 
     def log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Initial velocity of the geodesic from x reaching y at time 1.
 
-        Generic implementation: Newton shooting on exp with an FD
-        Jacobian.  Charts with a closed form override this.  Shooting can
-        reach a longer geodesic than the minimizing one; a result longer
-        than the chart segment from x to y, a curve that joins them too,
-        raises InjectivityError.
+        Generic implementation: Newton shooting on exp, its Jacobian
+        marched with the geodesic.  Charts with a closed form override
+        this.  Shooting can reach a longer geodesic than the minimizing one;
+        the chart segment from x to y joins them too, so an iterate longer
+        than twice that segment, or a result longer than it, raises
+        InjectivityError.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -206,21 +205,18 @@ class ManifoldChart:
             ).reshape(x.shape)
         v = y - x
         scale = 1.0 + float(np.linalg.norm(y))
+        segment = self._segment_length(x, y)
         for _ in range(50):
-            r = self.exp(x, v) - y
+            u = _geodesic(self, x, v, jacobian=True)
+            r = u[0] - y
             if float(np.linalg.norm(r)) <= 1e-10 * scale:
                 # the margin covers exp's RK4 error where the segment is
                 # itself a geodesic (8e-9 relative on a sphere2 radius)
-                if float(self.norm(x, v)) > self._segment_length(x, y) * (1.0 + 1e-6):
+                if float(self.norm(x, v)) > segment * (1.0 + 1e-6):
                     raise InjectivityError("log-map shooting reached a non-minimizing geodesic")
                 return v
-            J = np.empty((self.dim, self.dim))
-            for j in range(self.dim):
-                e = np.zeros(self.dim)
-                e[j] = 1e-6 * (1.0 + abs(v[j]))
-                J[:, j] = (self.exp(x, v + e) - self.exp(x, v - e)) / (2.0 * e[j])
             try:
-                dv = np.linalg.solve(J, -r)
+                dv = np.linalg.solve(u[1 : self.dim + 1].T, -r)
             except np.linalg.LinAlgError as exc:
                 raise InjectivityError("log-map shooting became singular") from exc
             t = 1.0
@@ -230,6 +226,8 @@ class ManifoldChart:
                     break
                 t *= 0.5
             v = v + t * dv
+            if float(self.norm(x, v)) > 2.0 * segment:
+                raise InjectivityError("log-map shooting reached a non-minimizing geodesic")
         raise InjectivityError("log-map shooting did not converge")
 
     def _segment_length(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -254,17 +252,34 @@ class ManifoldChart:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _geodesic(chart, x, v, h, steps):
-    """RK4 march of the geodesic equation from q = x, dq/ds = v.
+def _geodesic(chart, x, v, jacobian=False):
+    """RK4 march of the geodesic from q = x, dq/ds = w = v to s = 1; the g-speed sets the step count.
 
-    Returns the jet stack (q, dq/ds) of shape (..., 2, n) at the last node.
+    Returns (q, w), shape (..., 2, n), at s = 1; with ``jacobian``,
+    (q, Q, w, W) of shape (..., 2 + 2n, n), whose rows Q_j = dq/dv_j and
+    W_j = dw/dv_j obey Q' = W, W' = -dGamma[Q](w, w) - 2 Gamma(w, W) from
+    Q = 0, W = I.  Raises ChartEscapeError if q leaves the chart.
     """
+    x, v = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))
+    speed = float(np.max(chart.norm(x, v))) if x.size else 0.0
+    steps = min(512, max(16, int(48.0 * speed) + 1))
+    m = x.shape[-1] if jacobian else 0
 
     def rhs(u):
-        q, w = u[..., 0, :], u[..., 1, :]
-        return np.stack([w, -chart.gamma(q, w, w)], axis=-2)
+        q, w, vel = u[..., 0, :], u[..., m + 1, :], u[..., m + 1 :, :]
+        p = chart.at(q, 2 if m else 1)
+        acc = -np.einsum("...kij,...i,...rj->...rk", p.Gamma, w, vel)
+        if m:
+            acc[..., 1:, :] *= 2.0
+            acc[..., 1:, :] -= np.einsum("...lkij,...rl,...i,...j->...rk", p.dGamma, u[..., 1 : m + 1, :], w, w)
+        return np.concatenate([vel, acc], axis=-2)
 
-    u = np.stack([x, v], axis=-2)
+    rows = x.shape[:-1] + (m, x.shape[-1])
+    u = np.concatenate(
+        [x[..., None, :], np.zeros(rows), v[..., None, :], np.broadcast_to(np.eye(m, x.shape[-1]), rows)], axis=-2
+    )
     for _ in range(steps):
-        u = rk4.step(rhs, u, h)
+        u = rk4.step(rhs, u, 1.0 / steps)
+    if not np.all(chart.contains(u[..., 0, :])):
+        raise ChartEscapeError("geodesic left the chart domain", 1.0)
     return u

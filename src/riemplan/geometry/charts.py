@@ -8,17 +8,21 @@ hyperbolic2     curvature -1 plane, unit-disk model, radius capped at 0.95
 so3             rotation group, axis-angle chart, bi-invariant metric,
                 angle capped at pi - 0.2
 
-sphere2 and hyperbolic2 share one closed form for log and distance,
-written in chart coordinates (``_ConformalChart``).
+sphere2, hyperbolic2 and so3 share the closed-form Gamma of a metric
+a(|x|^2) I + b(|x|^2) x x^T (``_radial_christoffel``); sphere2 and
+hyperbolic2 also share one closed form for log and distance
+(``_ConformalChart``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from ..errors import InjectivityError
 from . import so3 as _so3
-from .base import ManifoldChart
+from .base import ChartPoint, ManifoldChart
 
 __all__ = ["EuclideanChart", "Sphere2Chart", "Hyperbolic2Chart", "SO3Chart"]
 
@@ -32,33 +36,21 @@ class EuclideanChart(ManifoldChart):
         self.dim = int(n)
         self.name = f"euclidean:{n}"
 
-    def metric(self, x):
+    def at(self, x, order):
         x = np.asarray(x, float)
-        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
+        n = self.dim
+        eye = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)).copy()
+        zero = [np.zeros(x.shape[:-1] + (n,) * (k + 3)) for k in range(min(order, 2))]
+        return ChartPoint(0.0, eye, eye, *zero)
 
     def dmetric(self, x):
-        x = np.asarray(x, float)
-        n = self.dim
-        return np.zeros(x.shape[:-1] + (n, n, n))
-
-    def christoffel(self, x):
-        x = np.asarray(x, float)
-        n = self.dim
-        return np.zeros(x.shape[:-1] + (n, n, n))
-
-    def dchristoffel(self, x):
-        x = np.asarray(x, float)
-        n = self.dim
-        return np.zeros(x.shape[:-1] + (n, n, n, n))
+        return np.zeros(np.shape(x)[:-1] + (self.dim,) * 3)
 
     def gamma(self, x, u, v):
         return np.zeros(np.broadcast(np.asarray(u, float), np.asarray(v, float)).shape)
 
     def inner(self, x, u, v):
         return np.einsum("...a,...a->...", np.asarray(u, float), np.asarray(v, float))
-
-    def metric_inv(self, x):
-        return self.metric(x)
 
     def exp(self, x, v):
         return np.asarray(x, float) + np.asarray(v, float)
@@ -70,91 +62,98 @@ class EuclideanChart(ManifoldChart):
         return np.linalg.norm(np.asarray(y, float) - np.asarray(x, float), axis=-1)
 
 
-class _ConformalChart(ManifoldChart):
-    """g = e^{2 phi} * I on a disk-like domain; subclasses supply phi.
+@functools.cache
+def _unit_tensors(n):
+    """I, and the d_l-derivatives of the p and q terms of ``_radial_christoffel`` at p = q = 1, [c, l, k, i, j]."""
+    eye = np.eye(n)
+    dd = eye[:, None, :, None] * eye[:, None, :]  # d_li d_kj
+    linear = np.stack([dd + dd.swapaxes(-1, -2), eye[:, :, None, None] * eye])
+    eye.flags.writeable = linear.flags.writeable = False
+    return eye, linear
 
-    Both subclasses are stereographic charts of a space of constant
-    curvature k = ``space_curvature`` = +-1, with e^phi = 2 / (1 + k|x|^2),
-    and share one closed form for log and distance in chart coordinates.
-    With A = 1 + k|x|^2, B = 1 + k|y|^2, u = y - x and s = |u|^2 / (AB),
+
+def _radial_christoffel(x, p, q, r=None):
+    """Gamma^k_ij = p (x_i d_kj + x_j d_ki) + q x_k d_ij + r x_k x_i x_j, r None meaning 0.
+
+    The connection of every metric g = a(s) I + b(s) x x^T with s = |x|^2:
+    p = a'/a, q = (b - a')/(a + b s), r = (a b' - 2 a' b)/(a (a + b s)).
+    """
+    eye = _unit_tensors(x.shape[-1])[0]
+    px = (p[..., None] * x)[..., None, None, :] * eye[:, :, None]  # [k, i, j] = p d_ki x_j
+    out = px + px.swapaxes(-1, -2)
+    out += (q[..., None] * x)[..., :, None, None] * eye
+    if r is not None:
+        out += (r[..., None] * x)[..., :, None, None] * (x[..., :, None] * x[..., None, :])[..., None, :, :]
+    return out
+
+
+def _radial_dchristoffel(x, coef, dcoef):
+    """d_l Gamma^k_ij of ``_radial_christoffel``; dcoef holds the s-derivatives of coef = (p, q, r).
+
+    2 x_l Gamma'^k_ij + p (d_li d_kj + d_lj d_ki) + q d_lk d_ij
+    + r (d_lk x_i x_j + d_li x_k x_j + d_lj x_k x_i), Gamma' made of dcoef.
+    """
+    p, q, r = coef
+    e, linear = _unit_tensors(x.shape[-1])
+    out = 2.0 * x[..., :, None, None, None] * _radial_christoffel(x, *dcoef)[..., None, :, :, :]
+    out += np.einsum("...c,clkij->...lkij", np.stack([p, q], axis=-1), linear)
+    if r is not None:
+        t = e[:, :, None, None] * (x[..., :, None] * x[..., None, :])[..., None, None, :, :]
+        out += r[..., None, None, None, None] * (t + t.swapaxes(-3, -2) + t.swapaxes(-3, -1))
+    return out
+
+
+class _ConformalChart(ManifoldChart):
+    """Stereographic chart of a space of constant curvature k = +-1.
+
+    g = a I with a = 4 / (1 + k |x|^2)^2, so in ``_radial_christoffel``
+    p = -2k / (1 + k |x|^2), q = -p and r = 0.  The closed form for log
+    and distance in chart coordinates: with A = 1 + k|x|^2,
+    B = 1 + k|y|^2, u = y - x and s = |u|^2 / (AB),
 
         s = sin^2(d/2) on the sphere,  sinh^2(d/2) on the disk,
         log_x(y) = d / sqrt(s |1 - k s|) * A / (2B) * (u + k |u|^2 / A * x).
 
     The ratio d / sqrt(s |1 - k s|) tends to 2 as s -> 0 and takes that
     value at y = x, so log keeps its relative precision next to the base
-    point.  Subclasses give d(s) as ``_arc``; ``log`` raises
-    InjectivityError where d exceeds ``_log_cut``.
+    point.  Subclasses give d(s) as ``_arc`` and the domain's
+    ``radius_cap``; ``log`` raises InjectivityError where d exceeds
+    ``_log_cut``.
     """
 
     _log_cut = np.inf
 
-    def _phi_grad(self, x):
-        raise NotImplementedError
+    def _factors(self, x):
+        """d = 1 + k|x|^2, w = 1 / d and the conformal factor a = 4 w^2."""
+        d = 1.0 + self.space_curvature * np.einsum("...a,...a->...", x, x)
+        w = 1.0 / d
+        return d, w, 4.0 * w * w
 
-    def _phi_hess(self, x):
-        raise NotImplementedError
-
-    def _lam(self, x):
-        """Conformal factor lambda with g = lambda^2 I."""
-        raise NotImplementedError
-
-    def metric(self, x):
+    def at(self, x, order):
         x = np.asarray(x, float)
-        lam2 = self._lam(x) ** 2
-        return lam2[..., None, None] * np.eye(self.dim)
-
-    def metric_inv(self, x):
-        x = np.asarray(x, float)
-        lam2 = self._lam(x) ** 2
-        return (1.0 / lam2)[..., None, None] * np.eye(self.dim)
-
-    def inner(self, x, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        return self._lam(np.asarray(x, float)) ** 2 * np.einsum("...a,...a->...", u, v)
+        k = self.space_curvature
+        d, w, a = self._factors(x)
+        eye = _unit_tensors(self.dim)[0]
+        pt = ChartPoint(k, a[..., None, None] * eye, (0.25 * d * d)[..., None, None] * eye)
+        p = -2.0 * k * w
+        if order > 0:
+            pt.Gamma = _radial_christoffel(x, p, -p)
+        if order > 1:
+            dp = 2.0 * k * k * w * w
+            pt.dGamma = _radial_dchristoffel(x, (p, -p, None), (dp, -dp))
+        return pt
 
     def dmetric(self, x):
         x = np.asarray(x, float)
-        lam2 = self._lam(x) ** 2
-        pg = self._phi_grad(x)
-        return 2.0 * (lam2[..., None] * pg)[..., :, None, None] * np.eye(self.dim)
+        _, w, a = self._factors(x)
+        # d_l g_ab = 2 a' x_l d_ab with a' = a p
+        da = -4.0 * self.space_curvature * w * a
+        return (da[..., None] * x)[..., :, None, None] * _unit_tensors(self.dim)[0]
 
-    def christoffel(self, x):
+    def contains(self, x):
         x = np.asarray(x, float)
-        pg = self._phi_grad(x)
-        n = self.dim
-        eye = np.eye(n)
-        out = np.einsum("...j,ki->...kij", pg, eye) + np.einsum(
-            "...i,kj->...kij", pg, eye
-        )
-        out -= np.einsum("...k,ij->...kij", pg, eye)
-        return out
-
-    def gamma(self, x, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        pg = self._phi_grad(np.asarray(x, float))
-        pu = np.einsum("...a,...a->...", pg, u)
-        pv = np.einsum("...a,...a->...", pg, v)
-        uv = np.einsum("...a,...a->...", u, v)
-        return pu[..., None] * v + pv[..., None] * u - uv[..., None] * pg
-
-    def dchristoffel(self, x):
-        x = np.asarray(x, float)
-        ph = self._phi_hess(x)
-        n = self.dim
-        eye = np.eye(n)
-        out = np.einsum("...lj,ki->...lkij", ph, eye) + np.einsum(
-            "...li,kj->...lkij", ph, eye
-        )
-        out -= np.einsum("...lk,ij->...lkij", ph, eye)
-        return out
-
-    @staticmethod
-    def _arc(s):
-        """Geodesic distance d as a function of s."""
-        raise NotImplementedError
+        ok = np.all(np.isfinite(x), axis=-1)
+        return ok & (np.einsum("...a,...a->...", x, x) <= self.radius_cap**2)
 
     def _chord(self, x, y):
         """u = y - x, |u|^2, A and B of the closed form."""
@@ -197,26 +196,6 @@ class Sphere2Chart(_ConformalChart):
     radius_cap = 5.0
     _log_cut = np.pi - 1e-6
 
-    def _lam(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        return 2.0 / (1.0 + r2)
-
-    def _phi_grad(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        return -2.0 * x / (1.0 + r2)[..., None]
-
-    def _phi_hess(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        d = 1.0 + r2
-        out = -2.0 / d[..., None, None] * np.eye(2)
-        out += 4.0 * np.einsum("...i,...j->...ij", x, x) / (d**2)[..., None, None]
-        return out
-
-    def contains(self, x):
-        x = np.asarray(x, float)
-        ok = np.all(np.isfinite(x), axis=-1)
-        return ok & (np.einsum("...a,...a->...", x, x) <= self.radius_cap**2)
-
     @staticmethod
     def _arc(s):
         # 2 asin(sqrt(s)); this form stays defined where rounding puts s above 1
@@ -231,26 +210,6 @@ class Hyperbolic2Chart(_ConformalChart):
     space_curvature = -1.0
     radius_cap = 0.95
 
-    def _lam(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        return 2.0 / (1.0 - r2)
-
-    def _phi_grad(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        return 2.0 * x / (1.0 - r2)[..., None]
-
-    def _phi_hess(self, x):
-        r2 = np.einsum("...a,...a->...", x, x)
-        d = 1.0 - r2
-        out = 2.0 / d[..., None, None] * np.eye(2)
-        out += 4.0 * np.einsum("...i,...j->...ij", x, x) / (d**2)[..., None, None]
-        return out
-
-    def contains(self, x):
-        x = np.asarray(x, float)
-        ok = np.all(np.isfinite(x), axis=-1)
-        return ok & (np.einsum("...a,...a->...", x, x) <= self.radius_cap**2)
-
     @staticmethod
     def _arc(s):
         return 2.0 * np.arcsinh(np.sqrt(s))
@@ -260,7 +219,8 @@ class SO3Chart(ManifoldChart):
     """Rotation group in axis-angle coordinates, bi-invariant metric.
 
     The metric is the pullback of <omega, omega> on body angular
-    velocities, g(x) = J_r(x)^T J_r(x) = u(|x|) I + beta(|x|) x x^T.  The
+    velocities, g(x) = J_r(x)^T J_r(x) = u I + beta x x^T, u and beta
+    power series in |x|^2 (``so3.metric_coefficients``).  The
     space has constant sectional curvature 1/4 (Milnor, *Curvatures of
     left invariant metrics on Lie groups*, Adv. Math. 1976), so the body
     frame's R(X, Y)Z = -[[X, Y], Z]/4 is the base class's
@@ -273,29 +233,39 @@ class SO3Chart(ManifoldChart):
     space_curvature = 0.25
     angle_cap = np.pi - 0.2
 
-    def metric(self, x):
+    def _coefficients(self, x):
+        """u, u', u'', beta, beta', beta'' at s = |x|^2 (primes are d/ds), and x x^T."""
+        coef = _so3.metric_coefficients(np.einsum("...a,...a->...", x, x))
+        return np.moveaxis(coef, -1, 0), x[..., :, None] * x[..., None, :]
+
+    def at(self, x, order):
         x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
-        u = _so3.metric_radial(theta)
-        beta = _so3.metric_outer(theta)
-        out = u[..., None, None] * np.eye(3)
-        out += beta[..., None, None] * np.einsum("...i,...j->...ij", x, x)
-        return out
+        (u, du, d2u, b, db, d2b), xx = self._coefficients(x)
+        eye = _unit_tensors(3)[0]
+        # u + beta |x|^2 = 1, so g^-1 = (I - beta x x^T) / u and, in
+        # _radial_christoffel, q = beta - u' and r = beta' - 2 u' beta / u
+        pt = ChartPoint(
+            self.space_curvature,
+            u[..., None, None] * eye + b[..., None, None] * xx,
+            (eye - b[..., None, None] * xx) / u[..., None, None],
+        )
+        coef = (du / u, b - du, db - 2.0 * du * b / u)
+        if order > 0:
+            pt.Gamma = _radial_christoffel(x, *coef)
+        if order > 1:
+            dp = (d2u - du * coef[0]) / u
+            dr = d2b - 2.0 * (d2u * b + du * db) / u + 2.0 * du * du * b / (u * u)
+            pt.dGamma = _radial_dchristoffel(x, coef, (dp, db - d2u, dr))
+        return pt
 
     def dmetric(self, x):
         x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
-        upt = _so3.metric_radial_prime_over_theta(theta)
-        bpt = _so3.metric_outer_prime_over_theta(theta)
-        beta = _so3.metric_outer(theta)
-        eye = np.eye(3)
-        xx = np.einsum("...i,...j->...ij", x, x)
-        out = np.einsum("...l,ab->...lab", upt[..., None] * x, eye)
-        out += np.einsum("...l,...ab->...lab", bpt[..., None] * x, xx)
-        out += beta[..., None, None, None] * (
-            np.einsum("al,...b->...lab", eye, x) + np.einsum("bl,...a->...lab", eye, x)
-        )
-        return out
+        (_, du, _, b, db, _), xx = self._coefficients(x)
+        # d_l g_ab = 2 x_l (u' d_ab + beta' x_a x_b) + beta (d_la x_b + d_lb x_a)
+        eye = _unit_tensors(3)[0]
+        out = 2.0 * x[..., :, None, None] * (du[..., None, None] * eye + db[..., None, None] * xx)[..., None, :, :]
+        xe = eye[:, :, None] * x[..., None, None, :]  # [l, a, b] = d_la x_b
+        return out + b[..., None, None, None] * (xe + xe.swapaxes(-1, -2))
 
     def contains(self, x):
         x = np.asarray(x, float)

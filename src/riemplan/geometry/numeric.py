@@ -5,7 +5,8 @@ Each is evaluated once on truncated multivariate Taylor series about the
 query points (Taylor-mode forward differentiation, Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., 2008, ch. 13); g^-1, Gamma, R, nabla R
 and nabla^2 R follow exactly, up to rounding, from the coordinate formulas
-carried out on the same series.
+carried out on the same series, all from one evaluation
+(``NumericChart.at``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ManifoldChart
+from .base import ChartPoint, ManifoldChart
 
 __all__ = ["NumericChart", "numeric_chart_from_file"]
 
@@ -186,9 +187,9 @@ class NumericChart(ManifoldChart):
         self.name = name
 
     def _tensors(self, x, order):
-        """g, Gamma, R, nabla R, nabla^2 R about x, as far as ``order`` reaches.
+        """g^-1 at x, and the series of g, Gamma, R, nabla R, nabla^2 R about x, as far as ``order`` reaches.
 
-        The k-th is a series of order ``order - k``.  R[..., l, i, j, k, :]
+        The k-th series is of order ``order - k``.  R[..., l, i, j, k, :]
         holds R^l_ijk, R(X, Y)Z^l = R^l_ijk X^i Y^j Z^k; each covariant
         derivative appends its index.
         """
@@ -200,18 +201,19 @@ class NumericChart(ManifoldChart):
         value = {e: np.broadcast_to(f(s[-1], xs), xs[..., 0, :].shape) for e, f in self._exprs.items()}
         g = np.stack([np.stack([value[e] for e in row], -2) for row in self._table], -3)
         out = [0.5 * (g + np.swapaxes(g, -2, -3))]
+        g0inv = np.linalg.inv(out[0][..., 0])
         if order == 0:
-            return out
+            return g0inv, out
         g, lo = out[0], s[-2]
         dg = s[-1].grad(g)
         # lowered Christoffels Gamma_lij = (d_i g_jl + d_j g_il - d_l g_ij) / 2
         low = np.einsum("...jliz->...lijz", dg) + np.einsum("...iljz->...lijz", dg) - np.einsum("...ijlz->...lijz", dg)
         # g^-1 as the Neumann series sum_k (-g0^-1 dg)^k g0^-1, finite on truncated series
-        g0inv = lo.const(np.linalg.inv(g[..., 0]))
-        step = -lo.contract(g0inv, g[..., : lo.size] - lo.const(g[..., 0]), "ac,cb->ab")
-        ginv = g0inv
+        inv0 = lo.const(g0inv)
+        step = -lo.contract(inv0, g[..., : lo.size] - lo.const(g[..., 0]), "ac,cb->ab")
+        ginv = inv0
         for _ in range(lo.order):
-            ginv = g0inv + lo.contract(step, ginv, "ac,cb->ab")
+            ginv = inv0 + lo.contract(step, ginv, "ac,cb->ab")
         out.append(0.5 * lo.contract(ginv, low, "kl,lij->kij"))
         if order > 1:
             # A^l_jki = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk, R^l_ijk = A^l_jki - A^l_ikj
@@ -228,30 +230,16 @@ class NumericChart(ManifoldChart):
             for i in range(1, len(idx)):
                 nabla = nabla - lo.contract(gam, T[..., : lo.size], f"yl{idx[i]},{idx[:i]}y{idx[i + 1:]}->{idx}l")
             out.append(nabla)
-        return out
+        return g0inv, out
 
-    def metric(self, x):
-        return self._tensors(x, 0)[0][..., 0]
+    def at(self, x, order):
+        ginv, series = self._tensors(x, order)
+        g, Gamma, R, nR, nnR = [t[..., 0] for t in series] + [None] * (5 - len(series))
+        dGamma = np.moveaxis(series[1][..., 1 : 1 + self.dim], -1, -4) if order > 1 else None
+        return ChartPoint(None, g, ginv, Gamma, dGamma, R, nR, nnR)
 
     def dmetric(self, x):
-        return np.moveaxis(self._tensors(x, 1)[0][..., 1 : 1 + self.dim], -1, -3)
-
-    def christoffel(self, x):
-        return self._tensors(x, 1)[1][..., 0]
-
-    def dchristoffel(self, x):
-        return np.moveaxis(self._tensors(x, 2)[1][..., 1 : 1 + self.dim], -1, -4)
-
-    def curvature(self, x, X, Y, Z):
-        return np.einsum("...lijk,...i,...j,...k->...l", self._tensors(x, 2)[2][..., 0], X, Y, Z)
-
-    def nabla_R(self, x, W, X, Y, Z):
-        nR = self._tensors(x, 3)[3][..., 0]
-        return np.einsum("...lijkw,...i,...j,...k,...w->...l", nR, X, Y, Z, W)
-
-    def nabla2_R(self, x, W, X, Y, Z):
-        nnR = self._tensors(x, 4)[4][..., 0]
-        return np.einsum("...lijkwp,...i,...j,...k,...w,...p->...l", nnR, X, Y, Z, W, W)
+        return np.moveaxis(self._tensors(x, 1)[1][0][..., 1 : 1 + self.dim], -1, -3)
 
     def contains(self, x):
         x = np.asarray(x, float)

@@ -49,40 +49,30 @@ def cos_coeff(theta):
     )
 
 
-def metric_radial(theta):
-    """u(theta) = (2 - 2 cos theta)/theta^2, the transverse metric eigenvalue."""
-    return _series(
-        theta,
-        [1.0, -1 / 12, 1 / 360, -1 / 20160],
-        lambda t: (2 - 2 * np.cos(t)) / t**2,
-    )
+# u = (2 - 2 cos theta)/theta^2 = sum_k 2 (-s)^k / (2k+2)! and
+# beta = (theta^2 - 2 + 2 cos theta)/theta^4 = sum_k 2 (-s)^k / (2k+4)!
+# in s = theta^2, with their first two s-derivatives as the columns;
+# 21 terms reach double precision up to theta = 2 pi
+_POWERS = np.arange(21)
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, 45.0)])
+_METRIC_TABLE = np.stack(
+    [
+        np.pad(np.polynomial.polynomial.polyder(2.0 * (-1.0) ** _POWERS / _FACTORIALS[2 * _POWERS + m], d), (0, d))
+        for m in (2, 4)
+        for d in range(3)
+    ],
+    axis=-1,
+)
 
 
-def metric_outer(theta):
-    """beta(theta) = (theta^2 - 2 + 2 cos theta)/theta^4."""
-    return _series(
-        theta,
-        [1 / 12, -1 / 360, 1 / 20160, -1 / 1814400],
-        lambda t: (t * t - 2 + 2 * np.cos(t)) / t**4,
-    )
+def metric_coefficients(s):
+    """u, u', u'', beta, beta', beta'' at s = theta^2 (primes are d/ds), on a last axis.
 
-
-def metric_radial_prime_over_theta(theta):
-    """u'(theta)/theta, smooth through zero."""
-    return _series(
-        theta,
-        [-1 / 6, 1 / 90, -1 / 3360, 1 / 226800],
-        lambda t: (2 * t * np.sin(t) - 4 + 4 * np.cos(t)) / t**4,
-    )
-
-
-def metric_outer_prime_over_theta(theta):
-    """beta'(theta)/theta, smooth through zero."""
-    return _series(
-        theta,
-        [-1 / 180, 1 / 5040, -1 / 302400],
-        lambda t: (2 * t - 2 * np.sin(t)) / t**6 * t - 4 * (t * t - 2 + 2 * np.cos(t)) / t**6,
-    )
+    The axis-angle metric is g = u I + beta x x^T with s = |x|^2, and
+    u + beta s = 1.  Both are entire in s: no switch at small theta.
+    """
+    # einsum, not a matrix product: a row's bits must not depend on the batch
+    return np.einsum("...k,kc->...c", np.power(np.asarray(s, float)[..., None], _POWERS), _METRIC_TABLE)
 
 
 def inv_jac_coeff(theta):

@@ -21,13 +21,13 @@ coefficients depend only on the stored curve.  A ``Trajectory`` owns its
 chart, its potential and its cached tables, so every function here that
 analyzes one takes the trajectory alone.  The operator A(t) of
 u' = A(t) u is built once per trajectory, at every node and segment
-midpoint in one call (``operator_table``), and each classical RK4 step of
-the march is the product of u with a precomputed step matrix.  A bundle
-of fields marches as one matrix; off-node values take one partial step
-out of the enclosing node through the same operator.  The second-variation
-forms in ``index`` read F(X, qdot) + nab_X grad V off the same table, and
-shooting in ``bvp`` reads its Jacobian off the scan's bundle at the last
-node (``shooting_jacobian``).
+midpoint from one chart evaluation (``operator_table``); each RK4 step
+of the march is the product of u with a precomputed step matrix.  A
+bundle of fields marches as one matrix; off-node values take one partial
+step out of the enclosing node through the same operator.  The
+second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off
+the same table, and shooting in ``bvp`` reads its Jacobian off the
+scan's bundle at the last node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
@@ -73,25 +73,26 @@ class JacobiState:
     d3X: np.ndarray
 
 
-def F_operator(chart, state: CurveState, X, dX, d2X):
+def F_operator(chart, state: CurveState, X, dX, d2X, p=None):
     """The curvature coupling F(X, qdot) of the second variation.
 
     Linear in (X, dX, d2X); broadcasts field arguments against the state.
+    p is state.q's ``ChartPoint`` (to order 4 unless locally symmetric).
     """
     q, v, a, j = state.q, state.v, state.a, state.j
-    R = chart.curvature
-    out = R(q, R(q, X, v, v), v, v)
-    out = out + R(q, X, j, v)
-    out = out + 2.0 * R(q, d2X, v, v)
-    out = out + 3.0 * (R(q, X, v, j) + R(q, X, a, a))
-    out = out + 4.0 * R(q, dX, v, a)
+    if p is None:
+        p = chart.at(q, 0 if chart.locally_symmetric else 4)
+    R = p.curvature
+    out = R(R(X, v, v), v, v)
+    out = out + R(X, j, v)
+    out = out + 2.0 * R(d2X, v, v)
+    out = out + 3.0 * (R(X, v, j) + R(X, a, a))
+    out = out + 4.0 * R(dX, v, a)
     if not chart.locally_symmetric:
-        out = out + chart.nabla2_R(q, v, X, v, v)
-        # the four first-derivative terms share one evaluation of nabla R
+        out = out + p.nabla2_R(v, X, v, v)
+        # the four first-derivative terms share one contraction of nabla R
         X, dX, v, a = np.broadcast_arrays(X, dX, v, a)
-        D = chart.nabla_R(
-            q, np.stack([X, v, v, v]), np.stack([a, dX, X, X]), np.stack([v, v, a, v]), np.stack([v, v, v, a])
-        )
+        D = p.nabla_R(np.stack([X, v, v, v]), np.stack([a, dX, X, X]), np.stack([v, v, a, v]), np.stack([v, v, v, a]))
         out = out + D[0] + 2.0 * (D[1] + D[2]) + 3.0 * D[3]
     return out
 
@@ -99,19 +100,21 @@ def F_operator(chart, state: CurveState, X, dX, d2X):
 def jacobi_rhs(chart, potential, state: CurveState, jac: JacobiState):
     """Coordinate time-derivatives of the field 4-jet (X, dX, d2X, d3X).
 
-    On a flat chart F and Gamma vanish and the ODE is X'''' = -Hess V X,
-    so only the potential's Hessian is evaluated.
+    F, the potential's Hessian and Gamma read one ``chart.at`` record.  On
+    a flat chart F and Gamma vanish and the ODE is X'''' = -Hess V X, so
+    only the potential's Hessian is evaluated.
     """
     q, v = state.q, state.v
     X, dX, d2X, d3X = jac.X, jac.dX, jac.d2X, jac.d3X
     if chart.flat:
         return dX, d2X, d3X, -potential.hessian_op(q, X)
-    force = -F_operator(chart, state, X, dX, d2X) - potential.hessian_op(q, X)
+    p = chart.at(q, 1 if chart.locally_symmetric else 4)
+    force = -F_operator(chart, state, X, dX, d2X, p) - potential.hessian_op(q, X, p)
     return (
-        dX - chart.gamma(q, v, X),
-        d2X - chart.gamma(q, v, dX),
-        d3X - chart.gamma(q, v, d2X),
-        force - chart.gamma(q, v, d3X),
+        dX - p.gamma(v, X),
+        d2X - p.gamma(v, dX),
+        d3X - p.gamma(v, d2X),
+        force - p.gamma(v, d3X),
     )
 
 

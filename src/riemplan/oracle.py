@@ -121,8 +121,9 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     the acceleration feeds three neighbors through the second difference,
     two through the velocity entering the quadratic connection term, and
     the node itself through the metric, connection, and potential
-    derivatives.  The eliminated nodes pass a quarter of their gradient to
-    the adjacent free node.  On a flat chart (Gamma = 0, g = I) only the
+    derivatives, all read off one evaluation of the chart at the nodes.
+    The eliminated nodes pass a quarter of their gradient to the adjacent
+    free node.  On a flat chart (Gamma = 0, g = I) only the
     second-difference stencil and the potential gradient remain.
     """
     qs, h = path.qs, path.h
@@ -132,9 +133,9 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     if flat:
         b = c
     else:
-        G = chart.christoffel(qs)
+        p = chart.at(qs, 2)
+        G, g = p.Gamma, p.g
         a = c + np.einsum("...kij,...i,...j->...k", G, v, v)
-        g = chart.metric(qs)
         b = np.einsum("...ab,...b->...a", g, a)
     w = _trapezoid(N + 1, h)
 
@@ -151,11 +152,10 @@ def discrete_gradient(chart, potential, path: DiscretePath):
         grad[2:] += wc / h
         grad[0:-2] -= wc / h
 
-        dg = chart.dmetric(qs[1:-1])
-        dG = chart.dchristoffel(qs[1:-1])
-        E = 0.5 * np.einsum("...a,...b,...lab->...l", a[1:-1], a[1:-1], dg)
-        E += np.einsum("...ab,...b->...a", g[1:-1], potential.gradient(qs[1:-1]))
-        D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], dG, v[1:-1], v[1:-1])
+        # a^a a^b d_l g_ab / 2 = b_m Gamma^m_la a^a, as d_l g_ab = Gamma^m_la g_mb + Gamma^m_lb g_am
+        E = np.einsum("...m,...mla,...a->...l", b[1:-1], G[1:-1], a[1:-1])
+        E += np.einsum("...ab,...b->...a", g, potential.gradient(qs, p))[1:-1]
+        D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], p.dGamma[1:-1], v[1:-1], v[1:-1])
         grad[1:-1] += w[1:-1, None] * (E + D)
 
     for k, sgn in ((0, 1), (N, -1)):

@@ -3,9 +3,13 @@
 A potential is bound to the chart it lives on and exposes three maps, all
 broadcasting over leading axes:
 
-    value(x)          scalar, nonnegative
-    gradient(x)       metric-raised gradient vector in chart components
-    hessian_op(x, X)  nab_X grad V, the covariant Hessian as an operator
+    value(x)             scalar, nonnegative
+    gradient(x, p)       metric-raised gradient vector in chart components
+    hessian_op(x, X, p)  nab_X grad V, the covariant Hessian as an operator
+
+A caller that has evaluated the chart at x passes its ``ChartPoint`` as
+p (order 0 for ``gradient``, 1 for ``hessian_op``); on a flat chart no
+record is read or built.
 
 The quadratic well and the Gaussian obstacle are both profiles of the
 squared distance to a center, and share one pipeline
@@ -22,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ManifoldChart
+from .geometry import ChartPoint, ManifoldChart
 
 __all__ = [
     "Potential",
@@ -60,6 +64,16 @@ def _cot_deficit(y):
     return np.where(small, series, (1.0 - _cot_factor(ys)) / ys)
 
 
+# <u, v> and the raised covector w at the points of the ChartPoint p,
+# where None stands for the flat g = I
+def _inner(p, u, v):
+    return np.einsum("...a,...a->...", u, v) if p is None else p.inner(u, v)
+
+
+def _raise(p, w):
+    return w if p is None else p.raise_covector(w)
+
+
 class Potential:
     """Base potential bound to a chart."""
 
@@ -69,10 +83,10 @@ class Potential:
     def value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, p: ChartPoint | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian_op(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def hessian_op(self, x: np.ndarray, X: np.ndarray, p: ChartPoint | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def hessian_op_fd(self, x: np.ndarray, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -103,10 +117,10 @@ class ZeroPotential(Potential):
         x = np.asarray(x, float)
         return np.zeros(x.shape[:-1])
 
-    def gradient(self, x):
+    def gradient(self, x, p=None):
         return np.zeros_like(np.asarray(x, float))
 
-    def hessian_op(self, x, X):
+    def hessian_op(self, x, X, p=None):
         return np.zeros(np.broadcast(np.asarray(x, float), np.asarray(X, float)).shape)
 
 
@@ -152,35 +166,45 @@ class _DistancePotential(Potential):
             return self._profile(self._offset(x)[1], 0)
         return self._profile(self.chart.distance(x, self.center) ** 2, 0)
 
-    def gradient(self, x):
+    def _point(self, x, p, order):
+        """x's ``ChartPoint`` up to ``order`` (``p`` when given); None on a flat chart."""
+        if self.chart.flat:
+            return None
+        return self.chart.at(x, order) if p is None else p
+
+    def gradient(self, x, p=None):
         x = np.asarray(x, float)
+        p = self._point(x, p, 0)
         if self.distance == "chart":
             u, d2 = self._offset(x)
-            return self.chart.raise_covector(x, -self._profile(d2, 1)[..., None] * u)
+            return _raise(p, -self._profile(d2, 1)[..., None] * u)
         logv = self.chart.log(x, self.center)
-        return self._profile(self.chart.inner(x, logv, logv), 1)[..., None] * logv
+        return self._profile(_inner(p, logv, logv), 1)[..., None] * logv
 
-    def hessian_op(self, x, X):
+    def hessian_op(self, x, X, p=None):
         x = np.asarray(x, float)
         X = np.asarray(X, float)
         if self.distance == "chart":
+            p = self._point(x, p, 1)
             u, d2 = self._offset(x)
             s, c = self._profile(d2, 2)
-            dv = -s[..., None] * u
-            chess = c[..., None, None] * np.einsum("...i,...j->...ij", u, u)
-            chess -= s[..., None, None] * np.eye(self.chart.dim)
-            nabdv = chess - np.einsum("...kij,...k->...ij", self.chart.christoffel(x), dv)
-            return self.chart.raise_covector(x, np.einsum("...ij,...j->...i", nabdv, X))
+            # nab dV = d dV - Gamma . dV with dV = -s u
+            nabdv = c[..., None, None] * np.einsum("...i,...j->...ij", u, u)
+            nabdv -= s[..., None, None] * np.eye(self.chart.dim)
+            if p is not None:
+                nabdv = nabdv + np.einsum("...kij,...k->...ij", p.Gamma, s[..., None] * u)
+            return _raise(p, np.einsum("...ij,...j->...i", nabdv, X))
         kappa = self.chart.space_curvature
         if kappa is None:
             return self.hessian_op_fd(x, X)
+        p = self._point(x, p, 0)
         logv = self.chart.log(x, self.center)
-        d2 = self.chart.inner(x, logv, logv)
+        d2 = _inner(p, logv, logv)
         s, c = self._profile(d2, 2)
-        lX = self.chart.inner(x, logv, X)
+        lX = _inner(p, logv, X)
         # Hess r (X) = mu X + kappa*deficit * <X, log> log  (radial part 1),
         # the identity on a flat chart
-        if self.chart.flat:
+        if p is None:
             hs = X
         else:
             y = kappa * d2
@@ -246,16 +270,16 @@ class SumPotential(Potential):
             out = out + p.value(x)
         return out
 
-    def gradient(self, x):
-        out = self.terms[0].gradient(x)
-        for p in self.terms[1:]:
-            out = out + p.gradient(x)
+    def gradient(self, x, p=None):
+        out = self.terms[0].gradient(x, p)
+        for term in self.terms[1:]:
+            out = out + term.gradient(x, p)
         return out
 
-    def hessian_op(self, x, X):
-        out = self.terms[0].hessian_op(x, X)
-        for p in self.terms[1:]:
-            out = out + p.hessian_op(x, X)
+    def hessian_op(self, x, X, p=None):
+        out = self.terms[0].hessian_op(x, X, p)
+        for term in self.terms[1:]:
+            out = out + term.hessian_op(x, X, p)
         return out
 
 
@@ -272,8 +296,8 @@ class ScaledPotential(Potential):
     def value(self, x):
         return self.factor * self.base.value(x)
 
-    def gradient(self, x):
-        return self.factor * self.base.gradient(x)
+    def gradient(self, x, p=None):
+        return self.factor * self.base.gradient(x, p)
 
-    def hessian_op(self, x, X):
-        return self.factor * self.base.hessian_op(x, X)
+    def hessian_op(self, x, X, p=None):
+        return self.factor * self.base.hessian_op(x, X, p)

@@ -3,7 +3,8 @@
 On euclidean charts Gamma, R and the metric derivatives vanish, so the
 trajectory right side, the field ODE, the Gaussian's distance Hessian and
 the discrete gradient evaluate the potential alone.  These tests check
-that those paths are taken (the zero geometry is never asked for) and
+that those paths are taken (the zero geometry is never asked for, nor is
+a point record built) and
 that they give the same numbers as the generic formulas run on the same
 zero geometry: a euclidean chart that declares itself curved.
 """
@@ -30,7 +31,7 @@ from riemplan.geometry.charts import EuclideanChart
 from riemplan.jacobi import JacobiState, jacobi_operator, jacobi_rhs
 from riemplan.oracle import DiscretePath, discrete_gradient
 
-GEOMETRY = ("gamma", "curvature", "christoffel", "metric", "dmetric", "dchristoffel")
+GEOMETRY = ("at", "gamma", "curvature", "christoffel", "metric", "dmetric", "dchristoffel")
 
 
 class ZeroCurvedChart(EuclideanChart):

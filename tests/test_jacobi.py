@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riemplan import rk4
+from riemplan import dynamics, rk4
 from riemplan import (
     ConstructionError,
     CurveState,
@@ -538,6 +538,31 @@ def test_operator_table_applies_jacobi_rhs(name, data):
     got = nodes[k] @ u.ravel()
     scale = np.max(np.abs(nodes[k]) @ np.abs(u.ravel()))
     assert np.max(np.abs(got - want.ravel())) <= 1e-12 * scale + 1e-300
+
+
+def test_one_series_evaluation_per_stage_and_table(monkeypatch):
+    # the trajectory stage, the Jacobi operator and the operator table read
+    # g, g^-1, Gamma, R and the derivatives of R off one series evaluation
+    # of the numeric chart per call
+    pot, traj = warped_case()
+    calls = []
+    tensors = NumericChart._tensors
+
+    def counted(self, x, order):
+        calls.append(order)
+        return tensors(self, x, order)
+
+    monkeypatch.setattr(NumericChart, "_tensors", counted)
+    dynamics._rhs_stacked(WARPED, pot, np.stack([traj.qs, traj.vs, traj.accs, traj.jerks], axis=-2)[3:4])
+    assert calls == [2]
+    calls.clear()
+    jacobi_operator(WARPED, pot, CurveState(traj.ts[:9], traj.qs[:9], traj.vs[:9], traj.accs[:9], traj.jerks[:9]))
+    assert calls == [4]
+    calls.clear()
+    # a copy starts without cached tables: one evaluation for the node
+    # derivatives that interpolation reads, one for the operator
+    operator_table(replace(traj))
+    assert calls == [2, 4]
 
 
 def test_replaced_potential_gets_its_own_tables():
