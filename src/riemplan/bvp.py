@@ -21,13 +21,20 @@ a coarse grid first, then finishes on the solve's own grid, where one or
 two iterations usually remain.  A coarse stage that fails leaves the
 solve on the fine grid from the seed, as if it had not run.
 
-Unless the caller fixes the step, the grid is chosen by error control:
-step doubling (Richardson's h^4 estimate) of the endpoint and Jacobian
-at the solution on the pilot grid picks the step count for a relative
-error of 1e-9, and a miss at the final solution doubles the count and
-resumes Newton there.  Each pass then carries its half-grid twin, the
-same (y, z) on half the steps, marched as a second row of the same pass,
-so no estimate costs a pass of its own.
+Unless the caller fixes the step, two grids are chosen by error
+control, each by step doubling (Richardson's h^4 estimate) against one
+relative tolerance of 1e-9.  The curve's grid N answers only for the
+curve: its estimate takes the endpoint and the Jacobian's dependence on
+the curve, the N-curve and its N/2 twin marching their fields on one
+common field grid so that the fields' own error cancels.  The field
+bundle, a linear ODE marched as matrix products, gets a grid of its own
+(``field_grid``): M = r N steps, r chosen by the bundle's estimate on
+the N-curve, M against M/2.  The curve's estimate at the solution on
+the pilot grid picks N, and a miss at the final solution doubles N and
+resumes Newton there.  Each pass carries its half-grid twin, the same (y, z) on
+half the steps, marched as a second row of the same pass, so no
+estimate costs a pass of its own.  Newton linearizes each iterate on
+its own curve's grid; only the result's curve gets its field grid.
 
 A solve is a generator of shooting requests (``_solve``, with Newton in
 ``_newton``); ``_lockstep`` drives several of them together, marching
@@ -39,7 +46,7 @@ round.  ``solve_bvp`` drives one; the uniqueness probes in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -54,7 +61,7 @@ from .errors import (
     NumericalError,
     PlannerError,
 )
-from .jacobi import shooting_jacobian
+from .jacobi import _field_jacobians, shooting_jacobian
 
 __all__ = [
     "BoundaryData",
@@ -63,6 +70,7 @@ __all__ = [
     "biexp",
     "biexp_jacobian",
     "solve_bvp",
+    "field_grid",
     "continuation_sweep",
     "multi_seed_scan",
 ]
@@ -109,17 +117,25 @@ class ShootingResult:
     coarse_iterations: int
     #: segments of the returned trajectory
     steps: int
-    #: step-doubling estimate of the relative error at the returned (y, z),
-    #: and the tolerance it was held to; both None on a grid the caller fixed
+    #: step-doubling estimates of the relative error at the returned (y, z):
+    #: of the curve on its ``steps`` (``_richardson``) and of the Jacobian on
+    #: the field grid (``field_grid``), and the tolerance both were held to;
+    #: all None on a grid the caller fixed
     estimate: float | None
+    field_estimate: float | None
     tol: float | None
-    _shot: _Shot = field(repr=False)
+
+    @property
+    def field_steps(self) -> int:
+        """Steps of the returned trajectory's field grid."""
+        return self.trajectory.field_steps
 
     @property
     def jacobian_condition(self) -> float:
-        """sigma_max / sigma_min of the Jacobian at the returned (y, z),
-        built on first use: the uniqueness probes never read it."""
-        sv = np.linalg.svd(self._shot.jacobian(), compute_uv=False)
+        """sigma_max / sigma_min of the Jacobian at the returned (y, z) on
+        the field grid, built on first use: the uniqueness probes never
+        read it."""
+        sv = np.linalg.svd(shooting_jacobian(self.trajectory)[0], compute_uv=False)
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
@@ -163,6 +179,17 @@ class _Shot:
         if isinstance(self._twin, Exception):
             raise self._twin
         return self._twin
+
+    @cached_property
+    def fields(self) -> tuple[Trajectory, float]:
+        """This curve on its error-controlled field grid, and that grid's
+        estimate (``field_grid``)."""
+        return field_grid(self.trajectory)
+
+    @cached_property
+    def estimate(self) -> float:
+        """The curve's step-doubling estimate against its twin (``_richardson``)."""
+        return _richardson(self, self.twin())
 
 
 class _Request:
@@ -269,9 +296,10 @@ def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
 
 # Default shooting grid.  The seed is shot at twice _PILOT_STEPS, with its
 # twin at _PILOT_STEPS; the step count is then chosen so the step-doubling
-# estimate of the relative error of the endpoint and Jacobian meets
-# _STEP_TOL, never below the pilot grid, and doubled while the estimate at
-# the solution misses it, up to _MAX_STEPS.
+# estimate of the curve's relative error meets _STEP_TOL, never below the
+# pilot grid, and doubled while the estimate at the solution misses it, up
+# to _MAX_STEPS.  The field grid meets the same tolerance, with at most
+# _MAX_STEPS steps.
 _STEP_TOL = 1e-9
 _PILOT_STEPS = 32
 _MAX_STEPS = 1 << 16
@@ -292,19 +320,55 @@ def _predict_steps(steps, estimate):
 
 
 def _richardson(fine: _Shot, coarse: _Shot) -> float:
-    """Step-doubling estimate of the relative error of ``fine``.
+    """Step-doubling estimate of the relative error of the curve of ``fine``.
 
     ``coarse`` is the same (y, z) shot on half the steps.  RK4 errors fall
     as h^4, so the error of the fine shot is about |fine - coarse| / 15
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Both the endpoint
-    and the Jacobian, each shot's own field bundle, count: a curve at rest
-    has an exact endpoint on any grid while its Jacobian still carries the
-    step error of the fields.
+    and the Jacobian count, the Jacobian only through the curve it is
+    marched along: both shots' bundles march on the fine curve's field
+    grid (``_Shot.fields``), the same M steps, so the field grid's own
+    error cancels in the difference.  A curve at rest has an exact
+    endpoint and an exact Jacobian coefficient on any grid: its estimate
+    is 0, whatever its fields need.
     """
+    traj, _ = fine.fields
     e = np.linalg.norm(fine.end - coarse.end) / (1.0 + np.linalg.norm(fine.end))
-    J = fine.jacobian()
-    dj = np.linalg.norm(J - coarse.jacobian()) / np.linalg.norm(J)
+    J = shooting_jacobian(traj)[0]
+    twin = replace(coarse.trajectory, field_refinement=traj.field_steps // coarse.trajectory.segments)
+    dj = np.linalg.norm(J - shooting_jacobian(twin)[0]) / np.linalg.norm(J)
     return float(max(e, dj) / 15.0)
+
+
+def field_grid(trajectory: Trajectory) -> tuple[Trajectory, float]:
+    """The trajectory on its error-controlled field grid, and that grid's estimate.
+
+    The step-doubling estimate of the Jacobian's relative error on
+    M = r N field steps compares the march on M steps with the one on M/2
+    steps of the same operator table (``jacobi._field_jacobians``):
+    |J_M - J_{M/2}| / |J_M| / 15.  From r = 1, a miss predicts r by the
+    h^4 law (``_predict_steps``), then doubles it while the estimate
+    misses _STEP_TOL, up to _MAX_STEPS field steps.  The rule reads the
+    curve's nodes alone, so a trajectory read back from its CSV gets the
+    field grid its solve chose.  Returns a copy of the trajectory with
+    that ``field_refinement``, its table built.
+    """
+    N = trajectory.segments
+    r_max = max(1, _MAX_STEPS // N)
+
+    def estimate(r):
+        traj = trajectory if r == trajectory.field_refinement else replace(trajectory, field_refinement=r)
+        J, J_half = _field_jacobians(traj)
+        return traj, float(np.linalg.norm(J - J_half) / np.linalg.norm(J) / 15.0)
+
+    traj, est = estimate(1)
+    if est > _STEP_TOL and r_max > 1:
+        r = min(max(2, math.ceil(_predict_steps(N, est) / N)), r_max)
+        traj, est = estimate(r)
+        while est > _STEP_TOL and 2 * r <= r_max:
+            r *= 2
+            traj, est = estimate(r)
+    return traj, est
 
 
 def _linearize(shot: _Shot) -> np.ndarray:
@@ -400,15 +464,19 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     pass then carries its half-grid twin: the same (y, z) on half the
     steps, marched as a second row of the same pass.  The coarse grid is
     the pilot grid, 2 * _PILOT_STEPS steps with its twin at
-    _PILOT_STEPS.  The step-doubling estimate of the endpoint and
-    Jacobian error at the coarse solution (``_richardson``; at the seed
-    if the coarse stage failed) predicts by the h^4 law an even count N
-    that meets ``_STEP_TOL`` (``_predict_steps``, at least
-    2 * _PILOT_STEPS).  The estimate at the converged (y, z) is read off
-    its pass's twin; above the tolerance, N doubles and Newton resumes
-    from there.  The result records N, that estimate and the tolerance;
-    the estimate exceeds the tolerance only when N would double past
-    ``_MAX_STEPS``.
+    _PILOT_STEPS.  The step-doubling estimate of the curve's error at the
+    coarse solution (``_richardson``; at the seed if the coarse stage
+    failed) predicts by the h^4 law an even count N that meets
+    ``_STEP_TOL`` (``_predict_steps``, at least 2 * _PILOT_STEPS).  The
+    estimate at the converged (y, z) is read off its pass's twin; above
+    the tolerance, N doubles and Newton resumes from there.  The
+    returned trajectory carries its field grid (``field_grid``), chosen
+    for the same tolerance, and the field bundle behind the estimate and
+    ``jacobian_condition`` marches on it.  The result records N, both
+    estimates and the tolerance; the curve's estimate exceeds the
+    tolerance only when N would double past ``_MAX_STEPS``, the field
+    grid's only past ``_MAX_STEPS`` field steps.  With a fixed step the
+    field grid is the curve's own.
 
     Each trial is one pass that yields the residual and the trajectory
     there, whose field bundle gives the Jacobian when the trial is
@@ -461,16 +529,17 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
             else:
                 shot = yield shoot(steps, y, z)
         y, z, shot, rn, iterations = yield from newton(steps, shot, y, z)
-        estimate = step_tol = None
+        trajectory = shot.trajectory
+        estimate = field_estimate = step_tol = None
     else:
         step_tol = _STEP_TOL
         steps = 2 * _PILOT_STEPS
         shot = yield shoot(steps, y, z)
         try:
             y_c, z_c, coarse, _, its = yield from newton(steps, shot, y, z)
-            estimate = _richardson(coarse, coarse.twin())
+            estimate = coarse.estimate
         except _COARSE_FAILURES:
-            estimate = _richardson(shot, shot.twin())
+            estimate = shot.estimate
         else:
             y, z, shot, coarse_its = y_c, z_c, coarse, its
         steps = min(max(steps, _predict_steps(steps, estimate)), _MAX_STEPS)
@@ -480,13 +549,14 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
                 shot = yield shoot(steps, y, z)
             y, z, shot, rn, its = yield from newton(steps, shot, y, z)
             iterations += its
-            estimate = _richardson(shot, shot.twin())
+            estimate = shot.estimate
             if estimate <= step_tol or 2 * steps > _MAX_STEPS:
                 break
             steps *= 2
+        trajectory, field_estimate = shot.fields
 
     return ShootingResult(
-        y, z, shot.trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, step_tol, shot
+        y, z, trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, field_estimate, step_tol
     )
 
 

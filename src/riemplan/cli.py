@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp import continuation_sweep, multi_seed_scan, solve_bvp
+from .bvp import continuation_sweep, field_grid, multi_seed_scan, solve_bvp
 from .config import load_scenario
 from .dynamics import Trajectory, action
 from .errors import (
@@ -97,10 +97,13 @@ def _solve_payload(result, boundary) -> dict:
     ``step_control``: the trajectory's segment count ``steps``;
     ``coarse_iterations``, the share of ``iterations`` Newton took on the
     coarse grid before finishing on ``steps`` (0 when that stage did not
-    run or failed); and the step-doubling ``estimate`` of the relative
-    error of the endpoint and Jacobian on that grid with the ``tol`` it
-    was held to.  The last two are null when ``step``/``--step`` fixed
-    the grid, since no grid was chosen.
+    run or failed); the step-doubling ``estimate`` of the curve's
+    relative error on that grid; ``field_steps``, the steps of the field
+    grid the Jacobi fields march on, and its ``field_estimate``, the
+    step-doubling estimate of the Jacobian's relative error there; and
+    the ``tol`` both estimates were held to.  The estimates and ``tol``
+    are null when ``step``/``--step`` fixed the grid, since no grid was
+    chosen; ``field_steps`` is then ``steps``.
     """
     return {
         "boundary": {
@@ -120,6 +123,8 @@ def _solve_payload(result, boundary) -> dict:
             "steps": result.steps,
             "coarse_iterations": result.coarse_iterations,
             "estimate": result.estimate,
+            "field_steps": result.field_steps,
+            "field_estimate": result.field_estimate,
             "tol": result.tol,
         },
     }
@@ -178,8 +183,22 @@ def _obtain_trajectory(scenario, args):
     return res.trajectory
 
 
-def cmd_verify(scenario, args) -> int:
+def _fielded_trajectory(scenario, args):
+    """The trajectory to certify, on its field grid.
+
+    A planned one carries the grid its solve chose.  A stored one gets
+    the field grid error control derives from its nodes (``field_grid``)
+    when the scenario fixes no step, so it certifies on the grid its
+    plan chose; with a step its fields march on its own grid.
+    """
     traj = _obtain_trajectory(scenario, args)
+    if getattr(args, "trajectory", None) and scenario.step is None:
+        traj, _ = field_grid(traj)
+    return traj
+
+
+def cmd_verify(scenario, args) -> int:
+    traj = _fielded_trajectory(scenario, args)
     report = verdict(traj, m=scenario.verify.get("basis"))
     payload = report.to_dict()
     if report.classification.startswith("candidate"):
@@ -189,7 +208,7 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
-    traj = _obtain_trajectory(scenario, args)
+    traj = _fielded_trajectory(scenario, args)
     report = biconjugate_scan(
         traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
     )

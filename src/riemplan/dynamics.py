@@ -138,6 +138,12 @@ class Trajectory:
     second variation, the oracle's comparisons) reads them here.  Dense
     output is cubic Hermite per component using the exact coordinate
     derivatives from the ODE right side, matching the integrator's order.
+
+    The Jacobi field bundle marches on a field grid of its own:
+    ``field_refinement`` uniform steps per segment, so every node is a
+    field node and the curve between nodes is read off ``interpolate``.
+    It is 1, the curve's own grid, unless error control chose more
+    (``bvp.field_grid``); ``dataclasses.replace`` sets it on a copy.
     Immutable by convention; its cached tables (``node_rhs`` and
     ``jacobi.operator_table``'s ``_ops``) are derived data only.
     """
@@ -149,6 +155,7 @@ class Trajectory:
     vs: np.ndarray
     accs: np.ndarray
     jerks: np.ndarray
+    field_refinement: int = 1
     # not an __init__ argument, so dataclasses.replace starts a new table
     _ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -163,6 +170,16 @@ class Trajectory:
     @property
     def segments(self) -> int:
         return len(self.ts) - 1
+
+    @property
+    def field_steps(self) -> int:
+        """Steps of the field grid, M = field_refinement * segments."""
+        return self.field_refinement * self.segments
+
+    @property
+    def field_h(self) -> float:
+        """Step of the field grid."""
+        return self.h / self.field_refinement
 
     def state(self, k: int) -> CurveState:
         return CurveState(float(self.ts[k]), self.qs[k], self.vs[k], self.accs[k], self.jerks[k])

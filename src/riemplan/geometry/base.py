@@ -194,7 +194,9 @@ class ManifoldChart:
         this.  Shooting can reach a longer geodesic than the minimizing one;
         the chart segment from x to y joins them too, so an iterate longer
         than twice that segment, or a result longer than it, raises
-        InjectivityError.
+        InjectivityError.  The line search halves a step whose geodesic
+        leaves the chart; an iterate whose geodesic leaves it, or a line
+        search none of whose trials stays inside, raises InjectivityError.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -207,7 +209,10 @@ class ManifoldChart:
         scale = 1.0 + float(np.linalg.norm(y))
         segment = self._segment_length(x, y)
         for _ in range(50):
-            u = _geodesic(self, x, v, jacobian=True)
+            try:
+                u = _geodesic(self, x, v, jacobian=True)
+            except ChartEscapeError as exc:
+                raise InjectivityError("log-map shooting left the chart") from exc
             r = u[0] - y
             if float(np.linalg.norm(r)) <= 1e-10 * scale:
                 # the margin covers exp's RK4 error where the segment is
@@ -219,12 +224,22 @@ class ManifoldChart:
                 dv = np.linalg.solve(u[1 : self.dim + 1].T, -r)
             except np.linalg.LinAlgError as exc:
                 raise InjectivityError("log-map shooting became singular") from exc
-            t = 1.0
+            # a trial whose geodesic leaves the chart is rejected like one
+            # that does not reduce the residual
+            t, inside = 1.0, False
             rn = float(np.linalg.norm(r))
             for _ in range(20):
-                if float(np.linalg.norm(self.exp(x, v + t * dv) - y)) < rn:
+                try:
+                    end = self.exp(x, v + t * dv)
+                except ChartEscapeError:
+                    t *= 0.5
+                    continue
+                inside = True
+                if float(np.linalg.norm(end - y)) < rn:
                     break
                 t *= 0.5
+            if not inside:
+                raise InjectivityError("log-map shooting left the chart on every line-search trial")
             v = v + t * dv
             if float(self.norm(x, v)) > 2.0 * segment:
                 raise InjectivityError("log-map shooting reached a non-minimizing geodesic")

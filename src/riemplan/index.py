@@ -140,8 +140,9 @@ def random_field(trajectory: Trajectory, rng, modes: int = 4, frame=None) -> Adm
 
 
 def _force(trajectory, X, dX, d2X):
-    """F(X, qdot) + potential Hessian along the whole grid."""
-    force = _force_block(operator_table(trajectory)[0])
+    """F(X, qdot) + potential Hessian at every node of the trajectory grid,
+    read off the field grid's operator table at the curve's nodes."""
+    force = _force_block(operator_table(trajectory)[0][:: trajectory.field_refinement])
     return np.einsum("sij,sj->si", force, np.concatenate([X, dX, d2X], axis=-1))
 
 
@@ -402,7 +403,7 @@ class OptimalityReport:
     #: verdict-relevant warnings raised on the way, as "Category: message"
     warnings: list = field(default_factory=list)
     #: the resolution the verdict rests on: trajectory segments and step,
-    #: and the Galerkin quadrature points
+    #: the field grid's steps, and the Galerkin quadrature points
     grid: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -426,8 +427,12 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
     yields a minimizer, so the report carries the largest leading
     sub-interval free of detected pairs.  A ResolutionWarning from the scan
     is recorded in the report and still issued.  The report's ``grid``
-    states the resolution the verdict rests on: the trajectory's segments
-    and step, which the scan marches on, and the Galerkin quadrature points.
+    states the resolution the verdict rests on: the trajectory's
+    ``segments`` and step ``h``; ``field_steps``, the steps of the field
+    grid the scan marches on (``Trajectory.field_steps``, equal to
+    ``segments`` unless error control refined it); and the Galerkin
+    quadrature points.  A rank drop within two field steps of the window's
+    end counts as the end itself.
     """
     if m is None:
         m = int(np.ceil(120 / trajectory.chart.dim))
@@ -441,7 +446,7 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep = extended_index(trajectory, m)
     T_hi = float(trajectory.ts[-1])
-    edge = 2.0 * trajectory.h
+    edge = 2.0 * trajectory.field_h
     interior = [t for t in scan.times if t < T_hi - edge]
     if interior or rep.index > 0:
         word = "not_omega_local"
@@ -459,6 +464,7 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
         grid={
             "segments": trajectory.segments,
             "h": trajectory.h,
+            "field_steps": trajectory.field_steps,
             "galerkin_points": _GAUSS_POINTS * (len(rep.knots) + 1),
         },
     )

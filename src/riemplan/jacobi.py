@@ -19,14 +19,21 @@ symmetric built-in charts; numeric charts evaluate them exactly.
 The ODE is linear in the field jet u = (X, DX, D2X, D3X), and its
 coefficients depend only on the stored curve.  A ``Trajectory`` owns its
 chart, its potential and its cached tables, so every function here that
-analyzes one takes the trajectory alone.  The operator A(t) of
-u' = A(t) u is built once per trajectory, at every node and segment
-midpoint from one chart evaluation (``operator_table``); each RK4 step
-of the march is the product of u with a precomputed step matrix.  A
-bundle of fields marches as one matrix; off-node values take one partial
-step out of the enclosing node through the same operator.  The
-second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off
-the same table, and shooting in ``bvp`` reads its Jacobian off the
+analyzes one takes the trajectory alone.
+
+Fields march on the trajectory's field grid: ``field_refinement``
+uniform steps per segment (``Trajectory.field_steps`` in all), so every
+curve node is a field node and the curve between nodes is read off
+``Trajectory.interpolate``.  On a grid of one step per segment the
+march is the curve's own node/midpoint march.  The operator A(t) of
+u' = A(t) u is built once per trajectory, at every field node and
+field-step midpoint from one chart evaluation (``operator_table``);
+each RK4 step of the march is the product of u with a precomputed step
+matrix.  A bundle of fields marches as one matrix; off-node values take
+one partial step out of the enclosing field node through the same
+operator, for any number of times in one call.  The second-variation
+forms in ``index`` read F(X, qdot) + nab_X grad V off the same table at
+the curve's nodes, and shooting in ``bvp`` reads its Jacobian off the
 scan's bundle at the last node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
@@ -138,22 +145,64 @@ def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
     return np.stack(cols, axis=-2).reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
 
 
+@dataclass
+class _Field:
+    """A trajectory's field grid: its node times and positions, its step,
+    and the field operator at every node and step midpoint.  ``start``
+    caches the states of the basis bundle launched at the first node
+    (``_basis_flow``); not the flow itself, which refers back to the
+    trajectory, so a dropped trajectory is freed at once."""
+
+    ts: np.ndarray
+    qs: np.ndarray
+    h: float
+    nodes: np.ndarray
+    mids: np.ndarray
+    start: np.ndarray | None = None
+
+
+def _interleave(own, inner, r):
+    """Values at the field nodes: each curve node's own value, followed by
+    the r - 1 values strictly inside its segment (``inner``, node-major)."""
+    N = len(own) - 1
+    seg = np.concatenate([own[:-1, None], inner.reshape((N, r - 1) + own.shape[1:])], axis=1)
+    return np.concatenate([seg.reshape((N * r,) + own.shape[1:]), own[-1:]])
+
+
+def _field(trajectory: Trajectory) -> _Field:
+    """The trajectory's field grid, built once and cached on it.
+
+    The curve's nodes keep their stored jets; the field nodes inside a
+    segment and every midpoint are interpolated, all in one call, and
+    the operator takes one ``jacobi_operator`` call at all of them.
+    """
+    if trajectory._ops is None:
+        r, h, ts = trajectory.field_refinement, trajectory.field_h, trajectory.ts
+        inner = (ts[:-1, None] + h * np.arange(1, r)).ravel()
+        mids = (ts[:-1, None] + h * (np.arange(r) + 0.5)).ravel()
+        off = trajectory.interpolate(np.concatenate([inner, mids]))
+        K = len(inner)
+        own = (trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks)
+        at_nodes = [_interleave(y, x[:K], r) for y, x in zip(own, (off.q, off.v, off.a, off.j))]
+        at_mids = (off.q[K:], off.v[K:], off.a[K:], off.j[K:])
+        both = CurveState(None, *(np.concatenate(ab) for ab in zip(at_nodes, at_mids)))
+        A = jacobi_operator(trajectory.chart, trajectory.potential, both)
+        S = len(at_nodes[0])
+        trajectory._ops = _Field(_interleave(ts, inner, r), at_nodes[0], h, A[:S], A[S:])
+    return trajectory._ops
+
+
 def operator_table(trajectory: Trajectory):
-    """jacobi_operator at every node and every segment midpoint.
+    """jacobi_operator at every node and every step midpoint of the field grid.
 
     Built in one call and cached on the trajectory, so the field march,
     its off-node steps and the second-variation forms share one table.
-    Returns (nodes, mids) of shapes (N+1, 4n, 4n) and (N, 4n, 4n).
+    Returns (nodes, mids) of shapes (M+1, 4n, 4n) and (M, 4n, 4n) with
+    M = ``trajectory.field_steps``; every ``field_refinement``-th node is
+    a node of the curve.
     """
-    if trajectory._ops is None:
-        mids = trajectory.interpolate(trajectory.ts[:-1] + 0.5 * trajectory.h)
-        at_nodes = (trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks)
-        at_mids = (mids.q, mids.v, mids.a, mids.j)
-        both = CurveState(None, *(np.concatenate(ab) for ab in zip(at_nodes, at_mids)))
-        A = jacobi_operator(trajectory.chart, trajectory.potential, both)
-        S = len(trajectory.ts)
-        trajectory._ops = (A[:S], A[S:])
-    return trajectory._ops
+    field = _field(trajectory)
+    return field.nodes, field.mids
 
 
 def _force_block(A):
@@ -171,10 +220,10 @@ def _flat(u):
 
 
 class _StoredFlow:
-    """Field-bundle states at every trajectory node of a covered index range.
+    """Field-bundle states at every field node of a covered index range.
 
     Off-node values come from a single partial RK4 step out of the
-    enclosing node, built from the operator at the node and at two
+    enclosing field node, built from the operator at the node and at two
     interpolated curve states, so dense queries keep the integrator's
     order without re-propagating from the anchor.
     """
@@ -186,49 +235,54 @@ class _StoredFlow:
         self.k_hi = k_hi
 
     def at_time(self, t):
-        traj = self.traj
-        h = traj.h
-        t0 = float(traj.ts[0])
-        t = float(np.clip(t, traj.ts[self.k_lo], traj.ts[self.k_hi]))
-        k = int(np.clip(np.floor((t - t0) / h), self.k_lo, self.k_hi - 1))
-        tk = float(traj.ts[k])
-        dt = t - tk
+        """Bundle states at a time or an array of times, shape t.shape +
+        the bundle's: one interpolation, one ``jacobi_operator`` call and
+        one batch of step matrices for all of them."""
+        traj, field = self.traj, _field(self.traj)
+        t = np.asarray(t, float)
+        tt = np.clip(t.ravel(), field.ts[self.k_lo], field.ts[self.k_hi])
+        k = np.clip(np.floor((tt - field.ts[0]) / field.h).astype(int), self.k_lo, self.k_hi - 1)
+        tk = field.ts[k]
+        dt = tt - tk
         u = self.states[k - self.k_lo]
-        if abs(dt) < 1e-14:
-            return u
+        S = len(tt)
         A = jacobi_operator(
-            traj.chart, traj.potential, traj.interpolate(np.array([tk, tk + 0.5 * dt, t]))
+            traj.chart, traj.potential, traj.interpolate(np.concatenate([tk, tk + 0.5 * dt, tt]))
         )
-        phi = rk4.step_matrices(A[0], A[1], A[2], dt)
-        return (_flat(u) @ phi.T).reshape(u.shape)
+        phi = rk4.step_matrices(A[:S], A[S : 2 * S], A[2 * S :], dt[:, None, None])
+        flat = u.reshape(S, -1, phi.shape[-1])
+        out = np.where((np.abs(dt) < 1e-14)[:, None, None], flat, flat @ phi.swapaxes(-1, -2))
+        return out.reshape(t.shape + u.shape[1:])
 
 
 def _propagate_bundle(traj: Trajectory, k_anchor, u0, forward=True):
-    """March a field bundle from a node to the grid end, storing every node.
+    """March a field bundle from a field node to the grid end, storing every node.
 
-    Every step is one product with that segment's RK4 step matrix
+    Every step is one product with that field step's RK4 step matrix
     (``rk4.march``), built from the trajectory's operator table.
     """
-    nodes, mids = operator_table(traj)
+    field = _field(traj)
+    nodes, mids = field.nodes, field.mids
     k = k_anchor
     if forward:
-        h, ts = traj.h, traj.ts[k:]
+        h, ts = field.h, field.ts[k:]
         A0, Am, A1 = nodes[k:-1], mids[k:], nodes[k + 1 :]
     else:
-        h, ts = -traj.h, traj.ts[: k + 1][::-1]
+        h, ts = -field.h, field.ts[: k + 1][::-1]
         A0, Am, A1 = nodes[1 : k + 1][::-1], mids[:k][::-1], nodes[:k][::-1]
     states = rk4.march(A0, Am, A1, h, _flat(u0), ts, "perturbation field blew up")
     states = states.reshape(states.shape[:-1] + u0.shape[-2:])
     if forward:
-        return _StoredFlow(traj, states, k_anchor, traj.segments)
+        return _StoredFlow(traj, states, k_anchor, traj.field_steps)
     return _StoredFlow(traj, states[::-1].copy(), 0, k_anchor)
 
 
 def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiState:
-    """Integrate the field ODE over the whole trajectory grid.
+    """Integrate the field ODE over the whole trajectory window.
 
     The initial state must sit at the first node; its fields may carry a
-    leading batch axis.  Returns node samples of all four jets.
+    leading batch axis.  The march runs on the field grid; returns the
+    samples of all four jets at the trajectory's nodes.
     """
     if abs(float(initial.t) - float(trajectory.ts[0])) > 1e-9 * (1.0 + trajectory.T):
         raise ValueError("initial field state must sit at the trajectory start")
@@ -237,7 +291,7 @@ def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiStat
         axis=-2,
     )
     flow = _propagate_bundle(trajectory, 0, u0, forward=True)
-    s = np.moveaxis(flow.states, -2, 0)
+    s = np.moveaxis(flow.states[:: trajectory.field_refinement], -2, 0)
     return JacobiState(trajectory.ts.copy(), s[0], s[1], s[2], s[3])
 
 
@@ -255,30 +309,60 @@ def _boundary_matrix(u):
     return np.concatenate([u[..., 0, :], u[..., 1, :]], axis=-1).swapaxes(-1, -2)
 
 
+def _basis_flow(trajectory: Trajectory, k, forward=True) -> _StoredFlow:
+    """The basis bundle launched at field node k, marched toward one end.
+
+    Launched at the first node forward, it is marched once per trajectory
+    and cached: shooting reads its last node, and a scan or a witness
+    from the window start reads all of it.
+    """
+    if k or not forward:
+        return _propagate_bundle(trajectory, k, _basis_bundle(trajectory.chart.dim), forward)
+    field = _field(trajectory)
+    if field.start is None:
+        field.start = _propagate_bundle(trajectory, 0, _basis_bundle(trajectory.chart.dim), True).states
+    return _StoredFlow(trajectory, field.start, 0, trajectory.field_steps)
+
+
+def _endpoint_jacobian(trajectory: Trajectory, u) -> np.ndarray:
+    """d(q(T), qdot(T)) / d(y, z) from the basis bundle u at the last node."""
+    qdot = u[:, 1] - trajectory.chart.gamma(trajectory.qs[-1], trajectory.vs[-1], u[:, 0])
+    return np.concatenate([u[:, 0], qdot], axis=1).T
+
+
+def _field_jacobians(trajectory: Trajectory):
+    """The shooting Jacobian on the field grid's M steps and on M/2 steps,
+    for the step-doubling estimate of the field grid's error.  The M/2
+    march reads the same table: the even field nodes are its steps' ends
+    and the odd ones their midpoints, so no operator is built for it."""
+    field = _field(trajectory)
+    n = trajectory.chart.dim
+    nodes = field.nodes
+    half = rk4.march(
+        nodes[:-2:2], nodes[1::2], nodes[2::2], 2.0 * field.h, _flat(_basis_bundle(n)), field.ts[::2],
+        "perturbation field blew up",
+    )[-1].reshape(2 * n, 4, n)
+    return tuple(_endpoint_jacobian(trajectory, u) for u in (_basis_flow(trajectory, 0).states[-1], half))
+
+
 def shooting_jacobian(trajectory: Trajectory):
     """d(q(T), qdot(T)) / d(y, z) off the scan's field bundle from the first node.
 
-    Field y_i (z_i) starts with X = DX = 0 and unit D2X (D3X), so dq = X(T)
-    and dqdot = DX(T) - Gamma(qdot(T), X(T)).  Returns the Jacobian, row
+    The bundle marches on the trajectory's field grid.  Field y_i (z_i)
+    starts with X = DX = 0 and unit D2X (D3X), so dq = X(T) and
+    dqdot = DX(T) - Gamma(qdot(T), X(T)).  Returns the Jacobian, row
     blocks (q; qdot), and whether the scan's rank test (sigma ratio at most
     1e-8) flags T.  The test reads the boundary matrix in the scan's
     determinant normalization: DX rows times T, y columns over T^2 and z
     columns over T^3, which makes the flat matrix the same for every T, so
     a short window is not mistaken for a rank drop.
     """
-    chart = trajectory.chart
-    n = chart.dim
-    nodes, mids = operator_table(trajectory)
-    u = rk4.march(
-        nodes[:-1], mids, nodes[1:], trajectory.h, _flat(_basis_bundle(n)), trajectory.ts,
-        "perturbation field blew up",
-    )[-1].reshape(2 * n, 4, n)
+    n = trajectory.chart.dim
+    u = _basis_flow(trajectory, 0).states[-1]
     T = trajectory.T
     M = _boundary_matrix(u) * np.repeat([1.0, T], n)[:, None] * np.repeat([T**-2, T**-3], n)
     sv = np.linalg.svd(M, compute_uv=False)
-    X = u[:, 0]
-    qdot = u[:, 1] - chart.gamma(trajectory.qs[-1], trajectory.vs[-1], X)
-    return np.concatenate([X, qdot], axis=1).T, bool(sv[-1] <= _SIGMA_RATIO * sv[0])
+    return _endpoint_jacobian(trajectory, u), bool(sv[-1] <= _SIGMA_RATIO * sv[0])
 
 
 @dataclass
@@ -311,38 +395,46 @@ class BiconjugateReport:
         }
 
 
-def _bisect_sign(f, a, b, fa, fb, tol=1e-6):
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _golden_min(f, a, b, tol=1e-6):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 _SIGMA_RATIO = 1e-8
 _EXCLUDE_NODES = 4
+# sections per bracket and refinement round of the scan
+_SECTIONS = 16
+_ROOT_TOL = 1e-6
+
+
+def _rank_test(M, taus):
+    """Determinants and sigma_min / sigma_max of boundary matrices M taken
+    tau after t1.  The determinants are normalized by tau^{4n}/12^n, which
+    removes their forced zero at t1."""
+    n = M.shape[-1] // 2
+    sv = np.linalg.svd(M, compute_uv=False)
+    return np.linalg.det(M) * 12.0**n / taus ** (4 * n), sv[..., -1] / sv[..., 0]
+
+
+def _refine(flow: _StoredFlow, t1, brackets):
+    """Shrink every bracket (a, b, sign) to _ROOT_TOL at once; the midpoints.
+
+    Each round splits every open bracket into _SECTIONS equal sections and
+    evaluates the rank test at all their ends from one batched ``at_time``
+    call.  A sign bracket keeps the first section whose ends differ in the
+    sign of the determinant; a dip bracket keeps the two sections around
+    its smallest sigma ratio.
+    """
+    brackets = [[a, b, sign] for a, b, sign in brackets]
+    s = np.linspace(0.0, 1.0, _SECTIONS + 1)
+    while live := [br for br in brackets if br[1] - br[0] > _ROOT_TOL]:
+        ts = np.concatenate([a + (b - a) * s for a, b, _ in live])
+        tests = _rank_test(_boundary_matrix(flow.at_time(ts)), ts - t1)
+        dets, ratios = (v.reshape(len(live), -1) for v in tests)
+        for br, x, det, ratio in zip(live, ts.reshape(len(live), -1), dets, ratios):
+            if br[2]:
+                flips = np.flatnonzero((det[:-1] < 0) != (det[1:] < 0))
+                j = flips[0] if len(flips) else min(int(np.argmin(np.abs(det))), _SECTIONS - 1)
+                br[0], br[1] = x[j], x[j + 1]
+            else:
+                j = int(np.argmin(ratio))
+                br[0], br[1] = x[max(j - 1, 0)], x[min(j + 1, _SECTIONS)]
+    return np.array([0.5 * (a + b) for a, b, _ in brackets])
 
 
 def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int | None = None) -> BiconjugateReport:
@@ -351,89 +443,79 @@ def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int 
     The 2n fundamental solutions launched at t1 with unit higher jets give
     a 2n x 2n endpoint matrix M(t); biconjugate times are its rank drops.
     Both determinant sign changes and dips of sigma_min/sigma_max below
-    1e-8 trigger refinement (sign changes by bisection, dips by golden
-    section) to 1e-6 in t.  The determinant is normalized by tau^{4n}/12^n
-    to remove the forced zero at t1; a window of grid nodes around t1 is
-    excluded for the same reason.  Scans run from t1 toward both grid ends;
-    each direction is one table march of the 2n-field bundle, and the
-    refinement steps off the nodes through the same operator.  A t1 more
-    than 1e-9 h outside the trajectory window raises ValueError.
+    1e-8 trigger refinement to 1e-6 in t.  The determinant is normalized
+    by tau^{4n}/12^n to remove the forced zero at t1; a window of
+    _EXCLUDE_NODES field nodes around t1 is excluded for the same reason.
+
+    The bundle marches on the trajectory's field grid, and the grid
+    constants count its steps: t1 snaps to the nearest field node, and
+    ``grid`` spreads that many samples over the field steps.  Scans run
+    from t1 toward both grid ends; each direction is one table march of
+    the 2n-field bundle.  All brackets of one direction are refined
+    together by multisection (``_refine``): each round evaluates 16 equal
+    sections of every open bracket in one batch, stepping off the field
+    nodes through the same operator, and keeps the section with the sign
+    change, or the two sections around the smallest ratio.  A root is the
+    midpoint of its last bracket, at most 1e-6 wide.  A t1 more than
+    1e-9 h outside the trajectory window raises ValueError.
     """
     n = trajectory.chart.dim
-    ts = trajectory.ts
-    N = trajectory.segments
+    field = _field(trajectory)
+    ts = field.ts
+    N = trajectory.field_steps
     t1 = ts[0] if t1 is None else t1
     slack = 1e-9 * trajectory.h
     if not ts[0] - slack <= t1 <= ts[-1] + slack:
         raise ValueError(f"scan time t1 = {t1:.17g} outside the trajectory window [{ts[0]:.17g}, {ts[-1]:.17g}]")
-    k1 = int(np.clip(np.round((t1 - ts[0]) / trajectory.h), 0, N))
+    k1 = int(np.clip(np.round((t1 - ts[0]) / field.h), 0, N))
     t1_eff = float(ts[k1])
     if grid is not None and grid < 1:
         raise ValueError(f"scan grid must be a positive sample count, got {grid}")
     stride = 1 if grid is None else max(1, N // int(grid))
 
     found = []
-
-    def norm_det(M, tau):
-        return np.linalg.det(M) * 12.0**n / tau ** (4 * n)
-
     for forward in (True, False):
         span = N - k1 if forward else k1
         if span <= _EXCLUDE_NODES:
             continue
-        flow = _propagate_bundle(trajectory, k1, _basis_bundle(n), forward)
+        flow = _basis_flow(trajectory, k1, forward)
         ks = (
             np.arange(k1 + _EXCLUDE_NODES, N + 1, stride)
             if forward
             else np.arange(k1 - _EXCLUDE_NODES, -1, -stride)
         )
-        M = _boundary_matrix(flow.states[ks - flow.k_lo])
-        taus = ts[ks] - t1_eff
-        dets = norm_det(M, taus)
-        sv = np.linalg.svd(M, compute_uv=False)
-        ratios = sv[:, -1] / sv[:, 0]
+        dets, ratios = _rank_test(_boundary_matrix(flow.states[ks - flow.k_lo]), ts[ks] - t1_eff)
 
-        def f_det(t):
-            return norm_det(_boundary_matrix(flow.at_time(t)), t - t1_eff)
-
-        def f_ratio(t):
-            s = np.linalg.svd(_boundary_matrix(flow.at_time(t)), compute_uv=False)
-            return s[-1] / s[0]
-
+        brackets = []
         for i in range(len(ks) - 1):
             a, b = sorted((float(ts[ks[i]]), float(ts[ks[i + 1]])))
             if (dets[i] < 0) != (dets[i + 1] < 0):
-                root = _bisect_sign(f_det, a, b, f_det(a), f_det(b))
-                found.append((root, float(f_ratio(root)), flow))
+                brackets.append((a, b, True))
             elif ratios[i] <= _SIGMA_RATIO:
                 lo = float(ts[ks[i - 1]]) if i > 0 else a
                 hi = float(ts[ks[i + 1]])
-                lo, hi = min(lo, hi), max(lo, hi)
-                root = _golden_min(f_ratio, lo, hi)
-                r = float(f_ratio(root))
-                if r <= _SIGMA_RATIO:
-                    found.append((root, r, flow))
+                brackets.append((min(lo, hi), max(lo, hi), False))
+        if not brackets:
+            continue
+        roots = _refine(flow, t1_eff, brackets)
+        _, s, vh = np.linalg.svd(_boundary_matrix(flow.at_time(roots)))
+        for root, (_, _, sign), sr, c in zip(roots, brackets, s[:, -1] / s[:, 0], vh[:, -1]):
+            if sign or sr <= _SIGMA_RATIO:
+                found.append((float(root), float(sr), (c[:n].copy(), c[n:].copy())))
 
     # dedupe refined roots that were reached from both triggers
     found.sort(key=lambda e: e[0])
     dedup = []
     tol = max(2e-6, 1e-6 * trajectory.T)
-    for root, r, flow in found:
-        if dedup and abs(root - dedup[-1][0]) < tol:
-            if r < dedup[-1][1]:
-                dedup[-1] = (root, r, flow)
+    for entry in found:
+        if dedup and abs(entry[0] - dedup[-1][0]) < tol:
+            if entry[1] < dedup[-1][1]:
+                dedup[-1] = entry
             continue
-        dedup.append((root, r, flow))
+        dedup.append(entry)
 
-    h_scan = trajectory.h * stride
-    times, sigmas, witnesses = [], [], []
-    for root, r, flow in dedup:
-        M = _boundary_matrix(flow.at_time(root))
-        _, _, vh = np.linalg.svd(M)
-        c = vh[-1]
-        times.append(float(root))
-        sigmas.append(float(r))
-        witnesses.append((c[:n].copy(), c[n:].copy()))
+    h_scan = field.h * stride
+    times = [e[0] for e in dedup]
     for u, w in zip(times, times[1:]):
         if w - u < 2.0 * h_scan:
             warnings.warn(
@@ -443,7 +525,7 @@ def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int 
                 stacklevel=2,
             )
             break
-    return BiconjugateReport(t1_eff, times, sigmas, witnesses, h_scan)
+    return BiconjugateReport(t1_eff, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
 
 
 @dataclass
@@ -491,6 +573,9 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
     witness jets.  With delta and eps omitted, geometric grids are
     searched and the first negative value wins; explicit values are
     evaluated as-is (eps = 0 returns the witness quadrature residual).
+    The witness marches on the trajectory's field grid: t1 snaps to its
+    nearest field node, and a cut within two field steps of the window's
+    end gets no bump.
     """
     ts = trajectory.ts
     T_hi = float(ts[-1])
@@ -499,9 +584,10 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
         raise ValueError("need t_lo <= t1 < t2 <= t_hi on the trajectory window")
     chart = trajectory.chart
     n = chart.dim
-    k1 = int(np.clip(np.round((t1 - T_lo) / trajectory.h), 0, trajectory.segments))
-    t1 = float(ts[k1])
-    flow = _propagate_bundle(trajectory, k1, _basis_bundle(n), True)
+    field = _field(trajectory)
+    k1 = int(np.clip(np.round((t1 - T_lo) / field.h), 0, trajectory.field_steps))
+    t1 = float(field.ts[k1])
+    flow = _basis_flow(trajectory, k1)
 
     M = _boundary_matrix(flow.at_time(t2))
     _, s_svd, vh_svd = np.linalg.svd(M)
@@ -513,12 +599,12 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
     c = vh_svd[-1]
 
     def witness_jets(t):
-        return np.einsum("i,i...->...", c, flow.at_time(t))
+        return np.einsum("i,...ijk->...jk", c, flow.at_time(t))
 
     # normalize the witness to unit sup norm over [t1, t2]
-    ks = np.arange(k1, int(np.floor((t2 - T_lo) / trajectory.h)) + 1)
+    ks = np.arange(k1, int(np.floor((t2 - T_lo) / field.h)) + 1)
     Xn = np.einsum("i,ki...->k...", c, flow.states[ks - flow.k_lo])
-    sup = float(np.max(chart.norm(trajectory.qs[ks], Xn[:, 0, :])))
+    sup = float(np.max(chart.norm(field.qs[ks], Xn[:, 0, :])))
     c = c / sup
 
     jw2 = witness_jets(t2)
@@ -527,7 +613,7 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
     d2U1, d3U1 = jw1[2], jw1[3]
 
     span = t2 - t1
-    margin = 2.0 * trajectory.h
+    margin = 2.0 * field.h
     knots = []
     if t1 > T_lo + margin:
         # jets flip orientation at the left cut: the witness starts there
@@ -564,10 +650,7 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
             grid = _segment_nodes(a, b)
             w = quadrature_weights(len(grid), grid[1] - grid[0])
             states = trajectory.interpolate(grid)
-            Xj = np.zeros((len(grid), 4, n))
-            if has_x:
-                for i, t in enumerate(grid):
-                    Xj[i] = witness_jets(float(t))
+            Xj = witness_jets(grid) if has_x else np.zeros((len(grid), 4, n))
             Yj = np.zeros((len(grid), 4, n))
             if bump is not None:
                 tk, A, B = bump

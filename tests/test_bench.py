@@ -3,25 +3,33 @@
 ``bench/layers.py`` wraps each ``(module, attribute)`` site in ``SPANS``,
 and ``bench/kernels.py`` calls the chart and potential kernels directly.
 A refactor that renames or deletes a site, or changes a kernel's
-signature, breaks the benchmark's runs, so both are exercised here.
+signature, breaks the benchmark's runs, so both are exercised here.  So
+are ``bench/run.py``'s correctness checks of its planning workload: a
+grid change that moves a plan off ``bench/reference.json`` or a rank
+drop off the beam roots fails here too.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from riemplan.cli import main
 from riemplan.config import load_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def load_bench_module(name):
+    # registered while it runs, so the dataclasses of bench/run.py resolve
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -49,3 +57,17 @@ def test_kernel_metrics_run_on_the_bench_scenarios(monkeypatch):
     metrics = kernels.kernel_metrics(charts, scen["sphere_obstacle"].potential, seed=0)
     assert len(metrics) == 16
     assert all(np.isfinite(v) for v in metrics.values())
+
+
+def test_flat_default_grid_passes_the_bench_checks(tmp_path):
+    # the workload's plan and verify --trajectory ops, as bench/run.py builds
+    # and checks them: (y, z) and the action within 1e-7 of the reference,
+    # the residual, the classification and well_top_long's beam roots
+    run = load_bench_module("run")
+    ref = json.loads(run.REFERENCE.read_text())["scenarios"]
+    ops = run.pass_ops(run.WORKLOADS["flat-default-grid"], tmp_path, 1, ref, {})
+    assert [(op.kind, op.scenario) for op in ops] == [
+        ("plan", "flat_obstacle"), ("verify", "flat_obstacle"), ("plan", "well_top_long"), ("verify", "well_top_long")
+    ]
+    for op in ops:
+        assert op.check(main(op.argv)) == [], f"{op.kind} {op.scenario}"

@@ -7,6 +7,8 @@ round trips through the initial-value integrator.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,9 +34,10 @@ from riemplan import (
     parse_manifold,
     solve_bvp,
 )
-from riemplan import bvp, dynamics
+from riemplan import bvp, dynamics, rk4
 from riemplan.bvp import hermite_seed
 from riemplan.dynamics import grid_steps
+from riemplan.jacobi import _basis_bundle, _flat, jacobi_operator, shooting_jacobian
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -350,30 +353,38 @@ def test_solve_step_control(scenario, monkeypatch):
         assert N % 2 == 0 and N >= floor
         assert res.trajectory.segments == N
         assert res.tol == bvp._STEP_TOL
-        assert res.estimate <= res.tol
+        assert res.estimate <= res.tol and res.field_estimate <= res.tol
+        assert res.field_steps == res.trajectory.field_steps and res.field_steps % N == 0
         # Newton converges on the pilot grid, each pass with its twin, then
-        # finishes on N: the coarse solution's pass and one per accepted
-        # trial, each with its half-grid twin, and none on N/2 alone
+        # finishes on N: the coarse solution's pass (none when N is the
+        # pilot grid, whose pass is reused) and one per accepted trial,
+        # each with its half-grid twin, and none on N/2 alone
         fine = res.iterations - res.coarse_iterations
+        start = 0 if N == floor else 1
         assert passes == (
-            [[floor, bvp._PILOT_STEPS]] * (1 + res.coarse_iterations) + [[N, N // 2]] * (1 + fine)
+            [[floor, bvp._PILOT_STEPS]] * (1 + res.coarse_iterations) + [[N, N // 2]] * (start + fine)
         )
         if name == "well_top":
-            # the seed converges at once: the pilot pass, then the seed's on N
-            assert res.iterations == 0 and len(passes) == 2
+            # the seed converges at once on the pilot grid, which is N:
+            # the pilot pass is the only one
+            assert res.iterations == 0 and len(passes) == 1
         else:
             assert (res.coarse_iterations, fine) == (2, 0)
-        # the recorded estimate is the one at the returned (y, z)
+        # the recorded estimates are the ones at the returned (y, z): the
+        # curve's against its twin on its field grid, and the field grid's
         full, half = (
             bvp._shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
         )
         assert res.estimate == bvp._richardson(full, half)
+        traj, field_estimate = bvp.field_grid(full.trajectory)
+        assert (res.field_steps, res.field_estimate) == (traj.field_steps, field_estimate)
         if name == "flat_obstacle":
             assert N <= 256
         else:
-            # a curve at rest has an exact endpoint on any grid: its
-            # Jacobian alone asks for more than the floor
-            assert N > floor
+            # a curve at rest has an exact endpoint and Jacobian coefficient
+            # on any grid: N stays at the floor, and the Jacobian alone asks
+            # for more field steps than that
+            assert N == floor and res.field_steps > floor
 
         # an explicit step makes no selection pass and no twin; past twice
         # the pilot grid, the seed is judged on the solve's grid, then
@@ -386,7 +397,48 @@ def test_solve_step_control(scenario, monkeypatch):
         else:
             assert (fixed.coarse_iterations, fine) == (2, 1)
             assert passes == [[100]] + [[bvp._PILOT_STEPS]] * 3 + [[100]] * 2
-        assert (fixed.steps, fixed.estimate, fixed.tol) == (100, None, None)
+        assert (fixed.steps, fixed.field_steps, fixed.estimate, fixed.field_estimate, fixed.tol) == (
+            100, 100, None, None, None
+        )
+
+
+@pytest.mark.parametrize("name", ["well_top", "well_top_long"])
+def test_a_curve_at_rest_plans_on_its_pilot_pass(scenario, monkeypatch, name):
+    # error control refines the field grid, not the curve, for the
+    # Jacobian's sake: 64 RK4 steps where one grid for both took 642 and
+    # 1,382
+    calls = [0]
+    step = dynamics._rk4_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counted)
+    chart, pot, bd = scenario(name)
+    res = solve_bvp(chart, pot, bd)
+    assert calls[0] == res.steps == 2 * bvp._PILOT_STEPS
+    assert res.field_steps > res.steps and res.field_estimate <= bvp._STEP_TOL
+
+
+def test_fixed_step_fields_march_on_the_curve_grid(scenario):
+    # a fixed step keeps one grid for both: the shooting Jacobian is the
+    # node/midpoint march of the curve's own grid, bit for bit
+    chart, pot, bd = scenario("sphere_obstacle")
+    res = solve_bvp(chart, pot, bd, h=bd.span / 100)
+    traj = res.trajectory
+    assert res.field_steps == res.steps == traj.segments == 100
+    mids = traj.interpolate(traj.ts[:-1] + 0.5 * traj.h)
+    states = CurveState(
+        None, *(np.concatenate(ab) for ab in zip((traj.qs, traj.vs, traj.accs, traj.jerks), (mids.q, mids.v, mids.a, mids.j)))
+    )
+    A = jacobi_operator(chart, pot, states)
+    nodes, mid_ops = A[:101], A[101:]
+    n = chart.dim
+    u = rk4.march(nodes[:-1], mid_ops, nodes[1:], traj.h, _flat(_basis_bundle(n)), traj.ts, "blew up")[-1]
+    u = u.reshape(2 * n, 4, n)
+    J = np.concatenate([u[:, 0], u[:, 1] - chart.gamma(traj.qs[-1], traj.vs[-1], u[:, 0])], axis=1).T
+    assert np.array_equal(shooting_jacobian(traj)[0], J)
 
 
 def _direct_newton(chart, pot, bd, seed, steps, twin=False):
@@ -552,22 +604,34 @@ ESTIMATE_CASES = {
     yz=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
 )
 def test_step_estimate_is_not_optimistic(case, yz):
-    # the step-doubling estimate on N and N/2 steps against the actual error
-    # of the N-step shot, measured in the same norm against a shot 4x finer
+    # each step-doubling estimate against the actual error it estimates, in
+    # the same norm: the curve's on N and N/2 steps against a curve 4x
+    # finer, the Jacobians of both curves marched on one common field grid;
+    # the field grid's on M and M/2 steps against a field grid 4x finer on
+    # the same curve
     chart, pot, p, v, T = ESTIMATE_CASES[case]
     y, z = np.array(yz[:2]), np.array(yz[2:])
     N = 2 * bvp._PILOT_STEPS
     try:
         half, shot, fine = (bvp._shoot(chart, pot, p, v, y, z, T, k) for k in (N // 2, N, 4 * N))
         estimate = bvp._richardson(shot, half)
-        J, J_fine = shot.jacobian(), fine.jacobian()
+        traj, field_estimate = shot.fields
     except ChartEscapeError:
         assume(False)
+    r = traj.field_refinement
+
+    def jacobian(trajectory, refinement):
+        return shooting_jacobian(replace(trajectory, field_refinement=refinement))[0]
+
+    J, J_fine = jacobian(shot.trajectory, 4 * r), jacobian(fine.trajectory, r)
     error = max(
         np.linalg.norm(shot.end - fine.end) / (1.0 + np.linalg.norm(shot.end)),
         np.linalg.norm(J - J_fine) / np.linalg.norm(J),
     )
     assert error / 10.0 <= estimate <= 10.0 * error
+    J = shooting_jacobian(traj)[0]
+    field_error = np.linalg.norm(J - jacobian(shot.trajectory, 4 * r)) / np.linalg.norm(J)
+    assert field_error / 10.0 <= field_estimate <= 10.0 * field_error
 
 
 def test_cap_touching_shot_has_a_finite_jacobian():

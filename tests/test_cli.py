@@ -109,12 +109,17 @@ def test_plan_records_step_control(tmp_path):
     assert main(["plan", "--config", str(fixed)]) == 0
     assert main(["plan", "--config", str(chosen)]) == 0
     got = json.loads((tmp_path / "fixed" / "solve.json").read_text())["step_control"]
-    # Newton converges on the coarse grid in two iterations, then finishes on 400 steps
-    assert got == {"steps": 400, "coarse_iterations": 2, "estimate": None, "tol": None}
+    # Newton converges on the coarse grid in two iterations, then finishes on
+    # 400 steps, where the fields march too
+    assert got == {
+        "steps": 400, "coarse_iterations": 2, "estimate": None, "field_steps": 400, "field_estimate": None, "tol": None
+    }
     got = json.loads((tmp_path / "chosen" / "solve.json").read_text())["step_control"]
     data = np.loadtxt(tmp_path / "chosen" / "trajectory.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == got["steps"] + 1
     assert 0.0 <= got["estimate"] <= got["tol"]
+    assert 0.0 <= got["field_estimate"] <= got["tol"]
+    assert got["field_steps"] % got["steps"] == 0
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -227,8 +232,28 @@ def test_verify_records_its_grid(tmp_path):
     cfg = write_cfg(tmp_path, base=WELL_TOP)
     assert main(["verify", "--config", str(cfg)]) == 4
     grid = json.loads((tmp_path / "out" / "verdict.json").read_text())["grid"]
-    # 600 steps of 0.01; six Gauss points on each of the 23 knot spans of 24 profiles
-    assert grid == {"segments": 600, "h": pytest.approx(0.01, rel=1e-12), "galerkin_points": 138}
+    # 600 steps of 0.01, where the fields march too; six Gauss points on
+    # each of the 23 knot spans of 24 profiles
+    assert grid == {"segments": 600, "h": pytest.approx(0.01, rel=1e-12), "field_steps": 600, "galerkin_points": 138}
+
+
+def test_stored_trajectory_verifies_on_its_planned_field_grid(tmp_path):
+    # without a step, verify derives the field grid from the stored nodes
+    # by the rule its plan used, so the CSV's bits give the plan's grid,
+    # and the scan on it finds the clamped-beam roots
+    long_top = {k: v for k, v in WELL_TOP.items() if k != "step"}
+    cfg = write_cfg(tmp_path, base=long_top, interval=[0.0, 12.0])
+    assert main(["plan", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    planned = json.loads((out / "solve.json").read_text())["step_control"]
+    assert planned["field_steps"] > planned["steps"]
+    assert main(["verify", "--config", str(cfg), "--trajectory", str(out / "trajectory.csv")]) == 4
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["grid"]["segments"] == planned["steps"]
+    assert payload["grid"]["field_steps"] == planned["field_steps"]
+    times = [p["t2"] for p in payload["rank_drops"]["points"]]
+    beam_roots = (4.730040744863, 7.853204624096, 10.995607838003)
+    assert len(times) == 3 and all(abs(t - r) < 1e-5 for t, r in zip(times, beam_roots))
 
 
 def test_verify_not_local_exits_4(tmp_path):

@@ -472,6 +472,34 @@ def test_generic_log_gives_up_on_a_runaway_geodesic(monkeypatch):
     assert sum(calls) <= 3 and len(calls) < 20
 
 
+def test_generic_log_rejects_trials_that_leave_the_chart(monkeypatch):
+    # on a numeric sphere cut off at radius 1, some line-search trials of
+    # this pair leave the chart; they are rejected like any trial without
+    # decrease, and shooting reaches the minimizing geodesic, where the
+    # first escaping trial used to end log with ChartEscapeError
+    num = NumericChart(2, [[SPHERE_CONF, "0"], ["0", SPHERE_CONF]], domain_radius=1.0, name="numeric-sphere")
+    escapes = []
+    march = base._geodesic
+
+    def counted(*args, **kwargs):
+        try:
+            return march(*args, **kwargs)
+        except ChartEscapeError:
+            escapes.append(args[2])
+            raise
+
+    monkeypatch.setattr(base, "_geodesic", counted)
+    x, y = np.array([0.375, -0.485]), np.array([0.721, 0.574])
+    v = ManifoldChart.log(num, x, y)
+    assert escapes
+    assert np.linalg.norm(v - S2.log(x, y)) <= 1e-7 * np.linalg.norm(v)
+    # a pair whose first shot already leaves the chart has no log there
+    escapes.clear()
+    with pytest.raises(InjectivityError, match="left the chart"):
+        ManifoldChart.log(num, np.array([-0.555, -0.012]), np.array([-0.93, 0.181]))
+    assert len(escapes) == 1
+
+
 def _sphere_point_at(x, d):
     """A chart point at distance d from x, built on the embedded sphere."""
     r2 = float(x @ x)
