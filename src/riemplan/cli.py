@@ -84,6 +84,9 @@ def read_trajectory_csv(path: Path, chart, potential) -> Trajectory:
     steps = np.diff(ts)
     if steps.min() <= 0 or np.ptp(steps) > 1e-9 * max(steps.max(), 1.0):
         raise ConfigError(f"trajectory CSV {path} is not on a uniform increasing grid")
+    if len(steps) % 2:
+        # every grid riemplan writes is even; step doubling halves it
+        raise ConfigError(f"trajectory CSV {path} has {len(steps)} segments, expected an even count")
     blocks = [data[:, 1 + k * n : 1 + (k + 1) * n] for k in range(4)]
     return Trajectory(chart, potential, ts, *blocks)
 

@@ -39,7 +39,8 @@ scan's bundle at the last node (``shooting_jacobian``).
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
 a trajectory and, given one, builds an explicit admissible field with
-negative second variation.
+negative second variation.  Shooting, the scan and that construction read
+one scale-free rank test of the bundle (``_rank_test``).
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _flat(u):
 
 
 class _StoredFlow:
-    """Field-bundle states at every field node of a covered index range.
+    """Field-bundle states at every field node from the anchor node k_lo on.
 
     Off-node values come from a single partial RK4 step out of the
     enclosing field node, built from the operator at the node and at two
@@ -228,11 +229,10 @@ class _StoredFlow:
     order without re-propagating from the anchor.
     """
 
-    def __init__(self, traj: Trajectory, states, k_lo, k_hi):
+    def __init__(self, traj: Trajectory, states, k_lo):
         self.traj = traj
         self.states = states
         self.k_lo = k_lo
-        self.k_hi = k_hi
 
     def at_time(self, t):
         """Bundle states at a time or an array of times, shape t.shape +
@@ -240,8 +240,8 @@ class _StoredFlow:
         one batch of step matrices for all of them."""
         traj, field = self.traj, _field(self.traj)
         t = np.asarray(t, float)
-        tt = np.clip(t.ravel(), field.ts[self.k_lo], field.ts[self.k_hi])
-        k = np.clip(np.floor((tt - field.ts[0]) / field.h).astype(int), self.k_lo, self.k_hi - 1)
+        tt = np.clip(t.ravel(), field.ts[self.k_lo], field.ts[-1])
+        k = np.clip(np.floor((tt - field.ts[0]) / field.h).astype(int), self.k_lo, len(field.ts) - 2)
         tk = field.ts[k]
         dt = tt - tk
         u = self.states[k - self.k_lo]
@@ -255,26 +255,18 @@ class _StoredFlow:
         return out.reshape(t.shape + u.shape[1:])
 
 
-def _propagate_bundle(traj: Trajectory, k_anchor, u0, forward=True):
-    """March a field bundle from a field node to the grid end, storing every node.
+def _propagate_bundle(traj: Trajectory, k, u0):
+    """March a field bundle from field node k to the grid end, storing every node.
 
     Every step is one product with that field step's RK4 step matrix
     (``rk4.march``), built from the trajectory's operator table.
     """
     field = _field(traj)
     nodes, mids = field.nodes, field.mids
-    k = k_anchor
-    if forward:
-        h, ts = field.h, field.ts[k:]
-        A0, Am, A1 = nodes[k:-1], mids[k:], nodes[k + 1 :]
-    else:
-        h, ts = -field.h, field.ts[: k + 1][::-1]
-        A0, Am, A1 = nodes[1 : k + 1][::-1], mids[:k][::-1], nodes[:k][::-1]
-    states = rk4.march(A0, Am, A1, h, _flat(u0), ts, "perturbation field blew up")
-    states = states.reshape(states.shape[:-1] + u0.shape[-2:])
-    if forward:
-        return _StoredFlow(traj, states, k_anchor, traj.field_steps)
-    return _StoredFlow(traj, states[::-1].copy(), 0, k_anchor)
+    states = rk4.march(
+        nodes[k:-1], mids[k:], nodes[k + 1 :], field.h, _flat(u0), field.ts[k:], "perturbation field blew up"
+    )
+    return _StoredFlow(traj, states.reshape(states.shape[:-1] + u0.shape[-2:]), k)
 
 
 def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiState:
@@ -290,7 +282,7 @@ def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiStat
         [np.asarray(a, float) for a in (initial.X, initial.dX, initial.d2X, initial.d3X)],
         axis=-2,
     )
-    flow = _propagate_bundle(trajectory, 0, u0, forward=True)
+    flow = _propagate_bundle(trajectory, 0, u0)
     s = np.moveaxis(flow.states[:: trajectory.field_refinement], -2, 0)
     return JacobiState(trajectory.ts.copy(), s[0], s[1], s[2], s[3])
 
@@ -309,19 +301,58 @@ def _boundary_matrix(u):
     return np.concatenate([u[..., 0, :], u[..., 1, :]], axis=-1).swapaxes(-1, -2)
 
 
-def _basis_flow(trajectory: Trajectory, k, forward=True) -> _StoredFlow:
-    """The basis bundle launched at field node k, marched toward one end.
+_SIGMA_RATIO = 1e-8
 
-    Launched at the first node forward, it is marched once per trajectory
-    and cached: shooting reads its last node, and a scan or a witness
-    from the window start reads all of it.
+
+def _rank_test(u, tau, null=False):
+    """The biconjugacy test of basis-bundle states u taken tau after their anchor.
+
+    Scales the boundary matrix so that the flat one is [[I/2, I/6], [I, I/2]]
+    for every tau (DX rows times tau, y columns over tau^2, z columns over
+    tau^3): nothing vanishes at the anchor, and a short window is no rank
+    drop.  Returns its determinant and sigma_min/sigma_max; with ``null``
+    also its null vector mapped back to the bundle's physical (d2X, d3X)
+    coefficients, of unit length, shape (..., 2n).
     """
-    if k or not forward:
-        return _propagate_bundle(trajectory, k, _basis_bundle(trajectory.chart.dim), forward)
+    n = u.shape[-1]
+    tau = np.asarray(tau, float)[..., None]
+    rows = np.repeat(np.concatenate([np.ones_like(tau), tau], axis=-1), n, axis=-1)
+    cols = np.repeat(np.concatenate([tau**-2, tau**-3], axis=-1), n, axis=-1)
+    M = _boundary_matrix(u) * rows[..., :, None] * cols[..., None, :]
+    det = np.linalg.det(M)
+    if not null:
+        sv = np.linalg.svd(M, compute_uv=False)
+        return det, sv[..., -1] / sv[..., 0]
+    _, sv, vh = np.linalg.svd(M)
+    c = vh[..., -1, :] * cols
+    return det, sv[..., -1] / sv[..., 0], c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+
+def _anchor(trajectory: Trajectory, t1):
+    """The field node nearest t1 and its time.  A t1 more than 1e-9 h
+    outside the trajectory window raises ValueError."""
+    field = _field(trajectory)
+    ts = field.ts
+    slack = 1e-9 * trajectory.h
+    if not ts[0] - slack <= t1 <= ts[-1] + slack:
+        raise ValueError(f"t1 = {t1:.17g} outside the trajectory window [{ts[0]:.17g}, {ts[-1]:.17g}]")
+    k = int(np.clip(np.round((t1 - ts[0]) / field.h), 0, len(ts) - 1))
+    return k, float(ts[k])
+
+
+def _basis_flow(trajectory: Trajectory, k) -> _StoredFlow:
+    """The basis bundle launched at field node k, marched to the window end.
+
+    Launched at the first node, it is marched once per trajectory and
+    cached: shooting reads its last node, and a scan or a witness from the
+    window start reads all of it.
+    """
+    if k:
+        return _propagate_bundle(trajectory, k, _basis_bundle(trajectory.chart.dim))
     field = _field(trajectory)
     if field.start is None:
-        field.start = _propagate_bundle(trajectory, 0, _basis_bundle(trajectory.chart.dim), True).states
-    return _StoredFlow(trajectory, field.start, 0, trajectory.field_steps)
+        field.start = _propagate_bundle(trajectory, 0, _basis_bundle(trajectory.chart.dim)).states
+    return _StoredFlow(trajectory, field.start, 0)
 
 
 def _endpoint_jacobian(trajectory: Trajectory, u) -> np.ndarray:
@@ -351,24 +382,20 @@ def shooting_jacobian(trajectory: Trajectory):
     The bundle marches on the trajectory's field grid.  Field y_i (z_i)
     starts with X = DX = 0 and unit D2X (D3X), so dq = X(T) and
     dqdot = DX(T) - Gamma(qdot(T), X(T)).  Returns the Jacobian, row
-    blocks (q; qdot), and whether the scan's rank test (sigma ratio at most
-    1e-8) flags T.  The test reads the boundary matrix in the scan's
-    determinant normalization: DX rows times T, y columns over T^2 and z
-    columns over T^3, which makes the flat matrix the same for every T, so
-    a short window is not mistaken for a rank drop.
+    blocks (q; qdot), and whether the scan's rank test (``_rank_test`` at
+    tau = T, sigma ratio at most 1e-8) flags T: a singular shooting
+    Jacobian and a biconjugate endpoint are one test.
     """
-    n = trajectory.chart.dim
     u = _basis_flow(trajectory, 0).states[-1]
-    T = trajectory.T
-    M = _boundary_matrix(u) * np.repeat([1.0, T], n)[:, None] * np.repeat([T**-2, T**-3], n)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return _endpoint_jacobian(trajectory, u), bool(sv[-1] <= _SIGMA_RATIO * sv[0])
+    _, ratio = _rank_test(u, trajectory.T)
+    return _endpoint_jacobian(trajectory, u), bool(ratio <= _SIGMA_RATIO)
 
 
 @dataclass
 class BiconjugateReport:
-    """Detected times where a perturbation field vanishes to first order
-    at both the anchor and the detected time."""
+    """Times t2 after the anchor t1 where a nonzero field vanishes to first
+    order at both, with the scaled rank test's sigma_min/sigma_max at each
+    and the witness: the field's unit (d2X, d3X) at t1."""
 
     t1: float
     times: list
@@ -395,20 +422,9 @@ class BiconjugateReport:
         }
 
 
-_SIGMA_RATIO = 1e-8
-_EXCLUDE_NODES = 4
 # sections per bracket and refinement round of the scan
 _SECTIONS = 16
 _ROOT_TOL = 1e-6
-
-
-def _rank_test(M, taus):
-    """Determinants and sigma_min / sigma_max of boundary matrices M taken
-    tau after t1.  The determinants are normalized by tau^{4n}/12^n, which
-    removes their forced zero at t1."""
-    n = M.shape[-1] // 2
-    sv = np.linalg.svd(M, compute_uv=False)
-    return np.linalg.det(M) * 12.0**n / taus ** (4 * n), sv[..., -1] / sv[..., 0]
 
 
 def _refine(flow: _StoredFlow, t1, brackets):
@@ -424,7 +440,7 @@ def _refine(flow: _StoredFlow, t1, brackets):
     s = np.linspace(0.0, 1.0, _SECTIONS + 1)
     while live := [br for br in brackets if br[1] - br[0] > _ROOT_TOL]:
         ts = np.concatenate([a + (b - a) * s for a, b, _ in live])
-        tests = _rank_test(_boundary_matrix(flow.at_time(ts)), ts - t1)
+        tests = _rank_test(flow.at_time(ts), ts - t1)
         dets, ratios = (v.reshape(len(live), -1) for v in tests)
         for br, x, det, ratio in zip(live, ts.reshape(len(live), -1), dets, ratios):
             if br[2]:
@@ -438,94 +454,74 @@ def _refine(flow: _StoredFlow, t1, brackets):
 
 
 def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int | None = None) -> BiconjugateReport:
-    """Locate the times paired with t1 (default: the window start) by first-order-vanishing fields.
+    """Locate the times t2 > t1 (default t1: the window start) paired with t1 by first-order-vanishing fields.
 
     The 2n fundamental solutions launched at t1 with unit higher jets give
-    a 2n x 2n endpoint matrix M(t); biconjugate times are its rank drops.
-    Both determinant sign changes and dips of sigma_min/sigma_max below
-    1e-8 trigger refinement to 1e-6 in t.  The determinant is normalized
-    by tau^{4n}/12^n to remove the forced zero at t1; a window of
-    _EXCLUDE_NODES field nodes around t1 is excluded for the same reason.
+    a 2n x 2n boundary matrix M(t2); biconjugate times are its rank drops.
+    Every test reads M scaled for tau = t2 - t1 as shooting reads it at
+    the window end (``_rank_test``: DX rows times tau, y columns over
+    tau^2, z columns over tau^3), so the flat matrix is the same for every
+    tau; ``sigma_ratios`` are sigma_min/sigma_max of that scaled matrix.
 
-    The bundle marches on the trajectory's field grid, and the grid
-    constants count its steps: t1 snaps to the nearest field node, and
-    ``grid`` spreads that many samples over the field steps.  Scans run
-    from t1 toward both grid ends; each direction is one table march of
-    the 2n-field bundle.  All brackets of one direction are refined
-    together by multisection (``_refine``): each round evaluates 16 equal
-    sections of every open bracket in one batch, stepping off the field
-    nodes through the same operator, and keeps the section with the sign
-    change, or the two sections around the smallest ratio.  A root is the
-    midpoint of its last bracket, at most 1e-6 wide.  A t1 more than
-    1e-9 h outside the trajectory window raises ValueError.
+    The bundle marches forward from t1 to the window end on the field
+    grid, and the grid constants count its steps: t1 snaps to the nearest
+    field node, the first sample is one field step after it, and ``grid``
+    spreads that many samples over the field steps.  A determinant sign
+    change between two samples brackets a root, and so does a sigma dip
+    over the two intervals around a sample whose ratio is at most 1e-8 and
+    at most its neighbours', where neither interval changes sign.  All
+    brackets are refined together to 1e-6 in t by multisection
+    (``_refine``), stepping off the field nodes through the same operator;
+    a root is the midpoint of its last bracket, and a dip's root counts
+    only if its ratio is at most 1e-8.  A t1 more than 1e-9 h outside the
+    trajectory window raises ValueError.
     """
     n = trajectory.chart.dim
-    field = _field(trajectory)
-    ts = field.ts
-    N = trajectory.field_steps
-    t1 = ts[0] if t1 is None else t1
-    slack = 1e-9 * trajectory.h
-    if not ts[0] - slack <= t1 <= ts[-1] + slack:
-        raise ValueError(f"scan time t1 = {t1:.17g} outside the trajectory window [{ts[0]:.17g}, {ts[-1]:.17g}]")
-    k1 = int(np.clip(np.round((t1 - ts[0]) / field.h), 0, N))
-    t1_eff = float(ts[k1])
+    ts = _field(trajectory).ts
+    k1, t1 = _anchor(trajectory, ts[0] if t1 is None else t1)
     if grid is not None and grid < 1:
         raise ValueError(f"scan grid must be a positive sample count, got {grid}")
-    stride = 1 if grid is None else max(1, N // int(grid))
+    stride = 1 if grid is None else max(1, trajectory.field_steps // int(grid))
+
+    flow = _basis_flow(trajectory, k1)
+    ks = np.arange(k1 + 1, len(ts), stride)
+    dets, ratios = _rank_test(flow.states[ks - k1], ts[ks] - t1)
+    flips = np.diff(dets < 0)
+    # a dip at a sample with one after it: a local minimum of the ratios
+    # at most 1e-8, with no sign change on either side
+    r = ratios[:-1]
+    dips = (r <= _SIGMA_RATIO) & (r <= np.append(np.inf, ratios[:-2])) & (r <= ratios[1:])
+    dips &= ~(flips | np.append(False, flips[:-1]))
+    brackets = [(ts[ks[i]], ts[ks[i + 1]], True) for i in np.flatnonzero(flips)]
+    brackets += [(ts[ks[max(i - 1, 0)]], ts[ks[i + 1]], False) for i in np.flatnonzero(dips)]
 
     found = []
-    for forward in (True, False):
-        span = N - k1 if forward else k1
-        if span <= _EXCLUDE_NODES:
-            continue
-        flow = _basis_flow(trajectory, k1, forward)
-        ks = (
-            np.arange(k1 + _EXCLUDE_NODES, N + 1, stride)
-            if forward
-            else np.arange(k1 - _EXCLUDE_NODES, -1, -stride)
-        )
-        dets, ratios = _rank_test(_boundary_matrix(flow.states[ks - flow.k_lo]), ts[ks] - t1_eff)
+    if brackets:
+        roots = _refine(flow, t1, brackets)
+        _, sr, c = _rank_test(flow.at_time(roots), roots - t1, null=True)
+        found = [
+            (float(root), float(s), (w[:n].copy(), w[n:].copy()))
+            for root, (_, _, sign), s, w in zip(roots, brackets, sr, c)
+            if sign or s <= _SIGMA_RATIO
+        ]
 
-        brackets = []
-        for i in range(len(ks) - 1):
-            a, b = sorted((float(ts[ks[i]]), float(ts[ks[i + 1]])))
-            if (dets[i] < 0) != (dets[i + 1] < 0):
-                brackets.append((a, b, True))
-            elif ratios[i] <= _SIGMA_RATIO:
-                lo = float(ts[ks[i - 1]]) if i > 0 else a
-                hi = float(ts[ks[i + 1]])
-                brackets.append((min(lo, hi), max(lo, hi), False))
-        if not brackets:
-            continue
-        roots = _refine(flow, t1_eff, brackets)
-        _, s, vh = np.linalg.svd(_boundary_matrix(flow.at_time(roots)))
-        for root, (_, _, sign), sr, c in zip(roots, brackets, s[:, -1] / s[:, 0], vh[:, -1]):
-            if sign or sr <= _SIGMA_RATIO:
-                found.append((float(root), float(sr), (c[:n].copy(), c[n:].copy())))
-
-    # dedupe refined roots that were reached from both triggers
+    # dedupe refined roots that met from two brackets
     found.sort(key=lambda e: e[0])
     dedup = []
     tol = max(2e-6, 1e-6 * trajectory.T)
     for entry in found:
-        if dedup and abs(entry[0] - dedup[-1][0]) < tol:
-            if entry[1] < dedup[-1][1]:
-                dedup[-1] = entry
-            continue
-        dedup.append(entry)
+        if dedup and entry[0] - dedup[-1][0] < tol:
+            dedup[-1] = min(dedup[-1], entry, key=lambda e: e[1])
+        else:
+            dedup.append(entry)
 
-    h_scan = field.h * stride
+    h_scan = trajectory.field_h * stride
     times = [e[0] for e in dedup]
-    for u, w in zip(times, times[1:]):
-        if w - u < 2.0 * h_scan:
-            warnings.warn(
-                "adjacent rank drops closer than two scan steps; "
-                "rerun with a finer grid",
-                ResolutionWarning,
-                stacklevel=2,
-            )
-            break
-    return BiconjugateReport(t1_eff, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
+    if any(w - u < 2.0 * h_scan for u, w in zip(times, times[1:])):
+        warnings.warn(
+            "adjacent rank drops closer than two scan steps; rerun with a finer grid", ResolutionWarning, stacklevel=2
+        )
+    return BiconjugateReport(t1, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
 
 
 @dataclass
@@ -573,37 +569,32 @@ def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: floa
     witness jets.  With delta and eps omitted, geometric grids are
     searched and the first negative value wins; explicit values are
     evaluated as-is (eps = 0 returns the witness quadrature residual).
-    The witness marches on the trajectory's field grid: t1 snaps to its
-    nearest field node, and a cut within two field steps of the window's
-    end gets no bump.
+    The witness is the null vector of the scan's rank test at t2
+    (``_rank_test``), whose sigma ratio must be at most 1e-4; it marches
+    on the trajectory's field grid, where t1 snaps to its nearest node.  A
+    cut within two field steps of the window's end gets no bump.
     """
     ts = trajectory.ts
     T_hi = float(ts[-1])
     T_lo = float(ts[0])
-    if not (T_lo <= t1 < t2 <= T_hi):
-        raise ValueError("need t_lo <= t1 < t2 <= t_hi on the trajectory window")
+    k1, t1 = _anchor(trajectory, t1)
+    if not t1 < t2 <= T_hi:
+        raise ValueError(f"need t1 < t2 <= {T_hi:.17g}, got t1 = {t1:.17g} (on the field grid), t2 = {t2:.17g}")
     chart = trajectory.chart
     n = chart.dim
     field = _field(trajectory)
-    k1 = int(np.clip(np.round((t1 - T_lo) / field.h), 0, trajectory.field_steps))
-    t1 = float(field.ts[k1])
     flow = _basis_flow(trajectory, k1)
 
-    M = _boundary_matrix(flow.at_time(t2))
-    _, s_svd, vh_svd = np.linalg.svd(M)
-    if s_svd[-1] > 1e-4 * s_svd[0]:
-        raise ValueError(
-            f"({t1:g}, {t2:g}) is not a detected pair: smallest relative "
-            f"singular value {s_svd[-1] / s_svd[0]:.2e}"
-        )
-    c = vh_svd[-1]
+    _, ratio, c = _rank_test(flow.at_time(t2), t2 - t1, null=True)
+    if ratio > 1e-4:
+        raise ValueError(f"({t1:g}, {t2:g}) is not a detected pair: sigma ratio {ratio:.2e} of the scaled rank test")
 
     def witness_jets(t):
         return np.einsum("i,...ijk->...jk", c, flow.at_time(t))
 
     # normalize the witness to unit sup norm over [t1, t2]
     ks = np.arange(k1, int(np.floor((t2 - T_lo) / field.h)) + 1)
-    Xn = np.einsum("i,ki...->k...", c, flow.states[ks - flow.k_lo])
+    Xn = np.einsum("i,ki...->k...", c, flow.states[ks - k1])
     sup = float(np.max(chart.norm(field.qs[ks], Xn[:, 0, :])))
     c = c / sup
 

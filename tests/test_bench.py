@@ -4,9 +4,10 @@
 and ``bench/kernels.py`` calls the chart and potential kernels directly.
 A refactor that renames or deletes a site, or changes a kernel's
 signature, breaks the benchmark's runs, so both are exercised here.  So
-are ``bench/run.py``'s correctness checks of its planning workload: a
-grid change that moves a plan off ``bench/reference.json`` or a rank
-drop off the beam roots fails here too.
+are ``bench/run.py``'s correctness checks of both workloads: a grid
+change that moves a plan off ``bench/reference.json`` or a rank drop off
+the beam roots fails here too, and so does a change to which of the
+oracle workload's ops pass (its ``ok_frac``).
 """
 
 from __future__ import annotations
@@ -71,3 +72,23 @@ def test_flat_default_grid_passes_the_bench_checks(tmp_path):
     ]
     for op in ops:
         assert op.check(main(op.argv)) == [], f"{op.kind} {op.scenario}"
+
+
+def test_discrete_oracle_passes_the_bench_checks(tmp_path):
+    # the workload's input plans and oracle-compare ops, as bench/run.py
+    # builds and checks them: both N = 400 ops within the bounds, and the
+    # N = 800 flat_obstacle op stopped by the known nonconvergence defect
+    # that the workload keeps on purpose (exit code 2)
+    run = load_bench_module("run")
+    ref = json.loads(run.REFERENCE.read_text())["scenarios"]
+    work = run.WORKLOADS["discrete-oracle"]
+    inputs = {}
+    for name in work["inputs"]:
+        op = run.plan_op(name, tmp_path / name, 1, ref)
+        assert op.check(main(op.argv)) == [], f"plan {name}"
+        inputs[name] = tmp_path / name
+    ops = run.pass_ops(work, tmp_path / "pass", 1, ref, inputs)
+    assert [(op.scenario, op.label) for op in ops] == [
+        ("flat_obstacle", "N=400"), ("sphere_obstacle", "N=400"), ("flat_obstacle", "N=800")
+    ]
+    assert [op.check(main(op.argv)) for op in ops] == [[], [], ["exit code 2, expected 0"]]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import riemplan.index
-from riemplan import ResolutionWarning, parse_manifold
+from riemplan import ResolutionWarning, Trajectory, parse_manifold
 from riemplan.cli import main, read_trajectory_csv, write_trajectory_csv
 from riemplan.potentials import ZeroPotential
 
@@ -216,6 +216,24 @@ def test_verify_rejects_off_chart_trajectory(tmp_path, capsys):
     assert "chart domain" in err and "trajectory.csv" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "scan", "oracle-compare"])
+def test_stored_trajectory_needs_an_even_grid(tmp_path, capsys, command):
+    # the flat_obstacle plan resampled onto 81 segments: a config error,
+    # not a crash in the half-grid march
+    cfg = write_cfg(tmp_path)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    csv = tmp_path / "out" / "trajectory.csv"
+    chart = parse_manifold("euclidean:2")
+    traj = read_trajectory_csv(csv, chart, ZeroPotential(chart))
+    s = traj.interpolate(np.linspace(0.0, 1.0, 82))
+    odd = tmp_path / "odd.csv"
+    write_trajectory_csv(odd, Trajectory(chart, traj.potential, s.t, s.q, s.v, s.a, s.j))
+    cfg = write_cfg(tmp_path, name="nostep.json", step=None)
+    assert main([command, "--config", str(cfg), "--trajectory", str(odd)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "81 segments" in err and "odd.csv" in err
+
+
 @pytest.mark.parametrize("command", ["verify", "scan"])
 def test_stored_trajectory_must_cover_the_interval(tmp_path, capsys, command):
     # a [0, 1] trajectory is not a solution on [0, 2], and t1 = 1.5 lies outside it
@@ -279,6 +297,15 @@ def test_scan_flat_empty_with_t1_flag(tmp_path):
     payload = json.loads((tmp_path / "out" / "biconjugate.json").read_text())
     assert payload["t1"] == 0.25
     assert payload["points"] == []
+
+
+def test_scan_t1_flag_reports_only_later_pairs(tmp_path):
+    # the pair (1.27, 6) ends at t1 = 6; only (6, 10.73) starts there
+    cfg = write_cfg(tmp_path, base={k: v for k, v in WELL_TOP.items() if k != "step"}, interval=[0.0, 12.0])
+    assert main(["scan", "--config", str(cfg), "--t1", "6"]) == 0
+    payload = json.loads((tmp_path / "out" / "biconjugate.json").read_text())
+    times = [pt["t2"] for pt in payload["points"]]
+    assert len(times) == 1 and abs(times[0] - (6.0 + 4.730040744863)) < 1e-5
 
 
 @pytest.mark.parametrize("flag, verify", [("0", {}), ("-3", {}), (None, {"grid": 0})])

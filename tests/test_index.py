@@ -46,8 +46,6 @@ S2 = parse_manifold("sphere2")
 
 FIRST_BEAM_ROOT = 4.730040744863
 
-RNG = np.random.default_rng(41)
-
 
 @functools.cache
 def flat_rest(T=1.0):
@@ -96,10 +94,11 @@ def test_index_form_hand_integral():
 
 
 def test_index_form_bilinear():
+    rng = np.random.default_rng(41)
     pot, traj = sphere_obstacle()
-    X1 = random_field(traj, RNG)
-    X2 = random_field(traj, RNG)
-    Y = random_field(traj, RNG)
+    X1 = random_field(traj, rng)
+    X2 = random_field(traj, rng)
+    Y = random_field(traj, rng)
     lhs = index_form(traj, combine(X1, X2, 0.7), Y)
     rhs = 0.7 * index_form(traj, X1, Y) + index_form(traj, X2, Y)
     assert abs(lhs - rhs) < 1e-10
@@ -121,10 +120,11 @@ def test_admissible_field_end_validation():
 
 
 def test_random_field_unit_sobolev_norm():
+    rng = np.random.default_rng(41)
     _, traj = sphere_obstacle()
     from riemplan.dynamics import quadrature_weights
 
-    fld = random_field(traj, RNG)
+    fld = random_field(traj, rng)
     w = quadrature_weights(len(traj.ts), traj.h)
     qs = traj.qs
     h2 = float(
@@ -139,18 +139,20 @@ def test_random_field_unit_sobolev_norm():
 
 
 def test_decompose_sums_to_index_form():
+    rng = np.random.default_rng(41)
     pot, traj = sphere_obstacle()
-    X = random_field(traj, RNG)
-    Y = random_field(traj, RNG)
+    X = random_field(traj, rng)
+    Y = random_field(traj, rng)
     i_c, p_plus, p_minus = decompose(traj, X, Y)
     total = index_form(traj, X, Y)
     assert abs(i_c + p_plus + p_minus - total) < 1e-10
 
 
 def test_decompose_symmetries():
+    rng = np.random.default_rng(41)
     pot, traj = sphere_obstacle()
-    X = random_field(traj, RNG)
-    Y = random_field(traj, RNG)
+    X = random_field(traj, rng)
+    Y = random_field(traj, rng)
     cx, px, mx = decompose(traj, X, Y)
     cy, py, my = decompose(traj, Y, X)
     assert abs(cx - cy) < 1e-10
@@ -162,9 +164,10 @@ def test_decompose_symmetries():
 
 
 def test_decompose_skew_pairing_identity():
+    rng = np.random.default_rng(41)
     pot, traj = sphere_obstacle()
-    X = random_field(traj, RNG)
-    Y = random_field(traj, RNG)
+    X = random_field(traj, rng)
+    Y = random_field(traj, rng)
     _, _, p_minus = decompose(traj, X, Y)
     gap = index_form(traj, X, Y) - index_form(traj, Y, X)
     assert abs(gap - 2.0 * p_minus) < 1e-9
@@ -193,9 +196,10 @@ def test_fd_zero_field():
 
 
 def test_fd_matches_index_form_on_sphere():
+    rng = np.random.default_rng(41)
     pot, traj = sphere_obstacle()
-    X = random_field(traj, RNG)
-    Y = random_field(traj, RNG)
+    X = random_field(traj, rng)
+    Y = random_field(traj, rng)
     val = index_form(traj, X, Y)
     fd = second_variation_fd(traj, X, Y)
     assert abs(fd - val) <= 1e-3 * (1.0 + abs(val))
@@ -231,6 +235,7 @@ def test_fd_warns_when_roundoff_dominates():
 def test_kernel_field_annihilates_the_pairing():
     # window ending exactly at the first rank-drop time: the witness is an
     # admissible field in the kernel of the pairing
+    rng = np.random.default_rng(41)
     pot, traj6 = bump_rest(6.0)
     report = biconjugate_scan(traj6)
     t2 = report.times[0]
@@ -243,7 +248,7 @@ def test_kernel_field_annihilates_the_pairing():
         arr[-1] = 0.0
     kern = AdmissibleField(traj.ts, X, dX, d2X)
     for _ in range(5):
-        Y = random_field(traj, RNG)
+        Y = random_field(traj, rng)
         assert abs(index_form(traj, kern, Y)) <= 1e-5
 
 

@@ -14,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from riemplan import dynamics, rk4
 from riemplan import (
+    BoundaryData,
     ConstructionError,
     CurveState,
     GaussianObstacle,
@@ -34,6 +35,7 @@ from riemplan import (
     negative_direction,
     parse_manifold,
     propagate_jacobi,
+    solve_bvp,
     verdict,
 )
 from riemplan.jacobi import F_operator, _propagate_bundle, jacobi_operator, jacobi_rhs, operator_table
@@ -53,8 +55,6 @@ WARPED_START = CurveState(
 
 # positive roots of cosh(t)cos(t) = 1
 BEAM_ROOTS = (4.730040744863, 7.853204624096, 10.995607838003, 14.137165491223)
-
-RNG = np.random.default_rng(23)
 
 
 @functools.cache
@@ -88,14 +88,18 @@ def sphere_case():
 
 
 def test_f_operator_flat_zero():
-    st = CurveState(0.0, RNG.normal(size=(6, 2)), RNG.normal(size=(6, 2)), RNG.normal(size=(6, 2)), RNG.normal(size=(6, 2)))
-    out = F_operator(EUC2, st, RNG.normal(size=(6, 2)), RNG.normal(size=(6, 2)), RNG.normal(size=(6, 2)))
+    rng = np.random.default_rng(23)
+    st = CurveState(
+        0.0, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    )
+    out = F_operator(EUC2, st, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2)))
     assert np.all(out == 0.0)
 
 
 def test_f_operator_constant_curvature_reduction():
+    rng = np.random.default_rng(23)
     q = np.array([0.2, -0.3])
-    v, a, j, X, dX, d2X = RNG.normal(size=(6, 2))
+    v, a, j, X, dX, d2X = rng.normal(size=(6, 2))
     st = CurveState(0.0, q, v, a, j)
 
     def R(u, w, s):  # unit-curvature closed form at q
@@ -112,9 +116,10 @@ def test_f_operator_constant_curvature_reduction():
 
 
 def test_f_operator_linearity():
+    rng = np.random.default_rng(23)
     q = np.array([0.2, -0.3])
-    st = CurveState(0.0, q, *RNG.normal(size=(3, 2)))
-    X1, X2, d1, d2, s1, s2 = RNG.normal(size=(6, 2))
+    st = CurveState(0.0, q, *rng.normal(size=(3, 2)))
+    X1, X2, d1, d2, s1, s2 = rng.normal(size=(6, 2))
     mix = F_operator(S2, st, 0.7 * X1 + X2, 0.7 * d1 + d2, 0.7 * s1 + s2)
     split = 0.7 * F_operator(S2, st, X1, d1, s1) + F_operator(S2, st, X2, d2, s2)
     assert np.max(np.abs(mix - split)) < 1e-12
@@ -195,9 +200,10 @@ def test_warped_curvature_matches_the_conformal_closed_form():
 
 
 def test_propagate_flat_polynomial():
+    rng = np.random.default_rng(23)
     st = CurveState(0.0, np.zeros(2), np.array([0.4, -0.1]), np.array([0.2, 0.3]), np.array([-0.5, 0.1]))
     traj = integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0)
-    c = RNG.normal(size=(4, 2))
+    c = rng.normal(size=(4, 2))
     out = propagate_jacobi(traj, JacobiState(0.0, c[0], c[1], c[2], c[3]))
     t = traj.ts[:, None]
     exact = c[0] + c[1] * t + c[2] * t**2 / 2 + c[3] * t**3 / 6
@@ -217,8 +223,9 @@ def test_propagate_quadratic_well_closed_form():
 
 
 def test_propagate_superposition_and_zero():
+    rng = np.random.default_rng(23)
     pot, _, traj = sphere_case()
-    u1, u2 = RNG.normal(size=(2, 4, 2))
+    u1, u2 = rng.normal(size=(2, 4, 2))
     batch = np.stack([u1, u2, 0.7 * u1 + u2, np.zeros((4, 2))])
     out = propagate_jacobi(traj, JacobiState(0.0, batch[:, 0], batch[:, 1], batch[:, 2], batch[:, 3]))
     mix = 0.7 * out.X[:, 0] + out.X[:, 1]
@@ -344,6 +351,42 @@ def test_scan_rejects_t1_outside_window(t1):
     pot, traj = bump_rest(12.0)
     with pytest.raises(ValueError, match="outside the trajectory window"):
         biconjugate_scan(traj, t1=t1)
+
+
+def test_scan_reports_only_pairs_after_t1(scenario):
+    # the scan marches forward from t1: on the planned well_top_long curve
+    # the pair that ends at t1 = 6 is not its business
+    chart, pot, bd = scenario("well_top_long")
+    traj = solve_bvp(chart, pot, bd).trajectory
+    report = biconjugate_scan(traj, t1=6.0)
+    assert len(report) == 1
+    assert abs(report.times[0] - (6.0 + BEAM_ROOTS[0])) < 1e-5
+    assert all(t > report.t1 for t in report.times)
+
+
+@settings(max_examples=30)
+@given(
+    log_T=st.floats(-5.0, 1.0),
+    ends=hnp.arrays(float, (4, 2), elements=st.floats(-1.0, 1.0)),
+)
+def test_flat_windows_of_any_length_are_candidates(log_T, ends):
+    # with V = 0 on a flat chart the scaled boundary matrix is the same for
+    # every window length, so neither a short nor a long window drops rank
+    T = 10.0**log_T
+    res = solve_bvp(EUC2, ZeroPotential(EUC2), BoundaryData(*ends, 0.0, T))
+    rep = verdict(res.trajectory)
+    assert rep.classification == "candidate"
+    assert len(rep.scan_report) == 0
+
+
+@pytest.mark.parametrize("manifold", ["sphere2", "hyperbolic2", "so3"])
+def test_short_curved_window_is_a_candidate(manifold):
+    chart = parse_manifold(manifold)
+    n, T = chart.dim, 1e-3
+    q_a, v = np.linspace(0.1, -0.1, n), np.linspace(0.3, 0.5, n)
+    pot = GaussianObstacle(chart, tuple(np.full(n, 0.15)), amplitude=1.0, width=0.5)
+    res = solve_bvp(chart, pot, BoundaryData(q_a, v, q_a + T * v, v, 0.0, T))
+    assert verdict(res.trajectory).classification == "candidate"
 
 
 def test_negative_direction_first_pair():
@@ -501,26 +544,16 @@ def test_table_march_matches_stagewise_rk4(name):
     for k in range(k0, N):
         mid = traj.interpolate(ts[k] + 0.5 * h)
         ref.append(stagewise_step(chart, pot, ref[-1], h, traj.state(k), mid, traj.state(k + 1)))
-    flow = _propagate_bundle(traj, k0, u0, forward=True)
+    flow = _propagate_bundle(traj, k0, u0)
     assert rel_gap(flow.states, ref) <= 1e-12
-    # off-node: one partial step out of the enclosing node
-    t = ts[N - 1] + 0.37 * h
-    s = traj.interpolate(np.array([ts[N - 1], 0.5 * (ts[N - 1] + t), t]))
-    parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
-    want = stagewise_step(chart, pot, ref[N - 1 - k0], t - ts[N - 1], *parts)
-    assert rel_gap(flow.at_time(t), want) <= 1e-12
-
-    back = [u0]
-    for k in range(k0, 0, -1):
-        mid = traj.interpolate(ts[k - 1] + 0.5 * h)
-        back.append(stagewise_step(chart, pot, back[-1], -h, traj.state(k), mid, traj.state(k - 1)))
-    flow = _propagate_bundle(traj, k0, u0, forward=False)
-    assert rel_gap(flow.states, back[::-1]) <= 1e-12
-    t = ts[0] + 0.61 * h
-    s = traj.interpolate(np.array([ts[0], 0.5 * (ts[0] + t), t]))
-    parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
-    want = stagewise_step(chart, pot, back[-1], t - ts[0], *parts)
-    assert rel_gap(flow.at_time(t), want) <= 1e-12
+    # off-node: one partial step out of the enclosing node, near the
+    # window end and, marched from node 0, near its start
+    for k, frac, flow, u in ((N - 1, 0.37, flow, ref[N - 1 - k0]), (0, 0.61, _propagate_bundle(traj, 0, u0), u0)):
+        t = ts[k] + frac * h
+        s = traj.interpolate(np.array([ts[k], 0.5 * (ts[k] + t), t]))
+        parts = [CurveState(s.t[i], s.q[i], s.v[i], s.a[i], s.j[i]) for i in range(3)]
+        want = stagewise_step(chart, pot, u, t - ts[k], *parts)
+        assert rel_gap(flow.at_time(t), want) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["euclidean2", "sphere2", "so3"])
