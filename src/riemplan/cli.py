@@ -14,6 +14,7 @@ Exit codes: 0 success (or verdict "candidate"), 1 configuration problems,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -273,6 +274,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="scenario JSON file")

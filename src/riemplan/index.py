@@ -358,12 +358,14 @@ def extended_index(trajectory: Trajectory, m: int) -> IndexReport:
     trajectory grid beyond its interpolation error.  The mass matrix is
     the Sobolev-2 Gram form of the same fields.  With B = L L^T the
     eigenvalues are those of L^-1 A L^-T, the reduction LAPACK's sygvd
-    makes.  Counts use the +-1e-9 cutoffs; a mass condition number beyond
+    makes.  Counts use the +-1e-9 cutoffs; a mass condition number
+    (lambda_max / lambda_min, infinite unless B is positive definite) beyond
     1e12 or NaN, or a mass matrix without a Cholesky factor, aborts.
     """
     A, B, knots = _galerkin_matrices(trajectory, m)
     try:
-        cond = float(np.linalg.cond(B))
+        lam = np.linalg.eigvalsh(B)
+        cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
         if not cond <= 1e12:
             raise BasisError(
                 f"profile basis is numerically dependent (mass condition {cond:.2e})"

@@ -27,14 +27,14 @@ curve node is a field node and the curve between nodes is read off
 ``Trajectory.interpolate``.  On a grid of one step per segment the
 march is the curve's own node/midpoint march.  The operator A(t) of
 u' = A(t) u is built once per trajectory, at every field node and
-field-step midpoint from one chart evaluation (``operator_table``);
-each RK4 step of the march is the product of u with a precomputed step
-matrix.  A bundle of fields marches as one matrix; off-node values take
-one partial step out of the enclosing field node through the same
-operator, for any number of times in one call.  The second-variation
-forms in ``index`` read F(X, qdot) + nab_X grad V off the same table at
-the curve's nodes, and shooting in ``bvp`` reads its Jacobian off the
-scan's bundle at the last node (``shooting_jacobian``).
+field-step midpoint from one chart evaluation (``operator_table``); the
+march multiplies u by RK4 step matrices, their products taken by doubling
+within blocks of steps.  A bundle of fields marches as one matrix;
+off-node values take one partial step out of the enclosing field node
+through the same operator, for any number of times in one call.  The
+second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off the
+same table at the curve's nodes, and shooting in ``bvp`` reads its Jacobian
+off the scan's bundle at the last node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
@@ -258,8 +258,8 @@ class _StoredFlow:
 def _propagate_bundle(traj: Trajectory, k, u0):
     """March a field bundle from field node k to the grid end, storing every node.
 
-    Every step is one product with that field step's RK4 step matrix
-    (``rk4.march``), built from the trajectory's operator table.
+    Its RK4 step matrices, built from the trajectory's operator table, are
+    multiplied out in blocks of steps, not one product per step (``rk4.march``).
     """
     field = _field(traj)
     nodes, mids = field.nodes, field.mids

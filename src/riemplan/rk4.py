@@ -3,8 +3,9 @@
 ``step`` is the stage rule on a jet stack (the trajectory ODE, geodesics).
 A linear ODE u' = A(t) u with A known at each step's start, midpoint and
 end steps exactly by a matrix (``step_matrices``), so ``march`` is a
-product of precomputed matrices (Jacobi fields, parallel transport).
-See Hairer, Norsett & Wanner, *Solving ODEs I*, II.1.
+product of precomputed matrices, taken by doubling within blocks of steps
+(Jacobi fields, parallel transport).  See Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ def step_matrices(A0, Am, A1, h):
 
 # step matrices are built this many steps at a time, to bound memory
 _CHUNK = 256
+_BLOCK = 16  # steps per block of prefix products; a power of two
 
 
 def march(A0, Am, A1, h, u, ts, what):
@@ -49,22 +51,31 @@ def march(A0, Am, A1, h, u, ts, what):
 
     A0, Am, A1 hold the operator at the start, midpoint and end of each of
     the K steps, shape (K, m, m); h is the step (a scalar or one per step);
-    u has shape (..., m) for any batch of states; ts are the K+1 node times
-    in march order.  Returns shape (K+1,) + u.shape.  Raises NumericalError
-    "<what> near t = ..." at the first node whose state is nonfinite, the
-    last node included.  Finiteness is checked once per chunk of steps: a
-    nonfinite state stays so, and the chunk's first is the march's first.
+    u has shape (..., m) for any batch of states, marched as the rows of one
+    matrix; ts are the K+1 node times in march order.  Returns shape
+    (K+1,) + u.shape.  Doubling rounds batched over a chunk's blocks form
+    each block's prefix products P_j = Phi_j ... Phi_1 (Hillis & Steele,
+    CACM 1986); a block's states are its first state times each P_j, and its
+    last starts the next block.  Raises NumericalError "<what> near t = ..."
+    at the first node whose state is nonfinite, the last node included,
+    checked once per chunk: a nonfinite factor makes every later prefix and
+    state nonfinite.
     """
-    hs = np.broadcast_to(np.asarray(h, float), (len(A0),)).reshape((-1,) + (1,) * (A0.ndim - 1))
-    states = np.empty((len(A0) + 1,) + u.shape)
-    states[0] = u
-    for lo in range(0, len(A0), _CHUNK):
+    K, m = len(A0), A0.shape[-1]
+    hs = np.broadcast_to(np.asarray(h, float), (K,)).reshape((-1,) + (1,) * (A0.ndim - 1))
+    states = np.empty((K + _BLOCK, u.size // m, m))
+    states[0] = u.reshape(-1, m)
+    for lo in range(0, K, _CHUNK):
         hi = lo + _CHUNK
         phi = step_matrices(A0[lo:hi], Am[lo:hi], A1[lo:hi], hs[lo:hi])
+        pad = np.broadcast_to(np.eye(m), (-len(phi) % _BLOCK, m, m))
+        P = np.concatenate([phi, pad]).reshape(-1, _BLOCK, m, m)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, mat in enumerate(phi.swapaxes(-1, -2), lo + 1):
-                u = states[k] = u @ mat
+            for d in [2**r for r in range(_BLOCK.bit_length() - 1)]:
+                P[:, d:] = P[:, d:] @ P[:, :-d]
+            for s, prefix in zip(range(lo + 1, hi + 1, _BLOCK), P.swapaxes(-1, -2)):
+                states[s : s + _BLOCK] = states[s - 1] @ prefix
         bad = ~np.isfinite(states[lo + 1 : lo + 1 + len(phi)]).reshape(len(phi), -1).all(axis=1)
         if bad.any():
             raise NumericalError(f"{what} near t = {float(ts[lo + 1 + np.argmax(bad)]):.6g}")
-    return states
+    return states[: K + 1].reshape((K + 1,) + u.shape)

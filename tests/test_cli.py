@@ -18,7 +18,7 @@ import pytest
 
 import riemplan.index
 from riemplan import ResolutionWarning, Trajectory, parse_manifold
-from riemplan.cli import main, read_trajectory_csv, write_trajectory_csv
+from riemplan.cli import build_parser, main, read_trajectory_csv, write_trajectory_csv
 from riemplan.potentials import ZeroPotential
 
 FLAT = {
@@ -92,6 +92,18 @@ def test_plan_outputs_are_byte_deterministic(tmp_path):
         b1 = (tmp_path / "d1" / name).read_bytes()
         b2 = (tmp_path / "d2" / name).read_bytes()
         assert b1 == b2
+
+
+def test_parser_is_built_once_and_survives_a_parse_error(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = write_cfg(tmp_path)
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "d1")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--config", str(cfg), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "d2")]) == 0
+    assert (tmp_path / "d1" / "solve.json").read_bytes() == (tmp_path / "d2" / "solve.json").read_bytes()
 
 
 def test_plan_step_override(tmp_path):

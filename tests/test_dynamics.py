@@ -30,8 +30,6 @@ from riemplan import (
 from riemplan import dynamics
 from riemplan.dynamics import grid_steps, quadrature_weights
 
-RNG = np.random.default_rng(3)
-
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
@@ -189,15 +187,15 @@ def test_interpolation_rejects_times_outside_window():
         traj.interpolate(np.array([lo + 0.2, hi + 0.3]))
 
 
-def admissible_bumps(traj, count):
-    """Random fields vanishing to second order at both ends."""
+def admissible_bumps(traj, count, rng):
+    """Random fields vanishing to second order at both ends, drawn from rng."""
     t = traj.ts
     T = float(t[-1] - t[0])
     out = []
     for _ in range(count):
         w = np.zeros_like(traj.qs)
         for m in range(1, 4):
-            c = RNG.normal(size=traj.qs.shape[-1])
+            c = rng.normal(size=traj.qs.shape[-1])
             w += np.sin(np.pi * m * (t - t[0]) / T)[:, None] ** 2 * c
         out.append(w)
     return out
@@ -207,7 +205,7 @@ def test_first_variation_vanishes_on_solutions():
     pot = GaussianObstacle(EUC2, (0.5, 0.2), amplitude=1.0, width=0.5)
     st = CurveState(0.0, np.zeros(2), np.array([1.0, 0.3]), np.array([0.2, -0.4]), np.zeros(2))
     traj = integrate_ivp(EUC2, pot, st, 1.0)
-    for w in admissible_bumps(traj, 20):
+    for w in admissible_bumps(traj, 20, np.random.default_rng(3)):
         sup = float(np.max(EUC2.norm(traj.qs, w)))
         dj = first_variation(traj, w)
         assert abs(dj) <= 1e-4 * (1.0 + sup**2)
@@ -218,7 +216,7 @@ def test_first_variation_detects_wrong_potential():
     st = CurveState(0.0, np.zeros(2), np.array([1.0, 0.3]), np.array([0.2, -0.4]), np.zeros(2))
     pot = GaussianObstacle(EUC2, (0.5, 0.2), amplitude=5.0, width=0.3)
     traj = replace(integrate_ivp(EUC2, ZeroPotential(EUC2), st, 1.0), potential=pot)
-    vals = [abs(first_variation(traj, w)) for w in admissible_bumps(traj, 5)]
+    vals = [abs(first_variation(traj, w)) for w in admissible_bumps(traj, 5, np.random.default_rng(4))]
     assert max(vals) > 1e-2
 
 

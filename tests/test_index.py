@@ -300,6 +300,25 @@ def test_extended_index_rejects_a_bad_mass_matrix(monkeypatch, bad):
         extended_index(traj, 6)
 
 
+@pytest.mark.parametrize("name", ["flat_obstacle", "sphere_obstacle"])
+def test_mass_condition_is_the_svd_condition(scenario, monkeypatch, name):
+    """The mass matrix is a symmetric positive Gram matrix, so the ratio of
+    its extreme eigenvalues is the 2-norm condition number; an indefinite
+    one has an infinite condition, not a negative ratio below the cutoff."""
+    chart, pot, bd = scenario(name)
+    traj = solve_bvp(chart, pot, bd).trajectory
+    m = int(np.ceil(120 / chart.dim))
+    B = _galerkin_matrices(traj, m)[1]
+    assert extended_index(traj, m).mass_condition == pytest.approx(np.linalg.cond(B), rel=1e-9)
+
+    def indefinite(trajectory, m):
+        return np.eye(2), np.diag([-1.0, 2.0]), np.zeros(0)
+
+    monkeypatch.setattr(riemplan.index, "_galerkin_matrices", indefinite)
+    with pytest.raises(BasisError, match="mass condition inf"):
+        extended_index(traj, m)
+
+
 def test_extended_index_flat_positive():
     pot, traj = flat_rest()
     rep = extended_index(traj, 12)

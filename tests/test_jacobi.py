@@ -467,6 +467,41 @@ def test_march_reports_the_first_nonfinite_node(first):
     assert str(err.value) == f"growth near t = {ts[first]:.6g}"
 
 
+@pytest.mark.parametrize("k", [3, 15, 16, 255, 256])
+def test_march_reports_the_end_node_of_a_nan_step(k):
+    # a NaN in step k's operator first shows at node k + 1: inside a block of
+    # the prefix products, on both sides of a block edge and of a chunk edge
+    K, h = 600, 0.01
+    A = 0.3 * np.random.default_rng(k).normal(size=(3, K, 4, 4))
+    A[0, k, 1, 2] = np.nan
+    ts = h * np.arange(K + 1)
+    with pytest.raises(NumericalError) as err:
+        rk4.march(*A, h, np.ones((3, 4)), ts, "bundle")
+    assert str(err.value) == f"bundle near t = {ts[k + 1]:.6g}"
+
+
+@given(
+    m=st.sampled_from([1, 4, 8, 12]),
+    K=st.sampled_from([1, 2, 15, 16, 17, 255, 256, 257, 600]),
+    batch=st.sampled_from([(), (3,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_march_matches_the_step_by_step_product(m, K, batch, seed):
+    # the prefix products by doubling give the states of u <- u Phi_k^T, one
+    # step at a time, for any batch shape of u and across block and chunk edges
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, K, m, m)) / np.sqrt(m)
+    h = rng.uniform(0.005, 0.02, size=K)
+    u = rng.normal(size=batch + (m,))
+    got = rk4.march(*A, h, u, np.concatenate([[0.0], np.cumsum(h)]), "field")
+    assert got.shape == (K + 1,) + u.shape
+    want = [u]
+    for phi in rk4.step_matrices(*A, h[:, None, None]):
+        want.append(want[-1] @ phi.T)
+    scale = np.max(np.abs(want).reshape(K + 1, -1), axis=1)
+    assert np.all(np.abs(got - want).reshape(K + 1, -1) <= 1e-12 * scale[:, None])
+
+
 # chart, potential factory, initial state, window, segments
 MARCH_CASES = {
     "euclidean2": (
