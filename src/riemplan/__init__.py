@@ -61,18 +61,18 @@ from .config import potential_from_config
 from .jacobi import (
     BiconjugateReport,
     JacobiState,
-    NegativeDirectionReport,
     biconjugate_scan,
-    negative_direction,
     propagate_jacobi,
 )
 from .index import (
     AdmissibleField,
     IndexReport,
+    NegativeDirectionReport,
     OptimalityReport,
     decompose,
     extended_index,
     index_form,
+    negative_direction,
     random_field,
     second_variation_fd,
     verdict,

@@ -46,7 +46,7 @@ class CriticalPointError(PlannerError):
 
 
 class ConstructionError(PlannerError):
-    """The negative-direction search exhausted its parameter grid."""
+    """``negative_direction`` found no bump width that fits the window and gives a negative value."""
 
 
 class BasisError(PlannerError):

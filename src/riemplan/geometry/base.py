@@ -9,7 +9,6 @@ the coordinate axis.  Index conventions:
 
     metric(x), ChartPoint.g                 [..., a, b]        g_ab
     metric_inv(x), ChartPoint.ginv          [..., a, b]        g^ab
-    dmetric(x)                              [..., l, a, b]     d_l g_ab
     christoffel(x), ChartPoint.Gamma        [..., k, i, j]     Gamma^k_ij (symmetric in i, j)
     dchristoffel(x), ChartPoint.dGamma      [..., l, k, i, j]  d_l Gamma^k_ij
     ChartPoint.R                            [..., l, i, j, k]  R^l_ijk X^i Y^j Z^k = R(X, Y)Z^l
@@ -82,12 +81,12 @@ class ChartPoint:
 class ManifoldChart:
     """Base chart: every geometric quantity is read off one evaluation, ``at``.
 
-    Subclasses set ``dim`` and ``name`` and implement ``at`` and
-    ``dmetric``; a kernel that needs several quantities at the same points
-    calls ``at`` once.  ``space_curvature`` is the one declaration of the
-    chart's curvature: 0.0 on a flat chart, the sectional curvature on a
-    space of constant curvature, None otherwise.  ``flat`` and
-    ``locally_symmetric`` follow from it.
+    Subclasses set ``dim`` and ``name`` and implement ``at``; a kernel
+    that needs several quantities at the same points calls ``at`` once.
+    ``space_curvature`` is the one declaration of the chart's curvature:
+    0.0 on a flat chart, the sectional curvature on a space of constant
+    curvature, None otherwise.  ``flat`` and ``locally_symmetric`` follow
+    from it.
     """
 
     dim: int = 0
@@ -112,9 +111,6 @@ class ManifoldChart:
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.at(x, 0).g
-
-    def dmetric(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def metric_inv(self, x: np.ndarray) -> np.ndarray:
         return self.at(x, 0).ginv

@@ -43,9 +43,6 @@ class EuclideanChart(ManifoldChart):
         zero = [np.zeros(x.shape[:-1] + (n,) * (k + 3)) for k in range(min(order, 2))]
         return ChartPoint(0.0, eye, eye, *zero)
 
-    def dmetric(self, x):
-        return np.zeros(np.shape(x)[:-1] + (self.dim,) * 3)
-
     def gamma(self, x, u, v):
         return np.zeros(np.broadcast(np.asarray(u, float), np.asarray(v, float)).shape)
 
@@ -142,13 +139,6 @@ class _ConformalChart(ManifoldChart):
             dp = 2.0 * k * k * w * w
             pt.dGamma = _radial_dchristoffel(x, (p, -p, None), (dp, -dp))
         return pt
-
-    def dmetric(self, x):
-        x = np.asarray(x, float)
-        _, w, a = self._factors(x)
-        # d_l g_ab = 2 a' x_l d_ab with a' = a p
-        da = -4.0 * self.space_curvature * w * a
-        return (da[..., None] * x)[..., :, None, None] * _unit_tensors(self.dim)[0]
 
     def contains(self, x):
         x = np.asarray(x, float)
@@ -257,15 +247,6 @@ class SO3Chart(ManifoldChart):
             dr = d2b - 2.0 * (d2u * b + du * db) / u + 2.0 * du * du * b / (u * u)
             pt.dGamma = _radial_dchristoffel(x, coef, (dp, db - d2u, dr))
         return pt
-
-    def dmetric(self, x):
-        x = np.asarray(x, float)
-        (_, du, _, b, db, _), xx = self._coefficients(x)
-        # d_l g_ab = 2 x_l (u' d_ab + beta' x_a x_b) + beta (d_la x_b + d_lb x_a)
-        eye = _unit_tensors(3)[0]
-        out = 2.0 * x[..., :, None, None] * (du[..., None, None] * eye + db[..., None, None] * xx)[..., None, :, :]
-        xe = eye[:, :, None] * x[..., None, None, :]  # [l, a, b] = d_la x_b
-        return out + b[..., None, None, None] * (xe + xe.swapaxes(-1, -2))
 
     def contains(self, x):
         x = np.asarray(x, float)

@@ -238,9 +238,6 @@ class NumericChart(ManifoldChart):
         dGamma = np.moveaxis(series[1][..., 1 : 1 + self.dim], -1, -4) if order > 1 else None
         return ChartPoint(None, g, ginv, Gamma, dGamma, R, nR, nnR)
 
-    def dmetric(self, x):
-        return np.moveaxis(self._tensors(x, 1)[1][0][..., 1 : 1 + self.dim], -1, -3)
-
     def contains(self, x):
         x = np.asarray(x, float)
         ok = np.all(np.isfinite(x), axis=-1)

@@ -11,11 +11,14 @@ The curvature part and the potential coupling split off as
 
 with P_plus / P_minus the symmetrized and antisymmetrized potential
 Hessian pairings; the antisymmetry identity I(X,Y) - I(Y,X) = 2 P_minus(X,Y)
-is exact up to quadrature.  A finite-dimensional restriction to parallel
-frame directions times clamped quintic spline profiles turns sign counting
-into a generalized symmetric eigenproblem whose mass matrix is the
-Sobolev-2 Gram form, so the +-1e-9 eigenvalue cutoffs act on a
-scale-normalized spectrum.
+is exact up to quadrature.  ``index_form``, ``decompose`` and
+``negative_direction`` read one quadrature statement of I (``_index_sum``).
+A finite-dimensional restriction to parallel frame directions times
+clamped quintic spline profiles turns sign counting into a generalized
+symmetric eigenproblem whose mass matrix is the Sobolev-2 Gram form, so the
++-1e-9 eigenvalue cutoffs act on a scale-normalized spectrum.  An interior
+biconjugate pair gives I a negative direction (the bi-Jacobi necessary
+condition); ``negative_direction`` builds it from such a pair (t1, t2).
 """
 
 from __future__ import annotations
@@ -26,19 +29,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory, _action_from_positions, quadrature_weights
-from .errors import BasisError, ResolutionWarning
-from .geometry import transport_frame
-from .jacobi import _force_block, biconjugate_scan, jacobi_operator, operator_table
+from .errors import BasisError, ConstructionError, ResolutionWarning
+from .geometry import parallel_transport, transport_frame
+from .jacobi import (
+    _anchor,
+    _basis_flow,
+    _field,
+    _force_block,
+    _rank_test,
+    biconjugate_scan,
+    jacobi_operator,
+    operator_table,
+)
 
 __all__ = [
     "AdmissibleField",
     "IndexReport",
     "OptimalityReport",
+    "NegativeDirectionReport",
     "field_from_profiles",
     "random_field",
     "index_form",
     "decompose",
     "second_variation_fd",
+    "negative_direction",
     "spline_profiles",
     "extended_index",
     "verdict",
@@ -146,16 +160,20 @@ def _force(trajectory, X, dX, d2X):
     return np.einsum("sij,sj->si", force, np.concatenate([X, dX, d2X], axis=-1))
 
 
+def _index_sum(chart, q, w, d2X, d2Y, Y, fX):
+    """The index form's one quadrature statement: the sum of
+    w (<D2X, D2Y>_g + <Y, f_X>_g) over the points q, where f_X is
+    F(X, qdot) + nab_X grad V at those points."""
+    return float(w @ (chart.inner(q, d2X, d2Y) + chart.inner(q, Y, fX)))
+
+
 def index_form(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField) -> float:
     """Second-variation pairing of two admissible fields by grid quadrature."""
     X.validate(trajectory)
     Y.validate(trajectory)
-    chart = trajectory.chart
     w = quadrature_weights(len(trajectory.ts), trajectory.h)
-    qs = trajectory.qs
     fx = _force(trajectory, X.X, X.dX, X.d2X)
-    vals = chart.inner(qs, X.d2X, Y.d2X) + chart.inner(qs, Y.X, fx)
-    return float(w @ vals)
+    return _index_sum(trajectory.chart, trajectory.qs, w, X.d2X, Y.d2X, Y.X, fx)
 
 
 def decompose(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
@@ -172,7 +190,7 @@ def decompose(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
     hx = potential.hessian_op(qs, X.X)
     hy = potential.hessian_op(qs, Y.X)
     fx = _force(trajectory, X.X, X.dX, X.d2X) - hx
-    i_c = float(w @ (chart.inner(qs, X.d2X, Y.d2X) + chart.inner(qs, Y.X, fx)))
+    i_c = _index_sum(chart, qs, w, X.d2X, Y.d2X, Y.X, fx)
     yhx = chart.inner(qs, Y.X, hx)
     xhy = chart.inner(qs, X.X, hy)
     p_plus = 0.5 * float(w @ (yhx + xhy))
@@ -206,6 +224,124 @@ def second_variation_fd(trajectory: Trajectory, X: AdmissibleField, Y: Admissibl
             stacklevel=2,
         )
     return float((jpp - jpm - jmp + jmm) / (4.0 * eps * eps))
+
+
+@dataclass
+class NegativeDirectionReport:
+    value: float
+    delta: float
+    eps: float
+    t1: float
+    t2: float
+    ts: np.ndarray
+    U: np.ndarray
+
+
+def _bump_profiles(s):
+    """Bump (1-s^2)^2 and the odd companion s(1-s^2)^2 with derivatives in s."""
+    w = 1.0 - s * s
+    phi = w * w
+    dphi = -4.0 * s * w
+    d2phi = -4.0 + 12.0 * s * s
+    psi = s * w * w
+    dpsi = w * (1.0 - 5.0 * s * s)
+    d2psi = -12.0 * s + 20.0 * s**3
+    return phi, dphi, d2phi, psi, dpsi, d2psi
+
+
+def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: float | None = None, eps: float | None = None) -> NegativeDirectionReport:
+    """Build an admissible field with negative second variation from a
+    detected pair (t1, t2).
+
+    The field is U = X + eps*Y: X is the vanishing witness on [t1, t2]
+    extended by zero, and Y places bump corrections of half-width delta at
+    the interior cut times, transported out of each cut, so the cross term
+    picks up minus the squared jump of the witness jets.  For each delta
+    the cut times {t1, t2, t_k +- delta} split the support into pieces of
+    81 Simpson nodes each, and the three coefficients I(X, X),
+    I(X, Y) + I(Y, X) and I(Y, Y) of I(U, U) take one quadrature on all of
+    them.  With eps omitted it is the quadratic's minimizer
+    eps* = -(I(X, Y) + I(Y, X)) / (2 I(Y, Y)), and a width whose I(Y, Y) is
+    not positive is skipped; with delta omitted the widths
+    {0.1, 0.05, 0.025, 0.0125} (t2 - t1) are tried and the first negative
+    value wins.  Explicit values are evaluated as given (eps = 0 returns
+    the witness quadrature residual).  The witness is the null vector of
+    the scan's rank test at t2 (``_rank_test``), whose sigma ratio must be
+    at most 1e-4, scaled to unit sup norm on [t1, t2]; it marches on the
+    trajectory's field grid, where t1 snaps to its nearest node.  A cut
+    within two field steps of the window's end gets no bump.
+    """
+    T_lo, T_hi = float(trajectory.ts[0]), float(trajectory.ts[-1])
+    k1, t1 = _anchor(trajectory, t1)
+    if not t1 < t2 <= T_hi:
+        raise ValueError(f"need t1 < t2 <= {T_hi:.17g}, got t1 = {t1:.17g} (on the field grid), t2 = {t2:.17g}")
+    chart, n = trajectory.chart, trajectory.chart.dim
+    field = _field(trajectory)
+    flow = _basis_flow(trajectory, k1)
+    _, ratio, c = _rank_test(flow.at_time(t2), t2 - t1, null=True)
+    if ratio > 1e-4:
+        raise ValueError(f"({t1:g}, {t2:g}) is not a detected pair: sigma ratio {ratio:.2e} of the scaled rank test")
+    ks = np.arange(k1, int(np.floor((t2 - T_lo) / field.h)) + 1)
+    Xn = np.einsum("i,ki...->k...", c, flow.states[ks - k1])
+    c = c / float(np.max(chart.norm(field.qs[ks], Xn[:, 0, :])))
+
+    span = t2 - t1
+    margin = 2.0 * field.h
+    knots = [tk for tk, inside in ((t1, t1 > T_lo + margin), (t2, t2 < T_hi - margin)) if inside]
+    if not knots:
+        raise ConstructionError("both cut times sit at the trajectory boundary; no correction bump fits inside the window")
+
+    deltas = [delta] if delta is not None else [f * span for f in (0.1, 0.05, 0.025, 0.0125)]
+    tried = []
+    for dl in deltas:
+        if not 0.0 < dl < 0.5 * span or any(tk - dl < T_lo or tk + dl > T_hi for tk in knots):
+            continue
+        cuts = np.array(sorted({t1, t2} | {tk + s * dl for tk in knots for s in (-1.0, 1.0)}))
+        grid = np.linspace(cuts[:-1], cuts[1:], 81, axis=1)  # 81 Simpson nodes per piece
+        P, K = grid.shape
+        w = np.concatenate([quadrature_weights(K, g[1] - g[0]) for g in grid])
+        states = trajectory.interpolate(grid.ravel())
+        q, v = states.q.reshape(P, K, n), states.v.reshape(P, K, n)
+
+        X = np.zeros((P, K, 4, n))
+        Y = np.zeros((P, K, 4, n))
+        inside = (grid[:, 0] >= t1) & (grid[:, -1] <= t2)
+        X[inside] = np.einsum("i,...ijk->...jk", c, flow.at_time(grid[inside]))
+        # (A, B) at each cut: the jets flip orientation at t1, where the witness starts
+        first, last = X[inside][0, 0], X[inside][-1, -1]
+        jumps = {t1: (-first[3], first[2]), t2: (last[3], -last[2])}
+        for tk in knots:
+            i = int(np.searchsorted(cuts, tk))
+            # the halves [tk - delta, tk] and [tk, tk + delta], each marched out of tk
+            for p, out in ((i - 1, slice(None, None, -1)), (i, slice(None))):
+                AB = parallel_transport(chart, grid[p, out], q[p, out], v[p, out], np.stack(jumps[tk]))[out]
+                At, Bt = AB[:, 0], AB[:, 1]
+                phi, dphi, d2phi, psi, dpsi, d2psi = (f[:, None] for f in _bump_profiles((grid[p] - tk) / dl))
+                Y[p, :, 0] = phi * At + dl * psi * Bt
+                Y[p, :, 1] = (dphi / dl) * At + dpsi * Bt
+                Y[p, :, 2] = (d2phi / dl**2) * At + (d2psi / dl) * Bt
+
+        X, Y = X.reshape(P * K, 4, n), Y.reshape(P * K, 4, n)
+        force = _force_block(jacobi_operator(chart, trajectory.potential, states))
+        fX, fY = (np.einsum("sij,sj->si", force, U[:, :3].reshape(P * K, 3 * n)) for U in (X, Y))
+        qs, d2X, d2Y = states.q, X[:, 2], Y[:, 2]
+        i_xx = _index_sum(chart, qs, w, d2X, d2X, X[:, 0], fX)
+        i_cross = _index_sum(chart, qs, w, d2X, d2Y, Y[:, 0], fX) + _index_sum(chart, qs, w, d2Y, d2X, X[:, 0], fY)
+        i_yy = _index_sum(chart, qs, w, d2Y, d2Y, Y[:, 0], fY)
+        if eps is not None:
+            e = eps
+        elif i_yy > 0.0:
+            e = -i_cross / (2.0 * i_yy)
+        else:
+            tried.append(f"delta={dl:.3g}: I(Y, Y) = {i_yy:.3e}")
+            continue
+        val = i_xx + e * i_cross + e * e * i_yy
+        tried.append(f"(delta={dl:.3g}, eps={e:.3g}) -> {val:.3e}")
+        if (eps is not None and delta is not None) or val < 0.0:
+            return NegativeDirectionReport(float(val), float(dl), float(e), t1, float(t2), grid.ravel(), X[:, 0] + e * Y[:, 0])
+    if not tried:
+        raise ConstructionError("no feasible bump width: supports must fit strictly inside the window")
+    raise ConstructionError(f"no negative value over the bump widths; tried {', '.join(tried)}")
 
 
 def _profile_knots(T, m):

@@ -38,9 +38,9 @@ off the scan's bundle at the last node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
-a trajectory and, given one, builds an explicit admissible field with
-negative second variation.  Shooting, the scan and that construction read
-one scale-free rank test of the bundle (``_rank_test``).
+a trajectory.  Shooting, the scan and ``index.negative_direction``, which
+builds from a pair an admissible field with negative second variation,
+read one scale-free rank test of the bundle (``_rank_test``).
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk4
-from .dynamics import CurveState, Trajectory, quadrature_weights
-from .errors import ConstructionError, ResolutionWarning
-from .geometry import parallel_transport
+from .dynamics import CurveState, Trajectory
+from .errors import ResolutionWarning
 
 __all__ = [
     "JacobiState",
     "BiconjugateReport",
-    "NegativeDirectionReport",
     "F_operator",
     "jacobi_rhs",
     "jacobi_operator",
@@ -66,7 +64,6 @@ __all__ = [
     "propagate_jacobi",
     "shooting_jacobian",
     "biconjugate_scan",
-    "negative_direction",
 ]
 
 
@@ -522,187 +519,3 @@ def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int 
             "adjacent rank drops closer than two scan steps; rerun with a finer grid", ResolutionWarning, stacklevel=2
         )
     return BiconjugateReport(t1, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
-
-
-@dataclass
-class NegativeDirectionReport:
-    value: float
-    delta: float
-    eps: float
-    t1: float
-    t2: float
-    ts: np.ndarray
-    U: np.ndarray
-
-
-def _bump_profiles(s):
-    """Bump (1-s^2)^2 and the odd companion s(1-s^2)^2 with derivatives in s."""
-    w = 1.0 - s * s
-    phi = w * w
-    dphi = -4.0 * s * w
-    d2phi = -4.0 + 12.0 * s * s
-    psi = s * w * w
-    dpsi = w * (1.0 - 5.0 * s * s)
-    d2psi = -12.0 * s + 20.0 * s**3
-    return phi, dphi, d2phi, psi, dpsi, d2psi
-
-
-def _transport_from_end(traj: Trajectory, grid, vecs, from_start):
-    """Parallel-transport vectors from one end of a time grid to every node."""
-    path = grid if from_start else grid[::-1]
-    cs = traj.interpolate(path)
-    out = parallel_transport(traj.chart, path, cs.q, cs.v, np.stack(vecs))
-    return list(np.moveaxis(out if from_start else out[::-1], 1, 0))
-
-
-def _segment_nodes(a, b, m=40):
-    return np.linspace(a, b, 2 * m + 1)
-
-
-def negative_direction(trajectory: Trajectory, t1: float, t2: float, delta: float | None = None, eps: float | None = None) -> NegativeDirectionReport:
-    """Build an admissible field with negative second variation from a
-    detected pair (t1, t2).
-
-    The field is U = X + eps*Y: X is the vanishing witness on [t1, t2]
-    extended by zero, and Y places bump corrections at the interior cut
-    times so the cross term picks up minus the squared jump of the
-    witness jets.  With delta and eps omitted, geometric grids are
-    searched and the first negative value wins; explicit values are
-    evaluated as-is (eps = 0 returns the witness quadrature residual).
-    The witness is the null vector of the scan's rank test at t2
-    (``_rank_test``), whose sigma ratio must be at most 1e-4; it marches
-    on the trajectory's field grid, where t1 snaps to its nearest node.  A
-    cut within two field steps of the window's end gets no bump.
-    """
-    ts = trajectory.ts
-    T_hi = float(ts[-1])
-    T_lo = float(ts[0])
-    k1, t1 = _anchor(trajectory, t1)
-    if not t1 < t2 <= T_hi:
-        raise ValueError(f"need t1 < t2 <= {T_hi:.17g}, got t1 = {t1:.17g} (on the field grid), t2 = {t2:.17g}")
-    chart = trajectory.chart
-    n = chart.dim
-    field = _field(trajectory)
-    flow = _basis_flow(trajectory, k1)
-
-    _, ratio, c = _rank_test(flow.at_time(t2), t2 - t1, null=True)
-    if ratio > 1e-4:
-        raise ValueError(f"({t1:g}, {t2:g}) is not a detected pair: sigma ratio {ratio:.2e} of the scaled rank test")
-
-    def witness_jets(t):
-        return np.einsum("i,...ijk->...jk", c, flow.at_time(t))
-
-    # normalize the witness to unit sup norm over [t1, t2]
-    ks = np.arange(k1, int(np.floor((t2 - T_lo) / field.h)) + 1)
-    Xn = np.einsum("i,ki...->k...", c, flow.states[ks - k1])
-    sup = float(np.max(chart.norm(field.qs[ks], Xn[:, 0, :])))
-    c = c / sup
-
-    jw2 = witness_jets(t2)
-    d2U2, d3U2 = jw2[2], jw2[3]
-    jw1 = witness_jets(t1)
-    d2U1, d3U1 = jw1[2], jw1[3]
-
-    span = t2 - t1
-    margin = 2.0 * field.h
-    knots = []
-    if t1 > T_lo + margin:
-        # jets flip orientation at the left cut: the witness starts there
-        knots.append((t1, -d3U1, d2U1))
-    if t2 < T_hi - margin:
-        knots.append((t2, d3U2, -d2U2))
-    if not knots:
-        raise ConstructionError(
-            "both cut times sit at the trajectory boundary; no correction "
-            "bump fits inside the window"
-        )
-
-    deltas = [delta] if delta is not None else [f * span for f in (0.1, 0.05, 0.025, 0.0125)]
-    epses = [eps] if eps is not None else [1e-1, 1e-2, 1e-3, 1e-4]
-
-    def evaluate(dl):
-        """Quadrature of the three coefficients of I(X + e Y, X + e Y)."""
-        cuts = sorted(
-            {T_lo, T_hi, t1, t2}
-            | {float(np.clip(tk + s * dl, T_lo, T_hi)) for tk, _, _ in knots for s in (-1, 1)}
-        )
-        i_xx = i_cross = i_yy = 0.0
-        all_ts, all_u = [], []
-        for a, b in zip(cuts, cuts[1:]):
-            if b - a < 1e-12:
-                continue
-            has_x = a >= t1 - 1e-12 and b <= t2 + 1e-12
-            bump = next(
-                (kn for kn in knots if a >= kn[0] - dl - 1e-12 and b <= kn[0] + dl + 1e-12),
-                None,
-            )
-            if not has_x and bump is None:
-                continue
-            grid = _segment_nodes(a, b)
-            w = quadrature_weights(len(grid), grid[1] - grid[0])
-            states = trajectory.interpolate(grid)
-            Xj = witness_jets(grid) if has_x else np.zeros((len(grid), 4, n))
-            Yj = np.zeros((len(grid), 4, n))
-            if bump is not None:
-                tk, A, B = bump
-                At, Bt = _transport_from_end(
-                    trajectory, grid, (A, B), from_start=abs(grid[0] - tk) < 1e-12
-                )
-                s = (grid - tk) / dl
-                phi, dphi, d2phi, psi, dpsi, d2psi = _bump_profiles(s)
-                Yj[:, 0] = phi[:, None] * At + dl * psi[:, None] * Bt
-                Yj[:, 1] = (dphi[:, None] / dl) * At + dpsi[:, None] * Bt
-                Yj[:, 2] = (d2phi[:, None] / dl**2) * At + (d2psi[:, None] / dl) * Bt
-
-            force = _force_block(jacobi_operator(chart, trajectory.potential, states))
-
-            def op(j):
-                return np.einsum("sij,sj->si", force, j[:, :3].reshape(len(grid), 3 * n))
-
-            opX = op(Xj) if has_x else np.zeros((len(grid), n))
-            opY = op(Yj) if bump is not None else np.zeros((len(grid), n))
-            inner = lambda u, v: chart.inner(states.q, u, v)
-            i_xx += float(w @ (inner(Xj[:, 2], Xj[:, 2]) + inner(Xj[:, 0], opX)))
-            i_cross += float(
-                w
-                @ (
-                    2.0 * inner(Xj[:, 2], Yj[:, 2])
-                    + inner(Yj[:, 0], opX)
-                    + inner(Xj[:, 0], opY)
-                )
-            )
-            i_yy += float(w @ (inner(Yj[:, 2], Yj[:, 2]) + inner(Yj[:, 0], opY)))
-            all_ts.append(grid)
-            all_u.append((Xj, Yj))
-        return i_xx, i_cross, i_yy, all_ts, all_u
-
-    tried = []
-    for dl in deltas:
-        if dl <= 0 or any(
-            tk - dl < T_lo - 1e-12 or tk + dl > T_hi + 1e-12 for tk, _, _ in knots
-        ):
-            continue
-        if 2.0 * dl >= span:
-            continue
-        i_xx, i_cross, i_yy, seg_ts, seg_u = evaluate(dl)
-        for e in epses:
-            val = i_xx + e * i_cross + e * e * i_yy
-            tried.append((dl, e, val))
-            if (eps is not None and delta is not None) or val < 0.0:
-                ts_out = np.concatenate(seg_ts)
-                U_out = np.concatenate(
-                    [xj[:, 0] + e * yj[:, 0] for xj, yj in seg_u]
-                )
-                order = np.argsort(ts_out, kind="stable")
-                return NegativeDirectionReport(
-                    float(val), float(dl), float(e), t1, float(t2),
-                    ts_out[order], U_out[order],
-                )
-    if not tried:
-        raise ConstructionError(
-            "no feasible bump width: supports must fit strictly inside the window"
-        )
-    lines = ", ".join(f"(delta={d:.3g}, eps={e:.3g}) -> {v:.3e}" for d, e, v in tried[:8])
-    raise ConstructionError(
-        f"no negative value on the search grid; best attempts: {lines}"
-    )

@@ -429,6 +429,60 @@ def test_negative_direction_needs_interior_room():
         negative_direction(traj, 0.0, BEAM_ROOTS[0])
 
 
+@pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e4, 1e8])
+def test_negative_direction_follows_the_time_scale(amplitude):
+    # the beam pair rescaled in time: X'''' = A X has its first pair at
+    # A^(-1/4) times the unit one, and the construction scales with it
+    pot = GaussianObstacle(EUC1, (0.0,), amplitude=amplitude, width=1.0)
+    z = np.zeros(1)
+    traj = integrate_ivp(EUC1, pot, CurveState(0.0, z, z, z, z), 6.0 * amplitude**-0.25)
+    t2 = biconjugate_scan(traj).times[0]
+    nd = negative_direction(traj, 0.0, t2)
+    assert nd.value < 0.0
+    assert 0.0 < nd.delta < t2
+    assert nd.eps > 0.0
+
+
+def test_negative_direction_far_from_time_zero():
+    pot = GaussianObstacle(EUC1, (0.0,), amplitude=1.0, width=1.0)
+    z = np.zeros(1)
+    traj = integrate_ivp(EUC1, pot, CurveState(1e6, z, z, z, z), 6.0)
+    t2 = biconjugate_scan(traj).times[0]
+    nd = negative_direction(traj, 1e6, t2)
+    assert nd.value < 0.0
+    assert np.all((nd.ts >= 1e6) & (nd.ts <= 1e6 + 6.0))
+
+
+@functools.cache
+def gaussian_top(manifold, center):
+    """Rest state on the top of a unit Gaussian: the beam pair in every direction."""
+    chart = parse_manifold(manifold)
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=1.0)
+    z = np.zeros(chart.dim)
+    return integrate_ivp(chart, pot, CurveState(0.0, np.array(center), z, z, z), 8.0)
+
+
+@pytest.mark.parametrize(
+    "manifold,center", [("sphere2", (0.3, 0.2)), ("so3", (0.2, -0.1, 0.3)), ("euclidean:2", (0.0, 0.0))]
+)
+@pytest.mark.parametrize("t1", [0.0, 1.0])
+def test_negative_direction_on_curved_charts_and_several_dimensions(manifold, center, t1):
+    # t2 is passed, not scanned: the pair is a rank drop of multiplicity n,
+    # which the scan misses where n is even; from t1 = 1 both cuts get a bump
+    nd = negative_direction(gaussian_top(manifold, center), t1, t1 + BEAM_ROOTS[0])
+    assert nd.value < 0.0
+
+
+def test_negative_direction_eps_minimizes_the_value():
+    pot, traj = bump_rest(6.0)
+    t2 = bump_scan(6.0).times[0]
+    nd = negative_direction(traj, 0.0, t2)
+    for f in (0.9, 1.1):
+        assert negative_direction(traj, 0.0, t2, delta=nd.delta, eps=f * nd.eps).value >= nd.value
+    again = negative_direction(traj, 0.0, t2, delta=nd.delta, eps=nd.eps).value
+    assert abs(again - nd.value) <= 1e-12 * abs(nd.value)
+
+
 def test_propagate_overflow_reports_blowup():
     pot, traj = bump_rest(800.0)
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="blew up"):

@@ -38,8 +38,6 @@ from riemplan.oracle import (
     minimize_discrete,
 )
 
-RNG = np.random.default_rng(11)
-
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
@@ -77,7 +75,7 @@ def bump_min():
 
 def test_from_free_reproduces_end_constraints():
     N = 12
-    free = RNG.normal(size=(N - 3, 2))
+    free = np.random.default_rng(11).normal(size=(N - 3, 2))
     p = DiscretePath.from_free(FLAT_BD, N, free)
     h = p.h
     # the eliminated nodes encode second-order one-sided velocity stencils
@@ -138,7 +136,7 @@ def test_gradient_matches_fd_flat():
     N = 14
     pot = GaussianObstacle(EUC2, (0.5, 0.25), amplitude=1.0, width=0.4)
     free = hermite(FLAT_BD, FLAT_BD.a + (FLAT_BD.span / N) * np.arange(2, N - 1))
-    free = free + 0.1 * RNG.normal(size=free.shape)
+    free = free + 0.1 * np.random.default_rng(12).normal(size=free.shape)
     g = discrete_gradient(EUC2, pot, DiscretePath.from_free(FLAT_BD, N, free))
     gf = fd_gradient(EUC2, pot, FLAT_BD, N, free)
     assert np.max(np.abs(g - gf)) < 1e-6 * (1.0 + np.max(np.abs(gf)))
@@ -150,7 +148,7 @@ def test_gradient_matches_fd_sphere():
     bd = BoundaryData((-0.8, 0.1), (0.5, 0.2), (0.9, 0.4), (0.1, -0.3), b=2.0)
     pot = GaussianObstacle(S2, (0.6, -0.3), amplitude=1.0, width=0.7)
     free = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
-    free = free + 0.05 * RNG.normal(size=free.shape)
+    free = free + 0.05 * np.random.default_rng(13).normal(size=free.shape)
     g = discrete_gradient(S2, pot, DiscretePath.from_free(bd, N, free))
     gf = fd_gradient(S2, pot, bd, N, free)
     assert np.max(np.abs(g - gf)) < 1e-6 * (1.0 + np.max(np.abs(gf)))
@@ -172,7 +170,8 @@ HESSIAN_CASES = {
 
 
 def counted_gradient_at_seed(name, N):
-    """Flat-vector gradient callback, its call log, and a perturbed Hermite seed."""
+    """Flat-vector gradient callback, its call log, and a perturbed Hermite
+    seed, whose perturbation is the same for every call."""
     chart, bd, center = HESSIAN_CASES[name]
     pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6)
     calls = []
@@ -182,7 +181,7 @@ def counted_gradient_at_seed(name, N):
         return discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, x)).ravel()
 
     free = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
-    u = (free + 0.05 * RNG.normal(size=free.shape)).ravel()
+    u = (free + 0.05 * np.random.default_rng(14).normal(size=free.shape)).ravel()
     return grad, calls, u, chart.dim
 
 
@@ -293,8 +292,9 @@ def test_minimizer_beats_random_perturbations():
     pot, p = bump_min()
     base = discrete_action(EUC2, pot, p)
     free = p.free_block()
+    rng = np.random.default_rng(15)
     for _ in range(20):
-        trial = free + 5e-3 * RNG.normal(size=free.shape)
+        trial = free + 5e-3 * rng.normal(size=free.shape)
         q = DiscretePath.from_free(FLAT_BD, p.segments, trial)
         assert base <= discrete_action(EUC2, pot, q) + 1e-12
 

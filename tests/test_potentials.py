@@ -16,7 +16,6 @@ from riemplan import (
     potential_from_config,
 )
 
-RNG = np.random.default_rng(11)
 
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
@@ -64,20 +63,20 @@ def make_potentials():
     return out
 
 
-def domain_points(chart, n):
+def domain_points(chart, n, rng):
     if chart.name == "sphere2":
         r = 1.5
     elif chart.name == "hyperbolic2":
         r = 0.6
     else:
         r = 1.5
-    x = RNG.normal(size=(n, chart.dim))
-    return x * (r * RNG.random((n, 1))) / np.linalg.norm(x, axis=1, keepdims=True)
+    x = rng.normal(size=(n, chart.dim))
+    return x * (r * rng.random((n, 1))) / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("name,pot", make_potentials(), ids=lambda p: p if isinstance(p, str) else "")
 def test_nonnegative_and_gradient_fd(name, pot):
-    x = domain_points(pot.chart, 120)
+    x = domain_points(pot.chart, 120, np.random.default_rng(11))
     assert np.min(pot.value(x)) >= 0.0
     g = pot.gradient(x)
     assert np.max(np.abs(g - gradient_fd(pot, x))) < 1e-5
@@ -85,16 +84,18 @@ def test_nonnegative_and_gradient_fd(name, pot):
 
 @pytest.mark.parametrize("name,pot", make_potentials(), ids=lambda p: p if isinstance(p, str) else "")
 def test_hessian_against_fd_oracle(name, pot):
-    x = domain_points(pot.chart, 60)
-    X = RNG.normal(size=x.shape)
+    rng = np.random.default_rng(12)
+    x = domain_points(pot.chart, 60, rng)
+    X = rng.normal(size=x.shape)
     hx = pot.hessian_op(x, X)
     assert np.max(np.abs(hx - pot.hessian_op_fd(x, X))) < 2e-5
 
 
 @pytest.mark.parametrize("name,pot", make_potentials(), ids=lambda p: p if isinstance(p, str) else "")
 def test_hessian_symmetry_and_linearity(name, pot):
-    x = domain_points(pot.chart, 40)
-    X, Y = RNG.normal(size=(2,) + x.shape)
+    rng = np.random.default_rng(13)
+    x = domain_points(pot.chart, 40, rng)
+    X, Y = rng.normal(size=(2,) + x.shape)
     chart = pot.chart
     lhs = chart.inner(x, pot.hessian_op(x, X), Y)
     rhs = chart.inner(x, pot.hessian_op(x, Y), X)
@@ -126,16 +127,16 @@ def test_gaussian_riemannian_vs_chart_distance():
 
 def test_zero_potential():
     z = ZeroPotential(EUC2)
-    x = RNG.normal(size=(30, 2))
+    x, X = np.random.default_rng(14).normal(size=(2, 30, 2))
     assert np.max(np.abs(z.value(x))) == 0.0
     assert np.max(np.abs(z.gradient(x))) == 0.0
-    assert np.max(np.abs(z.hessian_op(x, RNG.normal(size=(30, 2))))) == 0.0
+    assert np.max(np.abs(z.hessian_op(x, X))) == 0.0
 
 
 def test_sum_potential_algebra():
     p = GaussianObstacle(EUC2, (0.2, 0.0), amplitude=1.0, width=0.4)
     z = ZeroPotential(EUC2)
-    x = domain_points(EUC2, 25)
+    x = domain_points(EUC2, 25, np.random.default_rng(15))
     s = SumPotential([z, p])
     assert np.allclose(s.value(x), p.value(x), atol=1e-15)
     d = SumPotential([p, p])
@@ -147,7 +148,7 @@ def test_sum_potential_algebra():
 def test_scaled_potential_contracts():
     p = GaussianObstacle(EUC2, (0.0, 0.0), amplitude=1.0, width=0.4)
     s = ScaledPotential(p, 0.5)
-    x = domain_points(EUC2, 10)
+    x = domain_points(EUC2, 10, np.random.default_rng(16))
     assert np.allclose(s.value(x), 0.5 * p.value(x))
     with pytest.raises(Exception):
         ScaledPotential(p, -0.1)
