@@ -46,6 +46,7 @@ round.  ``solve_bvp`` drives one; the uniqueness probes in
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -60,6 +61,7 @@ from .errors import (
     NonconvergenceError,
     NumericalError,
     PlannerError,
+    ResolutionWarning,
 )
 from .jacobi import _field_jacobians, shooting_jacobian
 
@@ -124,6 +126,9 @@ class ShootingResult:
     estimate: float | None
     field_estimate: float | None
     tol: float | None
+    #: messages of the ResolutionWarnings the solve issues: an estimate
+    #: above ``tol``, where error control stopped at _MAX_STEPS
+    warnings: list
 
     @property
     def field_steps(self) -> int:
@@ -475,8 +480,9 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     ``jacobian_condition`` marches on it.  The result records N, both
     estimates and the tolerance; the curve's estimate exceeds the
     tolerance only when N would double past ``_MAX_STEPS``, the field
-    grid's only past ``_MAX_STEPS`` field steps.  With a fixed step the
-    field grid is the curve's own.
+    grid's only past ``_MAX_STEPS`` field steps, and either miss issues a
+    ResolutionWarning, whose message the result's ``warnings`` keeps.
+    With a fixed step the field grid is the curve's own.
 
     Each trial is one pass that yields the residual and the trajectory
     there, whose field bundle gives the Jacobian when the trial is
@@ -491,6 +497,8 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     [(result, error)] = _lockstep(chart, potential, [_solve(chart, boundary, seed, h, max_iter)])
     if error is not None:
         raise error
+    for message in result.warnings:
+        warnings.warn(message, ResolutionWarning, stacklevel=2)
     return result
 
 
@@ -531,6 +539,7 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
         y, z, shot, rn, iterations = yield from newton(steps, shot, y, z)
         trajectory = shot.trajectory
         estimate = field_estimate = step_tol = None
+        missed = []
     else:
         step_tol = _STEP_TOL
         steps = 2 * _PILOT_STEPS
@@ -554,9 +563,18 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
                 break
             steps *= 2
         trajectory, field_estimate = shot.fields
+        missed = [
+            f"the {what} estimate {est:.2e} misses the tolerance {step_tol:.0e} on {M} {grid}, "
+            f"the most error control takes"
+            for what, est, M, grid in (
+                ("curve's", estimate, steps, "steps"),
+                ("Jacobian's", field_estimate, trajectory.field_steps, "field steps"),
+            )
+            if est > step_tol
+        ]
 
     return ShootingResult(
-        y, z, trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, field_estimate, step_tol
+        y, z, trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, field_estimate, step_tol, missed
     )
 
 

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     InjectivityError,
     NonconvergenceError,
     PlannerError,
+    ResolutionWarning,
 )
 from .index import verdict
 from .jacobi import biconjugate_scan
@@ -107,7 +109,9 @@ def _solve_payload(result, boundary) -> dict:
     step-doubling estimate of the Jacobian's relative error there; and
     the ``tol`` both estimates were held to.  The estimates and ``tol``
     are null when ``step``/``--step`` fixed the grid, since no grid was
-    chosen; ``field_steps`` is then ``steps``.
+    chosen; ``field_steps`` is then ``steps``.  ``warnings`` lists the
+    solve's ResolutionWarnings, an estimate that misses ``tol``, as
+    "Category: message", as verdict.json does.
     """
     return {
         "boundary": {
@@ -131,6 +135,7 @@ def _solve_payload(result, boundary) -> dict:
             "field_estimate": result.field_estimate,
             "tol": result.tol,
         },
+        "warnings": [f"{ResolutionWarning.__name__}: {message}" for message in result.warnings],
     }
 
 
@@ -164,8 +169,13 @@ def _plan_trajectory(scenario):
 
 
 def cmd_plan(scenario, args) -> int:
-    res, scan = _plan_trajectory(scenario)
+    with warnings.catch_warnings():
+        # solve.json records them, and they are echoed once below
+        warnings.simplefilter("ignore", ResolutionWarning)
+        res, scan = _plan_trajectory(scenario)
     payload = _solve_payload(res, scenario.boundary)
+    for note in payload["warnings"]:
+        print(f"warning: {note}", file=sys.stderr)
     if scan is not None:
         payload["solutions"] = [_solve_payload(r, scenario.boundary) for r in scan]
     write_trajectory_csv(scenario.out / "trajectory.csv", res.trajectory)

@@ -58,4 +58,5 @@ class ConfigError(PlannerError):
 
 
 class ResolutionWarning(UserWarning):
-    """A scan grid is too coarse to separate nearby detections."""
+    """A grid is too coarse for its purpose: a scan grid to separate nearby
+    detections, or error control's largest grid to meet its tolerance."""

@@ -16,9 +16,11 @@ is exact up to quadrature.  ``index_form``, ``decompose`` and
 A finite-dimensional restriction to parallel frame directions times
 clamped quintic spline profiles turns sign counting into a generalized
 symmetric eigenproblem whose mass matrix is the Sobolev-2 Gram form, so the
-+-1e-9 eigenvalue cutoffs act on a scale-normalized spectrum.  An interior
-biconjugate pair gives I a negative direction (the bi-Jacobi necessary
-condition); ``negative_direction`` builds it from such a pair (t1, t2).
++-1e-9 eigenvalue cutoffs act on a scale-normalized spectrum.  A profile
+lives on 6 knot spans, so both matrices are banded; they are assembled
+span by span in O(m) work.  An interior biconjugate pair gives I a
+negative direction (the bi-Jacobi necessary condition);
+``negative_direction`` builds it from such a pair (t1, t2).
 """
 
 from __future__ import annotations
@@ -356,22 +358,19 @@ def _profile_knots(T, m):
     return np.linspace(0.0, T, m)[1:-1]
 
 
-def spline_profiles(ts, T, m):
-    """Clamped quintic B-spline profiles vanishing to first order at ends.
+def _spline_basis(ts, T, knots):
+    """The clamped quintic basis on [0, T] with interior ``knots``, local to each point.
 
-    Returns (Phi0, Phi1, Phi2, knots): m rows of profile samples and their
-    first two derivatives on ts, which count from the window start.  The
-    first and last two members of the clamped basis are dropped to enforce
-    the boundary behavior.  The nu-th derivatives sum the degree-(5 - nu)
-    B-splines nonzero on each point's knot span, from the local Cox-de
-    Boor recursion, against the differenced coefficients (de Boor, A
-    Practical Guide to Splines, 1978, ch. X) in scipy BSpline's order, so
-    they match it bit for bit.  Points at or past T use the last span's
-    polynomial, points before 0 the first's.
+    Returns (vals, first): vals[nu, s, a], nu < 3, is the nu-th derivative
+    at ts[s] of full-basis member first[s] + a, one of the 6 nonzero on
+    that point's knot span.  It sums the degree-(5 - nu) B-splines nonzero
+    there, from the local Cox-de Boor recursion, against the differenced
+    coefficients (de Boor, A Practical Guide to Splines, 1978, ch. X) in
+    scipy BSpline's order, so it matches BSpline bit for bit.  Points at
+    or past T use the last span's polynomial, points before 0 the first's.
     """
     d = 5
-    interior = _profile_knots(T, m)
-    kv = np.concatenate([np.zeros(d + 1), interior, np.full(d + 1, T)])
+    kv = np.concatenate([np.zeros(d + 1), knots, np.full(d + 1, T)])
     nb = len(kv) - d - 1
     x = np.asarray(ts, float)[:, None]
     span = np.clip(np.searchsorted(kv, x[:, 0], side="right") - 1, d, nb - 1)
@@ -386,18 +385,28 @@ def spline_profiles(ts, T, m):
     # coefficients of member q's nu-th derivative
     rows = (span - d)[:, None] + np.arange(d + 1)
     coef = np.eye(nb)
-    out = []
+    vals = []
     for nu in range(3):
         if nu:
             dt = kv[d + 1 : nb + d + 1 - nu] - kv[nu:nb]
             coef = (coef[1:] - coef[:-1]) * (d + 1 - nu) / dt[:, None]
         local = coef[rows[:, : d + 1 - nu, None], rows[:, None, :]]
-        vals = sum(local[:, a] * B[d - nu][:, a : a + 1] for a in range(d + 1 - nu))
-        # point-major, as BSpline returns it: the Galerkin products run faster on it
-        full = np.zeros((len(x), nb))
-        full[np.arange(len(x))[:, None], rows] = vals
-        out.append(full[:, 2 : nb - 2].T)
-    return (*out, interior)
+        vals.append(sum(local[:, a] * B[d - nu][:, a : a + 1] for a in range(d + 1 - nu)))
+    return np.stack(vals), span - d
+
+
+def spline_profiles(ts, T, m):
+    """Clamped quintic B-spline profiles vanishing to first order at ends.
+
+    Returns (Phi0, Phi1, Phi2, knots): m rows of profile samples and their
+    first two derivatives on ts, which count from the window start; the
+    members of the clamped basis (``_spline_basis``) but its first and last two.
+    """
+    interior = _profile_knots(T, m)
+    vals, first = _spline_basis(ts, T, interior)
+    full = np.zeros((3, len(first), m + 4))
+    full[:, np.arange(len(first))[:, None], first[:, None] + np.arange(6)] = vals
+    return (*full[:, :, 2 : m + 2].transpose(0, 2, 1), interior)
 
 
 @dataclass
@@ -447,40 +456,43 @@ def _galerkin_matrices(trajectory: Trajectory, m: int):
     ``Trajectory.interpolate``, the frame is transported along those times
     and the force tables come from ``jacobi_operator`` at those states, so
     the matrices depend on the trajectory grid only through its
-    interpolation error.
+    interpolation error.  The assembly is element by element (Strang &
+    Fix, An Analysis of the Finite Element Method, 1973): the points of
+    span p see only members p ... p + 5 of the clamped basis, so each span
+    adds one 6 x 6 block of n x n entries to the full basis, whose two
+    clamped members at each end are then dropped.  The work is O(m), and
+    entries of profiles more than 5 apart are exactly 0.
     """
-    chart = trajectory.chart
-    n = chart.dim
-    T = trajectory.T
+    chart, n, T = trajectory.chart, trajectory.chart.dim, trajectory.T
     knots = _profile_knots(T, m)
     s, w = _galerkin_points(T, knots)
     states = trajectory.interpolate(float(trajectory.ts[0]) + s)
-    S = len(s)
-    P0, P1, P2, _ = spline_profiles(s, T, m)
+    S, spans = len(s), m - 1
+    P = _spline_basis(s, T, knots)[0].reshape(3, spans, _GAUSS_POINTS, 6)
     frame = transport_frame(chart, states.t, states.q, states.v)
-    g = chart.metric(states.q)
 
-    # force on frame vector i placed in jet slot c: f[c][s, i]
-    force = _force_block(jacobi_operator(chart, trajectory.potential, states)).reshape(S, n, 3, n)
-    f = np.einsum("sacb,sib->csia", force, frame)
+    # W[t][s, j, i] = w[s] <frame_j, tab_i>_g for the tables tab = frame and
+    # f_c, the force on frame vector i placed in jet slot c; G is W[0]
+    force = _force_block(jacobi_operator(chart, trajectory.potential, states)).reshape(S, n, 3 * n)
+    wfg = w[:, None, None] * (frame @ chart.metric(states.q))
+    wff = (wfg @ force).reshape(S, n, 3, n).transpose(2, 0, 1, 3)
+    W = (np.concatenate([wfg[None], wff]) @ frame.transpose(0, 2, 1)).reshape(4, spans, _GAUSS_POINTS, n, n)
+    N = (m + 4) * n
+    p, a, j, i, b = np.ix_(range(spans), range(6), range(n), range(n), range(6))
+    idx = (((p + a) * n + j) * N + (p + b) * n + i).ravel()
 
-    def pair(tab):
-        # w[s] * <frame_j, tab_i>_g at each point: shape (S, n, n)
-        return np.einsum("s,sja,sab,sib->sji", w, frame, g, tab)
+    def assemble(terms):
+        # terms (row jet, column jet, table): out[p, a, j, i, b] sums
+        # P[row][p, r, a] P[col][p, r, b] W[table][p, r, j, i] over r and terms
+        rows, cols, tab = (list(x) for x in zip(*terms))
+        left = np.einsum("kpra,kprji->pajikr", P[rows], W[tab]).reshape(spans, 6 * n * n, -1)
+        out = left @ P[cols].transpose(1, 0, 2, 3).reshape(spans, -1, 6)
+        full = np.bincount(idx, out.ravel(), N * N).reshape(N, N)[2 * n : N - 2 * n, 2 * n : N - 2 * n]
+        return 0.5 * (full + full.T)
 
-    def asm(Pl, Pk, wt):
-        # out[l, j, k, i] = sum_s Pl[l, s] Pk[k, s] wt[s, j, i], one BLAS product
-        out = (Pl[:, None, :] * wt.reshape(-1, n * n).T).reshape(m * n * n, -1) @ Pk.T
-        return out.reshape(m, n, n, m).transpose(0, 1, 3, 2)
-
-    G = pair(frame)
-    g22 = asm(P2, P2, G)
-    A = g22 + asm(P0, P0, pair(f[0])) + asm(P0, P1, pair(f[1])) + asm(P0, P2, pair(f[2]))
-    B = asm(P0, P0, G) + asm(P1, P1, G) + g22
-    dim = m * n
-    A = A.reshape(dim, dim)
-    B = B.reshape(dim, dim)
-    return 0.5 * (A + A.T), 0.5 * (B + B.T), knots
+    A = assemble([(2, 2, 0), (0, 0, 1), (0, 1, 2), (0, 2, 3)])
+    B = assemble([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
+    return A, B, knots
 
 
 def extended_index(trajectory: Trajectory, m: int) -> IndexReport:
@@ -492,20 +504,20 @@ def extended_index(trajectory: Trajectory, m: int) -> IndexReport:
     covariantly constant; the tables come from ``jacobi_operator`` at the
     Gauss points of the knot spans, so the count does not depend on the
     trajectory grid beyond its interpolation error.  The mass matrix is
-    the Sobolev-2 Gram form of the same fields.  With B = L L^T the
-    eigenvalues are those of L^-1 A L^-T, the reduction LAPACK's sygvd
-    makes.  Counts use the +-1e-9 cutoffs; a mass condition number
-    (lambda_max / lambda_min, infinite unless B is positive definite) beyond
-    1e12 or NaN, or a mass matrix without a Cholesky factor, aborts.
+    the Sobolev-2 Gram form of the same fields.  Both are banded and are
+    assembled span by span in O(m) work (``_galerkin_matrices``).  With
+    B = L L^T the eigenvalues are those of L^-1 A L^-T, the reduction
+    LAPACK's sygvd makes.  Counts use the +-1e-9 cutoffs; a mass condition
+    number (lambda_max / lambda_min, infinite unless B is positive
+    definite) beyond 1e12 or NaN, or a mass matrix without a Cholesky
+    factor, aborts.
     """
     A, B, knots = _galerkin_matrices(trajectory, m)
     try:
         lam = np.linalg.eigvalsh(B)
         cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
         if not cond <= 1e12:
-            raise BasisError(
-                f"profile basis is numerically dependent (mass condition {cond:.2e})"
-            )
+            raise BasisError(f"profile basis is numerically dependent (mass condition {cond:.2e})")
         Li = np.linalg.inv(np.linalg.cholesky(B))
     except np.linalg.LinAlgError as exc:
         raise BasisError(f"Galerkin mass matrix cannot be factored: {exc}") from None
@@ -513,22 +525,10 @@ def extended_index(trajectory: Trajectory, m: int) -> IndexReport:
     evals = np.linalg.eigvalsh(0.5 * (C + C.T))
     idx = int(np.sum(evals < -_EIG_TOL))
     ker = int(np.sum(np.abs(evals) <= _EIG_TOL))
-    if idx > 0:
-        word = "indefinite"
-    elif ker > 0:
-        word = "semidefinite_with_kernel"
-    else:
-        word = "positive_definite"
+    word = "indefinite" if idx else "semidefinite_with_kernel" if ker else "positive_definite"
     return IndexReport(
-        m=m,
-        n_fields=len(A),
-        eigenvalues=evals,
-        index=idx,
-        kernel_dim=ker,
-        extended_index=idx + ker,
-        verdict=word,
-        mass_condition=cond,
-        knots=knots,
+        m=m, n_fields=len(A), eigenvalues=evals, index=idx, kernel_dim=ker, extended_index=idx + ker,
+        verdict=word, mass_condition=cond, knots=knots,
     )
 
 

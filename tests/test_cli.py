@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riemplan.bvp
 import riemplan.index
-from riemplan import ResolutionWarning, Trajectory, parse_manifold
+from conftest import PANEL, SCENARIOS
+from riemplan import GaussianObstacle, QuadraticWell, ResolutionWarning, Trajectory, parse_manifold
 from riemplan.cli import build_parser, main, read_trajectory_csv, write_trajectory_csv
 from riemplan.potentials import ZeroPotential
 
@@ -132,6 +134,53 @@ def test_plan_records_step_control(tmp_path):
     assert 0.0 <= got["estimate"] <= got["tol"]
     assert 0.0 <= got["field_estimate"] <= got["tol"]
     assert got["field_steps"] % got["steps"] == 0
+
+
+def panel_config(name):
+    """The scenario file of a conftest panel entry, its step left to error control."""
+    man, factory, q_a, v_a, q_b, v_b, interval = SCENARIOS[name]
+    pot = factory(parse_manifold(man))
+    if isinstance(pot, GaussianObstacle):
+        spec = {"type": "gaussian", "center": pot.center.tolist(), "A": pot.amplitude, "sigma": pot.width}
+    elif isinstance(pot, QuadraticWell):
+        spec = {"type": "quadratic", "center": pot.center.tolist(), "k": pot.stiffness}
+    else:
+        spec = {"type": "zero"}
+    bd = {"q_a": list(q_a), "v_a": list(v_a), "q_b": list(q_b), "v_b": list(v_b)}
+    return {"manifold": man, "potential": spec, "boundary": bd, "interval": list(interval)}
+
+
+@pytest.mark.parametrize("name", PANEL)
+def test_panel_plans_meet_their_tolerance(tmp_path, name):
+    cfg = write_cfg(tmp_path, base=panel_config(name))
+    assert main(["plan", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "solve.json").read_text())["warnings"] == []
+
+
+def test_plan_warns_when_error_control_misses_its_tolerance(tmp_path, monkeypatch, capsys):
+    """Capped at 64 steps, sphere_obstacle's curve and fields miss 1e-9: the
+    plan still exits 0, and solve.json and stderr carry the misses."""
+    monkeypatch.setattr(riemplan.bvp, "_MAX_STEPS", 64)
+    cfg = write_cfg(tmp_path, base=panel_config("sphere_obstacle"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in ("d1", "d2"):
+            assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    payload = json.loads((tmp_path / "d1" / "solve.json").read_text())
+    assert payload["step_control"]["estimate"] > payload["step_control"]["tol"]
+    assert payload["warnings"] and all(w.startswith("ResolutionWarning: the ") for w in payload["warnings"])
+    err = capsys.readouterr().err
+    assert all(f"warning: {w}" in err for w in payload["warnings"])
+    assert (tmp_path / "d1" / "solve.json").read_bytes() == (tmp_path / "d2" / "solve.json").read_bytes()
+
+
+def test_multi_seed_solutions_carry_their_warnings(tmp_path, monkeypatch):
+    monkeypatch.setattr(riemplan.bvp, "_MAX_STEPS", 64)
+    free = {k: v for k, v in FLAT.items() if k != "step"}
+    cfg = write_cfg(tmp_path, base=free, solver={"multi_seed": True, "seeds": 2})
+    assert main(["plan", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "solve.json").read_text())
+    assert payload["warnings"] and payload["solutions"][0]["warnings"] == payload["warnings"]
 
 
 def test_trajectory_csv_round_trip(tmp_path):

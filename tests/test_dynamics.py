@@ -14,6 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemplan import (
     ChartEscapeError,
@@ -315,3 +317,31 @@ def test_failed_head_leaves_other_groups_unchanged():
     assert t1.segments == 30 and f1 is None
     assert t2 is None and isinstance(f2, NumericalError)
     assert t3.segments == 24 and f3 is None
+
+
+# conftest's flat_obstacle and sphere_obstacle Gaussians, and V = 0 on so3
+REVERSIBLE = {
+    "euclidean:2": lambda c: GaussianObstacle(c, (0.5, 0.25), amplitude=1.0, width=0.4),
+    "sphere2": lambda c: GaussianObstacle(c, (0.6, -0.3), amplitude=1.0, width=0.7),
+    "so3": ZeroPotential,
+}
+
+
+@settings(max_examples=30)
+@given(name=st.sampled_from(sorted(REVERSIBLE)), data=st.data())
+def test_trajectory_ode_is_time_reversible(name, data):
+    """t -> -t maps solutions to solutions, flipping v and j and keeping a:
+    marched back from its flipped end state, a curve returns to q and -v."""
+    chart = parse_manifold(name)
+    pot = REVERSIBLE[name](chart)
+    n = chart.dim
+    q = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    jet = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    v, a, j = np.array(data.draw(st.lists(jet, min_size=3, max_size=3)))
+    T = 0.5
+    fwd = integrate_ivp(chart, pot, CurveState(0.0, q, v, a, j), T, h=T / 64)
+    end = CurveState(0.0, fwd.qs[-1], -fwd.vs[-1], fwd.accs[-1], -fwd.jerks[-1])
+    back = integrate_ivp(chart, pot, end, T, h=T / 64)
+    assert back.segments == 64
+    assert np.max(np.abs(back.qs[-1] - q)) <= 1e-8
+    assert np.max(np.abs(back.vs[-1] + v)) <= 1e-8

@@ -484,3 +484,41 @@ def test_galerkin_assembly_matches_einsum_reference(scenario, name):
     assert (rep.index, rep.kernel_dim) == ref
     assert np.max(np.abs(rep.eigenvalues - evals)) <= 1e-10
     assert ref == {"flat_obstacle": (0, 0), "well_top": (1, 0), "sphere_curve": (0, 0)}[name]
+
+
+def _curve(scenario, name):
+    if name == "sphere_curve":
+        return (S2, *sphere_obstacle())
+    chart, pot, bd = scenario(name)
+    return chart, pot, solve_bvp(chart, pot, bd, h=bd.span / 200).trajectory
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [(name, m) for name in ("flat_obstacle", "sphere_curve") for m in (2, 3, 7)] + [("well_top", 240)],
+)
+def test_galerkin_band_matches_einsum_reference(scenario, name, m):
+    """The span blocks give the dense reference at any m: at m = 2 one knot
+    span's 6 local members hold only the 2 profiles, and at m = 240 on
+    n = 1 the band is 240 profiles long."""
+    chart, pot, traj = _curve(scenario, name)
+    A, B, _ = _galerkin_matrices(traj, m)
+    A_ref, B_ref = galerkin_reference(chart, pot, traj, m)
+    assert A.shape == B.shape == (m * chart.dim,) * 2
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
+    if m <= 3:
+        evals = scipy.linalg.eigh(A_ref, B_ref, eigvals_only=True)
+        rep = extended_index(traj, m)
+        assert (rep.index, rep.kernel_dim) == (int(np.sum(evals < -1e-9)), int(np.sum(np.abs(evals) <= 1e-9)))
+
+
+@pytest.mark.parametrize("name", ["flat_obstacle", "sphere_curve", "rotation"])
+def test_galerkin_band_is_exactly_zero_off_band(scenario, name):
+    """Quintic profiles more than 5 knots apart share no span."""
+    chart, pot, traj = _curve(scenario, name)
+    m = 20
+    A, B, _ = _galerkin_matrices(traj, m)
+    prof = np.arange(m * chart.dim) // chart.dim
+    far = np.abs(prof[:, None] - prof[None, :]) > 5
+    assert np.all(A[far] == 0.0) and np.all(B[far] == 0.0)
