@@ -53,6 +53,7 @@ from .bvp import (
     ShootingResult,
     biexp,
     biexp_jacobian,
+    check_uniqueness_props,
     continuation_sweep,
     multi_seed_scan,
     solve_bvp,
@@ -79,7 +80,6 @@ from .index import (
 )
 from .oracle import (
     DiscretePath,
-    check_uniqueness_props,
     compare_with_trajectory,
     discrete_action,
     discrete_gradient,
@@ -128,6 +128,7 @@ __all__ = [
     "biexp",
     "biexp_jacobian",
     "solve_bvp",
+    "check_uniqueness_props",
     "continuation_sweep",
     "multi_seed_scan",
     "JacobiState",
@@ -150,5 +151,4 @@ __all__ = [
     "discrete_gradient",
     "minimize_discrete",
     "compare_with_trajectory",
-    "check_uniqueness_props",
 ]

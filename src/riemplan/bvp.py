@@ -39,8 +39,8 @@ its own curve's grid; only the result's curve gets its field grid.
 A solve is a generator of shooting requests (``_solve``, with Newton in
 ``_newton``); ``_lockstep`` drives several of them together, marching
 the pending requests of all of them as the rows of one flow pass per
-round.  ``solve_bvp`` drives one; the uniqueness probes in
-``oracle`` drive their sub-window solves and jet replays at once.
+round.  ``solve_bvp`` drives one, and the uniqueness probes
+(``check_uniqueness_props``) their sub-window solves and replays at once.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ __all__ = [
     "biexp_jacobian",
     "solve_bvp",
     "field_grid",
+    "check_uniqueness_props",
     "continuation_sweep",
     "multi_seed_scan",
 ]
@@ -584,6 +585,87 @@ def _integrate(chart, initial: CurveState, T: float, h=None):
     chart.check_point(initial.q, "initial point")
     req = _Request(initial.q, initial.v, initial.a, initial.j, T, steps, float(initial.t))
     return (yield req).trajectory
+
+
+def check_uniqueness_props(trajectory, rng_seed: int = 0) -> dict:
+    """Probe restriction and jet-determinism properties of a solved curve.
+
+    (a) Re-solves the boundary problem on random grid-aligned sub-windows
+    and measures the sup distance to the stored restriction.  (b) Replays
+    the curve from an interior 4-jet toward both ends; solutions are
+    determined by any interior jet, forward and (with odd jets flipped)
+    backward.  Solver failures mark the report inconclusive, not failed,
+    and so does a grid of fewer than 6 segments, which has no room for
+    a sub-window or an interior jet: it gets no probes at all.
+    """
+    chart, potential = trajectory.chart, trajectory.potential
+    ts, qs = trajectory.ts, trajectory.qs
+    N = trajectory.segments
+    h = trajectory.h
+    if N < 6:
+        return {
+            "restriction_probes": [], "restriction_pass": False, "jet_time": None,
+            "jet_forward_sup": None, "jet_backward_sup": None, "jet_pass": False,
+            "conclusive": False, "pass": False,
+        }
+    rng = np.random.default_rng(rng_seed)
+    windows = []
+    for _ in range(5):
+        span = 2 * int(rng.integers(max(2, N // 16), max(3, N // 4)))
+        i = int(rng.integers(0, N - span))
+        windows.append((i, i + span))
+    # even k keeps both replay windows on even segment counts, so the
+    # integrator grid lands exactly on the stored nodes
+    k = 2 * int(rng.integers(N // 6, N // 3))
+    st = trajectory.state(k)
+    rev = CurveState(0.0, st.q, -st.v, st.a, -st.j)
+
+    # every sub-window solve and both replays march in lockstep: one flow
+    # pass per Newton round, the replays riding in the first
+    solves = [
+        _solve(
+            chart,
+            BoundaryData(qs[i], trajectory.vs[i], qs[j], trajectory.vs[j], a=float(ts[i]), b=float(ts[j])),
+            h=h,
+        )
+        for i, j in windows
+    ]
+    replays = [
+        _integrate(chart, st, float(ts[-1] - ts[k]), h),
+        _integrate(chart, rev, float(ts[k] - ts[0]), h),
+    ]
+    *outcomes, (fwd, ferr), (bwd, berr) = _lockstep(chart, potential, solves + replays)
+
+    probes = []
+    conclusive = True
+    for (i, j), (res, err) in zip(windows, outcomes):
+        entry = {"interval": [float(ts[i]), float(ts[j])]}
+        if err is None:
+            sup = float(np.max(np.abs(res.trajectory.qs - qs[i : j + 1])))
+            entry.update(sup=sup, converged=True, ok=bool(sup <= 1e-6))
+        else:
+            entry.update(sup=None, converged=False, ok=None, error=str(err))
+            conclusive = False
+        probes.append(entry)
+
+    for err in (ferr, berr):
+        if err is not None:
+            raise err
+    fsup = float(np.max(np.abs(fwd.qs - qs[k:])))
+    bsup = float(np.max(np.abs(bwd.qs - qs[k::-1])))
+
+    ok_probes = [p["ok"] for p in probes if p["ok"] is not None]
+    report = {
+        "restriction_probes": probes,
+        "restriction_pass": bool(ok_probes) and all(ok_probes),
+        "jet_time": float(ts[k]),
+        "jet_forward_sup": fsup,
+        "jet_backward_sup": bsup,
+        "jet_pass": bool(fsup <= 1e-7 and bsup <= 1e-7),
+        "conclusive": conclusive,
+    }
+    report["pass"] = report["restriction_pass"] and report["jet_pass"]
+    return report
 
 
 def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):

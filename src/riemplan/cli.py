@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bvp import continuation_sweep, field_grid, multi_seed_scan, solve_bvp
+from .bvp import check_uniqueness_props, continuation_sweep, field_grid, multi_seed_scan, solve_bvp
 from .config import load_scenario
 from .dynamics import Trajectory, action
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .index import verdict
 from .jacobi import biconjugate_scan
-from .oracle import check_uniqueness_props, compare_with_trajectory, minimize_discrete
+from .oracle import compare_with_trajectory, minimize_discrete
 from .potentials import ScaledPotential
 
 __all__ = ["main"]
@@ -135,47 +135,48 @@ def _solve_payload(result, boundary) -> dict:
             "field_estimate": result.field_estimate,
             "tol": result.tol,
         },
-        "warnings": [f"{ResolutionWarning.__name__}: {message}" for message in result.warnings],
+        "warnings": _notes(result),
     }
+
+
+def _notes(result) -> list:
+    """A solve's ResolutionWarnings as the artifacts record them, "Category: message"."""
+    return [f"{ResolutionWarning.__name__}: {message}" for message in result.warnings]
 
 
 # -- commands -----------------------------------------------------------
 
 
 def _plan_trajectory(scenario):
-    """Solve the scenario's boundary problem, honoring solver options."""
-    opts = scenario.solver
-    if opts.get("multi_seed"):
-        results = multi_seed_scan(
-            scenario.chart,
-            scenario.potential,
-            scenario.boundary,
-            n_seeds=opts.get("seeds", 10),
-            rng_seed=scenario.seed,
-            spread=opts.get("spread", 1.0),
-            h=scenario.step,
-        )
-        if not results:
-            raise NonconvergenceError("no seed of the multi-seed scan converged")
-        return results[0], results
-    res = solve_bvp(
-        scenario.chart,
-        scenario.potential,
-        scenario.boundary,
-        h=scenario.step,
-        max_iter=opts.get("max_iter", 50),
-    )
-    return res, None
+    """Solve the scenario's boundary problem, honoring solver options.
+
+    The solve's ResolutionWarnings are printed once to stderr instead of
+    issued; the artifacts record them (``_notes``).
+    """
+    opts, problem = scenario.solver, (scenario.chart, scenario.potential, scenario.boundary)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        if opts.get("multi_seed"):
+            scan = multi_seed_scan(
+                *problem,
+                n_seeds=opts.get("seeds", 10),
+                rng_seed=scenario.seed,
+                spread=opts.get("spread", 1.0),
+                h=scenario.step,
+            )
+            if not scan:
+                raise NonconvergenceError("no seed of the multi-seed scan converged")
+            res = scan[0]
+        else:
+            res, scan = solve_bvp(*problem, h=scenario.step, max_iter=opts.get("max_iter", 50)), None
+    for note in _notes(res):
+        print(f"warning: {note}", file=sys.stderr)
+    return res, scan
 
 
 def cmd_plan(scenario, args) -> int:
-    with warnings.catch_warnings():
-        # solve.json records them, and they are echoed once below
-        warnings.simplefilter("ignore", ResolutionWarning)
-        res, scan = _plan_trajectory(scenario)
+    res, scan = _plan_trajectory(scenario)
     payload = _solve_payload(res, scenario.boundary)
-    for note in payload["warnings"]:
-        print(f"warning: {note}", file=sys.stderr)
     if scan is not None:
         payload["solutions"] = [_solve_payload(r, scenario.boundary) for r in scan]
     write_trajectory_csv(scenario.out / "trajectory.csv", res.trajectory)
@@ -184,6 +185,7 @@ def cmd_plan(scenario, args) -> int:
 
 
 def _obtain_trajectory(scenario, args):
+    """The trajectory to work on, stored or planned, and its plan's warnings (``_notes``)."""
     if getattr(args, "trajectory", None):
         traj = read_trajectory_csv(Path(args.trajectory), scenario.chart, scenario.potential)
         a, b = scenario.boundary.a, scenario.boundary.b
@@ -192,9 +194,9 @@ def _obtain_trajectory(scenario, args):
                 f"trajectory CSV {args.trajectory} covers [{traj.ts[0]:g}, {traj.ts[-1]:g}],"
                 f" not the scenario interval [{a:g}, {b:g}]"
             )
-        return traj
+        return traj, []
     res, _ = _plan_trajectory(scenario)
-    return res.trajectory
+    return res.trajectory, _notes(res)
 
 
 def _fielded_trajectory(scenario, args):
@@ -205,16 +207,17 @@ def _fielded_trajectory(scenario, args):
     when the scenario fixes no step, so it certifies on the grid its
     plan chose; with a step its fields march on its own grid.
     """
-    traj = _obtain_trajectory(scenario, args)
+    traj, notes = _obtain_trajectory(scenario, args)
     if getattr(args, "trajectory", None) and scenario.step is None:
         traj, _ = field_grid(traj)
-    return traj
+    return traj, notes
 
 
 def cmd_verify(scenario, args) -> int:
-    traj = _fielded_trajectory(scenario, args)
+    traj, notes = _fielded_trajectory(scenario, args)
     report = verdict(traj, m=scenario.verify.get("basis"))
     payload = report.to_dict()
+    payload["warnings"] = notes + payload["warnings"]  # the plan's, then the scan's
     if report.classification.startswith("candidate"):
         payload["uniqueness"] = check_uniqueness_props(traj, rng_seed=scenario.seed)
     _write_json(scenario.out / "verdict.json", payload)
@@ -222,7 +225,7 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
-    traj = _fielded_trajectory(scenario, args)
+    traj, _ = _fielded_trajectory(scenario, args)
     report = biconjugate_scan(
         traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
     )
@@ -258,14 +261,13 @@ def cmd_sweep(scenario, args) -> int:
 
 
 def cmd_oracle_compare(scenario, args) -> int:
-    traj = _obtain_trajectory(scenario, args)
+    traj, _ = _obtain_trajectory(scenario, args)
     opts = scenario.oracle
     path = minimize_discrete(
         scenario.chart,
         scenario.potential,
         scenario.boundary,
         N=opts.get("nodes", 400),
-        method=opts.get("method", "newton"),
         gtol=opts.get("gtol", 1e-7),
     )
     payload = compare_with_trajectory(path, traj)

@@ -23,19 +23,14 @@ from .potentials import GaussianObstacle, Potential, QuadraticWell, SumPotential
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict", "potential_from_config"]
 
-_TOP_KEYS = {
-    "manifold",
-    "potential",
-    "boundary",
-    "interval",
-    "step",
-    "seed",
-    "out",
-    "solver",
-    "verify",
-    "sweep",
-    "oracle",
+# the keys each command option block accepts
+_BLOCK_KEYS = {
+    "solver": ("max_iter", "seeds", "spread", "multi_seed"),
+    "verify": ("basis", "grid", "t1"),
+    "sweep": ("lambdas",),
+    "oracle": ("nodes", "gtol"),
 }
+_TOP_KEYS = {"manifold", "potential", "boundary", "interval", "step", "seed", "out", *_BLOCK_KEYS}
 
 
 @dataclass
@@ -72,6 +67,9 @@ def _options(raw, where):
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(raw) - set(_BLOCK_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]} must not be set: {where} takes {', '.join(_BLOCK_KEYS[where])}")
     return {key: value for key, value in raw.items() if value is not None}  # null: the default
 
 
@@ -114,12 +112,6 @@ def _lambdas(raw, where):
     if lams[0] != 0.0:
         raise ConfigError(f"{where} must start at 0, got {lams[0]:g}")
     return lams
-
-
-def _method(raw, where):
-    if raw not in ("newton", "gd"):
-        raise ConfigError(f"{where} must be 'newton' or 'gd', got {raw!r}")
-    return raw
 
 
 # the keys each potential type accepts
@@ -185,7 +177,6 @@ _CHECKS = (
     ("solver", "spread", partial(_real, least=0.0)),
     ("oracle", "nodes", partial(_count, least=6, what="at least 6 segments")),
     ("oracle", "gtol", partial(_real, least=0.0, strict=True)),
-    ("oracle", "method", _method),
     ("sweep", "lambdas", _lambdas),
 )
 
@@ -243,7 +234,7 @@ def scenario_from_dict(cfg: dict, step=None, seed=None, out=None, flags=None) ->
 
     out = Path(out if out is not None else cfg.get("out", "out"))
 
-    blocks = {name: _options(cfg.get(name), name) for name in ("solver", "verify", "sweep", "oracle")}
+    blocks = {name: _options(cfg.get(name), name) for name in _BLOCK_KEYS}
     flags = flags or {}
     # the scan's left time lies in the window
     for block, key, check in _CHECKS + (("verify", "t1", partial(_real, least=a, most=b)),):

@@ -37,6 +37,9 @@ same bits as marched alone; a step costs about the same at 5 rows as at
 the uniqueness probes' sub-window solves) are marched as one.  Nothing
 here linearizes the flow: shooting reads its Jacobian off the Jacobi
 field bundle of the stored curve (``jacobi``).
+
+The oracle minimizes the one discrete action, ``_discrete_action``, and
+``first_variation`` and ``index.second_variation_fd`` difference it.
 """
 
 from __future__ import annotations
@@ -333,30 +336,44 @@ def action(trajectory: Trajectory) -> float:
     return max(val, 0.0)
 
 
-def _action_from_positions(chart, potential, h, qs, va=None, vb=None):
-    """Action of a curve known only through uniform position samples.
+def _kinematics(h, qs, va, vb):
+    """Velocities and covariant accelerations at every node.
 
-    Velocities are central differences (ends either supplied or one-sided
-    second order); accelerations are covariant central second differences.
-    Shares the Simpson weights with ``action`` so errors cancel in
-    variation differences.
+    End accelerations are the same central stencil closed with the ghost
+    node the central velocity constraint implies (q_{-1} = q_1 - 2h v_a).
+    One-sided stencils here are a trap: they leave O(1/h) point residuals
+    in the optimality system at any end with nonzero acceleration, and the
+    minimizer then undershoots the action by O(h).
     """
-    qs = np.asarray(qs, float)
     v = np.empty_like(qs)
     v[1:-1] = (qs[2:] - qs[:-2]) / (2.0 * h)
-    v[0] = (-3.0 * qs[0] + 4.0 * qs[1] - qs[2]) / (2.0 * h) if va is None else va
-    v[-1] = (3.0 * qs[-1] - 4.0 * qs[-2] + qs[-3]) / (2.0 * h) if vb is None else vb
-    qdd = np.empty_like(qs)
-    qdd[1:-1] = (qs[2:] - 2.0 * qs[1:-1] + qs[:-2]) / h**2
-    qdd[0] = (2.0 * qs[0] - 5.0 * qs[1] + 4.0 * qs[2] - qs[3]) / h**2
-    qdd[-1] = (2.0 * qs[-1] - 5.0 * qs[-2] + 4.0 * qs[-3] - qs[-4]) / h**2
-    a = qdd + chart.gamma(qs, v, v)
-    integrand = 0.5 * chart.inner(qs, a, a) + potential.value(qs)
-    return float(quadrature_weights(len(qs), h) @ integrand)
+    v[0] = va
+    v[-1] = vb
+    c = np.empty_like(qs)
+    c[1:-1] = (qs[2:] - 2.0 * qs[1:-1] + qs[:-2]) / h**2
+    c[0] = 2.0 * (qs[1] - qs[0] - h * va) / h**2
+    c[-1] = 2.0 * (qs[-2] - qs[-1] + h * vb) / h**2
+    return v, c
+
+
+def _trapezoid(n_nodes, h):
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def _discrete_action(chart, potential, h, qs, va, vb):
+    """Trapezoid sum of |a|^2_g / 2 + V over uniform position samples qs
+    with end velocities va, vb, the accelerations from ``_kinematics``."""
+    v, c = _kinematics(h, qs, va, vb)
+    a = c + chart.gamma(qs, v, v)
+    w = _trapezoid(len(qs), h)
+    vals = 0.5 * chart.inner(qs, a, a) + potential.value(qs)
+    return float(w @ vals)
 
 
 def first_variation(trajectory: Trajectory, W, eps: float = 1e-5) -> float:
-    """dJ in the direction of the variation field W, by central differences.
+    """dJ in the direction of W, by central differences of ``_discrete_action``.
 
     W is sampled on the trajectory grid and must vanish together with its
     covariant derivative at both ends; the varied curve t -> exp_q(eps W)
@@ -385,6 +402,6 @@ def first_variation(trajectory: Trajectory, W, eps: float = 1e-5) -> float:
     qp = chart.exp(trajectory.qs, e * W)
     qm = chart.exp(trajectory.qs, -e * W)
     va, vb = trajectory.vs[0], trajectory.vs[-1]
-    jp = _action_from_positions(chart, potential, h, qp, va, vb)
-    jm = _action_from_positions(chart, potential, h, qm, va, vb)
+    jp = _discrete_action(chart, potential, h, qp, va, vb)
+    jm = _discrete_action(chart, potential, h, qm, va, vb)
     return (jp - jm) / (2.0 * e)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, _action_from_positions, quadrature_weights
+from .dynamics import Trajectory, _discrete_action, quadrature_weights
 from .errors import BasisError, ConstructionError, ResolutionWarning
 from .geometry import parallel_transport, transport_frame
 from .jacobi import (
@@ -201,8 +201,8 @@ def decompose(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
 
 
 def second_variation_fd(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField, eps: float = 1e-3) -> float:
-    """Mixed finite difference of the action through a two-parameter
-    pointwise-exponential variation; the module's independent oracle."""
+    """Mixed finite difference of the discrete action (``dynamics._discrete_action``)
+    through a two-parameter pointwise-exponential variation; an independent check."""
     X.validate(trajectory)
     Y.validate(trajectory)
     chart, potential = trajectory.chart, trajectory.potential
@@ -211,7 +211,7 @@ def second_variation_fd(trajectory: Trajectory, X: AdmissibleField, Y: Admissibl
 
     def J(r, s):
         qv = chart.exp(qs, r * X.X + s * Y.X)
-        return _action_from_positions(chart, potential, h, qv, va=va, vb=vb)
+        return _discrete_action(chart, potential, h, qv, va, vb)
 
     jpp = J(eps, eps)
     jpm = J(eps, -eps)

@@ -2,16 +2,17 @@
 
 The path variable is the interior position samples of a uniform grid;
 velocity-matching at the ends is imposed by eliminating the first and last
-interior nodes against second-order one-sided differences.  Accelerations
-are covariant central second differences and the action is a trapezoid sum
-of kinetic-plus-potential node values.  Minimization takes damped Newton
-steps on a hand-derived analytic gradient of exactly this discrete
-functional; the action couples nodes only within two of each other, so
-the finite-difference Hessian of that gradient is banded, costs a fixed
+interior nodes against second-order one-sided differences.  The action is
+``dynamics._discrete_action``, which the finite-difference variations
+difference too.  Minimization has one method, damped Newton steps on a
+hand-derived analytic gradient of exactly this discrete functional; the
+action couples nodes only within two of each other, so the
+finite-difference Hessian of that gradient is banded, costs a fixed
 number of gradient calls to assemble, and factors in O(N).
 
-Deliberately nothing here touches the shooting machinery: agreement
-between the two routes is evidence, disagreement is diagnosis.
+Deliberately nothing here touches the shooting machinery (of ``bvp`` only
+``BoundaryData`` is read): agreement between the two routes is evidence,
+disagreement is diagnosis.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # solve_bvp and integrate_ivp stay module attributes: bench/layers.py
-# traces them by name here.  The uniqueness probes march in lockstep.
-from .bvp import BoundaryData, _integrate, _lockstep, _solve, solve_bvp  # noqa: F401
-from .dynamics import CurveState, action as dyn_action, integrate_ivp  # noqa: F401
-from .errors import NonconvergenceError, PlannerError
+# traces them by name here.
+from .bvp import BoundaryData, solve_bvp  # noqa: F401
+from .dynamics import _discrete_action, _kinematics, _trapezoid, action as dyn_action, integrate_ivp  # noqa: F401
+from .errors import NonconvergenceError
 
 __all__ = [
     "DiscretePath",
@@ -32,7 +33,6 @@ __all__ = [
     "discrete_gradient",
     "minimize_discrete",
     "compare_with_trajectory",
-    "check_uniqueness_props",
 ]
 
 
@@ -43,6 +43,7 @@ class DiscretePath:
     ts: np.ndarray
     qs: np.ndarray
     boundary: BoundaryData
+    # set by minimize_discrete: iterations counts its accepted Newton steps
     action: float | None = None
     grad_sup: float | None = None
     iterations: int | None = None
@@ -78,40 +79,10 @@ class DiscretePath:
         return self.qs[2 : self.segments - 1].copy()
 
 
-def _node_kinematics(path: DiscretePath):
-    """Velocities and covariant accelerations at every node.
-
-    End accelerations are the same central stencil closed with the ghost
-    node the central velocity constraint implies (q_{-1} = q_1 - 2h v_a).
-    One-sided stencils here are a trap: they leave O(1/h) point residuals
-    in the optimality system at any end with nonzero acceleration, and the
-    minimizer then undershoots the action by O(h).
-    """
-    qs, h, bd = path.qs, path.h, path.boundary
-    v = np.empty_like(qs)
-    v[1:-1] = (qs[2:] - qs[:-2]) / (2.0 * h)
-    v[0] = bd.v_a
-    v[-1] = bd.v_b
-    c = np.empty_like(qs)
-    c[1:-1] = (qs[2:] - 2.0 * qs[1:-1] + qs[:-2]) / h**2
-    c[0] = 2.0 * (qs[1] - qs[0] - h * bd.v_a) / h**2
-    c[-1] = 2.0 * (qs[-2] - qs[-1] + h * bd.v_b) / h**2
-    return v, c
-
-
-def _trapezoid(n_nodes, h):
-    w = np.full(n_nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def discrete_action(chart, potential, path: DiscretePath) -> float:
     chart.check_point(path.qs, "path node")
-    v, c = _node_kinematics(path)
-    a = c + chart.gamma(path.qs, v, v)
-    w = _trapezoid(len(path.ts), path.h)
-    vals = 0.5 * chart.inner(path.qs, a, a) + potential.value(path.qs)
-    return float(w @ vals)
+    bd = path.boundary
+    return _discrete_action(chart, potential, path.h, path.qs, bd.v_a, bd.v_b)
 
 
 def discrete_gradient(chart, potential, path: DiscretePath):
@@ -126,10 +97,10 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     free node.  On a flat chart (Gamma = 0, g = I) only the
     second-difference stencil and the potential gradient remain.
     """
-    qs, h = path.qs, path.h
+    qs, h, bd = path.qs, path.h, path.boundary
     N = path.segments
     flat = chart.flat
-    v, c = _node_kinematics(path)
+    v, c = _kinematics(h, qs, bd.v_a, bd.v_b)
     if flat:
         b = c
     else:
@@ -201,7 +172,10 @@ def _banded_hessian(grad, u, n):
     return ab
 
 
-def _damped_newton(grad, u, n, gtol, assemblies=8, inner=12):
+_ASSEMBLIES, _STEPS_PER_ASSEMBLY = 8, 12  # Hessians per solve, Newton trials per Hessian
+
+
+def _damped_newton(grad, u, n, gtol):
     """Drive the gradient to gtol with damped Newton steps on a banded Hessian.
 
     Function values are never compared: action decreases fall under the
@@ -224,14 +198,14 @@ def _damped_newton(grad, u, n, gtol, assemblies=8, inner=12):
     g = grad(u)
     mu = 0.0
     steps = 0
-    for _ in range(assemblies):
+    for _ in range(_ASSEMBLIES):
         sup = float(np.max(np.abs(g)))
         if sup <= gtol:
             break
         ab = _banded_hessian(grad, u, n)
         scale = float(np.mean(np.abs(ab[0]))) or 1.0
         improved = False
-        for _ in range(inner):
+        for _ in range(_STEPS_PER_ASSEMBLY):
             fac = None
             for _ in range(24):
                 shifted = ab.copy()
@@ -263,7 +237,8 @@ def _damped_newton(grad, u, n, gtol, assemblies=8, inner=12):
 
 
 def _descend(fun, u0, gtol, maxiter):
-    """Monotone gradient descent with adaptive backtracking."""
+    """Monotone gradient descent with adaptive backtracking: no option
+    selects it, it is the reference the tests compare Newton against."""
     u = u0.copy()
     f, g = fun(u)
     step = 1.0
@@ -284,17 +259,15 @@ def _descend(fun, u0, gtol, maxiter):
     return u, f, g, int(maxiter)
 
 
-def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: DiscretePath | None = None, method: str = "newton", gtol: float = 1e-7, maxiter: float = 1e5) -> DiscretePath:
+def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: DiscretePath | None = None, gtol: float = 1e-7) -> DiscretePath:
     """Minimize the discrete action over interior nodes.
 
     Starts from the cubic Hermite interpolant of the boundary data on the
-    N-segment grid unless a seed path is given.  The default "newton"
-    method takes damped Newton steps on the banded finite-difference
-    Hessian of the analytic gradient (see _damped_newton); "gd" is plain
-    gradient descent on the action, the only method maxiter bounds.  Both
-    stop at sup-norm gtol; failing to reach it raises with the best path
-    attached.  iterations counts accepted Newton steps or descent
-    iterations.
+    N-segment grid unless a seed path is given, and takes damped Newton
+    steps on the banded finite-difference Hessian of the analytic
+    gradient (see _damped_newton) until the gradient's sup-norm is at
+    most gtol.  Failing to reach it raises NonconvergenceError with the
+    best path attached.  ``iterations`` counts accepted Newton steps.
     """
     N = int(N)
     if N < 6:
@@ -318,23 +291,11 @@ def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: Di
             + tau * h11 * boundary.v_b
         ).ravel()
 
-    if method == "newton":
-        def grad(x):
-            path = DiscretePath.from_free(boundary, N, x)
-            return discrete_gradient(chart, potential, path).ravel()
+    def grad(x):
+        path = DiscretePath.from_free(boundary, N, x)
+        return discrete_gradient(chart, potential, path).ravel()
 
-        u, g, its = _damped_newton(grad, u, boundary.q_a.shape[-1], gtol)
-    elif method == "gd":
-        def fun(x):
-            path = DiscretePath.from_free(boundary, N, x)
-            return (
-                discrete_action(chart, potential, path),
-                discrete_gradient(chart, potential, path).ravel(),
-            )
-
-        u, _, g, its = _descend(fun, u, gtol, maxiter)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    u, g, its = _damped_newton(grad, u, boundary.q_a.shape[-1], gtol)
 
     path = DiscretePath.from_free(boundary, N, u)
     path.action = discrete_action(chart, potential, path)
@@ -372,84 +333,3 @@ def compare_with_trajectory(path: DiscretePath, trajectory) -> dict:
         "action_gap": float(abs(act_path - act_ref)),
         "action_quadrature": float(dyn_action(trajectory)),
     }
-
-
-def check_uniqueness_props(trajectory, rng_seed: int = 0) -> dict:
-    """Probe restriction and jet-determinism properties of a solved curve.
-
-    (a) Re-solves the boundary problem on random grid-aligned sub-windows
-    and measures the sup distance to the stored restriction.  (b) Replays
-    the curve from an interior 4-jet toward both ends; solutions are
-    determined by any interior jet, forward and (with odd jets flipped)
-    backward.  Solver failures mark the report inconclusive, not failed,
-    and so does a grid of fewer than 6 segments, which has no room for
-    a sub-window or an interior jet: it gets no probes at all.
-    """
-    chart, potential = trajectory.chart, trajectory.potential
-    ts, qs = trajectory.ts, trajectory.qs
-    N = trajectory.segments
-    h = trajectory.h
-    if N < 6:
-        return {
-            "restriction_probes": [], "restriction_pass": False, "jet_time": None,
-            "jet_forward_sup": None, "jet_backward_sup": None, "jet_pass": False,
-            "conclusive": False, "pass": False,
-        }
-    rng = np.random.default_rng(rng_seed)
-    windows = []
-    for _ in range(5):
-        span = 2 * int(rng.integers(max(2, N // 16), max(3, N // 4)))
-        i = int(rng.integers(0, N - span))
-        windows.append((i, i + span))
-    # even k keeps both replay windows on even segment counts, so the
-    # integrator grid lands exactly on the stored nodes
-    k = 2 * int(rng.integers(N // 6, N // 3))
-    st = trajectory.state(k)
-    rev = CurveState(0.0, st.q, -st.v, st.a, -st.j)
-
-    # every sub-window solve and both replays march in lockstep: one flow
-    # pass per Newton round, the replays riding in the first
-    solves = [
-        _solve(
-            chart,
-            BoundaryData(qs[i], trajectory.vs[i], qs[j], trajectory.vs[j], a=float(ts[i]), b=float(ts[j])),
-            h=h,
-        )
-        for i, j in windows
-    ]
-    replays = [
-        _integrate(chart, st, float(ts[-1] - ts[k]), h),
-        _integrate(chart, rev, float(ts[k] - ts[0]), h),
-    ]
-    *outcomes, (fwd, ferr), (bwd, berr) = _lockstep(chart, potential, solves + replays)
-
-    probes = []
-    conclusive = True
-    for (i, j), (res, err) in zip(windows, outcomes):
-        entry = {"interval": [float(ts[i]), float(ts[j])]}
-        if err is None:
-            sup = float(np.max(np.abs(res.trajectory.qs - qs[i : j + 1])))
-            entry.update(sup=sup, converged=True, ok=bool(sup <= 1e-6))
-        else:
-            entry.update(sup=None, converged=False, ok=None, error=str(err))
-            conclusive = False
-        probes.append(entry)
-
-    for err in (ferr, berr):
-        if err is not None:
-            raise err
-    fsup = float(np.max(np.abs(fwd.qs - qs[k:])))
-    bsup = float(np.max(np.abs(bwd.qs - qs[k::-1])))
-
-    ok_probes = [p["ok"] for p in probes if p["ok"] is not None]
-    report = {
-        "restriction_probes": probes,
-        "restriction_pass": bool(ok_probes) and all(ok_probes),
-        "jet_time": float(ts[k]),
-        "jet_forward_sup": fsup,
-        "jet_backward_sup": bsup,
-        "jet_pass": bool(fsup <= 1e-7 and bsup <= 1e-7),
-        "conclusive": conclusive,
-    }
-    report["pass"] = report["restriction_pass"] and report["jet_pass"]
-    return report

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from riemplan import (
@@ -107,6 +107,31 @@ def test_jacobian_fd_richardson(fd_jacobian):
     t, h = 0.6, 0.6 / 300
     J = biexp_jacobian(EUC2, pot, p, v, y, z, t, h=h)
     J2 = fd_jacobian(EUC2, pot, p, v, y, z, t, h, rel=0.5e-5)
+    assert np.max(np.abs(J - J2)) / np.max(np.abs(J)) < 1e-6
+
+
+# conftest's flat_obstacle and sphere_obstacle Gaussians, and V = 0 on so3,
+# each with a start point and velocity
+JACOBIAN_CASES = {
+    "euclidean:2": (lambda c: GaussianObstacle(c, (0.5, 0.25), amplitude=1.0, width=0.4), (0.2, 0.1), (0.4, -0.3)),
+    "sphere2": (lambda c: GaussianObstacle(c, (0.6, -0.3), amplitude=1.0, width=0.7), (-0.8, 0.1), (0.5, 0.2)),
+    "so3": (ZeroPotential, (0.1, -0.2, 0.15), (0.4, 0.1, -0.3)),
+}
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(JACOBIAN_CASES)), data=st.data())
+def test_jacobian_matches_differences_at_random_shots(fd_jacobian, name, data):
+    # the field bundle's Jacobian against central differences of biexp, as
+    # in test_jacobian_fd_richardson, at drawn initial (y, z)
+    chart = parse_manifold(name)
+    factory, p, v = JACOBIAN_CASES[name]
+    pot, p, v = factory(chart), np.array(p), np.array(v)
+    jet = st.lists(st.floats(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim)
+    y, z = np.array(data.draw(st.lists(jet, min_size=2, max_size=2)))
+    t, h = 0.6, 0.6 / 128
+    J = biexp_jacobian(chart, pot, p, v, y, z, t, h=h)
+    J2 = fd_jacobian(chart, pot, p, v, y, z, t, h, rel=0.5e-5)
     assert np.max(np.abs(J - J2)) / np.max(np.abs(J)) < 1e-6
 
 

@@ -223,6 +223,27 @@ def test_verify_records_scan_warnings(tmp_path, monkeypatch):
     assert payload["classification"] == "candidate"
 
 
+def test_verify_records_its_plans_warnings(tmp_path, monkeypatch, capsys):
+    """Capped at 64 steps, sphere_obstacle's plan misses 1e-9: a verify that
+    plans lists the misses in verdict.json and prints each once, while a
+    verify of the stored plan has nothing to record."""
+    monkeypatch.setattr(riemplan.bvp, "_MAX_STEPS", 64)
+    cfg = write_cfg(tmp_path, base=panel_config("sphere_obstacle"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    notes = json.loads((tmp_path / "v" / "verdict.json").read_text())["warnings"]
+    assert any(w.startswith("ResolutionWarning: the Jacobian's estimate") for w in notes)
+    err = capsys.readouterr().err
+    assert all(err.count(f"warning: {w}") == 1 for w in notes)
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    csv = str(tmp_path / "p" / "trajectory.csv")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "t"), "--trajectory", csv]) == 0
+    stored = json.loads((tmp_path / "t" / "verdict.json").read_text())
+    assert stored["warnings"] == []
+    assert stored["classification"] == json.loads((tmp_path / "v" / "verdict.json").read_text())["classification"]
+
+
 def test_verify_accepts_stored_trajectory(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["plan", "--config", str(cfg)]) == 0
@@ -419,6 +440,11 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
         ("scan", {}, ["--t1", "5"], "--t1"),
         ("scan", {}, ["--t1", "-3"], "--t1"),
         ("scan", {"verify": {"t1": 1.5}}, [], "verify.t1"),
+        # a misspelt key in each option block
+        ("oracle-compare", {"oracle": {"node": 96}}, [], "oracle.node"),
+        ("plan", {"solver": {"maxiter": 5}}, [], "solver.maxiter"),
+        ("scan", {"verify": {"gird": 10}}, [], "verify.gird"),
+        ("sweep", {"sweep": {"lambda": [0.0, 1.0]}}, [], "sweep.lambda"),
     ],
 )
 def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):

@@ -233,10 +233,10 @@ def test_first_variation_contracts():
 def test_trajectory_analyses_read_its_chart_and_potential():
     # a trajectory carries the chart and potential it solves for, so nothing
     # that analyzes one takes a second pair that could disagree with it
-    from riemplan import index, jacobi, oracle
+    from riemplan import bvp, index, jacobi, oracle
 
     found = [index.AdmissibleField.validate]
-    for mod in (dynamics, jacobi, index, oracle):
+    for mod in (dynamics, bvp, jacobi, index, oracle):
         found += [getattr(mod, name) for name in mod.__all__]
     checked = 0
     for fn in found:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riemplan import dynamics, rk4
+from riemplan import dynamics, jacobi, rk4
 from riemplan import (
     BoundaryData,
     ConstructionError,
@@ -310,6 +310,25 @@ def test_scan_finds_beam_roots():
     assert all(s < 1e-6 for s in report.sigma_ratios)
     d = report.to_dict()
     assert len(d["points"]) == 3
+
+
+def test_scan_refines_a_sigma_dip(monkeypatch):
+    # on euclidean:2 every beam pair has multiplicity 2: det M touches zero
+    # without a sign change, so only a sigma dip can bracket it
+    pot = GaussianObstacle(EUC2, (0.0, 0.0), amplitude=1.0, width=1.0)
+    rest = BoundaryData((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 12.0)
+    traj = solve_bvp(EUC2, pot, rest).trajectory
+    refine, seen = jacobi._refine, []
+
+    def recording(flow, t1, brackets):
+        seen.extend(brackets)
+        return refine(flow, t1, brackets)
+
+    monkeypatch.setattr(jacobi, "_refine", recording)
+    times = biconjugate_scan(traj).times
+    assert any(not sign for _, _, sign in seen)
+    assert any(abs(t - BEAM_ROOTS[2]) < 1e-5 for t in times)
+    assert all(min(abs(t - r) for r in BEAM_ROOTS[:3]) < 1e-5 for t in times)
 
 
 def test_scan_interior_anchor():

@@ -8,6 +8,7 @@ import pytest
 from riemplan import (
     ConfigError,
     GaussianObstacle,
+    NumericChart,
     QuadraticWell,
     ScaledPotential,
     SumPotential,
@@ -123,6 +124,21 @@ def test_gaussian_riemannian_vs_chart_distance():
     assert abs(float(rie.value(c)) - float(cha.value(c))) < 1e-12
     x = np.array([0.9, -0.4])
     assert abs(float(rie.value(x)) - float(cha.value(x))) > 1e-4
+
+
+def test_riemannian_gaussian_on_a_generic_chart():
+    # a numeric chart declares no constant curvature, so the Riemannian-
+    # distance Hessian takes the generic route (hessian_op_fd); on the round
+    # sphere handed over as an expression table (test_geometry.py's
+    # numeric_sphere) it must give sphere2's closed forms
+    conf = "4 / (1 + x0**2 + x1**2)**2"
+    num = NumericChart(2, [[conf, "0"], ["0", conf]], domain_radius=5.0, name="numeric-sphere")
+    assert num.space_curvature is None
+    pot = GaussianObstacle(num, (0.6, -0.3), amplitude=1.0, width=0.7)
+    ref = GaussianObstacle(S2, (0.6, -0.3), amplitude=1.0, width=0.7)
+    x, X = np.array([-0.2, 0.35]), np.array([0.3, -0.5])
+    for got, want in ((pot.gradient(x), ref.gradient(x)), (pot.hessian_op(x, X), ref.hessian_op(x, X))):
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def test_zero_potential():
