@@ -32,6 +32,7 @@ from .errors import (
     NonconvergenceError,
     PlannerError,
     ResolutionWarning,
+    _recorded_warnings,
 )
 from .index import verdict
 from .jacobi import biconjugate_scan
@@ -225,11 +226,14 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
-    traj, _ = _fielded_trajectory(scenario, args)
-    report = biconjugate_scan(
-        traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
-    )
-    _write_json(scenario.out / "biconjugate.json", report.to_dict())
+    traj, notes = _fielded_trajectory(scenario, args)
+    with _recorded_warnings() as scan_notes:
+        report = biconjugate_scan(
+            traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
+        )
+    payload = report.to_dict()
+    payload["warnings"] = notes + scan_notes  # the plan's, then the scan's
+    _write_json(scenario.out / "biconjugate.json", payload)
     return EXIT_OK
 
 

@@ -102,6 +102,13 @@ def _real(raw, where, least=None, strict=False, most=None):
     return value
 
 
+def _boolean(raw, where):
+    """A JSON true or false; strings and numbers are refused, not read by truthiness."""
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{where} must be true or false, got {raw!r}")
+    return raw
+
+
 def _lambdas(raw, where):
     """A continuation grid: a nonempty list of numbers starting at 0."""
     if isinstance(raw, str):  # the command line's comma-separated grid
@@ -175,6 +182,7 @@ _CHECKS = (
     ("solver", "max_iter", partial(_count, least=0, what="at least 0")),
     ("solver", "seeds", partial(_count, least=1, what="at least 1")),
     ("solver", "spread", partial(_real, least=0.0)),
+    ("solver", "multi_seed", _boolean),
     ("oracle", "nodes", partial(_count, least=6, what="at least 6 segments")),
     ("oracle", "gtol", partial(_real, least=0.0, strict=True)),
     ("sweep", "lambdas", _lambdas),

@@ -1,6 +1,10 @@
-"""Exception taxonomy shared by the whole package."""
+"""Exception and warning taxonomy shared by the whole package, and the
+recorder that turns ResolutionWarnings into the artifacts' notes."""
 
 from __future__ import annotations
+
+import contextlib
+import warnings
 
 
 class PlannerError(Exception):
@@ -60,3 +64,20 @@ class ConfigError(PlannerError):
 class ResolutionWarning(UserWarning):
     """A grid is too coarse for its purpose: a scan grid to separate nearby
     detections, or error control's largest grid to meet its tolerance."""
+
+
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Collect the ResolutionWarnings of the block as "ResolutionWarning: message".
+
+    Yields the list, filled when the block exits, in the form the
+    artifacts record; every warning caught is issued again.
+    """
+    notes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResolutionWarning)
+        yield notes
+    for w in caught:
+        if issubclass(w.category, ResolutionWarning):
+            notes.append(f"{w.category.__name__}: {w.message}")
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)

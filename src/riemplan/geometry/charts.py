@@ -87,6 +87,9 @@ def _radial_christoffel(x, p, q, r=None):
 def _radial_dchristoffel(x, coef, dcoef):
     """d_l Gamma^k_ij of ``_radial_christoffel``; dcoef holds the s-derivatives of coef = (p, q, r).
 
+    so3 is the one caller: the conformal charts (r = 0, q = -p) scale
+    the Gamma they already hold instead (``_ConformalChart.at``).
+
     2 x_l Gamma'^k_ij + p (d_li d_kj + d_lj d_ki) + q d_lk d_ij
     + r (d_lk x_i x_j + d_li x_k x_j + d_lj x_k x_i), Gamma' made of dcoef.
     """
@@ -127,17 +130,23 @@ class _ConformalChart(ManifoldChart):
         return d, w, 4.0 * w * w
 
     def at(self, x, order):
+        """The record at x; order 2 builds dGamma from the Gamma it holds.
+
+        Gamma is linear in (p, q) = (p, -p) and p' = -k w p, so the Gamma'
+        of ``_radial_dchristoffel`` is -k w Gamma and
+        d_l Gamma^k_ij = -2 k w x_l Gamma^k_ij + p (d_li d_kj + d_lj d_ki - d_lk d_ij).
+        """
         x = np.asarray(x, float)
         k = self.space_curvature
         d, w, a = self._factors(x)
-        eye = _unit_tensors(self.dim)[0]
+        eye, linear = _unit_tensors(self.dim)
         pt = ChartPoint(k, a[..., None, None] * eye, (0.25 * d * d)[..., None, None] * eye)
         p = -2.0 * k * w
         if order > 0:
             pt.Gamma = _radial_christoffel(x, p, -p)
         if order > 1:
-            dp = 2.0 * k * k * w * w
-            pt.dGamma = _radial_dchristoffel(x, (p, -p, None), (dp, -dp))
+            pt.dGamma = (-2.0 * k * w[..., None] * x)[..., :, None, None, None] * pt.Gamma[..., None, :, :, :]
+            pt.dGamma += p[..., None, None, None, None] * (linear[0] - linear[1])
         return pt
 
     def contains(self, x):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory, _discrete_action, quadrature_weights
-from .errors import BasisError, ConstructionError, ResolutionWarning
+from .errors import BasisError, ConstructionError, _recorded_warnings
 from .geometry import parallel_transport, transport_frame
 from .jacobi import (
     _anchor,
@@ -574,14 +574,8 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
     """
     if m is None:
         m = int(np.ceil(120 / trajectory.chart.dim))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResolutionWarning)
+    with _recorded_warnings() as notes:
         scan = biconjugate_scan(trajectory)
-    notes = []
-    for w in caught:
-        if issubclass(w.category, ResolutionWarning):
-            notes.append(f"{w.category.__name__}: {w.message}")
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     rep = extended_index(trajectory, m)
     T_hi = float(trajectory.ts[-1])
     edge = 2.0 * trajectory.field_h

@@ -96,6 +96,12 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     The eliminated nodes pass a quarter of their gradient to the adjacent
     free node.  On a flat chart (Gamma = 0, g = I) only the
     second-difference stencil and the potential gradient remain.
+
+    On a curved chart every contraction takes one index per two-operand
+    einsum: Gamma v once, then (Gamma v) v and b (Gamma v), b (Gamma a),
+    and ((dGamma v) v) b.  The stack is the whole grid, and numpy runs a
+    single three- or four-operand einsum over it through its generic
+    loop, two to three times slower than the same sums taken pairwise.
     """
     qs, h, bd = path.qs, path.h, path.boundary
     N = path.segments
@@ -106,7 +112,8 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     else:
         p = chart.at(qs, 2)
         G, g = p.Gamma, p.g
-        a = c + np.einsum("...kij,...i,...j->...k", G, v, v)
+        Gv = np.einsum("...kij,...j->...ki", G, v)
+        a = c + np.einsum("...ki,...i->...k", Gv, v)
         b = np.einsum("...ab,...b->...a", g, a)
     w = _trapezoid(N + 1, h)
 
@@ -118,15 +125,18 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     if flat:
         grad[1:-1] += w[1:-1, None] * potential.gradient(qs[1:-1])
     else:
-        C = np.einsum("...c,...cdb,...b->...d", b[1:-1], G[1:-1], v[1:-1])
+        C = np.einsum("...c,...cd->...d", b[1:-1], Gv[1:-1])
         wc = w[1:-1, None] * C
         grad[2:] += wc / h
         grad[0:-2] -= wc / h
 
         # a^a a^b d_l g_ab / 2 = b_m Gamma^m_la a^a, as d_l g_ab = Gamma^m_la g_mb + Gamma^m_lb g_am
-        E = np.einsum("...m,...mla,...a->...l", b[1:-1], G[1:-1], a[1:-1])
+        Ga = np.einsum("...mla,...a->...ml", G[1:-1], a[1:-1])
+        E = np.einsum("...m,...ml->...l", b[1:-1], Ga)
         E += np.einsum("...ab,...b->...a", g, potential.gradient(qs, p))[1:-1]
-        D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], p.dGamma[1:-1], v[1:-1], v[1:-1])
+        dGv = np.einsum("...lcij,...j->...lci", p.dGamma[1:-1], v[1:-1])
+        dGvv = np.einsum("...lci,...i->...lc", dGv, v[1:-1])
+        D = np.einsum("...lc,...c->...l", dGvv, b[1:-1])
         grad[1:-1] += w[1:-1, None] * (E + D)
 
     for k, sgn in ((0, 1), (N, -1)):

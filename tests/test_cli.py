@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import riemplan.bvp
+import riemplan.cli
 import riemplan.index
 from conftest import PANEL, SCENARIOS
 from riemplan import GaussianObstacle, QuadraticWell, ResolutionWarning, Trajectory, parse_manifold
@@ -390,6 +391,47 @@ def test_scan_t1_flag_reports_only_later_pairs(tmp_path):
     assert len(times) == 1 and abs(times[0] - (6.0 + 4.730040744863)) < 1e-5
 
 
+def test_scan_records_its_warnings(tmp_path, monkeypatch):
+    scan = riemplan.cli.biconjugate_scan
+
+    def coarse_scan(*args, **kwargs):
+        warnings.warn("scan grid too coarse", ResolutionWarning)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(riemplan.cli, "biconjugate_scan", coarse_scan)
+    cfg = write_cfg(tmp_path, base=WELL_TOP)
+    # still issued, and recorded in the artifact beside the scan's points
+    with pytest.warns(ResolutionWarning, match="too coarse"):
+        assert main(["scan", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "biconjugate.json").read_text())
+    assert payload["warnings"] == ["ResolutionWarning: scan grid too coarse"]
+    assert payload["points"]
+
+
+def test_scan_records_its_plans_warnings(tmp_path, monkeypatch, capsys):
+    """Capped at 64 steps, sphere_obstacle's plan misses 1e-9: a scan that
+    plans lists the misses in biconjugate.json and prints each once."""
+    monkeypatch.setattr(riemplan.bvp, "_MAX_STEPS", 64)
+    cfg = write_cfg(tmp_path, base=panel_config("sphere_obstacle"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        assert main(["scan", "--config", str(cfg)]) == 0
+    notes = json.loads((tmp_path / "out" / "biconjugate.json").read_text())["warnings"]
+    assert any(w.startswith("ResolutionWarning: the Jacobian's estimate") for w in notes)
+    err = capsys.readouterr().err
+    assert all(err.count(f"warning: {w}") == 1 for w in notes)
+
+
+@pytest.mark.parametrize("name", PANEL)
+def test_panel_scans_record_no_warnings(tmp_path, name):
+    # the one key scan gains is its (empty) warnings list
+    cfg = write_cfg(tmp_path, base=panel_config(name))
+    assert main(["scan", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "biconjugate.json").read_text())
+    assert sorted(payload) == ["points", "resolution", "t1", "warnings"]
+    assert payload["warnings"] == []
+
+
 @pytest.mark.parametrize("flag, verify", [("0", {}), ("-3", {}), (None, {"grid": 0})])
 def test_scan_rejects_nonpositive_grid(tmp_path, capsys, flag, verify):
     cfg = write_cfg(tmp_path, potential=None, verify=verify)
@@ -445,6 +487,9 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
         ("plan", {"solver": {"maxiter": 5}}, [], "solver.maxiter"),
         ("scan", {"verify": {"gird": 10}}, [], "verify.gird"),
         ("sweep", {"sweep": {"lambda": [0.0, 1.0]}}, [], "sweep.lambda"),
+        # solver.multi_seed is a JSON boolean, not read by truthiness
+        ("plan", {"solver": {"multi_seed": "false"}}, [], "solver.multi_seed"),
+        ("plan", {"solver": {"multi_seed": 1}}, [], "solver.multi_seed"),
     ],
 )
 def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):

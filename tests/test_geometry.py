@@ -30,6 +30,7 @@ from riemplan import (
     transport_frame,
 )
 from riemplan.geometry import ManifoldChart, Sphere2Chart, base
+from riemplan.geometry.charts import _radial_dchristoffel
 
 EUC3 = parse_manifold("euclidean:3")
 S2 = parse_manifold("sphere2")
@@ -118,6 +119,20 @@ def test_connection_derivative_matches_central_differences(chart):
     assert dgam.shape == fd.shape
     assert np.max(np.abs(dgam - fd)) <= 1e-7 * np.max(np.abs(dgam))
     assert np.max(np.abs(chart.metric_inv(x) @ chart.metric(x) - np.eye(chart.dim))) < 1e-13
+
+
+@pytest.mark.parametrize("chart", [S2, H2], ids=lambda c: c.name)
+def test_conformal_connection_derivative_scales_gamma(chart):
+    # order 2 builds dGamma from Gamma (p' = -k w p); the general radial
+    # formula, fed p' directly, is the reference, point by point
+    x = sample_points(chart, 200, np.random.default_rng(17))
+    k = chart.space_curvature
+    w = 1.0 / (1.0 + k * np.einsum("...a,...a->...", x, x))
+    p, dp = -2.0 * k * w, 2.0 * k * k * w * w
+    ref = _radial_dchristoffel(x, (p, -p, None), (dp, -dp))
+    got = chart.at(x, 2).dGamma
+    scale = np.max(np.abs(ref), axis=(-4, -3, -2, -1))
+    assert np.all(np.max(np.abs(got - ref), axis=(-4, -3, -2, -1)) <= 1e-15 * scale)
 
 
 def test_so3_geometry_needs_no_matrix_inverse(monkeypatch):
@@ -406,6 +421,36 @@ def test_log_and_distance_next_to_the_base_point(chart, size):
     assert np.linalg.norm(chart.log(x, y) - want) < 1e-6 * np.linalg.norm(want)
     length = float(chart.norm(x + 0.5 * delta, delta))
     assert abs(float(chart.distance(x, y)) - length) < 1e-6 * length
+
+
+# chart -> (radius of the base points, bound).  exp is fixed-step RK4
+# (25 steps at g-length 0.5), so the round trip carries its truncation
+# error: up to about 6e-7 on sphere2 at |x| = 2, 2e-9 on hyperbolic2 and
+# 5e-11 on so3 within sample_points' radii; each bound leaves a factor of
+# about 3.  The numeric: charts join once the generic log is batched over
+# points; until then each draw would cost one Newton solve.
+ROUND_TRIP = {"euclidean:2": (3.0, 1e-14), "sphere2": (2.0, 2e-6), "hyperbolic2": (0.75, 5e-9), "so3": (2.2, 2e-10)}
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from(list(ROUND_TRIP)),
+    xs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    vs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+def test_exp_log_round_trip(name, xs, vs):
+    # v of g-length at most 0.5: log inverts exp, and the geodesic's
+    # length is the distance it reaches
+    chart = parse_manifold(name)
+    n = chart.dim
+    radius, tol = ROUND_TRIP[name]
+    xdir, vdir = np.array(xs[:n]), np.array(vs[:n])
+    assume(np.linalg.norm(xdir) > 1e-3 and np.linalg.norm(vdir) > 1e-3)
+    x = radius * abs(xs[n]) * xdir / np.linalg.norm(xdir)
+    v = 0.5 * abs(vs[n]) * vdir / float(chart.norm(x, vdir))
+    y = chart.exp(x, v)
+    assert np.max(np.abs(chart.log(x, y) - v)) <= tol
+    assert abs(float(chart.distance(x, y)) - float(chart.norm(x, v))) <= tol
 
 
 def _disk_point(radius, angle):

@@ -20,6 +20,7 @@ from riemplan import (
     CurveState,
     GaussianObstacle,
     NonconvergenceError,
+    NumericChart,
     PlannerError,
     ZeroPotential,
     action,
@@ -28,6 +29,7 @@ from riemplan import (
     solve_bvp,
 )
 from riemplan import bvp, oracle
+from riemplan.dynamics import _kinematics, _trapezoid
 from riemplan.bvp import check_uniqueness_props
 from riemplan.oracle import (
     DiscretePath,
@@ -41,6 +43,7 @@ from riemplan.oracle import (
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
+H2 = parse_manifold("hyperbolic2")
 SO3 = parse_manifold("so3")
 
 FLAT_BD = BoundaryData((0.0, 0.0), (0.3, -0.2), (1.0, 0.5), (-0.1, 0.4))
@@ -152,6 +155,102 @@ def test_gradient_matches_fd_sphere():
     g = discrete_gradient(S2, pot, DiscretePath.from_free(bd, N, free))
     gf = fd_gradient(S2, pot, bd, N, free)
     assert np.max(np.abs(g - gf)) < 1e-6 * (1.0 + np.max(np.abs(gf)))
+
+
+S2_BD = BoundaryData((-0.8, 0.1), (0.5, 0.2), (0.9, 0.4), (0.1, -0.3), b=2.0)
+H2_BD = BoundaryData((-0.4, 0.1), (0.3, 0.2), (0.5, 0.3), (0.1, -0.2))
+SO3_BD = BoundaryData((0.1, -0.2, 0.15), (0.4, 0.1, -0.3), (0.9, 0.3, -0.4), (0.1, -0.2, 0.2), b=1.5)
+
+
+@pytest.mark.parametrize(
+    "chart, bd, center", [(H2, H2_BD, (0.1, -0.1)), (SO3, SO3_BD, (0.5, 0.0, -0.1))], ids=["hyperbolic2", "so3"]
+)
+def test_gradient_matches_fd_hyperbolic_and_so3(chart, bd, center):
+    # the disk (conformal, curvature -1) and so3 (r != 0 in the connection)
+    N = 12
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6)
+    free = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
+    free = free + 0.05 * np.random.default_rng(16).normal(size=free.shape)
+    g = discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, free))
+    gf = fd_gradient(chart, pot, bd, N, free)
+    assert np.max(np.abs(g - gf)) < 1e-6 * (1.0 + np.max(np.abs(gf)))
+
+
+def einsum_gradient(chart, potential, path):
+    """discrete_gradient as it was written with one einsum of three or four
+    operands per term, kept verbatim as the reference for the pairwise form."""
+    qs, h, bd = path.qs, path.h, path.boundary
+    N = path.segments
+    flat = chart.flat
+    v, c = _kinematics(h, qs, bd.v_a, bd.v_b)
+    if flat:
+        b = c
+    else:
+        p = chart.at(qs, 2)
+        G, g = p.Gamma, p.g
+        a = c + np.einsum("...kij,...i,...j->...k", G, v, v)
+        b = np.einsum("...ab,...b->...a", g, a)
+    w = _trapezoid(N + 1, h)
+
+    grad = np.zeros_like(qs)
+    wb = w[1:-1, None] * b[1:-1]
+    grad[0:-2] += wb / h**2
+    grad[1:-1] -= 2.0 * wb / h**2
+    grad[2:] += wb / h**2
+    if flat:
+        grad[1:-1] += w[1:-1, None] * potential.gradient(qs[1:-1])
+    else:
+        C = np.einsum("...c,...cdb,...b->...d", b[1:-1], G[1:-1], v[1:-1])
+        wc = w[1:-1, None] * C
+        grad[2:] += wc / h
+        grad[0:-2] -= wc / h
+
+        # a^a a^b d_l g_ab / 2 = b_m Gamma^m_la a^a, as d_l g_ab = Gamma^m_la g_mb + Gamma^m_lb g_am
+        E = np.einsum("...m,...mla,...a->...l", b[1:-1], G[1:-1], a[1:-1])
+        E += np.einsum("...ab,...b->...a", g, potential.gradient(qs, p))[1:-1]
+        D = np.einsum("...c,...lcij,...i,...j->...l", b[1:-1], p.dGamma[1:-1], v[1:-1], v[1:-1])
+        grad[1:-1] += w[1:-1, None] * (E + D)
+
+    for k, sgn in ((0, 1), (N, -1)):
+        grad[k + sgn] += 2.0 * w[k] * b[k] / h**2
+
+    red = grad[2 : N - 1].copy()
+    red[0] += 0.25 * grad[1]
+    red[-1] += 0.25 * grad[N - 1]
+    return red
+
+
+# the numeric sphere of test_geometry.py: the round metric as an expression table
+SPHERE_CONF = "4 / (1 + x0**2 + x1**2)**2"
+NUMERIC_S2 = NumericChart(2, [[SPHERE_CONF, "0"], ["0", SPHERE_CONF]], domain_radius=5.0, name="numeric-sphere")
+# chart, boundary data, obstacle center and distance mode; the numeric
+# chart's generic log is one Newton solve per point, so it measures the
+# obstacle in chart distance
+CONTRACTION_CASES = {
+    "euclidean2": (EUC2, FLAT_BD, (0.5, 0.25), "riemannian"),
+    "sphere2": (S2, S2_BD, (0.6, -0.3), "riemannian"),
+    "hyperbolic2": (H2, H2_BD, (0.1, -0.1), "riemannian"),
+    "so3": (SO3, SO3_BD, (0.5, 0.0, -0.1), "riemannian"),
+    "numeric-sphere": (NUMERIC_S2, S2_BD, (0.6, -0.3), "chart"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTION_CASES))
+def test_pairwise_contractions_match_one_call_einsums(name):
+    # the same sums in another order: equal up to roundoff on curved
+    # charts, and untouched, so bit-equal, on a flat one
+    chart, bd, center, mode = CONTRACTION_CASES[name]
+    N = 40
+    rng = np.random.default_rng(17)
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6, distance=mode)
+    seed = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
+    for _ in range(4):
+        path = DiscretePath.from_free(bd, N, seed + 0.05 * rng.normal(size=seed.shape))
+        g, ref = discrete_gradient(chart, pot, path), einsum_gradient(chart, pot, path)
+        if chart.flat:
+            assert np.array_equal(g, ref)
+        else:
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # one chart per coordinate count n = 1, 2, 3, with an obstacle so that
