@@ -691,13 +691,17 @@ def continuation_sweep(chart, family, boundary: BoundaryData, lams, h=None):
     return out
 
 
-def multi_seed_scan(chart, potential, boundary: BoundaryData, n_seeds: int = 10, rng_seed: int = 0, spread: float = 1.0, h=None):
+def multi_seed_scan(
+    chart, potential, boundary: BoundaryData, n_seeds: int = 10, rng_seed: int = 0, spread: float = 1.0, h=None,
+    max_iter: int = 50,
+):
     """Probe for distinct solutions from scattered seeds; rank by action.
 
     Seeds are the flat cubic guess plus Gaussian perturbations, solved
     together in lockstep (one flow pass per Newton round).  Convergent
     results are deduplicated on (y, z) rounded to 1e-5 granularity and
-    returned sorted by increasing action.
+    returned sorted by increasing action.  ``max_iter`` bounds each seed's
+    Newton iterations as in ``solve_bvp``.
     """
     y0, z0 = hermite_seed(boundary)
     scale = spread * (1.0 + float(np.linalg.norm(np.concatenate([y0, z0]))))
@@ -707,7 +711,7 @@ def multi_seed_scan(chart, potential, boundary: BoundaryData, n_seeds: int = 10,
         dy, dz = rng.normal(size=(2, chart.dim)) * scale
         seeds.append((y0 + dy, z0 + dz))
     found = {}
-    for res, error in _lockstep(chart, potential, [_solve(chart, boundary, s, h) for s in seeds]):
+    for res, error in _lockstep(chart, potential, [_solve(chart, boundary, s, h, max_iter) for s in seeds]):
         if error is not None:
             continue
         key = tuple(

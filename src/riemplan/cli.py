@@ -164,6 +164,7 @@ def _plan_trajectory(scenario):
                 rng_seed=scenario.seed,
                 spread=opts.get("spread", 1.0),
                 h=scenario.step,
+                max_iter=opts.get("max_iter", 50),
             )
             if not scan:
                 raise NonconvergenceError("no seed of the multi-seed scan converged")

@@ -264,7 +264,11 @@ class ManifoldChart:
 
 
 def _geodesic(chart, x, v, jacobian=False):
-    """RK4 march of the geodesic from q = x, dq/ds = w = v to s = 1; the g-speed sets the step count.
+    """RK4 march of the geodesic from q = x, dq/ds = w = v to s = 1.
+
+    The larger of the g-speed and the coordinate speed sets the step
+    count, so a chart whose metric is small there still takes as many
+    steps as its coordinates move.
 
     Returns (q, w), shape (..., 2, n), at s = 1; with ``jacobian``,
     (q, Q, w, W) of shape (..., 2 + 2n, n), whose rows Q_j = dq/dv_j and
@@ -272,7 +276,7 @@ def _geodesic(chart, x, v, jacobian=False):
     Q = 0, W = I.  Raises ChartEscapeError if q leaves the chart.
     """
     x, v = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))
-    speed = float(np.max(chart.norm(x, v))) if x.size else 0.0
+    speed = float(np.max(np.maximum(chart.norm(x, v), np.linalg.norm(v, axis=-1)))) if x.size else 0.0
     steps = min(512, max(16, int(48.0 * speed) + 1))
     m = x.shape[-1] if jacobian else 0
 

@@ -381,16 +381,16 @@ def _spline_basis(ts, T, knots):
         xb, xa = kv[idx], kv[idx - j]
         w = B[-1] / (xb - xa)
         B.append(np.hstack([w * (xb - x), z]) + np.hstack([z, w * (x - xa)]))
-    # rows[s]: the members nonzero at point s; coef[:, q]: the B-spline
-    # coefficients of member q's nu-th derivative
-    rows = (span - d)[:, None] + np.arange(d + 1)
-    coef = np.eye(nb)
+    # coef[j, :, c]: on knot span d + j, the B-spline coefficients of the
+    # nu-th derivative of member j + c, one of the 6 nonzero there
+    coef = np.broadcast_to(np.eye(d + 1), (nb - d, d + 1, d + 1))
     vals = []
     for nu in range(3):
         if nu:
-            dt = kv[d + 1 : nb + d + 1 - nu] - kv[nu:nb]
-            coef = (coef[1:] - coef[:-1]) * (d + 1 - nu) / dt[:, None]
-        local = coef[rows[:, : d + 1 - nu, None], rows[:, None, :]]
+            rows = np.arange(nb - d)[:, None] + np.arange(d + 1 - nu)
+            dt = kv[rows + d + 1] - kv[rows + nu]
+            coef = (coef[:, 1:] - coef[:, :-1]) * (d + 1 - nu) / dt[..., None]
+        local = coef[span - d]
         vals.append(sum(local[:, a] * B[d - nu][:, a : a + 1] for a in range(d + 1 - nu)))
     return np.stack(vals), span - d
 

@@ -11,13 +11,17 @@ A caller that has evaluated the chart at x passes its ``ChartPoint`` as
 p (order 0 for ``gradient``, 1 for ``hessian_op``); on a flat chart no
 record is read or built.
 
-The quadratic well and the Gaussian obstacle are both profiles of the
-squared distance to a center, and share one pipeline
-(``_DistancePotential``): with the chart-coordinate distance the Hessian
-comes from (nab dV)_ij = d_i d_j V - Gamma^k_ij d_k V and is exact; with
-the Riemannian distance the Hessian of the squared distance has a closed
-form on charts with a ``space_curvature``, and elsewhere a
-finite-difference fallback on the gradient field is used.
+The quadratic well and the Gaussian obstacle are both profiles
+V = f(r) of half the squared distance r = d^2/2 to a center, and share one
+chain rule (``_DistancePotential``):
+
+    grad V = f' grad r,    nab_X grad V = f'' <grad r, X> grad r + f' Hess r (X).
+
+One hook per potential supplies d^2, grad r and Hess r (X) for the distance
+in force: exactly from the coordinates for the chart-coordinate distance;
+for the Riemannian distance from ``log`` and a closed form on charts of
+constant curvature, and from differences of ``log`` elsewhere.  On a flat
+chart the two distances coincide and take the coordinate route.
 ``hessian_op_fd`` is always available as an independent oracle.
 """
 
@@ -38,12 +42,12 @@ __all__ = [
 ]
 
 
-def _cot_factor(y):
-    """t*cot(t) with t = sqrt(y), continued through y <= 0 as t*coth(t).
+def _cot(y):
+    """t*cot(t) and (1 - t*cot(t)) / y with t = sqrt(y), continued through y <= 0 as t*coth(t).
 
-    With y = kappa*d^2 this is the transverse eigenvalue of the Hessian of
-    half the squared distance on a constant-curvature space.  Both sign
-    branches share the power series 1 - y/3 - y^2/45 - 2y^3/945 - ...
+    With y = kappa*d^2 these are the transverse eigenvalue of the Hessian of
+    half the squared distance on a constant-curvature space and its radial
+    deficit.  Near y = 0 both follow the series 1 - y/3 - y^2/45 - 2y^3/945.
     """
     y = np.asarray(y, float)
     small = np.abs(y) < 1e-4
@@ -51,27 +55,23 @@ def _cot_factor(y):
     t = np.sqrt(np.abs(ys))
     with np.errstate(all="ignore"):
         closed = np.where(ys > 0, t / np.tan(t), t / np.tanh(t))
-    series = 1.0 - y / 3.0 - y * y / 45.0 - 2.0 * y**3 / 945.0
-    return np.where(small, series, closed)
+    factor = np.where(small, 1.0 - y / 3.0 - y * y / 45.0 - 2.0 * y**3 / 945.0, closed)
+    return factor, np.where(small, 1.0 / 3.0 + y / 45.0 + 2.0 * y * y / 945.0, (1.0 - closed) / ys)
 
 
-def _cot_deficit(y):
-    """(1 - t*cot(t)) / y on the same continuation; -> 1/3 at y = 0."""
-    y = np.asarray(y, float)
-    small = np.abs(y) < 1e-4
-    ys = np.where(small, 1.0, y)
-    series = 1.0 / 3.0 + y / 45.0 + 2.0 * y * y / 945.0
-    return np.where(small, series, (1.0 - _cot_factor(ys)) / ys)
+def _nabla_fd(chart, field, x, X, W, h=1e-6):
+    """nab_X W for the vector field W = field(x), by central differences.
 
-
-# <u, v> and the raised covector w at the points of the ChartPoint p,
-# where None stands for the flat g = I
-def _inner(p, u, v):
-    return np.einsum("...a,...a->...", u, v) if p is None else p.inner(u, v)
-
-
-def _raise(p, w):
-    return w if p is None else p.raise_covector(w)
+    (nab_X W)^k = X^j d_j W^k + Gamma(X, W)^k.
+    """
+    n = chart.dim
+    jac = np.empty(x.shape[:-1] + (n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        hj = h * (1.0 + np.abs(x[..., j : j + 1]))
+        jac[..., :, j] = (field(x + hj * e) - field(x - hj * e)) / (2.0 * hj)
+    return np.einsum("...kj,...j->...k", jac, X) + chart.gamma(x, X, W)
 
 
 class Potential:
@@ -92,22 +92,10 @@ class Potential:
     def hessian_op_fd(self, x: np.ndarray, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
         """nab_X grad V by central differences of the gradient field.
 
-        (nab_X W)^k = X^j d_j W^k + Gamma(X, W)^k with W = grad V.  Serves
-        as the oracle for every analytic ``hessian_op``.
+        Serves as the oracle for every analytic ``hessian_op``.
         """
         x = np.asarray(x, float)
-        X = np.asarray(X, float)
-        n = self.chart.dim
-        jac = np.empty(x.shape[:-1] + (n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            hj = h * (1.0 + np.abs(x[..., j : j + 1]))
-            gp = self.gradient(x + hj * e)
-            gm = self.gradient(x - hj * e)
-            jac[..., :, j] = (gp - gm) / (2.0 * hj)
-        out = np.einsum("...kj,...j->...k", jac, X)
-        return out + self.chart.gamma(x, X, self.gradient(x))
+        return _nabla_fd(self.chart, self.gradient, x, np.asarray(X, float), self.gradient(x), h)
 
 
 class ZeroPotential(Potential):
@@ -125,19 +113,20 @@ class ZeroPotential(Potential):
 
 
 class _DistancePotential(Potential):
-    """V a profile of the squared distance d^2 from x to ``center``.
+    """V = f(r), r = d^2/2, with d the distance from x to ``center``.
 
     d is the Riemannian distance (``distance="riemannian"``; the center's
     injectivity region must cover the scenario) or the chart-coordinate
     distance |x - center| (``distance="chart"``).  Subclasses give the
-    profile as ``_profile(d2, order)``: V at order 0, s = -dV/dr at order
-    1 and the pair (s, d^2V/dr^2) at order 2, with r = d^2/2.
+    profile as ``_profile(d2, order)``: V at order 0, s = -f'(r) at order 1
+    and the pair (s, f''(r)) at order 2.
 
-    In chart mode V is a plain function of the coordinates, with
-    dV = -s u for u = x - center, and the covariant Hessian
-    g^-1 (d d V - Gamma . dV) is exact on every chart.  In Riemannian mode
-    grad r = -log_x(center), and Hess r has a closed form on charts of
-    constant curvature; elsewhere ``hessian_op_fd`` stands in.
+    One chain rule serves both modes: with w = -grad r,
+
+        grad V = s w,    nab_X grad V = f'' <w, X> w - s Hess r (X),
+
+    and ``_radial`` supplies d^2, w and Hess r (X) (Karcher, Comm. Pure
+    Appl. Math. 30, 1977, for Hess r).
     """
 
     def __init__(self, chart, center, distance: str):
@@ -155,62 +144,57 @@ class _DistancePotential(Potential):
     def _profile(self, d2, order):
         raise NotImplementedError
 
-    def _offset(self, x):
-        """u = x - center and its squared coordinate length."""
-        u = x - self.center
-        return u, np.einsum("...a,...a->...", u, u)
-
     def value(self, x):
         x = np.asarray(x, float)
         if self.distance == "chart":
-            return self._profile(self._offset(x)[1], 0)
+            u = x - self.center
+            return self._profile(np.einsum("...a,...a->...", u, u), 0)
         return self._profile(self.chart.distance(x, self.center) ** 2, 0)
 
-    def _point(self, x, p, order):
-        """x's ``ChartPoint`` up to ``order`` (``p`` when given); None on a flat chart."""
-        if self.chart.flat:
-            return None
-        return self.chart.at(x, order) if p is None else p
+    def _radial(self, x, p, X=None):
+        """d^2 and w = -grad r at x; given X, also <w, X> and Hess r (X).
+
+        p is x's ``ChartPoint`` when the caller has one.  In chart mode
+        r = |u|^2/2 with u = x - center, so w = -g^-1 u and
+        Hess r (X) = g^-1 (X - (Gamma . u) X).  In Riemannian mode
+        w = log_x(center), and Hess r (X) = mu X + kappa delta <w, X> w
+        from ``_cot`` on a chart of constant curvature kappa, or
+        -nab_X log_x(center) by differences elsewhere.  On a flat chart
+        the two distances coincide, and no record, ``log`` or series is used.
+        """
+        chart = self.chart
+        if chart.flat:
+            p = None
+        elif p is None:
+            p = chart.at(x, 1 if X is not None and self.distance == "chart" else 0)
+        if p is None or self.distance == "chart":
+            u = x - self.center
+            d2 = np.einsum("...a,...a->...", u, u)
+            w = -u if p is None else p.raise_covector(-u)
+            if X is None:
+                return d2, w
+            if p is None:
+                return d2, w, np.einsum("...a,...a->...", w, X), X
+            GuX = np.einsum("...ij,...j->...i", np.einsum("...kij,...k->...ij", p.Gamma, u), X)
+            return d2, w, p.inner(w, X), p.raise_covector(X - GuX)
+        w = chart.log(x, self.center)
+        d2 = p.inner(w, w)
+        if X is None:
+            return d2, w
+        kappa, lX = chart.space_curvature, p.inner(w, X)
+        if kappa is None:
+            return d2, w, lX, -_nabla_fd(chart, lambda y: chart.log(y, self.center), x, X, w)
+        mu, delta = _cot(kappa * d2)
+        return d2, w, lX, mu[..., None] * X + (kappa * delta * lX)[..., None] * w
 
     def gradient(self, x, p=None):
-        x = np.asarray(x, float)
-        p = self._point(x, p, 0)
-        if self.distance == "chart":
-            u, d2 = self._offset(x)
-            return _raise(p, -self._profile(d2, 1)[..., None] * u)
-        logv = self.chart.log(x, self.center)
-        return self._profile(_inner(p, logv, logv), 1)[..., None] * logv
+        d2, w = self._radial(np.asarray(x, float), p)
+        return self._profile(d2, 1)[..., None] * w
 
     def hessian_op(self, x, X, p=None):
-        x = np.asarray(x, float)
-        X = np.asarray(X, float)
-        if self.distance == "chart":
-            p = self._point(x, p, 1)
-            u, d2 = self._offset(x)
-            s, c = self._profile(d2, 2)
-            # nab dV = d dV - Gamma . dV with dV = -s u
-            nabdv = c[..., None, None] * np.einsum("...i,...j->...ij", u, u)
-            nabdv -= s[..., None, None] * np.eye(self.chart.dim)
-            if p is not None:
-                nabdv = nabdv + np.einsum("...kij,...k->...ij", p.Gamma, s[..., None] * u)
-            return _raise(p, np.einsum("...ij,...j->...i", nabdv, X))
-        kappa = self.chart.space_curvature
-        if kappa is None:
-            return self.hessian_op_fd(x, X)
-        p = self._point(x, p, 0)
-        logv = self.chart.log(x, self.center)
-        d2 = _inner(p, logv, logv)
+        d2, w, lX, hX = self._radial(np.asarray(x, float), p, np.asarray(X, float))
         s, c = self._profile(d2, 2)
-        lX = _inner(p, logv, X)
-        # Hess r (X) = mu X + kappa*deficit * <X, log> log  (radial part 1),
-        # the identity on a flat chart
-        if p is None:
-            hs = X
-        else:
-            y = kappa * d2
-            hs = _cot_factor(y)[..., None] * X
-            hs += (kappa * _cot_deficit(y) * lX)[..., None] * logv
-        return (c * lX)[..., None] * logv - s[..., None] * hs
+        return (c * lX)[..., None] * w - s[..., None] * hX
 
 
 class QuadraticWell(_DistancePotential):
@@ -265,22 +249,13 @@ class SumPotential(Potential):
         self.terms = terms
 
     def value(self, x):
-        out = self.terms[0].value(x)
-        for p in self.terms[1:]:
-            out = out + p.value(x)
-        return out
+        return sum(term.value(x) for term in self.terms)
 
     def gradient(self, x, p=None):
-        out = self.terms[0].gradient(x, p)
-        for term in self.terms[1:]:
-            out = out + term.gradient(x, p)
-        return out
+        return sum(term.gradient(x, p) for term in self.terms)
 
     def hessian_op(self, x, X, p=None):
-        out = self.terms[0].hessian_op(x, X, p)
-        for term in self.terms[1:]:
-            out = out + term.hessian_op(x, X, p)
-        return out
+        return sum(term.hessian_op(x, X, p) for term in self.terms)
 
 
 class ScaledPotential(Potential):

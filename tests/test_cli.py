@@ -612,3 +612,16 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     )
     assert main(["plan", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_multi_seed_scan_honours_max_iter(tmp_path, capsys):
+    # the scan's first seed is solve_bvp's Hermite seed: one Newton
+    # iteration is as short of a solution here as in the single solve
+    cfg = write_cfg(
+        tmp_path,
+        potential={"type": "gaussian", "center": [0.5, 0.25], "A": 3.0,
+                   "sigma": 0.25},
+        solver={"max_iter": 1, "multi_seed": True, "seeds": 1},
+    )
+    assert main(["plan", "--config", str(cfg)]) == 2
+    assert "no seed of the multi-seed scan converged" in capsys.readouterr().err

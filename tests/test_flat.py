@@ -4,7 +4,8 @@ On euclidean charts Gamma, R and the metric derivatives vanish, so the
 trajectory right side, the field ODE, the Gaussian's distance Hessian and
 the discrete gradient evaluate the potential alone.  These tests check
 that those paths are taken (the zero geometry is never asked for, nor is
-a point record built) and
+a point record built, nor ``log`` or the cot series of the Riemannian
+distance called) and
 that they give the same numbers as the generic formulas run on the same
 zero geometry: a euclidean chart that declares itself curved.
 """
@@ -92,9 +93,9 @@ def test_flat_paths_skip_the_zero_geometry(n, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("flat path asked for zero geometry")
 
-    for name in GEOMETRY:
+    for name in GEOMETRY + ("log",):
         monkeypatch.setattr(chart, name, refuse)
-    monkeypatch.setattr(potentials, "_cot_factor", refuse)
+    monkeypatch.setattr(potentials, "_cot", refuse)
     N = 9
     out = kernels(
         chart, pot, rng.normal(size=(5, 4, n)), rng.normal(size=(5, 4, n)),

@@ -424,12 +424,13 @@ def test_log_and_distance_next_to_the_base_point(chart, size):
 
 
 # chart -> (radius of the base points, bound).  exp is fixed-step RK4
-# (25 steps at g-length 0.5), so the round trip carries its truncation
-# error: up to about 6e-7 on sphere2 at |x| = 2, 2e-9 on hyperbolic2 and
+# (at least 25 steps at g-length 0.5, more where the coordinates move
+# faster than g measures), so the round trip carries its truncation
+# error: up to about 2e-8 on sphere2 at |x| = 2, 2e-9 on hyperbolic2 and
 # 5e-11 on so3 within sample_points' radii; each bound leaves a factor of
 # about 3.  The numeric: charts join once the generic log is batched over
 # points; until then each draw would cost one Newton solve.
-ROUND_TRIP = {"euclidean:2": (3.0, 1e-14), "sphere2": (2.0, 2e-6), "hyperbolic2": (0.75, 5e-9), "so3": (2.2, 2e-10)}
+ROUND_TRIP = {"euclidean:2": (3.0, 1e-14), "sphere2": (2.0, 5e-8), "hyperbolic2": (0.75, 5e-9), "so3": (2.2, 2e-10)}
 
 
 @settings(max_examples=40)

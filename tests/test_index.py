@@ -271,7 +271,9 @@ def test_spline_profiles_dyadic_nesting_rules():
 
 
 # the ids keep the names of the former (m, dyadic) cases; the knots of all are uniform
-@pytest.mark.parametrize("m", [2, 3, 7, 60, 5], ids=["2-False", "3-False", "7-False", "60-False", "5-True"])
+@pytest.mark.parametrize(
+    "m", [2, 3, 7, 60, 5, 240], ids=["2-False", "3-False", "7-False", "60-False", "5-True", "240"]
+)
 def test_spline_profiles_match_scipy_bspline(m):
     T = 1.7
     knots = spline_profiles(np.zeros(1), T, m)[3]

@@ -21,6 +21,7 @@ from riemplan import (
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
 H2 = parse_manifold("hyperbolic2")
+SO3 = parse_manifold("so3")
 
 
 def gradient_fd(potential, x, h=1e-6):
@@ -47,6 +48,15 @@ def make_potentials():
             GaussianObstacle(S2, (0.3, 0.2), amplitude=0.9, width=0.6, distance="chart"),
         ),
         ("gauss_hyp", GaussianObstacle(H2, (0.1, -0.05), amplitude=0.7, width=0.4)),
+        (
+            "gauss_hyp_chart",
+            GaussianObstacle(H2, (0.1, -0.05), amplitude=0.7, width=0.4, distance="chart"),
+        ),
+        ("gauss_so3", GaussianObstacle(SO3, (0.2, -0.1, 0.3), amplitude=0.8, width=0.6)),
+        (
+            "gauss_so3_chart",
+            GaussianObstacle(SO3, (0.2, -0.1, 0.3), amplitude=0.8, width=0.6, distance="chart"),
+        ),
         ("well", QuadraticWell(EUC2, center=(0.2, 0.1), stiffness=1.7)),
         ("well_sphere", QuadraticWell(S2, center=(0.3, -0.2), stiffness=1.4)),
         ("well_hyp", QuadraticWell(H2, center=(0.1, 0.05), stiffness=0.8)),
@@ -126,9 +136,23 @@ def test_gaussian_riemannian_vs_chart_distance():
     assert abs(float(rie.value(x)) - float(cha.value(x))) > 1e-4
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_distance_modes_coincide_on_flat_charts(n):
+    # on a euclidean chart the Riemannian and the coordinate distance are
+    # one function, and both modes take the same route to the same bits
+    chart = parse_manifold(f"euclidean:{n}")
+    center = np.linspace(0.3, -0.2, n)
+    rie, cha = (
+        GaussianObstacle(chart, center, amplitude=1.3, width=0.6, distance=d) for d in ("riemannian", "chart")
+    )
+    x, X = np.random.default_rng(17).normal(size=(2, 50, n))
+    assert np.array_equal(rie.gradient(x), cha.gradient(x))
+    assert np.array_equal(rie.hessian_op(x, X), cha.hessian_op(x, X))
+
+
 def test_riemannian_gaussian_on_a_generic_chart():
     # a numeric chart declares no constant curvature, so the Riemannian-
-    # distance Hessian takes the generic route (hessian_op_fd); on the round
+    # distance Hessian takes the generic route (differences of log); on the round
     # sphere handed over as an expression table (test_geometry.py's
     # numeric_sphere) it must give sphere2's closed forms
     conf = "4 / (1 + x0**2 + x1**2)**2"
