@@ -45,14 +45,11 @@ from .dynamics import (
     CurveState,
     Trajectory,
     action,
-    first_variation,
     integrate_ivp,
 )
 from .bvp import (
     BoundaryData,
     ShootingResult,
-    biexp,
-    biexp_jacobian,
     check_uniqueness_props,
     continuation_sweep,
     multi_seed_scan,
@@ -63,19 +60,13 @@ from .jacobi import (
     BiconjugateReport,
     JacobiState,
     biconjugate_scan,
-    propagate_jacobi,
 )
 from .index import (
-    AdmissibleField,
     IndexReport,
     NegativeDirectionReport,
     OptimalityReport,
-    decompose,
     extended_index,
-    index_form,
     negative_direction,
-    random_field,
-    second_variation_fd,
     verdict,
 )
 from .oracle import (
@@ -122,11 +113,8 @@ __all__ = [
     "Trajectory",
     "integrate_ivp",
     "action",
-    "first_variation",
     "BoundaryData",
     "ShootingResult",
-    "biexp",
-    "biexp_jacobian",
     "solve_bvp",
     "check_uniqueness_props",
     "continuation_sweep",
@@ -134,16 +122,10 @@ __all__ = [
     "JacobiState",
     "BiconjugateReport",
     "NegativeDirectionReport",
-    "propagate_jacobi",
     "biconjugate_scan",
     "negative_direction",
-    "AdmissibleField",
     "IndexReport",
     "OptimalityReport",
-    "random_field",
-    "index_form",
-    "decompose",
-    "second_variation_fd",
     "extended_index",
     "verdict",
     "DiscretePath",

@@ -54,7 +54,7 @@ import numpy as np
 
 # _rk4_step and integrate_ivp stay module attributes: bench/layers.py traces
 # them by name here.  The flow itself steps through dynamics._rk4_step (rk4.step).
-from .dynamics import CurveState, Trajectory, _flow, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
+from .dynamics import CurveState, Trajectory, _flow, _ivp_row, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
 from .errors import (
     ChartEscapeError,
     CriticalPointError,
@@ -69,8 +69,6 @@ __all__ = [
     "BoundaryData",
     "ShootingResult",
     "hermite_seed",
-    "biexp",
-    "biexp_jacobian",
     "solve_bvp",
     "field_grid",
     "check_uniqueness_props",
@@ -176,10 +174,6 @@ class _Shot:
         off the curve's Jacobi field bundle (``shooting_jacobian``)."""
         return shooting_jacobian(self.trajectory)
 
-    def jacobian(self) -> np.ndarray:
-        """d(q(T), qdot(T)) / d(y, z)."""
-        return self.linearization[0]
-
     def twin(self) -> "_Shot":
         """The half-grid twin's shot; raises its trial's failure."""
         if isinstance(self._twin, Exception):
@@ -202,16 +196,17 @@ class _Request:
     """One shooting pass: the rows ``_flow`` marches for it, and the
     ``_Shot`` made of their results.
 
-    The trial (y, z) from (p, v) over [t0, t0 + t] on ``steps`` steps is
-    one row, stored at every node.  With ``twin`` the same row marches
-    again on steps / 2 at twice the step, for the step-doubling estimate.
+    ``row`` is one curve, (u, t0, h, steps) as ``_flow`` takes it, stored
+    at every node.  With ``twin`` the same jets march again on steps / 2
+    at twice the step, for the step-doubling estimate; ``steps`` is then
+    even, so the twin spans the same window.
     """
 
-    def __init__(self, p, v, y, z, t, steps, t0=0.0, twin=False):
-        u = np.array([p, v, y, z], float)
-        self.rows = [(u, t0, t / steps, steps)]
+    def __init__(self, row, twin=False):
+        self.rows = [row]
         if twin:
-            self.rows.append((u, t0, t / (steps // 2), steps // 2))
+            u, t0, h, steps = row
+            self.rows.append((u, t0, 2.0 * h, steps // 2))
 
     def finish(self, flows) -> _Shot:
         """The shot from the ``_flow`` results of ``rows``.
@@ -227,12 +222,6 @@ class _Request:
             [(trajectory, failure)] = twin
             shot._twin = _Shot(trajectory) if failure is None else failure
         return shot
-
-
-def _shoot(chart, potential, p, v, y, z, t, steps, t0=0.0) -> _Shot:
-    """Integrate the trial (y, z) in one pass (see ``_Request``)."""
-    req = _Request(p, v, y, z, t, steps, t0)
-    return req.finish(_flow(chart, potential, req.rows))
 
 
 def _lockstep(chart, potential, problems):
@@ -283,21 +272,10 @@ def _lockstep(chart, potential, problems):
     return out
 
 
-def biexp(chart, potential, p, v, y, z, t, h=None):
-    """(q(t), qdot(t)) for the trajectory started at the 4-jet (p, v, y, z)."""
-    steps, _ = grid_steps(t, h)
-    q, qd = np.split(_shoot(chart, potential, p, v, y, z, t, steps).end, 2)
-    return q, qd
-
-
+# bench/layers.py times the Jacobian under this name; no program path calls
+# it, and it is in no __all__.  Shooting reads the same bits off its pass.
 def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
-    """d(q(t), qdot(t)) / d(y, z), off the Jacobi fields of the integrated
-    curve on its own grid (``jacobi.shooting_jacobian``).
-
-    Columns ordered (y_1..y_n, z_1..z_n); row blocks (q; qdot).
-    """
-    steps, _ = grid_steps(t, h)
-    return _shoot(chart, potential, p, v, y, z, t, steps).jacobian()
+    return shooting_jacobian(integrate_ivp(chart, potential, CurveState(0.0, p, v, y, z), t, h))[0]
 
 
 # Default shooting grid.  The seed is shot at twice _PILOT_STEPS, with its
@@ -517,7 +495,8 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
         z = np.asarray(seed[1], float).copy()
 
     def shoot(steps, yy, zz):
-        return _Request(boundary.q_a, boundary.v_a, yy, zz, tau, steps, boundary.a, twin=h is None)
+        u = np.array([boundary.q_a, boundary.v_a, yy, zz], float)
+        return _Request((u, boundary.a, tau / steps, steps), twin=h is None)
 
     def newton(steps, shot, yy, zz):
         return _newton(partial(shoot, steps), shot, yy, zz, target, tol, max_iter)
@@ -581,10 +560,7 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
 
 def _integrate(chart, initial: CurveState, T: float, h=None):
     """``integrate_ivp`` as a one-request generator, for ``_lockstep``."""
-    steps, _ = grid_steps(T, h)
-    chart.check_point(initial.q, "initial point")
-    req = _Request(initial.q, initial.v, initial.a, initial.j, T, steps, float(initial.t))
-    return (yield req).trajectory
+    return (yield _Request(_ivp_row(chart, initial, T, h))).trajectory
 
 
 def check_uniqueness_props(trajectory, rng_seed: int = 0) -> dict:

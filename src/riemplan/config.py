@@ -73,8 +73,9 @@ def _options(raw, where):
     return {key: value for key, value in raw.items() if value is not None}  # null: the default
 
 
-def _count(raw, where, least, what):
-    """An integer option of at least ``least``; ``what`` names the bound."""
+def _count(raw, where, least, what, most=None):
+    """An integer option of at least ``least`` and at most ``most`` if given;
+    ``what`` names the lower bound."""
     try:
         value = int(raw)
         exact = not isinstance(raw, bool) and value == float(raw)
@@ -84,6 +85,8 @@ def _count(raw, where, least, what):
         raise ConfigError(f"{where} must be an integer, got {raw!r}")
     if value < least:
         raise ConfigError(f"{where} must be {what}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{where} must be at most {most}, got {value}")
     return value
 
 
@@ -183,7 +186,10 @@ _CHECKS = (
     ("solver", "seeds", partial(_count, least=1, what="at least 1")),
     ("solver", "spread", partial(_real, least=0.0)),
     ("solver", "multi_seed", _boolean),
-    ("oracle", "nodes", partial(_count, least=6, what="at least 6 segments")),
+    # a million segments is far past any grid the oracle converges on; the
+    # bound refuses, before any work, counts whose node arrays numpy cannot
+    # allocate (2**70 raised from np.arange, not as a configuration error)
+    ("oracle", "nodes", partial(_count, least=6, what="at least 6 segments", most=2**20)),
     ("oracle", "gtol", partial(_real, least=0.0, strict=True)),
     ("sweep", "lambdas", _lambdas),
 )

@@ -34,12 +34,14 @@ stored at every node, and leaves the batch when it finishes or fails.
 The right-hand side acts row by row, so a row marched in a batch gets the
 same bits as marched alone; a step costs about the same at 5 rows as at
 100, so passes that can run together (a shot and its half-grid twin,
-the uniqueness probes' sub-window solves) are marched as one.  Nothing
+the uniqueness probes' sub-window solves) are marched as one.  The row
+of a curve from a given state is stated once, ``_ivp_row``, for
+``integrate_ivp`` and the probes' replays in ``bvp``.  Nothing
 here linearizes the flow: shooting reads its Jacobian off the Jacobi
 field bundle of the stored curve (``jacobi``).
 
-The oracle minimizes the one discrete action, ``_discrete_action``, and
-``first_variation`` and ``index.second_variation_fd`` difference it.
+The oracle minimizes the one discrete action, ``_discrete_action``; the
+tests' finite-difference variations difference it too.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "Trajectory",
     "integrate_ivp",
     "action",
-    "first_variation",
     "quadrature_weights",
     "grid_steps",
 ]
@@ -116,9 +117,9 @@ def grid_steps(T: float, h: float | None = None) -> tuple[int, float]:
 
     The count is forced even (composite Simpson runs on the same grid) and
     the step is adjusted to divide T exactly.  With h None the count is
-    2000, the fixed default of ``integrate_ivp``, ``biexp`` and
-    ``biexp_jacobian``; ``solve_bvp`` does not use it, since it picks its
-    own count by error control when no step is given.
+    2000, the fixed default of ``integrate_ivp``; ``solve_bvp`` does not
+    use it, since it picks its own count by error control when no step is
+    given.
     """
     if T <= 0:
         raise ValueError("integration window must have T > 0")
@@ -147,8 +148,9 @@ class Trajectory:
     field node and the curve between nodes is read off ``interpolate``.
     It is 1, the curve's own grid, unless error control chose more
     (``bvp.field_grid``); ``dataclasses.replace`` sets it on a copy.
-    Immutable by convention; its cached tables (``node_rhs`` and
-    ``jacobi.operator_table``'s ``_ops``) are derived data only.
+    Immutable by convention; its cached tables (``node_rhs`` and the field
+    grid's operator table ``_ops``, built by ``jacobi._field``) are derived
+    data only.
     """
 
     chart: ManifoldChart
@@ -279,14 +281,10 @@ def _flow(chart, potential, rows):
     return [r.result(chart, potential) for r in rows]
 
 
-def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | None = None) -> Trajectory:
-    """Integrate the trajectory ODE from ``initial`` over a window of length T.
-
-    The step is adjusted to an even number of segments (the action
-    quadrature is composite Simpson on the same grid).  Raises
-    ChartEscapeError with the escape time if the curve leaves the chart
-    domain, NumericalError on nonfinite state.
-    """
+def _ivp_row(chart, initial: CurveState, T: float, h: float | None = None):
+    """The ``_flow`` row (u, t0, h, N) of the curve from ``initial`` over a
+    window of length T: its jet stack, start time, step and step count
+    (``grid_steps``).  The start must lie in the chart and be unbatched."""
     N, h = grid_steps(T, h)
     chart.check_point(initial.q, "initial point")
     u = np.stack(
@@ -295,7 +293,18 @@ def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | No
     )
     if u.ndim != 2:
         raise ValueError("integrate_ivp expects an unbatched initial state")
-    [(traj, failure)] = _flow(chart, potential, [(u, float(initial.t), h, N)])
+    return u, float(initial.t), h, N
+
+
+def integrate_ivp(chart, potential, initial: CurveState, T: float, h: float | None = None) -> Trajectory:
+    """Integrate the trajectory ODE from ``initial`` over a window of length T.
+
+    The step is adjusted to an even number of segments (the action
+    quadrature is composite Simpson on the same grid).  Raises
+    ChartEscapeError with the escape time if the curve leaves the chart
+    domain, NumericalError on nonfinite state.
+    """
+    [(traj, failure)] = _flow(chart, potential, [_ivp_row(chart, initial, T, h)])
     if traj is None:
         raise failure
     return traj
@@ -370,38 +379,3 @@ def _discrete_action(chart, potential, h, qs, va, vb):
     w = _trapezoid(len(qs), h)
     vals = 0.5 * chart.inner(qs, a, a) + potential.value(qs)
     return float(w @ vals)
-
-
-def first_variation(trajectory: Trajectory, W, eps: float = 1e-5) -> float:
-    """dJ in the direction of W, by central differences of ``_discrete_action``.
-
-    W is sampled on the trajectory grid and must vanish together with its
-    covariant derivative at both ends; the varied curve t -> exp_q(eps W)
-    then keeps the boundary positions and velocities exactly.
-    """
-    W = np.asarray(W, float)
-    if W.shape != trajectory.qs.shape:
-        raise ValueError("variation field must be sampled on the trajectory grid")
-    chart, potential = trajectory.chart, trajectory.potential
-    h = trajectory.h
-    sup = float(np.max(chart.norm(trajectory.qs, W))) if W.size else 0.0
-    # covariant end derivatives from one-sided differences
-    dW0 = (-3.0 * W[0] + 4.0 * W[1] - W[2]) / (2.0 * h) + chart.gamma(
-        trajectory.qs[0], trajectory.vs[0], W[0]
-    )
-    dWT = (3.0 * W[-1] - 4.0 * W[-2] + W[-3]) / (2.0 * h) + chart.gamma(
-        trajectory.qs[-1], trajectory.vs[-1], W[-1]
-    )
-    tol = (1e-10 + 10.0 * h * h) * (1.0 + sup)
-    ends = [W[0], W[-1], dW0, dWT]
-    if max(float(np.linalg.norm(e)) for e in ends) > tol:
-        raise ValueError(
-            "variation field must vanish to first covariant order at both ends"
-        )
-    e = eps / (1.0 + sup)
-    qp = chart.exp(trajectory.qs, e * W)
-    qm = chart.exp(trajectory.qs, -e * W)
-    va, vb = trajectory.vs[0], trajectory.vs[-1]
-    jp = _discrete_action(chart, potential, h, qp, va, vb)
-    jm = _discrete_action(chart, potential, h, qm, va, vb)
-    return (jp - jm) / (2.0 * e)

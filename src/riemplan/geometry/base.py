@@ -7,11 +7,11 @@ reads that record, and geodesics, distance and transport follow.  Point
 and vector arguments broadcast over leading axes; the last axis is always
 the coordinate axis.  Index conventions:
 
-    metric(x), ChartPoint.g                 [..., a, b]        g_ab
-    metric_inv(x), ChartPoint.ginv          [..., a, b]        g^ab
-    christoffel(x), ChartPoint.Gamma        [..., k, i, j]     Gamma^k_ij (symmetric in i, j)
-    dchristoffel(x), ChartPoint.dGamma      [..., l, k, i, j]  d_l Gamma^k_ij
-    ChartPoint.R                            [..., l, i, j, k]  R^l_ijk X^i Y^j Z^k = R(X, Y)Z^l
+    ChartPoint.g        [..., a, b]        g_ab (also ``metric(x)``)
+    ChartPoint.ginv     [..., a, b]        g^ab
+    ChartPoint.Gamma    [..., k, i, j]     Gamma^k_ij (symmetric in i, j)
+    ChartPoint.dGamma   [..., l, k, i, j]  d_l Gamma^k_ij
+    ChartPoint.R        [..., l, i, j, k]  R^l_ijk X^i Y^j Z^k = R(X, Y)Z^l
 
 and each covariant derivative of R appends its index (``nR``, ``nnR``).
 
@@ -112,32 +112,20 @@ class ManifoldChart:
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.at(x, 0).g
 
-    def metric_inv(self, x: np.ndarray) -> np.ndarray:
-        return self.at(x, 0).ginv
-
     def inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.at(x, 0).inner(u, v)
 
     def norm(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self.inner(x, u, u), 0.0))
 
-    def raise_covector(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.at(x, 0).raise_covector(w)
-
-    # -- connection layer ---------------------------------------------
-
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
-        return self.at(x, 1).Gamma
+    # -- connection and curvature layer -------------------------------
 
     def gamma(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gamma(u, v)^k, the Christoffel contraction used by every ODE here."""
         return self.at(x, 1).gamma(u, v)
 
-    def dchristoffel(self, x: np.ndarray) -> np.ndarray:
-        return self.at(x, 2).dGamma
-
-    # -- curvature layer ----------------------------------------------
-
+    # bench/kernels.py times this kernel by name; every program path reads
+    # R off the record of ``at``
     def curvature(
         self, x: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
     ) -> np.ndarray:
@@ -148,28 +136,6 @@ class ManifoldChart:
         if self.flat:
             return np.zeros(np.broadcast(X, Y, Z).shape)
         return self.at(x, 0 if self.locally_symmetric else 2).curvature(X, Y, Z)
-
-    def curvature_from_christoffel(
-        self, x: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
-    ) -> np.ndarray:
-        """R(X, Y)Z from the coordinate formula.
-
-        R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik.
-        Works on every chart; the constant-curvature formula is cross-checked
-        against this in the test suite.
-        """
-        p = self.at(x, 2)
-        t1 = np.einsum("...iljk,...i,...j,...k->...l", p.dGamma, X, Y, Z)
-        t2 = np.einsum("...jlik,...i,...j,...k->...l", p.dGamma, X, Y, Z)
-        return t1 - t2 + p.gamma(X, p.gamma(Y, Z)) - p.gamma(Y, p.gamma(X, Z))
-
-    def nabla_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab_W R)(X, Y)Z, broadcast like ``curvature``: exactly zero on locally symmetric charts."""
-        return self.at(x, 3).nabla_R(W, X, Y, Z)
-
-    def nabla2_R(self, x, W, X, Y, Z) -> np.ndarray:
-        """(nab^2_{W,W} R)(X, Y)Z along the geodesic through x with speed W; quadratic in W."""
-        return self.at(x, 4).nabla2_R(W, X, Y, Z)
 
     # -- geodesic layer -----------------------------------------------
 

@@ -5,15 +5,9 @@ ends) the second variation of the action along a solution is
 
     I(X, Y) = int [ <D^2X, D^2Y> + <Y, F(X, qdot) + nab_X grad V> ] dt.
 
-The curvature part and the potential coupling split off as
-
-    I = I_c + P_plus + P_minus,
-
-with P_plus / P_minus the symmetrized and antisymmetrized potential
-Hessian pairings; the antisymmetry identity I(X,Y) - I(Y,X) = 2 P_minus(X,Y)
-is exact up to quadrature.  ``index_form``, ``decompose`` and
-``negative_direction`` read one quadrature statement of I (``_index_sum``).
-A finite-dimensional restriction to parallel frame directions times
+``negative_direction`` reads one quadrature statement of I
+(``_index_sum``); so does the index form on sampled fields that the tests
+hold it to (``tests/references.py``).  A finite-dimensional restriction to parallel frame directions times
 clamped quintic spline profiles turns sign counting into a generalized
 symmetric eigenproblem whose mass matrix is the Sobolev-2 Gram form, so the
 +-1e-9 eigenvalue cutoffs act on a scale-normalized spectrum.  A profile
@@ -25,12 +19,11 @@ negative direction (the bi-Jacobi necessary condition);
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, _discrete_action, quadrature_weights
+from .dynamics import Trajectory, quadrature_weights
 from .errors import BasisError, ConstructionError, _recorded_warnings
 from .geometry import parallel_transport, transport_frame
 from .jacobi import (
@@ -41,21 +34,13 @@ from .jacobi import (
     _rank_test,
     biconjugate_scan,
     jacobi_operator,
-    operator_table,
 )
 
 __all__ = [
-    "AdmissibleField",
     "IndexReport",
     "OptimalityReport",
     "NegativeDirectionReport",
-    "field_from_profiles",
-    "random_field",
-    "index_form",
-    "decompose",
-    "second_variation_fd",
     "negative_direction",
-    "spline_profiles",
     "extended_index",
     "verdict",
 ]
@@ -63,169 +48,11 @@ __all__ = [
 _EIG_TOL = 1e-9
 
 
-@dataclass
-class AdmissibleField:
-    """Samples of a variation field and its first two covariant derivatives
-    on a trajectory grid.  Admissibility pins X and DX to zero at the ends."""
-
-    ts: np.ndarray
-    X: np.ndarray
-    dX: np.ndarray
-    d2X: np.ndarray
-
-    def __post_init__(self):
-        self.ts = np.asarray(self.ts, float)
-        self.X = np.asarray(self.X, float)
-        self.dX = np.asarray(self.dX, float)
-        self.d2X = np.asarray(self.d2X, float)
-        if self.X.shape != (len(self.ts),) + self.X.shape[1:]:
-            raise ValueError("field samples must align with the time grid")
-
-    def validate(self, trajectory: Trajectory):
-        if len(self.ts) != len(trajectory.ts) or not np.allclose(
-            self.ts, trajectory.ts, atol=1e-12 * (1.0 + trajectory.T)
-        ):
-            raise ValueError("field grid does not match the trajectory grid")
-        chart = trajectory.chart
-        scale = max(float(np.max(chart.norm(trajectory.qs, self.X))), 1e-300)
-        ends = max(
-            float(chart.norm(trajectory.qs[0], self.X[0])),
-            float(chart.norm(trajectory.qs[-1], self.X[-1])),
-            float(chart.norm(trajectory.qs[0], self.dX[0])),
-            float(chart.norm(trajectory.qs[-1], self.dX[-1])),
-        )
-        if ends > 1e-12 * scale:
-            raise ValueError(
-                f"field does not vanish to first order at the ends "
-                f"(boundary magnitude {ends:.2e} vs scale {scale:.2e})"
-            )
-
-
-def field_from_profiles(trajectory: Trajectory, P, dP, d2P, frame=None) -> AdmissibleField:
-    """Assemble a field from per-direction time profiles in a parallel frame.
-
-    P, dP, d2P have shape (nodes, dim); column i multiplies the i-th frame
-    vector.  Parallel frames have vanishing covariant derivative, so the
-    covariant field jets are the profile time-derivatives alone.
-    """
-    if frame is None:
-        frame = transport_frame(
-            trajectory.chart, trajectory.ts, trajectory.qs, trajectory.vs
-        )
-    X = np.einsum("si,sia->sa", np.asarray(P, float), frame)
-    dX = np.einsum("si,sia->sa", np.asarray(dP, float), frame)
-    d2X = np.einsum("si,sia->sa", np.asarray(d2P, float), frame)
-    return AdmissibleField(trajectory.ts.copy(), X, dX, d2X)
-
-
-def random_field(trajectory: Trajectory, rng, modes: int = 4, frame=None) -> AdmissibleField:
-    """Smooth random admissible field from squared-sine modes.
-
-    Normalized to unit Sobolev-2 norm so pairings of independent draws sit
-    at order one regardless of the window length or mode content.
-    """
-    ts = trajectory.ts
-    T = trajectory.T
-    n = trajectory.chart.dim
-    P = np.zeros((len(ts), n))
-    dP = np.zeros_like(P)
-    d2P = np.zeros_like(P)
-    for m in range(1, modes + 1):
-        c = rng.standard_normal(n) / m**2
-        u = np.pi * m * (ts - ts[0]) / T
-        w = np.pi * m / T
-        P += np.sin(u)[:, None] ** 2 * c
-        dP += (w * np.sin(2.0 * u))[:, None] * c
-        d2P += (2.0 * w**2 * np.cos(2.0 * u))[:, None] * c
-    fld = field_from_profiles(trajectory, P, dP, d2P, frame)
-    qw = quadrature_weights(len(ts), trajectory.h)
-    qs = trajectory.qs
-    h2 = float(
-        qw
-        @ (
-            trajectory.chart.inner(qs, fld.X, fld.X)
-            + trajectory.chart.inner(qs, fld.dX, fld.dX)
-            + trajectory.chart.inner(qs, fld.d2X, fld.d2X)
-        )
-    )
-    scale = np.sqrt(max(h2, 1e-300))
-    fld.X /= scale
-    fld.dX /= scale
-    fld.d2X /= scale
-    return fld
-
-
-def _force(trajectory, X, dX, d2X):
-    """F(X, qdot) + potential Hessian at every node of the trajectory grid,
-    read off the field grid's operator table at the curve's nodes."""
-    force = _force_block(operator_table(trajectory)[0][:: trajectory.field_refinement])
-    return np.einsum("sij,sj->si", force, np.concatenate([X, dX, d2X], axis=-1))
-
-
 def _index_sum(chart, q, w, d2X, d2Y, Y, fX):
     """The index form's one quadrature statement: the sum of
     w (<D2X, D2Y>_g + <Y, f_X>_g) over the points q, where f_X is
     F(X, qdot) + nab_X grad V at those points."""
     return float(w @ (chart.inner(q, d2X, d2Y) + chart.inner(q, Y, fX)))
-
-
-def index_form(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField) -> float:
-    """Second-variation pairing of two admissible fields by grid quadrature."""
-    X.validate(trajectory)
-    Y.validate(trajectory)
-    w = quadrature_weights(len(trajectory.ts), trajectory.h)
-    fx = _force(trajectory, X.X, X.dX, X.d2X)
-    return _index_sum(trajectory.chart, trajectory.qs, w, X.d2X, Y.d2X, Y.X, fx)
-
-
-def decompose(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField):
-    """Split the pairing into curvature part and potential couplings.
-
-    Returns (I_c, P_plus, P_minus) with I_c + P_plus + P_minus equal to
-    index_form(X, Y) under the same quadrature.
-    """
-    X.validate(trajectory)
-    Y.validate(trajectory)
-    chart, potential = trajectory.chart, trajectory.potential
-    w = quadrature_weights(len(trajectory.ts), trajectory.h)
-    qs = trajectory.qs
-    hx = potential.hessian_op(qs, X.X)
-    hy = potential.hessian_op(qs, Y.X)
-    fx = _force(trajectory, X.X, X.dX, X.d2X) - hx
-    i_c = _index_sum(chart, qs, w, X.d2X, Y.d2X, Y.X, fx)
-    yhx = chart.inner(qs, Y.X, hx)
-    xhy = chart.inner(qs, X.X, hy)
-    p_plus = 0.5 * float(w @ (yhx + xhy))
-    p_minus = 0.5 * float(w @ (yhx - xhy))
-    return i_c, p_plus, p_minus
-
-
-def second_variation_fd(trajectory: Trajectory, X: AdmissibleField, Y: AdmissibleField, eps: float = 1e-3) -> float:
-    """Mixed finite difference of the discrete action (``dynamics._discrete_action``)
-    through a two-parameter pointwise-exponential variation; an independent check."""
-    X.validate(trajectory)
-    Y.validate(trajectory)
-    chart, potential = trajectory.chart, trajectory.potential
-    qs, h = trajectory.qs, trajectory.h
-    va, vb = trajectory.vs[0], trajectory.vs[-1]
-
-    def J(r, s):
-        qv = chart.exp(qs, r * X.X + s * Y.X)
-        return _discrete_action(chart, potential, h, qv, va, vb)
-
-    jpp = J(eps, eps)
-    jpm = J(eps, -eps)
-    jmp = J(-eps, eps)
-    jmm = J(-eps, -eps)
-    noise = abs(jpp) * 2.2e-16 / (4.0 * eps * eps)
-    if noise > 1e-5:
-        warnings.warn(
-            f"difference step eps={eps:g} is roundoff-dominated: "
-            f"cancellation noise is about {noise:.1e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float((jpp - jpm - jmp + jmm) / (4.0 * eps * eps))
 
 
 @dataclass
@@ -393,20 +220,6 @@ def _spline_basis(ts, T, knots):
         local = coef[span - d]
         vals.append(sum(local[:, a] * B[d - nu][:, a : a + 1] for a in range(d + 1 - nu)))
     return np.stack(vals), span - d
-
-
-def spline_profiles(ts, T, m):
-    """Clamped quintic B-spline profiles vanishing to first order at ends.
-
-    Returns (Phi0, Phi1, Phi2, knots): m rows of profile samples and their
-    first two derivatives on ts, which count from the window start; the
-    members of the clamped basis (``_spline_basis``) but its first and last two.
-    """
-    interior = _profile_knots(T, m)
-    vals, first = _spline_basis(ts, T, interior)
-    full = np.zeros((3, len(first), m + 4))
-    full[:, np.arange(len(first))[:, None], first[:, None] + np.arange(6)] = vals
-    return (*full[:, :, 2 : m + 2].transpose(0, 2, 1), interior)
 
 
 @dataclass

@@ -27,14 +27,15 @@ curve node is a field node and the curve between nodes is read off
 ``Trajectory.interpolate``.  On a grid of one step per segment the
 march is the curve's own node/midpoint march.  The operator A(t) of
 u' = A(t) u is built once per trajectory, at every field node and
-field-step midpoint from one chart evaluation (``operator_table``); the
+field-step midpoint from one chart evaluation (``_field``); the
 march multiplies u by RK4 step matrices, their products taken by doubling
 within blocks of steps.  A bundle of fields marches as one matrix;
 off-node values take one partial step out of the enclosing field node
 through the same operator, for any number of times in one call.  The
-second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off the
-same table at the curve's nodes, and shooting in ``bvp`` reads its Jacobian
-off the scan's bundle at the last node (``shooting_jacobian``).
+second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off
+``jacobi_operator`` at their quadrature points (``_force_block``), and
+shooting in ``bvp`` reads its Jacobian off the scan's bundle at the last
+node (``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
@@ -60,8 +61,6 @@ __all__ = [
     "F_operator",
     "jacobi_rhs",
     "jacobi_operator",
-    "operator_table",
-    "propagate_jacobi",
     "shooting_jacobian",
     "biconjugate_scan",
 ]
@@ -190,19 +189,6 @@ def _field(trajectory: Trajectory) -> _Field:
     return trajectory._ops
 
 
-def operator_table(trajectory: Trajectory):
-    """jacobi_operator at every node and every step midpoint of the field grid.
-
-    Built in one call and cached on the trajectory, so the field march,
-    its off-node steps and the second-variation forms share one table.
-    Returns (nodes, mids) of shapes (M+1, 4n, 4n) and (M, 4n, 4n) with
-    M = ``trajectory.field_steps``; every ``field_refinement``-th node is
-    a node of the curve.
-    """
-    field = _field(trajectory)
-    return field.nodes, field.mids
-
-
 def _force_block(A):
     """F(., qdot) + nab grad V as matrices on (X, DX, D2X), read off A.
 
@@ -264,24 +250,6 @@ def _propagate_bundle(traj: Trajectory, k, u0):
         nodes[k:-1], mids[k:], nodes[k + 1 :], field.h, _flat(u0), field.ts[k:], "perturbation field blew up"
     )
     return _StoredFlow(traj, states.reshape(states.shape[:-1] + u0.shape[-2:]), k)
-
-
-def propagate_jacobi(trajectory: Trajectory, initial: JacobiState) -> JacobiState:
-    """Integrate the field ODE over the whole trajectory window.
-
-    The initial state must sit at the first node; its fields may carry a
-    leading batch axis.  The march runs on the field grid; returns the
-    samples of all four jets at the trajectory's nodes.
-    """
-    if abs(float(initial.t) - float(trajectory.ts[0])) > 1e-9 * (1.0 + trajectory.T):
-        raise ValueError("initial field state must sit at the trajectory start")
-    u0 = np.stack(
-        [np.asarray(a, float) for a in (initial.X, initial.dX, initial.d2X, initial.d3X)],
-        axis=-2,
-    )
-    flow = _propagate_bundle(trajectory, 0, u0)
-    s = np.moveaxis(flow.states[:: trajectory.field_refinement], -2, 0)
-    return JacobiState(trajectory.ts.copy(), s[0], s[1], s[2], s[3])
 
 
 def _basis_bundle(n):

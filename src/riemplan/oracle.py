@@ -246,29 +246,6 @@ def _damped_newton(grad, u, n, gtol):
     return u, g, steps
 
 
-def _descend(fun, u0, gtol, maxiter):
-    """Monotone gradient descent with adaptive backtracking: no option
-    selects it, it is the reference the tests compare Newton against."""
-    u = u0.copy()
-    f, g = fun(u)
-    step = 1.0
-    for it in range(int(maxiter)):
-        sup = float(np.max(np.abs(g)))
-        if sup <= gtol:
-            return u, f, g, it
-        for _ in range(60):
-            trial = u - step * g
-            ft, gt = fun(trial)
-            if ft < f - 1e-4 * step * float(np.sum(g * g)):
-                u, f, g = trial, ft, gt
-                step *= 2.0
-                break
-            step *= 0.5
-        else:
-            return u, f, g, it
-    return u, f, g, int(maxiter)
-
-
 def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: DiscretePath | None = None, gtol: float = 1e-7) -> DiscretePath:
     """Minimize the discrete action over interior nodes.
 

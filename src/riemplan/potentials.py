@@ -21,8 +21,9 @@ One hook per potential supplies d^2, grad r and Hess r (X) for the distance
 in force: exactly from the coordinates for the chart-coordinate distance;
 for the Riemannian distance from ``log`` and a closed form on charts of
 constant curvature, and from differences of ``log`` elsewhere.  On a flat
-chart the two distances coincide and take the coordinate route.
-``hessian_op_fd`` is always available as an independent oracle.
+chart the two distances coincide and take the coordinate route.  The
+tests hold every ``hessian_op`` to central differences of the gradient
+through ``_nabla_fd``, the rule that differences ``log`` elsewhere.
 """
 
 from __future__ import annotations
@@ -88,14 +89,6 @@ class Potential:
 
     def hessian_op(self, x: np.ndarray, X: np.ndarray, p: ChartPoint | None = None) -> np.ndarray:
         raise NotImplementedError
-
-    def hessian_op_fd(self, x: np.ndarray, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        """nab_X grad V by central differences of the gradient field.
-
-        Serves as the oracle for every analytic ``hessian_op``.
-        """
-        x = np.asarray(x, float)
-        return _nabla_fd(self.chart, self.gradient, x, np.asarray(X, float), self.gradient(x), h)
 
 
 class ZeroPotential(Potential):

@@ -92,12 +92,14 @@ def scenario():
 @pytest.fixture
 def fd_jacobian():
     """``fd_jacobian(chart, potential, p, v, y, z, t, h, rel=1e-5)``: central
-    differences of ``biexp`` in (y, z), one shared step rel * (1 + |(y, z)|).
+    differences in (y, z) of the bi-exponential map, the end (q, qdot) of the
+    curve from the 4-jet (p, v, y, z), one shared step rel * (1 + |(y, z)|).
 
-    A reference for ``biexp_jacobian`` that does not share its
-    linearization: columns (y_1..y_n, z_1..z_n), row blocks (q; qdot).
-    The 4n perturbed curves march as the rows of one ``dynamics._flow``
-    pass, which gives each the bits ``biexp`` gives it alone.
+    A reference for the shooting Jacobian (``jacobi.shooting_jacobian``)
+    that does not share its linearization: columns (y_1..y_n, z_1..z_n),
+    row blocks (q; qdot).  The 4n perturbed curves march as the rows of
+    one ``dynamics._flow`` pass, which gives each the bits
+    ``integrate_ivp`` gives it alone.
     """
 
     def jacobian(chart, potential, p, v, y, z, t, h, rel=1e-5):

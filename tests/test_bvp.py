@@ -26,8 +26,6 @@ from riemplan import (
     NumericalError,
     ZeroPotential,
     action,
-    biexp,
-    biexp_jacobian,
     continuation_sweep,
     integrate_ivp,
     multi_seed_scan,
@@ -43,6 +41,23 @@ EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
 S2 = parse_manifold("sphere2")
 H2 = parse_manifold("hyperbolic2")
+
+
+def biexp(chart, pot, p, v, y, z, t, h=None):
+    """(q(t), qdot(t)) of the curve from the 4-jet (p, v, y, z): the bi-exponential map."""
+    traj = integrate_ivp(chart, pot, CurveState(0.0, p, v, y, z), t, h)
+    return traj.qs[-1], traj.vs[-1]
+
+
+def biexp_jacobian(chart, pot, p, v, y, z, t, h=None):
+    """Its differential in (y, z), read off the curve's field bundle."""
+    return shooting_jacobian(integrate_ivp(chart, pot, CurveState(0.0, p, v, y, z), t, h))[0]
+
+
+def shoot(chart, pot, p, v, y, z, t, steps, t0=0.0):
+    """The ``bvp._Shot`` of one pass of the trial (y, z) on ``steps`` steps."""
+    req = bvp._Request((np.array([p, v, y, z], float), t0, t / steps, steps))
+    return req.finish(dynamics._flow(chart, pot, req.rows))
 
 
 def test_biexp_flat_closed_form():
@@ -398,7 +413,7 @@ def test_solve_step_control(scenario, monkeypatch):
         # the recorded estimates are the ones at the returned (y, z): the
         # curve's against its twin on its field grid, and the field grid's
         full, half = (
-            bvp._shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
+            shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
         )
         assert res.estimate == bvp._richardson(full, half)
         traj, field_estimate = bvp.field_grid(full.trajectory)
@@ -473,7 +488,7 @@ def _direct_newton(chart, pot, bd, seed, steps, twin=False):
     tol = 1e-8 * (1.0 + np.linalg.norm(target))
 
     def shoot(y, z):
-        return bvp._Request(bd.q_a, bd.v_a, y, z, bd.span, steps, bd.a, twin=twin)
+        return bvp._Request((np.array([bd.q_a, bd.v_a, y, z], float), bd.a, bd.span / steps, steps), twin=twin)
 
     def run():
         shot = yield shoot(*seed)
@@ -528,7 +543,7 @@ def test_coarse_failure_falls_back_to_the_fine_grid(scenario, monkeypatch):
     chart, pot, bd = scenario("flat_obstacle")
     seed = hermite_seed(bd)
     pilot = 2 * bvp._PILOT_STEPS
-    full, half = (bvp._shoot(chart, pot, bd.q_a, bd.v_a, *seed, bd.span, k) for k in (pilot, pilot // 2))
+    full, half = (shoot(chart, pot, bd.q_a, bd.v_a, *seed, bd.span, k) for k in (pilot, pilot // 2))
     N = bvp._predict_steps(pilot, bvp._richardson(full, half))
     y, z, shot, rn, its = _direct_newton(chart, pot, bd, seed, N, twin=True)
     estimate = bvp._richardson(shot, shot.twin())
@@ -638,7 +653,7 @@ def test_step_estimate_is_not_optimistic(case, yz):
     y, z = np.array(yz[:2]), np.array(yz[2:])
     N = 2 * bvp._PILOT_STEPS
     try:
-        half, shot, fine = (bvp._shoot(chart, pot, p, v, y, z, T, k) for k in (N // 2, N, 4 * N))
+        half, shot, fine = (shoot(chart, pot, p, v, y, z, T, k) for k in (N // 2, N, 4 * N))
         estimate = bvp._richardson(shot, half)
         traj, field_estimate = shot.fields
     except ChartEscapeError:
@@ -675,11 +690,11 @@ def test_cap_touching_shot_has_a_finite_jacobian():
             hi = T
     T = lo
     q, qd = biexp(H2, V, p, v, y, z, T, h=T / 16)
-    shot = bvp._shoot(H2, V, p, v, y, z, T, 16)
+    shot = shoot(H2, V, p, v, y, z, T, 16)
     assert np.array_equal(shot.end, np.concatenate([q, qd]))
     assert np.array_equal(shot.trajectory.qs[-1], q)
     J = biexp_jacobian(H2, V, p, v, y, z, T, h=T / 16)
-    assert np.all(np.isfinite(J)) and np.array_equal(J, shot.jacobian())
+    assert np.all(np.isfinite(J)) and np.array_equal(J, shot.linearization[0])
     assert np.linalg.matrix_rank(J) == 4
     # seeded at the exact solution: the solve converges at once and reports
     # the condition number of that Jacobian

@@ -490,6 +490,10 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
         # solver.multi_seed is a JSON boolean, not read by truthiness
         ("plan", {"solver": {"multi_seed": "false"}}, [], "solver.multi_seed"),
         ("plan", {"solver": {"multi_seed": 1}}, [], "solver.multi_seed"),
+        # a count past 2**20 is refused before the oracle allocates its nodes
+        ("oracle-compare", {"oracle": {"nodes": 2**70}}, [], "oracle.nodes"),
+        ("oracle-compare", {"oracle": {"nodes": 2**20 + 1}}, [], "oracle.nodes"),
+        ("oracle-compare", {}, ["--nodes", str(2**70)], "--nodes"),
     ],
 )
 def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):

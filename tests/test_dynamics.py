@@ -25,12 +25,14 @@ from riemplan import (
     QuadraticWell,
     ZeroPotential,
     action,
-    first_variation,
     integrate_ivp,
     parse_manifold,
 )
 from riemplan import dynamics
 from riemplan.dynamics import grid_steps, quadrature_weights
+
+import references
+from references import first_variation
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -235,8 +237,8 @@ def test_trajectory_analyses_read_its_chart_and_potential():
     # that analyzes one takes a second pair that could disagree with it
     from riemplan import bvp, index, jacobi, oracle
 
-    found = [index.AdmissibleField.validate]
-    for mod in (dynamics, bvp, jacobi, index, oracle):
+    found = [references.AdmissibleField.validate]
+    for mod in (dynamics, bvp, jacobi, index, oracle, references):
         found += [getattr(mod, name) for name in mod.__all__]
     checked = 0
     for fn in found:

@@ -32,7 +32,7 @@ from riemplan.geometry.charts import EuclideanChart
 from riemplan.jacobi import JacobiState, jacobi_operator, jacobi_rhs
 from riemplan.oracle import DiscretePath, discrete_gradient
 
-GEOMETRY = ("at", "gamma", "curvature", "christoffel", "metric", "dchristoffel")
+GEOMETRY = ("at", "gamma", "curvature", "metric")
 
 
 class ZeroCurvedChart(EuclideanChart):

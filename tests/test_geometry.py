@@ -32,6 +32,8 @@ from riemplan import (
 from riemplan.geometry import ManifoldChart, Sphere2Chart, base
 from riemplan.geometry.charts import _radial_dchristoffel
 
+from references import curvature_from_christoffel
+
 EUC3 = parse_manifold("euclidean:3")
 S2 = parse_manifold("sphere2")
 H2 = parse_manifold("hyperbolic2")
@@ -74,7 +76,7 @@ def test_metric_symmetric_positive_definite(chart):
 @pytest.mark.parametrize("chart", ANALYTIC, ids=lambda c: c.name)
 def test_christoffel_torsion_free(chart):
     x = sample_points(chart, 100, np.random.default_rng(2))
-    gam = chart.christoffel(x)
+    gam = chart.at(x, 1).Gamma
     assert np.max(np.abs(gam - np.swapaxes(gam, -1, -2))) < 1e-9
 
 
@@ -98,7 +100,7 @@ def test_metric_compatibility(chart, tol):
         ],
         axis=-3,
     )
-    gam = chart.christoffel(x)
+    gam = chart.at(x, 1).Gamma
     rec = np.einsum("...mla,...mb->...lab", gam, g) + np.einsum(
         "...mlb,...am->...lab", gam, g
     )
@@ -107,18 +109,19 @@ def test_metric_compatibility(chart, tol):
 
 @pytest.mark.parametrize("chart", ANALYTIC + [numeric_sphere()], ids=lambda c: c.name)
 def test_connection_derivative_matches_central_differences(chart):
-    # dchristoffel is exact on every chart: the test takes central
-    # differences of christoffel itself as the reference; g^-1 inverts g
+    # dGamma is exact on every chart: the test takes central differences
+    # of Gamma itself as the reference; g^-1 inverts g
     rng = np.random.default_rng(15)
     x = sample_points(S2 if chart.name == "numeric-sphere" else chart, 20, rng)
     h = 1e-5
     fd = np.stack(
-        [(chart.christoffel(x + h * e) - chart.christoffel(x - h * e)) / (2 * h) for e in np.eye(chart.dim)], axis=1
+        [(chart.at(x + h * e, 1).Gamma - chart.at(x - h * e, 1).Gamma) / (2 * h) for e in np.eye(chart.dim)], axis=1
     )
-    dgam = chart.dchristoffel(x)
+    p = chart.at(x, 2)
+    dgam = p.dGamma
     assert dgam.shape == fd.shape
     assert np.max(np.abs(dgam - fd)) <= 1e-7 * np.max(np.abs(dgam))
-    assert np.max(np.abs(chart.metric_inv(x) @ chart.metric(x) - np.eye(chart.dim))) < 1e-13
+    assert np.max(np.abs(p.ginv @ p.g - np.eye(chart.dim))) < 1e-13
 
 
 @pytest.mark.parametrize("chart", [S2, H2], ids=lambda c: c.name)
@@ -144,9 +147,8 @@ def test_so3_geometry_needs_no_matrix_inverse(monkeypatch):
     rng = np.random.default_rng(16)
     x = sample_points(SO3, 10, rng)
     X, Y, Z = rng.normal(size=(3, 10, 3))
-    for out in (
-        SO3.metric_inv(x), SO3.christoffel(x), SO3.gamma(x, X, Y), SO3.dchristoffel(x), SO3.curvature(x, X, Y, Z)
-    ):
+    p = SO3.at(x, 2)
+    for out in (p.ginv, p.Gamma, SO3.gamma(x, X, Y), p.dGamma, SO3.curvature(x, X, Y, Z)):
         assert np.all(np.isfinite(out))
 
 
@@ -181,7 +183,7 @@ def test_constant_curvature_closed_form(chart, kappa):
     )
     assert np.max(np.abs(chart.curvature(x, X, Y, Z) - closed)) < 1e-12
     # and the coordinate route from the exact Christoffel derivatives agrees
-    coord = chart.curvature_from_christoffel(x, X, Y, Z)
+    coord = curvature_from_christoffel(chart, x, X, Y, Z)
     assert np.max(np.abs(coord - closed)) < 1e-10
 
 
@@ -201,7 +203,7 @@ def test_so3_curvature_vs_coordinate_route():
     x = sample_points(SO3, 20, rng)
     X, Y, Z = rng.normal(size=(3, 20, 3))
     lie = SO3.curvature(x, X, Y, Z)
-    coord = SO3.curvature_from_christoffel(x, X, Y, Z)
+    coord = curvature_from_christoffel(SO3, x, X, Y, Z)
     assert np.max(np.abs(lie - coord)) < 1e-10
 
 
@@ -223,7 +225,7 @@ def test_flat_curvature_zero():
     x = rng.normal(size=(10, 3))
     X, Y, Z = rng.normal(size=(3, 10, 3))
     assert np.max(np.abs(EUC3.curvature(x, X, Y, Z))) == 0.0
-    assert np.max(np.abs(EUC3.christoffel(x))) == 0.0
+    assert np.max(np.abs(EUC3.at(x, 1).Gamma)) == 0.0
 
 
 @pytest.mark.parametrize("chart", [EUC3, S2, H2, SO3], ids=lambda c: c.name)
@@ -232,8 +234,9 @@ def test_nabla_R_zero_on_symmetric_charts(chart):
     rng = np.random.default_rng(9)
     x = sample_points(chart, 1, rng)[0]
     W, X, Y, Z = rng.normal(size=(4, chart.dim))
-    assert np.max(np.abs(chart.nabla_R(x, W, X, Y, Z))) == 0.0
-    assert np.max(np.abs(chart.nabla2_R(x, W, X, Y, Z))) == 0.0
+    p = chart.at(x, 4)
+    assert np.max(np.abs(p.nabla_R(W, X, Y, Z))) == 0.0
+    assert np.max(np.abs(p.nabla2_R(W, X, Y, Z))) == 0.0
 
 
 def test_numeric_sphere_curvature_and_nabla_R():
@@ -245,8 +248,9 @@ def test_numeric_sphere_curvature_and_nabla_R():
     exact = S2.curvature(x, X, Y, Z)
     assert np.max(np.abs(num.curvature(x, X, Y, Z) - exact)) < 1e-12
     # covariant derivative of R vanishes on the round sphere
-    assert np.max(np.abs(num.nabla_R(x, W, X, Y, Z))) < 1e-12
-    assert np.max(np.abs(num.nabla2_R(x, W, X, Y, Z))) < 1e-12
+    p = num.at(x, 4)
+    assert np.max(np.abs(p.nabla_R(W, X, Y, Z))) < 1e-12
+    assert np.max(np.abs(p.nabla2_R(W, X, Y, Z))) < 1e-12
 
 
 # every whitelisted function and operator; the floors stay constant on [-1, 1]^2
@@ -277,17 +281,17 @@ def test_series_derivatives_match_central_differences(p):
     assert np.max(np.abs(chart.metric(x) - ref)) <= 1e-14 * np.max(np.abs(ref))
     h = 1e-5
     steps = [h * e for e in np.eye(2)]
-    fd_gam = np.stack([(chart.christoffel(x + e) - chart.christoffel(x - e)) / (2 * h) for e in steps])
-    dgam = chart.dchristoffel(x)
+    fd_gam = np.stack([(chart.at(x + e, 1).Gamma - chart.at(x - e, 1).Gamma) / (2 * h) for e in steps])
+    dgam = chart.at(x, 2).dGamma
     assert np.max(np.abs(dgam - fd_gam)) <= 1e-6 * np.max(np.abs(dgam))
     # R and nabla R through their own series: the coordinate route and the
     # second Bianchi identity (nab_X R)(Y, Z) + (nab_Y R)(Z, X) + (nab_Z R)(X, Y) = 0
     X, Y, Z, U = np.random.default_rng(5).normal(size=(4, 2))
     R = chart.curvature(x, X, Y, Z)
-    assert np.max(np.abs(R - chart.curvature_from_christoffel(x, X, Y, Z))) <= 1e-12 * np.max(np.abs(R))
-    nR = chart.nabla_R
-    bianchi = nR(x, X, Y, Z, U) + nR(x, Y, Z, X, U) + nR(x, Z, X, Y, U)
-    assert np.max(np.abs(bianchi)) <= 1e-12 * np.max(np.abs(nR(x, X, Y, Z, U)))
+    assert np.max(np.abs(R - curvature_from_christoffel(chart, x, X, Y, Z))) <= 1e-12 * np.max(np.abs(R))
+    nR = chart.at(x, 3).nabla_R
+    bianchi = nR(X, Y, Z, U) + nR(Y, Z, X, U) + nR(Z, X, Y, U)
+    assert np.max(np.abs(bianchi)) <= 1e-12 * np.max(np.abs(nR(X, Y, Z, U)))
 
 
 # identities that vanish for |x0|, |x1| <= 1, through every whitelisted function and operator;
@@ -312,10 +316,11 @@ def test_series_identities_give_a_flat_metric():
     x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(50, 2))
     W, X, Y, Z = np.random.default_rng(2).normal(size=(4, 50, 2))
     assert np.max(np.abs(chart.metric(x) - 3.0 * np.eye(2))) < 1e-13
-    assert np.max(np.abs(chart.christoffel(x))) < 1e-13
+    p = chart.at(x, 4)
+    assert np.max(np.abs(p.Gamma)) < 1e-13
     assert np.max(np.abs(chart.curvature(x, X, Y, Z))) < 1e-13
-    assert np.max(np.abs(chart.nabla_R(x, W, X, Y, Z))) < 1e-13
-    assert np.max(np.abs(chart.nabla2_R(x, W, X, Y, Z))) < 1e-12
+    assert np.max(np.abs(p.nabla_R(W, X, Y, Z))) < 1e-13
+    assert np.max(np.abs(p.nabla2_R(W, X, Y, Z))) < 1e-12
 
 
 def test_numeric_metric_file_rejects_unknown_keys(tmp_path):

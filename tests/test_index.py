@@ -16,29 +16,32 @@ from scipy.interpolate import BSpline
 
 import riemplan.index
 from riemplan import (
-    AdmissibleField,
     BasisError,
     CurveState,
     GaussianObstacle,
-    JacobiState,
     QuadraticWell,
     ZeroPotential,
     biconjugate_scan,
-    decompose,
     extended_index,
-    index_form,
     integrate_ivp,
     parse_manifold,
-    propagate_jacobi,
-    random_field,
-    second_variation_fd,
     solve_bvp,
     transport_frame,
     verdict,
 )
 from riemplan.dynamics import quadrature_weights
-from riemplan.index import _galerkin_matrices, _galerkin_points, field_from_profiles, spline_profiles
-from riemplan.jacobi import F_operator
+from riemplan.index import _galerkin_matrices, _galerkin_points
+from riemplan.jacobi import F_operator, _propagate_bundle
+
+from references import (
+    AdmissibleField,
+    decompose,
+    field_from_profiles,
+    index_form,
+    random_field,
+    second_variation_fd,
+    spline_profiles,
+)
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -241,8 +244,8 @@ def test_kernel_field_annihilates_the_pairing():
     t2 = report.times[0]
     w2, w3 = report.witnesses[0]
     pot, traj = bump_rest(t2)
-    out = propagate_jacobi(traj, JacobiState(0.0, np.zeros(1), np.zeros(1), w2, w3))
-    X, dX, d2X = out.X.copy(), out.dX.copy(), out.d2X.copy()
+    u = _propagate_bundle(traj, 0, np.stack([np.zeros(1), np.zeros(1), w2, w3])).states
+    X, dX, d2X = u[:, 0].copy(), u[:, 1].copy(), u[:, 2].copy()
     for arr in (X, dX):  # clamp the integrator residual at the ends
         arr[0] = 0.0
         arr[-1] = 0.0

@@ -28,7 +28,7 @@ from riemplan import (
     parse_manifold,
     solve_bvp,
 )
-from riemplan import bvp, oracle
+from riemplan import bvp
 from riemplan.dynamics import _kinematics, _trapezoid
 from riemplan.bvp import check_uniqueness_props
 from riemplan.oracle import (
@@ -39,6 +39,8 @@ from riemplan.oracle import (
     discrete_gradient,
     minimize_discrete,
 )
+
+from references import descend
 
 EUC1 = parse_manifold("euclidean:1")
 EUC2 = parse_manifold("euclidean:2")
@@ -351,8 +353,8 @@ def test_minimize_iteration_cap_attaches_best():
 
 
 def test_gd_agrees_with_quasi_newton():
-    # plain gradient descent on the action (oracle._descend, which no
-    # option selects) is the reference Newton is held to
+    # plain gradient descent on the action (references.descend) is the
+    # reference Newton is held to
     bd = BoundaryData((0.0,), (0.0,), (0.3,), (0.1,))
     pot = GaussianObstacle(EUC1, (0.25,), amplitude=0.3, width=0.4)
     N = 12
@@ -362,7 +364,7 @@ def test_gd_agrees_with_quasi_newton():
         return discrete_action(EUC1, pot, path), discrete_gradient(EUC1, pot, path).ravel()
 
     start = hermite(bd, (bd.span / N) * np.arange(N + 1))[2 : N - 1].ravel()
-    u, _, g, _ = oracle._descend(fun, start, 1e-5, 1e5)
+    u, _, g, _ = descend(fun, start, 1e-5, 1e5)
     a = DiscretePath.from_free(bd, N, u)
     b = minimize_discrete(EUC1, pot, bd, N, gtol=1e-7)
     assert np.max(np.abs(g)) <= 1e-5
