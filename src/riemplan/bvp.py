@@ -1,40 +1,41 @@
-"""Two-point boundary problems: the bi-exponential map and Newton shooting.
+"""Two-point boundary problems: the bi-exponential map, inverted by multiple shooting.
 
 The bi-exponential map sends initial covariant acceleration and jerk (y, z)
 to the endpoint position and velocity of the trajectory ODE started at
 (p, v).  When its differential in (y, z) is invertible, prescribing both
-endpoint positions and velocities is a well-posed local problem; the solver
-is a damped Newton iteration on that map.
+endpoint positions and velocities is a well-posed local problem.
 
-The differential is the bundle of Jacobi fields vanishing to first order
-at the start, read at the end: the bundle whose rank drops the biconjugate
-scan looks for (``jacobi.shooting_jacobian``), so a singular shooting
-Jacobian and a biconjugate endpoint are one test.  Residual, Jacobian and
-returned trajectory all come from one RK4 pass of the trial (y, z), so
-convergence is measured against the curve the caller receives; on each
-grid a solve costs one pass for its start and one per line-search trial,
-and only accepted iterates march their field bundle.
-
-Newton is mesh-sequenced (Ascher, Mattheij & Russell, Numerical
-Solution of Boundary Value Problems for ODEs, 1995): it converges on
-a coarse grid first, then finishes on the solve's own grid, where one or
-two iterations usually remain.  A coarse stage that fails leaves the
-solve on the fine grid from the seed, as if it had not run.
+The solver shoots K segments, a breakpoint every _SEGMENT_STEPS = 16
+steps of a pass's own grid, K = ceil(N / 16) (Stoer & Bulirsch,
+Introduction to Numerical Analysis, 7.3.5; Ascher, Mattheij & Russell,
+Numerical Solution of Boundary Value Problems for ODEs, 1995, 4.3).  The
+unknowns are (y, z) and the stored 4-jet (q, v, a, j) at each breakpoint,
+first from the Hermite cubic; damped Newton drives down the K - 1 jet
+jumps stacked over the end mismatch.  A trial is one flow pass whose rows
+are the segments, so it costs 16 steps whatever N is, and no row marches
+far enough to carry a poor seed out of the chart.  K = 1 is single
+shooting on the bi-exponential map.  The Jacobian is block bidiagonal,
+each block a segment's field propagator between conversions of
+coordinate jets to field jets, read off the stitched curve's one
+operator table (``jacobi._segment_jacobian``); Newton solves it by
+condensing.  The basis bundle carried across the blocks gives the scan's
+rank test at T, so a singular shooting Jacobian and a biconjugate
+endpoint are one test.  Residual, Jacobian and the returned curve, its
+segments stitched, come from one pass of the trial, so convergence is
+measured against the curve the caller receives.
 
 Unless the caller fixes the step, two grids are chosen by error
 control, each by step doubling (Richardson's h^4 estimate) against one
-relative tolerance of 1e-9.  The curve's grid N answers only for the
-curve: its estimate takes the endpoint and the Jacobian's dependence on
-the curve, the N-curve and its N/2 twin marching their fields on one
-common field grid so that the fields' own error cancels.  The field
-bundle, a linear ODE marched as matrix products, gets a grid of its own
+relative tolerance of 1e-9.  Newton is mesh-sequenced: it converges on
+the pilot grid, whose estimate at the solution picks N, then finishes on
+N from the pilot curve's jets at N's breakpoints; a miss at the final
+solution doubles N and resumes Newton there.  The curve's estimate takes
+the endpoint and the Jacobian's dependence on the curve against the
+pass's half-grid twin, every segment's jets on half its steps, marched
+as more rows of the same pass.  The field bundle gets a grid of its own
 (``field_grid``): M = r N steps, r chosen by the bundle's estimate on
-the N-curve, M against M/2.  The curve's estimate at the solution on
-the pilot grid picks N, and a miss at the final solution doubles N and
-resumes Newton there.  Each pass carries its half-grid twin, the same (y, z) on
-half the steps, marched as a second row of the same pass, so no
-estimate costs a pass of its own.  Newton linearizes each iterate on
-its own curve's grid; only the result's curve gets its field grid.
+the N-curve, M against M/2.  Newton linearizes each iterate on its own
+curve's grid; only the result's curve gets its field grid.
 
 A solve is a generator of shooting requests (``_solve``, with Newton in
 ``_newton``); ``_lockstep`` drives several of them together, marching
@@ -52,6 +53,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import rk4
+
 # _rk4_step and integrate_ivp stay module attributes: bench/layers.py traces
 # them by name here.  The flow itself steps through dynamics._rk4_step (rk4.step).
 from .dynamics import CurveState, Trajectory, _flow, _ivp_row, _rk4_step, grid_steps, integrate_ivp, action  # noqa: F401
@@ -63,7 +66,7 @@ from .errors import (
     PlannerError,
     ResolutionWarning,
 )
-from .jacobi import _field_jacobians, shooting_jacobian
+from .jacobi import _field_jacobians, _segment_jacobian, shooting_jacobian
 
 __all__ = [
     "BoundaryData",
@@ -116,8 +119,11 @@ class ShootingResult:
     #: of those, the iterations on the coarse grid (0 when it did not run
     #: or failed)
     coarse_iterations: int
-    #: segments of the returned trajectory
+    #: steps of the returned trajectory
     steps: int
+    #: shooting segments, ceil(steps / _SEGMENT_STEPS), and their largest jump
+    segments: int
+    max_jump: float
     #: step-doubling estimates of the relative error at the returned (y, z):
     #: of the curve on its ``steps`` (``_richardson``) and of the Jacobian on
     #: the field grid (``field_grid``), and the tolerance both were held to;
@@ -158,21 +164,46 @@ def hermite_seed(boundary: BoundaryData) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Shot:
-    """One flow pass at a trial (y, z): its curve, endpoint and Jacobian."""
+    """One flow pass at a trial: its segments' curves, the residual and the Jacobian."""
 
-    trajectory: Trajectory
-    #: the same (y, z) on half the steps, or that pass's failure
+    #: the curve of each segment, from its stored jets
+    segments: list
+    #: the same jets on half the steps, or that pass's failure
     _twin: "_Shot | Exception | None" = None
 
-    @property
-    def end(self) -> np.ndarray:
-        return np.concatenate([self.trajectory.qs[-1], self.trajectory.vs[-1]])
+    def __post_init__(self):
+        # each segment's stored start jets and its end jets (q, v, a, j), (K, 4, n)
+        self.starts, self.ends = (
+            np.array([[s.qs[k], s.vs[k], s.accs[k], s.jerks[k]] for s in self.segments]) for k in (0, -1)
+        )
+        self.end = self.ends[-1, :2].ravel()  # (q, qdot) at the window end
+        self.jumps = self.ends[:-1] - self.starts[1:]  # at the K - 1 breakpoints
+        # T^l for the levels l over the window T: jumps of the jets in the
+        # time (t - a) / T, so a short window's a and j meet the tolerance
+        self.weights = (self.segments[-1].ts[-1] - self.segments[0].ts[0]) ** np.arange(4.0)[:, None]
+
+    def residual(self, target) -> np.ndarray:
+        """The weighted jumps stacked over the end mismatch with ``target``."""
+        return np.concatenate([(self.jumps * self.weights).ravel(), self.end - target])
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The stitched curve: each segment's nodes up to the next one's
+        stored jets, the last segment's end closing it."""
+        first, *rest = self.segments
+        if not rest:
+            return first
+        nodes = [
+            np.concatenate([getattr(s, k)[:-1] for s in self.segments] + [getattr(rest[-1], k)[-1:]])
+            for k in ("ts", "qs", "vs", "accs", "jerks")
+        ]
+        return Trajectory(first.chart, first.potential, *nodes)
 
     @cached_property
     def linearization(self):
-        """(Jacobian, whether the scan's rank test flags the endpoint),
-        off the curve's Jacobi field bundle (``shooting_jacobian``)."""
-        return shooting_jacobian(self.trajectory)
+        """(blocks of the Jacobian, whether the scan's rank test flags the
+        end), off the stitched curve's operator table (``jacobi._segment_jacobian``)."""
+        return _segment_jacobian(self.trajectory, self.starts, self.ends)
 
     def twin(self) -> "_Shot":
         """The half-grid twin's shot; raises its trial's failure."""
@@ -182,8 +213,8 @@ class _Shot:
 
     @cached_property
     def fields(self) -> tuple[Trajectory, float]:
-        """This curve on its error-controlled field grid, and that grid's
-        estimate (``field_grid``)."""
+        """The stitched curve on its error-controlled field grid, and that
+        grid's estimate (``field_grid``)."""
         return field_grid(self.trajectory)
 
     @cached_property
@@ -196,31 +227,39 @@ class _Request:
     """One shooting pass: the rows ``_flow`` marches for it, and the
     ``_Shot`` made of their results.
 
-    ``row`` is one curve, (u, t0, h, steps) as ``_flow`` takes it, stored
-    at every node.  With ``twin`` the same jets march again on steps / 2
-    at twice the step, for the step-doubling estimate; ``steps`` is then
-    even, so the twin spans the same window.
+    ``rows`` are the segments, each (u, t0, h, steps) as ``_flow`` takes
+    it.  With ``twin`` the same jets march again on steps / 2 at twice the
+    step, for the step-doubling estimate; each row's ``steps`` is then
+    even.  ``what`` names the pass ("seed", "trial", "start", "replay") in
+    the error of a row that fails.
     """
 
-    def __init__(self, row, twin=False):
-        self.rows = [row]
+    def __init__(self, rows, twin=False, what="trial"):
+        self.rows, self.K = list(rows), len(rows)
+        self.where = f"of the {what} pass on {sum(r[3] for r in rows)} steps"
         if twin:
-            u, t0, h, steps = row
-            self.rows.append((u, t0, 2.0 * h, steps // 2))
+            self.rows += [(u, t0, 2.0 * h, steps // 2) for u, t0, h, steps in rows]
+
+    def _shot(self, flows) -> _Shot:
+        for k, (_, failure) in enumerate(flows):
+            if failure is not None:
+                where = f"in segment {k + 1} of {self.K} {self.where}"
+                if isinstance(failure, ChartEscapeError):
+                    t = failure.escape_time
+                    raise ChartEscapeError(f"trajectory left the chart domain at t = {t:.6g}, {where}", t)
+                raise NumericalError(f"{failure}, {where}")
+        return _Shot([trajectory for trajectory, _ in flows])
 
     def finish(self, flows) -> _Shot:
-        """The shot from the ``_flow`` results of ``rows``.
-
-        A failure of the trial raises, exactly as a flow of the trial alone
-        would.  The twin's failure is kept for ``_Shot.twin``.
-        """
-        (trajectory, failure), *twin = flows
-        if failure is not None:
-            raise failure
-        shot = _Shot(trajectory)
-        if twin:
-            [(trajectory, failure)] = twin
-            shot._twin = _Shot(trajectory) if failure is None else failure
+        """The shot from the ``_flow`` results of ``rows``.  A failure of the
+        trial raises, its message naming the pass, the segment and the time;
+        the twin's is kept for ``_Shot.twin``."""
+        shot = self._shot(flows[: self.K])
+        if flows[self.K :]:
+            try:
+                shot._twin = self._shot(flows[self.K :])
+            except PlannerError as failure:
+                shot._twin = failure
         return shot
 
 
@@ -292,6 +331,14 @@ _MAX_STEPS = 1 << 16
 # Newton's own failures, and a coarse pass that could not be marched.
 _COARSE_FAILURES = (NonconvergenceError, CriticalPointError, ChartEscapeError, NumericalError)
 
+# steps per shooting segment: rk4's block, so that on the curve's grid a
+# segment's field propagator is one block's product (``rk4.propagators``)
+_SEGMENT_STEPS = rk4._BLOCK
+
+# d^l/dt^l t^k = k! / (k - l)! t^(k - l) for the jets l = 0..3 of a quintic
+_FALLING = np.array([[math.perm(k, l) for k in range(6)] for l in range(4)], float)
+_POWERS = np.maximum(np.arange(6) - np.arange(4)[:, None], 0)
+
 
 def _predict_steps(steps, estimate):
     """Even step count at which the h^4 law puts an error ``estimate`` made
@@ -306,18 +353,24 @@ def _predict_steps(steps, estimate):
 def _richardson(fine: _Shot, coarse: _Shot) -> float:
     """Step-doubling estimate of the relative error of the curve of ``fine``.
 
-    ``coarse`` is the same (y, z) shot on half the steps.  RK4 errors fall
-    as h^4, so the error of the fine shot is about |fine - coarse| / 15
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Both the endpoint
-    and the Jacobian count, the Jacobian only through the curve it is
-    marched along: both shots' bundles march on the fine curve's field
-    grid (``_Shot.fields``), the same M steps, so the field grid's own
-    error cancels in the difference.  A curve at rest has an exact
-    endpoint and an exact Jacobian coefficient on any grid: its estimate
-    is 0, whatever its fields need.
+    ``coarse`` is the same jets shot on half the steps.  RK4 errors fall
+    as h^4, so the fine shot's error is about |fine - coarse| / 15 (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4).  The endpoint's counts as
+    single shooting of (y, z) would see it: each segment's end difference
+    carried to the window end by the later segments' blocks, to first
+    order.  The Jacobian counts only through the curve it is marched
+    along: both stitched curves' bundles march on the fine curve's field
+    grid (``_Shot.fields``), so that grid's own error cancels.  A curve at
+    rest has an exact endpoint and Jacobian coefficient on any grid: its
+    estimate is 0, whatever its fields need.
     """
     traj, _ = fine.fields
-    e = np.linalg.norm(fine.end - coarse.end) / (1.0 + np.linalg.norm(fine.end))
+    blocks, _ = fine.linearization
+    d = (fine.ends - coarse.ends).reshape(len(blocks), -1)
+    carried = d[0]
+    for block, dk in zip(blocks[1:], d[1:]):
+        carried = block @ carried + dk
+    e = np.linalg.norm(carried[: fine.end.size]) / (1.0 + np.linalg.norm(fine.end))
     J = shooting_jacobian(traj)[0]
     twin = replace(coarse.trajectory, field_refinement=traj.field_steps // coarse.trajectory.segments)
     dj = np.linalg.norm(J - shooting_jacobian(twin)[0]) / np.linalg.norm(J)
@@ -355,123 +408,126 @@ def field_grid(trajectory: Trajectory) -> tuple[Trajectory, float]:
     return traj, est
 
 
-def _linearize(shot: _Shot) -> np.ndarray:
-    """The Jacobian of ``shot``; raises CriticalPointError when the scan's
-    rank test flags its end as biconjugate."""
-    J, biconjugate = shot.linearization
+def _newton_step(shot: _Shot, target) -> np.ndarray:
+    """The Newton step of ``shot``'s residual in the unknowns, by condensing:
+    each breakpoint's step is the previous segment's block times its start's
+    step, plus its jump, so every step is G (dy, dz) + g, and the end rows,
+    single shooting's 2n x 2n system, fix (dy, dz) (Deuflhard, Newton Methods
+    for Nonlinear Problems, 2004, 8.1).  Time and memory grow as K.  Raises
+    CriticalPointError where the scan's rank test flags the end."""
+    blocks, biconjugate = shot.linearization
     if biconjugate:
         raise CriticalPointError(
             "bi-exponential differential is singular at the current iterate; "
             "the endpoint may be close to biconjugate"
         )
-    return J
+    mismatch = shot.end - target
+    G, g, starts = blocks[0], np.zeros(len(blocks[0])), []
+    for block, jump in zip(blocks[1:], shot.jumps.reshape(-1, len(blocks[0]))):
+        starts.append((G, g + jump))
+        G, g = block @ G, block @ (g + jump)
+    dc = np.linalg.solve(G[: mismatch.size], -mismatch - g[: mismatch.size])
+    return np.concatenate([dc, *(G @ dc + g for G, g in starts)])
 
 
-def _newton(shoot, shot, y, z, target, tol, max_iter):
-    """Damped Newton on the endpoint map from (y, z), whose pass is ``shot``.
+def _newton(shoot, shot, x, target, tol, max_iter):
+    """Damped Newton on the residual from the unknowns x, whose pass is ``shot``.
 
-    A generator: it yields ``shoot(y, z)``, the ``_Request`` of each
-    line-search trial on its grid, and is sent the trial's
-    ``_Shot``, or has its chart escape or nonfinite state thrown in, which
-    halves the step.  Returns (y, z, shot, residual, iterations) at the
-    accepted iterate.
+    x stacks (y, z) over the jets at each breakpoint.  A generator: it
+    yields ``shoot(x)``, the ``_Request`` of each line-search trial, and is
+    sent the trial's ``_Shot``, or has its chart escape or nonfinite state
+    thrown in, which halves the step.  Returns (x, shot, residual,
+    iterations) at the accepted iterate.
     """
-    n = y.size
-    r = shot.end - target
+    n = target.size // 2
+    r = shot.residual(target)
     rn = float(np.linalg.norm(r))
-    best = (rn, y.copy(), z.copy())
+    best = {"y": x[:n], "z": x[n : 2 * n], "residual": rn}
     iterations = 0
     for _ in range(max_iter):
         if rn <= tol:
             break
-        dyz = np.linalg.solve(_linearize(shot), -r)
-        t_step = 1.0
+        dx = _newton_step(shot, target)
+        t_step, failure = 1.0, None
         for _ in range(20):
-            y_try = y + t_step * dyz[:n]
-            z_try = z + t_step * dyz[n:]
+            x_try = x + t_step * dx
             try:
-                trial = yield shoot(y_try, z_try)
-            except (ChartEscapeError, NumericalError):
-                t_step *= 0.5
+                trial = yield shoot(x_try)
+            except (ChartEscapeError, NumericalError) as err:
+                t_step, failure = 0.5 * t_step, err
                 continue
-            r_new = trial.end - target
+            r_new = trial.residual(target)
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn:
                 break
             t_step *= 0.5
         else:
-            raise NonconvergenceError(
-                "shooting line search stalled",
-                best={"y": best[1], "z": best[2], "residual": best[0]},
-            )
-        y, z, shot, r, rn = y_try, z_try, trial, r_new, rn_new
+            last = f" (the last failed trial: {failure})" if failure else ""
+            raise NonconvergenceError("shooting line search stalled" + last, best=best)
+        x, shot, r, rn = x_try, trial, r_new, rn_new
         iterations += 1
-        if rn < best[0]:
-            best = (rn, y.copy(), z.copy())
+        if rn < best["residual"]:
+            best = {"y": x[:n], "z": x[n : 2 * n], "residual": rn}
     else:
         raise NonconvergenceError(
-            f"shooting did not converge in {max_iter} iterations "
-            f"(best residual {best[0]:.3e})",
-            best={"y": best[1], "z": best[2], "residual": best[0]},
+            f"shooting did not converge in {max_iter} iterations (best residual {best['residual']:.3e})", best=best
         )
-    return y, z, shot, rn, iterations
+    return x, shot, rn, iterations
+
+
+def _unknowns(boundary: BoundaryData, steps, y, z, curve: Trajectory | None = None) -> np.ndarray:
+    """The unknowns on ``steps`` steps: (y, z) over the jets at each
+    breakpoint, off ``curve``, a solved pass, or else the quintic in chart
+    coordinates from the 4-jet (q_a, v_a, y, z) to (q_b, v_b), for the
+    Hermite seed its cubic."""
+    tau = boundary.span
+    t = (tau / steps) * np.arange(_SEGMENT_STEPS, steps, _SEGMENT_STEPS)
+    if curve is not None:
+        st = curve.interpolate(boundary.a + t)
+        return np.concatenate([y, z, np.stack([st.q, st.v, st.a, st.j], axis=1).ravel()])
+    r0 = boundary.q_b - (boundary.q_a + tau * boundary.v_a + tau**2 / 2.0 * y + tau**3 / 6.0 * z)
+    r1 = boundary.v_b - (boundary.v_a + tau * y + tau**2 / 2.0 * z)
+    c5 = (r1 - 4.0 * r0 / tau) / tau**4
+    c = np.array([boundary.q_a, boundary.v_a, y / 2.0, z / 6.0, r0 / tau**4 - tau * c5, c5])
+    return np.concatenate([y, z, (_FALLING * t[:, None, None] ** _POWERS @ c).ravel()])
 
 
 def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50) -> ShootingResult:
-    """Damped Newton shooting for the endpoint position/velocity problem.
+    """Damped Newton multiple shooting for the endpoint position/velocity problem.
 
-    The residual stacks the chart-coordinate position mismatch over the
-    velocity mismatch.  Globalization is backtracking on the residual
-    norm (factor 0.5, at most 20 halvings); a trial that escapes the chart
-    only rejects that trial.  Nonconvergence carries the best iterate.
-    The Jacobian is the Jacobi field bundle of the iterate's curve read at
-    the end (``jacobi.shooting_jacobian``); when the scan's rank test,
-    normalized for the window length, flags that end as biconjugate,
-    Newton raises CriticalPointError.
+    The residual stacks the jet jumps at the breakpoints, their v, a and
+    j rows weighted by T, T^2 and T^3 (``_Shot.weights``), over the
+    chart-coordinate position and velocity mismatch at the end.
+    Globalization is backtracking on its norm (factor 0.5, at most 20
+    halvings); a trial that leaves the chart only rejects that trial.
+    Nonconvergence carries the best iterate.  When the scan's rank test,
+    normalized for the window length, flags the iterate's end as
+    biconjugate, Newton raises CriticalPointError.  A seed (y, z) other
+    than the Hermite one seeds the breakpoints from the quintic that
+    starts with it (``_unknowns``).
 
-    Newton is mesh-sequenced: it converges on a coarse grid, held to the
-    full tolerance, and then finishes on the solve's grid N.  If the
-    coarse stage fails (Newton stalls or meets a critical point there, or
-    a coarse pass cannot be marched), Newton runs on N from the seed as
-    if that stage had not been tried.  ``max_iter`` bounds each Newton
-    run; ``iterations`` counts them all and ``coarse_iterations`` the
-    coarse stage's share.
-
-    An explicit ``h`` fixes N (``grid_steps``).  The seed is shot and
-    judged on N: a seed that already meets the tolerance returns, and one
-    the rank test flags raises CriticalPointError, since the coarse grid
-    cannot resolve that test near a biconjugate end.  When
-    N > 2 * _PILOT_STEPS the coarse grid is _PILOT_STEPS steps; on
-    smaller N there is no coarse stage.
-
-    With ``h`` None the step count is chosen by error control.  Every
-    pass then carries its half-grid twin: the same (y, z) on half the
-    steps, marched as a second row of the same pass.  The coarse grid is
-    the pilot grid, 2 * _PILOT_STEPS steps with its twin at
-    _PILOT_STEPS.  The step-doubling estimate of the curve's error at the
-    coarse solution (``_richardson``; at the seed if the coarse stage
-    failed) predicts by the h^4 law an even count N that meets
-    ``_STEP_TOL`` (``_predict_steps``, at least 2 * _PILOT_STEPS).  The
-    estimate at the converged (y, z) is read off its pass's twin; above
-    the tolerance, N doubles and Newton resumes from there.  The
+    An explicit ``h`` fixes N (``grid_steps``), and Newton runs there from
+    the seed.  With ``h`` None error control chooses N: Newton converges on
+    the pilot grid, 2 * _PILOT_STEPS steps, each pass carrying its twin;
+    the step-doubling estimate there (``_richardson``; at the seed if that
+    stage fails) predicts by the h^4 law an even N that meets _STEP_TOL
+    (``_predict_steps``, at least the pilot grid), and Newton finishes on
+    N, doubling it while the estimate at the solution misses.  The
     returned trajectory carries its field grid (``field_grid``), chosen
-    for the same tolerance, and the field bundle behind the estimate and
-    ``jacobian_condition`` marches on it.  The result records N, both
-    estimates and the tolerance; the curve's estimate exceeds the
-    tolerance only when N would double past ``_MAX_STEPS``, the field
-    grid's only past ``_MAX_STEPS`` field steps, and either miss issues a
-    ResolutionWarning, whose message the result's ``warnings`` keeps.
-    With a fixed step the field grid is the curve's own.
+    for the same tolerance, on which the field bundle behind the estimate
+    and ``jacobian_condition`` marches; with a fixed step it is the
+    curve's own.  The result records N, its segment count, the largest
+    weighted jump, both estimates and the tolerance; an estimate exceeds
+    the tolerance only where N or M would double past _MAX_STEPS, and
+    issues a ResolutionWarning, whose message ``warnings`` keeps.
+    ``max_iter`` bounds each Newton run; ``iterations`` counts them all
+    and ``coarse_iterations`` the pilot grid's share.
 
-    Each trial is one pass that yields the residual and the trajectory
-    there, whose field bundle gives the Jacobian when the trial is
-    accepted.  So each Newton run makes 1 + (accepted trials) +
-    (rejected trials) flow passes on its grid: its start's, then one
-    per line-search trial.  A fixed-step solve adds the seed's pass on N
-    before its coarse stage; under error control the pilot pass is the
-    coarse run's start and is reused on N = 2 * _PILOT_STEPS, each
-    doubling adds one start pass on the new grid, and no pass is made on
-    N/2 alone.
+    Each Newton run makes one pass for its start and one per line-search
+    trial, each of one row per segment (16 steps), and each accepted
+    trial builds one operator table.  The pilot pass is reused when N is
+    the pilot grid, each new grid adds one start pass, and no pass is
+    made on N/2 alone.
     """
     [(result, error)] = _lockstep(chart, potential, [_solve(chart, boundary, seed, h, max_iter)])
     if error is not None:
@@ -481,62 +537,65 @@ def solve_bvp(chart, potential, boundary: BoundaryData, seed=None, h=None, max_i
     return result
 
 
+def _request(chart, boundary: BoundaryData, steps, x, twin=False, what="trial") -> _Request:
+    """The pass of the unknowns x on ``steps`` steps, one row per segment; a
+    breakpoint outside the chart raises ChartEscapeError as a row would."""
+    n = chart.dim
+    starts = np.concatenate([boundary.q_a, boundary.v_a, x]).reshape(-1, 4, n)
+    lows = range(0, steps, _SEGMENT_STEPS)
+    t0 = boundary.a + (boundary.span / steps) * np.array(lows)
+    outside = ~chart.contains(starts[:, 0])
+    if outside.any():
+        k = int(np.argmax(outside))
+        where = f"in segment {k + 1} of {len(starts)} of the {what} pass on {steps} steps"
+        raise ChartEscapeError(f"breakpoint outside the chart domain at t = {t0[k]:.6g}, {where}", t0[k])
+    rows = [(u, t, boundary.span / steps, min(_SEGMENT_STEPS, steps - lo)) for u, t, lo in zip(starts, t0, lows)]
+    return _Request(rows, twin, what)
+
+
 def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50):
     """``solve_bvp`` as a generator of shooting requests, for ``_lockstep``."""
     boundary.validate(chart)
     tau = boundary.span
+    n = chart.dim
     target = np.concatenate([boundary.q_b, boundary.v_b])
     tol = 1e-8 * (1.0 + float(np.linalg.norm(target)))
 
-    if seed is None:
-        y, z = hermite_seed(boundary)
-    else:
-        y = np.asarray(seed[0], float).copy()
-        z = np.asarray(seed[1], float).copy()
+    y, z = hermite_seed(boundary) if seed is None else (np.asarray(c, float) for c in seed)
 
-    def shoot(steps, yy, zz):
-        u = np.array([boundary.q_a, boundary.v_a, yy, zz], float)
-        return _Request((u, boundary.a, tau / steps, steps), twin=h is None)
+    def shoot(steps, x, what="trial"):
+        return _request(chart, boundary, steps, x, h is None, what)
 
-    def newton(steps, shot, yy, zz):
-        return _newton(partial(shoot, steps), shot, yy, zz, target, tol, max_iter)
+    def newton(steps, shot, x):
+        return _newton(partial(shoot, steps), shot, x, target, tol, max_iter)
 
+    steps = 2 * _PILOT_STEPS if h is None else grid_steps(tau, h)[0]
+    x = _unknowns(boundary, steps, y, z)
+    shot = yield shoot(steps, x, "seed")
     coarse_its = 0
     if h is not None:
-        steps, _ = grid_steps(tau, h)
-        shot = yield shoot(steps, y, z)
-        # the seed is judged on the solve's grid, whose rank test the
-        # coarse grid cannot resolve near a biconjugate end
-        if steps > 2 * _PILOT_STEPS and np.linalg.norm(shot.end - target) > tol:
-            _linearize(shot)
-            try:
-                coarse = yield shoot(_PILOT_STEPS, y, z)
-                y, z, _, _, coarse_its = yield from newton(_PILOT_STEPS, coarse, y, z)
-            except _COARSE_FAILURES:
-                pass
-            else:
-                shot = yield shoot(steps, y, z)
-        y, z, shot, rn, iterations = yield from newton(steps, shot, y, z)
+        x, shot, rn, iterations = yield from newton(steps, shot, x)
         trajectory = shot.trajectory
         estimate = field_estimate = step_tol = None
         missed = []
     else:
         step_tol = _STEP_TOL
-        steps = 2 * _PILOT_STEPS
-        shot = yield shoot(steps, y, z)
+        solved = None  # the curve Newton last converged to
         try:
-            y_c, z_c, coarse, _, its = yield from newton(steps, shot, y, z)
+            x_c, coarse, _, its = yield from newton(steps, shot, x)
             estimate = coarse.estimate
         except _COARSE_FAILURES:
             estimate = shot.estimate
         else:
-            y, z, shot, coarse_its = y_c, z_c, coarse, its
+            x, shot, coarse_its, solved = x_c, coarse, its, coarse.trajectory
         steps = min(max(steps, _predict_steps(steps, estimate)), _MAX_STEPS)
         iterations = 0
         while True:
             if shot.trajectory.segments != steps:
-                shot = yield shoot(steps, y, z)
-            y, z, shot, rn, its = yield from newton(steps, shot, y, z)
+                x = _unknowns(boundary, steps, x[:n], x[n : 2 * n], solved)
+                shot = yield shoot(steps, x, "start")
+            x, shot, rn, its = yield from newton(steps, shot, x)
+            solved = shot.trajectory
             iterations += its
             estimate = shot.estimate
             if estimate <= step_tol or 2 * steps > _MAX_STEPS:
@@ -553,14 +612,16 @@ def _solve(chart, boundary: BoundaryData, seed=None, h=None, max_iter: int = 50)
             if est > step_tol
         ]
 
+    jumps = np.linalg.norm(shot.jumps * shot.weights, axis=(1, 2))
     return ShootingResult(
-        y, z, trajectory, rn, coarse_its + iterations, coarse_its, steps, estimate, field_estimate, step_tol, missed
+        x[:n].copy(), x[n : 2 * n].copy(), trajectory, rn, coarse_its + iterations, coarse_its, steps,
+        len(shot.segments), float(jumps.max(initial=0.0)), estimate, field_estimate, step_tol, missed,
     )
 
 
 def _integrate(chart, initial: CurveState, T: float, h=None):
     """``integrate_ivp`` as a one-request generator, for ``_lockstep``."""
-    return (yield _Request(_ivp_row(chart, initial, T, h))).trajectory
+    return (yield _Request([_ivp_row(chart, initial, T, h)], what="replay")).trajectory
 
 
 def check_uniqueness_props(trajectory, rng_seed: int = 0) -> dict:

@@ -100,11 +100,15 @@ def _solve_payload(result, boundary) -> dict:
 
     Keys: ``boundary`` (the problem), ``y`` and ``z`` (the initial
     covariant acceleration and jerk), ``residual``, ``jacobian_condition``,
-    ``iterations`` (Newton steps, on every grid), ``action``, and
+    ``iterations`` (Newton steps, on every grid), ``action``,
+    ``segments``, the multiple-shooting segments the curve was solved in,
+    one per 16 steps, and ``max_jump``, the largest jump of the curve's
+    jets between them (its v, a and j rows weighted by T, T^2 and T^3, as
+    the residual weighs them, so at most ``residual``), and
     ``step_control``: the trajectory's segment count ``steps``;
     ``coarse_iterations``, the share of ``iterations`` Newton took on the
-    coarse grid before finishing on ``steps`` (0 when that stage did not
-    run or failed); the step-doubling ``estimate`` of the curve's
+    pilot grid before finishing on ``steps`` (0 with a fixed step, or when
+    that stage failed); the step-doubling ``estimate`` of the curve's
     relative error on that grid; ``field_steps``, the steps of the field
     grid the Jacobi fields march on, and its ``field_estimate``, the
     step-doubling estimate of the Jacobian's relative error there; and
@@ -127,6 +131,8 @@ def _solve_payload(result, boundary) -> dict:
         "residual": result.residual,
         "jacobian_condition": result.jacobian_condition,
         "iterations": result.iterations,
+        "segments": result.segments,
+        "max_jump": result.max_jump,
         "action": action(result.trajectory),
         "step_control": {
             "steps": result.steps,

@@ -7,7 +7,7 @@ linear ODE
 
 where F collects every curvature coupling of the second variation:
 
-    F(X, Y) = (nab^2_Y R)(X, Y)Y + (nab_X R)(nab_Y Y, Y)Y
+    F(X, Y) = (nab^2_Y R)(X, Y)Y + (nab_X R)(nab_Y Y, Y)Y + (nab_{nab_Y Y} R)(X, Y)Y
             + R(R(X, Y)Y, Y)Y + R(X, nab^2_Y Y)Y
             + 2[(nab_Y R)(nab_Y X, Y)Y + (nab_Y R)(X, nab_Y Y)Y + R(nab^2_Y X, Y)Y]
             + 3[(nab_Y R)(X, Y)nab_Y Y + R(X, Y)nab^2_Y Y + R(X, nab_Y Y)nab_Y Y]
@@ -46,6 +46,7 @@ read one scale-free rank test of the bundle (``_rank_test``).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -94,10 +95,12 @@ def F_operator(chart, state: CurveState, X, dX, d2X, p=None):
     out = out + 4.0 * R(dX, v, a)
     if not chart.locally_symmetric:
         out = out + p.nabla2_R(v, X, v, v)
-        # the four first-derivative terms share one contraction of nabla R
+        # the five first-derivative terms share one contraction of nabla R
         X, dX, v, a = np.broadcast_arrays(X, dX, v, a)
-        D = p.nabla_R(np.stack([X, v, v, v]), np.stack([a, dX, X, X]), np.stack([v, v, a, v]), np.stack([v, v, v, a]))
-        out = out + D[0] + 2.0 * (D[1] + D[2]) + 3.0 * D[3]
+        D = p.nabla_R(
+            np.stack([X, v, v, v, a]), np.stack([a, dX, X, X, X]), np.stack([v, v, a, v, v]), np.stack([v, v, v, a, v])
+        )
+        out = out + D[0] + D[4] + 2.0 * (D[1] + D[2]) + 3.0 * D[3]
     return out
 
 
@@ -324,6 +327,57 @@ def _endpoint_jacobian(trajectory: Trajectory, u) -> np.ndarray:
     """d(q(T), qdot(T)) / d(y, z) from the basis bundle u at the last node."""
     qdot = u[:, 1] - trajectory.chart.gamma(trajectory.qs[-1], trajectory.vs[-1], u[:, 0])
     return np.concatenate([u[:, 0], qdot], axis=1).T
+
+
+def _jet_map(chart, jets) -> np.ndarray:
+    """d(q, v, a, j) / d(X, DX, D2X, D3X) at curve jets (K, 4, n): (K, 4n, 4n).
+
+    A variation with field X moves each stored jet W by D_eps W less
+    Gamma(X, W), and D_eps commutes with D_t up to R(X, qdot):
+
+        dq = X,  dv = DX - Gamma(v, X),  da = D2X + R(X, v)v - Gamma(a, X),
+        dj = D3X + (nab_v R)(X, v)v + R(DX, v)v + R(X, a)v + 2R(X, v)a - Gamma(j, X).
+
+    Unit lower block triangular, so invertible; the identity on a flat chart.
+    """
+    K, _, n = jets.shape
+    m = 4 * n
+    if chart.flat:
+        return np.broadcast_to(np.eye(m), (K, m, m))
+    X, DX, D2X, D3X = np.eye(m).reshape(m, 4, n).swapaxes(0, 1)
+    q, v, a, j = (jets[:, None, i] for i in range(4))
+    p = chart.at(q, 1 if chart.locally_symmetric else 3)
+    R = p.curvature
+    dj = D3X + R(DX, v, v) + R(X, a, v) + 2.0 * R(X, v, a) - p.gamma(j, X)
+    if not chart.locally_symmetric:
+        dj = dj + p.nabla_R(v, X, v, v)
+    cols = np.broadcast_arrays(X, DX - p.gamma(v, X), D2X + R(X, v, v) - p.gamma(a, X), dj)
+    return np.stack(cols, axis=-2).reshape(K, m, m).swapaxes(-1, -2)
+
+
+def _segment_jacobian(trajectory: Trajectory, starts, ends):
+    """The blocks of the multiple-shooting Jacobian of a stitched curve, and
+    whether the scan's rank test flags its end.
+
+    Segment k runs from its stored jets starts[k] to its end jets ends[k]
+    (both (K, 4, n)) over block k of ``rk4.propagators`` on the curve's own
+    field grid.  Its block maps jet perturbations at its start to those at
+    its end: C(ends[k]) Phi_k C(starts[k])^-1 (``_jet_map``), and for the
+    first segment, whose (q, v) is fixed, the (D2X, D3X) columns of
+    C(ends[0]) Phi_0.  The table's node at a breakpoint holds the next
+    segment's stored jets, so the blocks are exact where the curve has no
+    jumps.  The rank test (``_rank_test`` at tau = T) reads the basis
+    bundle carried across all blocks, the bundle ``shooting_jacobian`` reads.
+    """
+    field, n, K = _field(trajectory), trajectory.chart.dim, len(starts)
+    nodes, what = field.nodes, "perturbation field blew up"
+    Phi = rk4.propagators(nodes[:-1], field.mids, nodes[1:], field.h, field.ts, what)
+    C = _jet_map(trajectory.chart, np.concatenate([ends, starts[1:]]))
+    into = C[:K] @ Phi
+    blocks = [into[0][:, 2 * n :], *(into[1:] @ np.linalg.inv(C[K:]))]
+    u = functools.reduce(lambda u, P: P @ u, Phi[1:], Phi[0][:, 2 * n :])
+    _, ratio = _rank_test(u.T.reshape(2 * n, 4, n), trajectory.T)
+    return blocks, bool(ratio <= _SIGMA_RATIO)
 
 
 def _field_jacobians(trajectory: Trajectory):

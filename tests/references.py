@@ -4,8 +4,9 @@ Each function here restates a quantity the package computes another way,
 so a test can hold the program to it: finite differences of the discrete
 action and of the potential's gradient, plain gradient descent beside the
 oracle's Newton, the coordinate formula for R, the profile matrix of the
-spline basis, the index form on sampled admissible fields, and the
-symplectic form that the field ODE conserves.  No command runs them.
+spline basis, the index form on sampled admissible fields, the
+symplectic form that the field ODE conserves, and the differences of a
+shooting segment's map.  No command runs them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riemplan.dynamics import Trajectory, _discrete_action, quadrature_weights
+from riemplan.dynamics import Trajectory, _discrete_action, _flow, quadrature_weights
 from riemplan.geometry import transport_frame
 from riemplan.index import _index_sum, _profile_knots, _spline_basis
 from riemplan.jacobi import _basis_flow, _field, _force_block
@@ -35,6 +36,7 @@ __all__ = [
     "index_form",
     "decompose",
     "symplectic_form",
+    "segment_map_jacobian",
 ]
 
 
@@ -316,3 +318,24 @@ def symplectic_form(trajectory: Trajectory):
     B = d3XY + p.inner(dX, d2Y) + 2.0 * p.inner(dX, p.curvature(Y, v, v)) + 2.0 * p.inner(X, p.curvature(Y, a, v))
     scale = float(np.max(np.abs(np.diagonal(d3XY, axis1=-2, axis2=-1))))
     return B - B.swapaxes(-1, -2), scale
+
+
+def segment_map_jacobian(chart, potential, jets, t0, h, steps, rel=1e-6):
+    """Central differences of a shooting segment's map: its stored jets
+    (q, v, a, j), shape (4, n), to its end jets after ``steps`` RK4 steps
+    of h from t0, one shared step rel * (1 + |jets|) in every entry.
+
+    Rows and columns run over the jet levels, then the coordinates, as
+    ``jacobi._segment_jacobian``'s blocks do; (4n, 4n).  The perturbed
+    segments march as the rows of one ``_flow`` pass.
+    """
+    u = np.asarray(jets, float).ravel()
+    step = rel * (1.0 + float(np.linalg.norm(u)))
+    rows = [(x.reshape(jets.shape), t0, h, steps) for e in step * np.eye(u.size) for x in (u + e, u - e)]
+    ends = []
+    for traj, failure in _flow(chart, potential, rows):
+        if failure is not None:
+            raise failure
+        ends.append(np.concatenate([traj.qs[-1], traj.vs[-1], traj.accs[-1], traj.jerks[-1]]))
+    ends = np.array(ends)
+    return ((ends[0::2] - ends[1::2]) / (2.0 * step)).T

@@ -55,9 +55,29 @@ def biexp_jacobian(chart, pot, p, v, y, z, t, h=None):
 
 
 def shoot(chart, pot, p, v, y, z, t, steps, t0=0.0):
-    """The ``bvp._Shot`` of one pass of the trial (y, z) on ``steps`` steps."""
-    req = bvp._Request((np.array([p, v, y, z], float), t0, t / steps, steps))
+    """The ``bvp._Shot`` of one single-shooting pass of the trial (y, z) on ``steps`` steps."""
+    req = bvp._Request([(np.array([p, v, y, z], float), t0, t / steps, steps)])
     return req.finish(dynamics._flow(chart, pot, req.rows))
+
+
+def jets(traj, k):
+    """The stored 4-jet (q, v, a, j) of a trajectory at node k, (4, n)."""
+    return np.array([traj.qs[k], traj.vs[k], traj.accs[k], traj.jerks[k]])
+
+
+def segment_shot(chart, pot, bd, traj, twin=False):
+    """The ``bvp._Shot`` of one multiple-shooting pass on ``traj``'s grid from
+    the jets ``traj`` stores at its breakpoints, every _SEGMENT_STEPS nodes."""
+    N = traj.segments
+    x = np.concatenate([jets(traj, k) for k in range(0, N, bvp._SEGMENT_STEPS)])[2:].ravel()
+    req = bvp._request(chart, bd, N, x, twin)
+    return req.finish(dynamics._flow(chart, pot, req.rows))
+
+
+def segment_rows(N):
+    """The step counts of the rows of a pass on N steps, twins not included."""
+    S = bvp._SEGMENT_STEPS
+    return [min(S, N - lo) for lo in range(0, N, S)]
 
 
 def test_biexp_flat_closed_form():
@@ -258,6 +278,37 @@ def test_short_window_is_not_a_critical_point(T):
     assert res.iterations >= 1 and res.residual < 1e-10
 
 
+def test_a_chart_escape_says_where(scenario, monkeypatch):
+    # the seed's cubic leaves the disk: its second breakpoint is refused
+    bd = BoundaryData(np.array([0.5, 0.0]), np.array([4.0, 0.0]), np.array([0.6, 0.0]), np.zeros(2), 0.0, 1.0)
+    where = "in segment 2 of 7 of the seed pass on 100 steps"
+    with pytest.raises(ChartEscapeError, match=f"^breakpoint outside the chart domain at t = 0.16, {where}$") as err:
+        solve_bvp(H2, ZeroPotential(H2), bd, h=0.01)
+    assert err.value.escape_time == pytest.approx(0.16)
+    # a segment that leaves the chart ends the seed's pass, and only
+    # rejects a trial; a line search all of whose trials leave it says so
+    chart, pot, bd = scenario("sphere_obstacle")
+    flow = bvp._flow
+
+    def escapes_after(passes):
+        def flow_escaping(chart, pot, rows):
+            passes[0] -= 1
+            out = flow(chart, pot, rows)
+            escape = (None, ChartEscapeError("trajectory left the chart domain", 0.7))
+            return out if passes[0] >= 0 else [escape if k == 2 else o for k, o in enumerate(out)]
+
+        return flow_escaping
+
+    message = "trajectory left the chart domain at t = 0.7, in segment 3 of 7 of the {} pass on 100 steps"
+    monkeypatch.setattr(bvp, "_flow", escapes_after([0]))
+    with pytest.raises(ChartEscapeError, match=f"^{message.format('seed')}$"):
+        solve_bvp(chart, pot, bd, h=bd.span / 100)
+    monkeypatch.setattr(bvp, "_flow", escapes_after([1]))
+    stalled = rf"line search stalled \(the last failed trial: {message.format('trial')}\)"
+    with pytest.raises(NonconvergenceError, match=stalled):
+        solve_bvp(chart, pot, bd, h=bd.span / 100)
+
+
 def test_boundary_validation():
     with pytest.raises(ValueError):
         BoundaryData(np.zeros(2), np.zeros(2), np.ones(2), np.zeros(2), 1.0, 1.0)
@@ -322,21 +373,33 @@ def test_multi_seed_dedup():
 
 @pytest.mark.parametrize("name", ["flat_obstacle", "sphere_obstacle", "rotation"])
 def test_solve_returns_its_fused_pass(scenario, fd_jacobian, name):
-    # the returned curve and condition number come from the accepted trial's
-    # pass; they must equal a fresh integration and a fresh Jacobian there,
-    # and that Jacobian must match central differences of biexp
+    # the returned curve is the accepted trial's pass, its segments stitched:
+    # each must equal a fresh integration from the jets it stores at its
+    # breakpoint, and the jumps between them stay within the tolerance.
+    # Its field bundle gives the condition number, and that Jacobian must
+    # match central differences of biexp at the returned (y, z)
     chart, pot, bd = scenario(name)
     h = bd.span / 100
     res = solve_bvp(chart, pot, bd, h=h)
-    ref = integrate_ivp(chart, pot, CurveState(bd.a, bd.q_a, bd.v_a, res.y, res.z), bd.span, h)
     got = res.trajectory
-    for a, b in zip(
-        (got.ts, got.qs, got.vs, got.accs, got.jerks),
-        (ref.ts, ref.qs, ref.vs, ref.accs, ref.jerks),
-    ):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-14
-    J = biexp_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
+    S = bvp._SEGMENT_STEPS
+    assert (got.segments, res.segments) == (100, len(segment_rows(100)))
+    weights = bd.span ** np.arange(4.0)[:, None]
+    jumps = []
+    for lo in range(0, 100, S):
+        hi = min(lo + S, 100)
+        ref = integrate_ivp(chart, pot, got.state(lo), got.ts[hi] - got.ts[lo], h)
+        for a, b in zip((got.ts, got.qs, got.vs, got.accs, got.jerks), (ref.ts, ref.qs, ref.vs, ref.accs, ref.jerks)):
+            assert len(b) == hi - lo + 1
+            assert np.max(np.abs(a[lo:hi] - b[:-1])) <= 1e-14
+        jump = jets(ref, -1) - jets(got, hi)
+        if hi < 100:
+            jumps.append(np.linalg.norm(jump * weights))
+        else:
+            assert np.max(np.abs(jump)) <= 1e-14
+    tol = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([bd.q_b, bd.v_b])))
+    assert abs(res.max_jump - max(jumps)) <= 1e-13 and res.max_jump <= tol
+    J = shooting_jacobian(got)[0]
     sv = np.linalg.svd(J, compute_uv=False)
     assert res.jacobian_condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
     J_fd = fd_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
@@ -354,25 +417,24 @@ def test_solve_makes_one_flow_pass_per_trial(scenario, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
-    coarse = bvp._PILOT_STEPS
     for name in ("flat_obstacle", "well_top"):
         chart, pot, bd = scenario(name)
         calls[0] = 0
         h = bd.span / 2000
         res = solve_bvp(chart, pot, bd, h=h)
         steps, _ = grid_steps(bd.span, h)
+        # the 125 segments of the grid march as the rows of one pass: a
+        # pass costs one segment's 16 steps
+        assert (res.steps, res.segments, res.coarse_iterations) == (steps, len(segment_rows(steps)), 0)
         if name == "well_top":
             # the seed converges on the solve's grid: its pass is the only one
-            assert (res.iterations, res.coarse_iterations) == (0, 0)
-            assert calls[0] == steps
+            assert res.iterations == 0
+            assert calls[0] == bvp._SEGMENT_STEPS
             continue
-        # the seed's pass on the solve's grid; on the coarse grid the seed's
-        # pass and one per accepted trial; back on the solve's grid the
-        # coarse solution's pass and one per accepted trial: no line-search
+        # the seed's pass, then one per accepted trial: no line-search
         # rejections here
-        fine = res.iterations - res.coarse_iterations
-        assert (res.coarse_iterations, fine) == (2, 1)
-        assert calls[0] == steps * (2 + fine) + coarse * (1 + res.coarse_iterations)
+        assert res.iterations == 2
+        assert calls[0] == bvp._SEGMENT_STEPS * (1 + res.iterations)
 
 
 def test_solve_step_control(scenario, monkeypatch):
@@ -398,24 +460,27 @@ def test_solve_step_control(scenario, monkeypatch):
         # Newton converges on the pilot grid, each pass with its twin, then
         # finishes on N: the coarse solution's pass (none when N is the
         # pilot grid, whose pass is reused) and one per accepted trial,
-        # each with its half-grid twin, and none on N/2 alone
+        # each with its half-grid twin, and none on N/2 alone.  Every pass
+        # marches one row per 16-step segment, and each twin row half that
         fine = res.iterations - res.coarse_iterations
         start = 0 if N == floor else 1
-        assert passes == (
-            [[floor, bvp._PILOT_STEPS]] * (1 + res.coarse_iterations) + [[N, N // 2]] * (start + fine)
-        )
+
+        def rows(N):
+            return segment_rows(N) + [m // 2 for m in segment_rows(N)]
+
+        assert passes == [rows(floor)] * (1 + res.coarse_iterations) + [rows(N)] * (start + fine)
         if name == "well_top":
             # the seed converges at once on the pilot grid, which is N:
             # the pilot pass is the only one
             assert res.iterations == 0 and len(passes) == 1
         else:
-            assert (res.coarse_iterations, fine) == (2, 0)
-        # the recorded estimates are the ones at the returned (y, z): the
+            # the pilot solution's jets, interpolated at N's breakpoints,
+            # jump by more than the tolerance: one iteration on N
+            assert (res.coarse_iterations, fine) == (2, 1)
+        # the recorded estimates are the ones at the returned unknowns: the
         # curve's against its twin on its field grid, and the field grid's
-        full, half = (
-            shoot(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, k, bd.a) for k in (N, N // 2)
-        )
-        assert res.estimate == bvp._richardson(full, half)
+        full = segment_shot(chart, pot, bd, res.trajectory, twin=True)
+        assert res.estimate == bvp._richardson(full, full.twin())
         traj, field_estimate = bvp.field_grid(full.trajectory)
         assert (res.field_steps, res.field_estimate) == (traj.field_steps, field_estimate)
         if name == "flat_obstacle":
@@ -426,17 +491,16 @@ def test_solve_step_control(scenario, monkeypatch):
             # for more field steps than that
             assert N == floor and res.field_steps > floor
 
-        # an explicit step makes no selection pass and no twin; past twice
-        # the pilot grid, the seed is judged on the solve's grid, then
-        # Newton converges on _PILOT_STEPS before it finishes there
+        # an explicit step makes no selection pass, no twin and no coarse
+        # stage: the seed's pass on the solve's grid, then one per trial
         passes.clear()
         fixed = solve_bvp(chart, pot, bd, h=bd.span / 100)
-        fine = fixed.iterations - fixed.coarse_iterations
+        assert fixed.coarse_iterations == 0
         if name == "well_top":
-            assert passes == [[100]] and fixed.iterations == 0
+            assert passes == [segment_rows(100)] and fixed.iterations == 0
         else:
-            assert (fixed.coarse_iterations, fine) == (2, 1)
-            assert passes == [[100]] + [[bvp._PILOT_STEPS]] * 3 + [[100]] * 2
+            assert fixed.iterations == 2
+            assert passes == [segment_rows(100)] * 3
         assert (fixed.steps, fixed.field_steps, fixed.estimate, fixed.field_estimate, fixed.tol) == (
             100, 100, None, None, None
         )
@@ -445,8 +509,8 @@ def test_solve_step_control(scenario, monkeypatch):
 @pytest.mark.parametrize("name", ["well_top", "well_top_long"])
 def test_a_curve_at_rest_plans_on_its_pilot_pass(scenario, monkeypatch, name):
     # error control refines the field grid, not the curve, for the
-    # Jacobian's sake: 64 RK4 steps where one grid for both took 642 and
-    # 1,382
+    # Jacobian's sake: one pass of the 64-step pilot grid's four segments,
+    # 16 RK4 steps, where one row took 64 and one grid for both 642 and 1,382
     calls = [0]
     step = dynamics._rk4_step
 
@@ -457,7 +521,7 @@ def test_a_curve_at_rest_plans_on_its_pilot_pass(scenario, monkeypatch, name):
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
     chart, pot, bd = scenario(name)
     res = solve_bvp(chart, pot, bd)
-    assert calls[0] == res.steps == 2 * bvp._PILOT_STEPS
+    assert res.steps == 2 * bvp._PILOT_STEPS and calls[0] == bvp._SEGMENT_STEPS
     assert res.field_steps > res.steps and res.field_estimate <= bvp._STEP_TOL
 
 
@@ -483,16 +547,17 @@ def test_fixed_step_fields_march_on_the_curve_grid(scenario):
 
 def _direct_newton(chart, pot, bd, seed, steps, twin=False):
     """Newton on ``steps`` steps from ``seed`` with no coarse stage:
-    (y, z, shot, residual, iterations)."""
+    (x, shot, residual, iterations)."""
     target = np.concatenate([bd.q_b, bd.v_b])
     tol = 1e-8 * (1.0 + np.linalg.norm(target))
 
-    def shoot(y, z):
-        return bvp._Request((np.array([bd.q_a, bd.v_a, y, z], float), bd.a, bd.span / steps, steps), twin=twin)
+    def shoot(x):
+        return bvp._request(chart, bd, steps, x, twin)
 
     def run():
-        shot = yield shoot(*seed)
-        return (yield from bvp._newton(shoot, shot, *seed, target, tol, 50))
+        x = bvp._unknowns(bd, steps, *seed)
+        shot = yield shoot(x)
+        return (yield from bvp._newton(shoot, shot, x, target, tol, 50))
 
     [(out, error)] = bvp._lockstep(chart, pot, [run()])
     if error is not None:
@@ -500,10 +565,42 @@ def _direct_newton(chart, pot, bd, seed, steps, twin=False):
     return out
 
 
+def _single_shooting(chart, pot, bd, seed, steps):
+    """Damped Newton on the bi-exponential map of one row of ``steps``
+    steps, its Jacobian ``shooting_jacobian``: the (y, z) it converges to."""
+    target = np.concatenate([bd.q_b, bd.v_b])
+    tol = 1e-8 * (1.0 + np.linalg.norm(target))
+
+    def miss(yz):
+        traj = integrate_ivp(chart, pot, CurveState(bd.a, bd.q_a, bd.v_a, *np.split(yz, 2)), bd.span, bd.span / steps)
+        return traj, np.concatenate([traj.qs[-1], traj.vs[-1]]) - target
+
+    yz = np.concatenate(seed)
+    traj, r = miss(yz)
+    for _ in range(50):
+        if np.linalg.norm(r) <= tol:
+            return yz
+        step, t = np.linalg.solve(shooting_jacobian(traj)[0], -r), 1.0
+        for _ in range(20):
+            try:
+                trial = miss(yz + t * step)
+            except (ChartEscapeError, NumericalError):
+                t *= 0.5
+                continue
+            if np.linalg.norm(trial[1]) < np.linalg.norm(r):
+                break
+            t *= 0.5
+        else:
+            raise NonconvergenceError("single shooting stalled")
+        yz, (traj, r) = yz + t * step, trial
+    raise NonconvergenceError("single shooting did not converge")
+
+
 def test_mesh_sequencing_step_budget(scenario, monkeypatch):
-    # Newton converges on the coarse grid and finishes on N: 2,792 RK4
-    # steps under error control and 900 at step 0.02 on a fine-grid-only
-    # Newton, 1,452 and 588 here
+    # a pass costs one segment's 16 steps.  Under error control Newton
+    # converges on the pilot grid and finishes on N: 112 RK4 steps, 1,412
+    # with one row per pass; at step 0.02 Newton runs on N alone: 80 steps,
+    # 588 with one row and a coarse stage
     calls = [0]
     step = dynamics._rk4_step
 
@@ -513,39 +610,23 @@ def test_mesh_sequencing_step_budget(scenario, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
     chart, pot, bd = scenario("sphere_obstacle")
-    for h, budget in ((None, 1500), (0.02, 600)):
+    for h, budget in ((None, 120), (0.02, 88)):
         calls[0] = 0
         res = solve_bvp(chart, pot, bd, h=h)
-        assert res.coarse_iterations > 0
+        assert (res.coarse_iterations > 0) == (h is None)
         assert calls[0] <= budget
 
 
 def test_coarse_failure_falls_back_to_the_fine_grid(scenario, monkeypatch):
-    # fixed step: every coarse pass goes nonfinite; Newton runs on N from
-    # the seed's pass in hand, exactly as with no coarse stage
-    chart, pot, bd = scenario("sphere_obstacle")
-    N = 100
-    y, z, _, rn, its = _direct_newton(chart, pot, bd, hermite_seed(bd), N)
-    flow = bvp._flow
-
-    def coarse_fails(chart, pot, rows):
-        out = flow(chart, pot, rows)
-        return [(None, NumericalError("coarse")) if r[3] == bvp._PILOT_STEPS else o for r, o in zip(rows, out)]
-
-    monkeypatch.setattr(bvp, "_flow", coarse_fails)
-    res = solve_bvp(chart, pot, bd, h=bd.span / N)
-    assert (res.steps, res.coarse_iterations, res.iterations) == (N, 0, its)
-    assert np.array_equal(res.y, y) and np.array_equal(res.z, z) and res.residual == rn
-    monkeypatch.setattr(bvp, "_flow", flow)
-
     # error control: Newton meets a critical point on the pilot grid; N is
     # predicted from the seed's estimate and Newton runs there from the seed
     chart, pot, bd = scenario("flat_obstacle")
     seed = hermite_seed(bd)
     pilot = 2 * bvp._PILOT_STEPS
-    full, half = (shoot(chart, pot, bd.q_a, bd.v_a, *seed, bd.span, k) for k in (pilot, pilot // 2))
-    N = bvp._predict_steps(pilot, bvp._richardson(full, half))
-    y, z, shot, rn, its = _direct_newton(chart, pot, bd, seed, N, twin=True)
+    req = bvp._request(chart, bd, pilot, bvp._unknowns(bd, pilot, *seed), twin=True)
+    start = req.finish(dynamics._flow(chart, pot, req.rows))
+    N = bvp._predict_steps(pilot, start.estimate)
+    x, shot, rn, its = _direct_newton(chart, pot, bd, seed, N, twin=True)
     estimate = bvp._richardson(shot, shot.twin())
     assert estimate <= bvp._STEP_TOL  # so N does not double
     newton = bvp._newton
@@ -558,7 +639,7 @@ def test_coarse_failure_falls_back_to_the_fine_grid(scenario, monkeypatch):
     monkeypatch.setattr(bvp, "_newton", coarse_critical)
     res = solve_bvp(chart, pot, bd)
     assert (res.steps, res.coarse_iterations, res.iterations, res.estimate) == (N, 0, its, estimate)
-    assert np.array_equal(res.y, y) and np.array_equal(res.z, z) and res.residual == rn
+    assert np.array_equal(res.y, x[:2]) and np.array_equal(res.z, x[2:4]) and res.residual == rn
 
 
 SEQUENCING_POT = GaussianObstacle(S2, (0.4, 0.2), amplitude=1.0, width=0.6)
@@ -577,29 +658,31 @@ SEQUENCING_BOUNDARY = _sequencing_boundary()
 
 @settings(max_examples=6)
 @given(offset=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
-def test_mesh_sequencing_matches_fine_newton(offset):
-    # from a perturbed seed, converging on the coarse grid first lands on
-    # the solution that Newton on the fine grid alone reaches
+def test_multiple_shooting_matches_single_shooting(offset):
+    # from a perturbed seed, Newton on the 8 segments of the grid lands on
+    # the solution that Newton on one row of it, single shooting on the
+    # bi-exponential map, reaches
     bd, start = SEQUENCING_BOUNDARY, SEQUENCING_START
     seed = (start.a + np.array(offset[:2]), start.j + np.array(offset[2:]))
     try:
-        direct = _direct_newton(S2, SEQUENCING_POT, bd, seed, SEQUENCING_STEPS)
+        single = _single_shooting(S2, SEQUENCING_POT, bd, seed, SEQUENCING_STEPS)
         res = solve_bvp(S2, SEQUENCING_POT, bd, seed=seed, h=1.0 / SEQUENCING_STEPS)
     except (NonconvergenceError, CriticalPointError, ChartEscapeError):
         assume(False)
-    assert res.coarse_iterations > 0 or direct[4] == 0
+    assert res.segments == SEQUENCING_STEPS // bvp._SEGMENT_STEPS
     tol = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([bd.q_b, bd.v_b])))
-    gap = np.linalg.norm(np.concatenate([res.y - direct[0], res.z - direct[1]]))
+    gap = np.linalg.norm(np.concatenate([res.y, res.z]) - single)
     assert gap <= 10.0 * tol
 
 
 def test_multi_seed_scan_matches_sequential_solves():
     # the seeds march in lockstep; each must get the bits a solve of its
     # own gives it, also where the potential refuses some seed's curve,
-    # which ends the whole pass that curve rides in
+    # which ends the whole pass that curve rides in.  The solutions run
+    # along the axis; the fence refuses the seeds whose passes stray from it
     class Fenced(GaussianObstacle):
         def gradient(self, x):
-            if np.any(np.linalg.norm(x, axis=-1) > 1.2):
+            if np.any(np.abs(x[..., 1]) > 0.05):
                 raise InjectivityError("outside the fence")
             return super().gradient(x)
 
@@ -645,27 +728,31 @@ ESTIMATE_CASES = {
 )
 def test_step_estimate_is_not_optimistic(case, yz):
     # each step-doubling estimate against the actual error it estimates, in
-    # the same norm: the curve's on N and N/2 steps against a curve 4x
-    # finer, the Jacobians of both curves marched on one common field grid;
-    # the field grid's on M and M/2 steps against a field grid 4x finer on
-    # the same curve
+    # the same norm: the curve's, a pass of the four segments of N steps
+    # from the jets of the N-step curve against its twin, against a curve
+    # 4x finer, the Jacobians of both curves marched on one common field
+    # grid; the field grid's on M and M/2 steps against a field grid 4x
+    # finer on the same curve
     chart, pot, p, v, T = ESTIMATE_CASES[case]
     y, z = np.array(yz[:2]), np.array(yz[2:])
     N = 2 * bvp._PILOT_STEPS
     try:
-        half, shot, fine = (shoot(chart, pot, p, v, y, z, T, k) for k in (N // 2, N, 4 * N))
-        estimate = bvp._richardson(shot, half)
+        curve, fine = (integrate_ivp(chart, pot, CurveState(0.0, p, v, y, z), T, T / k) for k in (N, 4 * N))
+        shot = segment_shot(chart, pot, BoundaryData(p, v, curve.qs[-1], curve.vs[-1], 0.0, T), curve, twin=True)
+        estimate = bvp._richardson(shot, shot.twin())
         traj, field_estimate = shot.fields
     except ChartEscapeError:
         assume(False)
+    assert len(shot.segments) == 4 and np.array_equal(shot.trajectory.qs, curve.qs)
     r = traj.field_refinement
 
     def jacobian(trajectory, refinement):
         return shooting_jacobian(replace(trajectory, field_refinement=refinement))[0]
 
-    J, J_fine = jacobian(shot.trajectory, 4 * r), jacobian(fine.trajectory, r)
+    J, J_fine = jacobian(curve, 4 * r), jacobian(fine, r)
+    end = np.concatenate([fine.qs[-1], fine.vs[-1]])
     error = max(
-        np.linalg.norm(shot.end - fine.end) / (1.0 + np.linalg.norm(shot.end)),
+        np.linalg.norm(shot.end - end) / (1.0 + np.linalg.norm(shot.end)),
         np.linalg.norm(J - J_fine) / np.linalg.norm(J),
     )
     assert error / 10.0 <= estimate <= 10.0 * error
@@ -694,7 +781,8 @@ def test_cap_touching_shot_has_a_finite_jacobian():
     assert np.array_equal(shot.end, np.concatenate([q, qd]))
     assert np.array_equal(shot.trajectory.qs[-1], q)
     J = biexp_jacobian(H2, V, p, v, y, z, T, h=T / 16)
-    assert np.all(np.isfinite(J)) and np.array_equal(J, shot.linearization[0])
+    [block], _ = shot.linearization
+    assert np.all(np.isfinite(J)) and np.allclose(block[:4], J, rtol=1e-13, atol=1e-15)
     assert np.linalg.matrix_rank(J) == 4
     # seeded at the exact solution: the solve converges at once and reports
     # the condition number of that Jacobian

@@ -124,10 +124,9 @@ def test_plan_records_step_control(tmp_path):
     assert main(["plan", "--config", str(fixed)]) == 0
     assert main(["plan", "--config", str(chosen)]) == 0
     got = json.loads((tmp_path / "fixed" / "solve.json").read_text())["step_control"]
-    # Newton converges on the coarse grid in two iterations, then finishes on
-    # 400 steps, where the fields march too
+    # Newton runs on the 400 steps alone, where the fields march too
     assert got == {
-        "steps": 400, "coarse_iterations": 2, "estimate": None, "field_steps": 400, "field_estimate": None, "tol": None
+        "steps": 400, "coarse_iterations": 0, "estimate": None, "field_steps": 400, "field_estimate": None, "tol": None
     }
     got = json.loads((tmp_path / "chosen" / "solve.json").read_text())["step_control"]
     data = np.loadtxt(tmp_path / "chosen" / "trajectory.csv", delimiter=",", skiprows=1)
@@ -156,6 +155,48 @@ def test_panel_plans_meet_their_tolerance(tmp_path, name):
     cfg = write_cfg(tmp_path, base=panel_config(name))
     assert main(["plan", "--config", str(cfg)]) == 0
     assert json.loads((tmp_path / "out" / "solve.json").read_text())["warnings"] == []
+
+
+def rest_to_rest(manifold, center, sigma, q_a, q_b, T):
+    """From rest at q_a to rest at q_b over [0, T] across a Gaussian of height 1."""
+    zero = [0.0] * len(q_a)
+    return {
+        "manifold": manifold,
+        "potential": {"type": "gaussian", "center": center, "A": 1.0, "sigma": sigma},
+        "boundary": {"q_a": q_a, "v_a": zero, "q_b": q_b, "v_b": zero},
+        "interval": [0.0, T],
+    }
+
+
+# (scenario, verify's classification).  Marched as one row from the
+# Hermite seed, each curve leaves the chart before Newton starts
+LONG_WINDOWS = {
+    "sphere2-T4": (rest_to_rest("sphere2", [0.3, 0.2], 1.0, [0.6, 0.3], [0.0, 0.1], 4.0), "candidate"),
+    "sphere2-T6": (rest_to_rest("sphere2", [0.3, 0.2], 1.0, [0.6, 0.3], [0.0, 0.1], 6.0), "not_omega_local"),
+    "hyperbolic2-T6": (
+        rest_to_rest("hyperbolic2", [0.1, 0.0], 0.5, [-0.4, 0.1], [0.45, -0.1], 6.0), "not_omega_local"
+    ),
+    "so3-T6": (rest_to_rest("so3", [0.2, 0.1, 0.0], 1.0, [0.6, 0.3, -0.1], [-0.2, 0.0, 0.1], 6.0), "not_omega_local"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_WINDOWS))
+def test_long_windows_plan(tmp_path, name):
+    # the curve marches as 16-step segments from jets at each breakpoint,
+    # so no trial marches the whole window from its start
+    base, classification = LONG_WINDOWS[name]
+    cfg = write_cfg(tmp_path, base=base)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    solve = json.loads((tmp_path / "out" / "solve.json").read_text())
+    steps = solve["step_control"]["steps"]
+    assert solve["segments"] == -(-steps // riemplan.bvp._SEGMENT_STEPS) > 1
+    assert solve["max_jump"] <= solve["residual"] and solve["warnings"] == []
+    code = main(["verify", "--config", str(cfg), "--trajectory", str(tmp_path / "out" / "trajectory.csv")])
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    assert verdict["classification"] == classification
+    assert code == (0 if classification == "candidate" else 4)
+    if classification == "candidate":
+        assert verdict["uniqueness"]["pass"]
 
 
 def test_plan_warns_when_error_control_misses_its_tolerance(tmp_path, monkeypatch, capsys):

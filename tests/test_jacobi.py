@@ -40,7 +40,7 @@ from riemplan import (
 )
 from riemplan.jacobi import F_operator, _basis_bundle, _field, _propagate_bundle, jacobi_operator, jacobi_rhs
 
-from references import symplectic_form
+from references import segment_map_jacobian, symplectic_form
 from test_geometry import numeric_sphere
 
 EUC1 = parse_manifold("euclidean:1")
@@ -129,8 +129,8 @@ def test_f_operator_linearity():
 
 
 def test_f_operator_stacks_the_qdot_derivatives():
-    # the four first-derivative terms go through one stacked nabla_R call;
-    # it must equal the four-call form term by term
+    # the five first-derivative terms go through one stacked nabla_R call;
+    # it must equal the five-call form term by term
     chart = WARPED
     st = WARPED_START
     X, dX, d2X = np.random.default_rng(3).normal(size=(3, 4, 2))
@@ -139,7 +139,7 @@ def test_f_operator_stacks_the_qdot_derivatives():
     R, nR = chart.curvature, p.nabla_R
     ref = R(q, R(q, X, v, v), v, v) + R(q, X, j, v) + 2.0 * R(q, d2X, v, v)
     ref = ref + 3.0 * (R(q, X, v, j) + R(q, X, a, a)) + 4.0 * R(q, dX, v, a)
-    ref = ref + p.nabla2_R(v, X, v, v) + nR(X, a, v, v)
+    ref = ref + p.nabla2_R(v, X, v, v) + nR(X, a, v, v) + nR(a, X, v, v)
     ref = ref + 2.0 * (nR(v, dX, v, v) + nR(v, X, a, v)) + 3.0 * nR(v, X, v, a)
     got = F_operator(chart, st, X, dX, d2X)
     assert got.shape == ref.shape
@@ -263,9 +263,10 @@ def test_linearization_matches_fd_sphere(fd_jacobian):
 
 
 def test_linearization_matches_fd_numeric_chart(fd_jacobian):
-    # non-symmetric metric: the curvature-gradient terms must participate
+    # non-symmetric metric: the curvature-gradient terms must participate;
+    # without (nab_{nab_Y Y} R)(X, Y)Y in F the gap is 1.8e-5, with it 3.2e-11
     pot, _ = warped_case()
-    assert fd_linearization_gap(fd_jacobian, WARPED, pot, WARPED_START, 0.4, 0.4 / 60) < 1e-3
+    assert fd_linearization_gap(fd_jacobian, WARPED, pot, WARPED_START, 0.4, 0.4 / 60) < 1e-8
 
 
 def test_verdict_on_numeric_chart():
@@ -310,6 +311,40 @@ def test_basis_bundle_conserves_the_symplectic_form(name, data):
         assume(False)
     omega, scale = symplectic_form(traj)
     assert np.max(np.abs(omega)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("name", ["euclidean:2", "sphere2", "hyperbolic2", "so3", "numeric-sphere", "warped-plane"])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_segment_jacobian_matches_differences(name, data):
+    """Every block of the multiple-shooting Jacobian, the jet conversions
+    at both ends of its segment included, against central differences of
+    the segment's map (``references.segment_map_jacobian``), on a curve of
+    three segments (16, 16 and 8 steps) with no jumps, whose stitched
+    operator table is then every segment's own.  The warped plane is not
+    locally symmetric, so its conversions carry the nabla R term; its
+    Gaussian and the numeric sphere's take the chart distance."""
+    chart = {"numeric-sphere": numeric_sphere(), "warped-plane": WARPED}.get(name) or parse_manifold(name)
+    n = chart.dim
+    mode = "chart" if isinstance(chart, NumericChart) else "riemannian"
+    pot = GaussianObstacle(chart, np.full(n, 0.1), amplitude=1.0, width=0.6, distance=mode)
+    q = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n), label="q"))
+    jet = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    v, a, j = np.array(data.draw(st.lists(jet, min_size=3, max_size=3), label="jets"))
+    try:
+        traj = integrate_ivp(chart, pot, CurveState(0.0, q, v, a, j), 0.4, h=0.01)
+    except ChartEscapeError:
+        assume(False)
+    lows = np.arange(0, 40, rk4._BLOCK)
+    his = np.minimum(lows + rk4._BLOCK, 40)
+    starts, ends = (np.array([[traj.qs[k], traj.vs[k], traj.accs[k], traj.jerks[k]] for k in ks]) for ks in (lows, his))
+    blocks, _ = jacobi._segment_jacobian(traj, starts, ends)
+    assert len(blocks) == 3
+    for block, start, lo, hi in zip(blocks, starts, lows, his):
+        ref = segment_map_jacobian(chart, pot, start, traj.ts[lo], traj.h, hi - lo)
+        if lo == 0:
+            ref = ref[:, 2 * n :]  # (q, v) stay fixed at the window start
+        assert np.max(np.abs(block - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def test_scan_flat_empty():
