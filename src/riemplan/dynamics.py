@@ -346,7 +346,7 @@ def action(trajectory: Trajectory) -> float:
 
 
 def _kinematics(h, qs, va, vb):
-    """Velocities and covariant accelerations at every node.
+    """Velocities and covariant accelerations at every node (node axis -2).
 
     End accelerations are the same central stencil closed with the ghost
     node the central velocity constraint implies (q_{-1} = q_1 - 2h v_a).
@@ -355,13 +355,13 @@ def _kinematics(h, qs, va, vb):
     minimizer then undershoots the action by O(h).
     """
     v = np.empty_like(qs)
-    v[1:-1] = (qs[2:] - qs[:-2]) / (2.0 * h)
-    v[0] = va
-    v[-1] = vb
+    v[..., 1:-1, :] = (qs[..., 2:, :] - qs[..., :-2, :]) / (2.0 * h)
+    v[..., 0, :] = va
+    v[..., -1, :] = vb
     c = np.empty_like(qs)
-    c[1:-1] = (qs[2:] - 2.0 * qs[1:-1] + qs[:-2]) / h**2
-    c[0] = 2.0 * (qs[1] - qs[0] - h * va) / h**2
-    c[-1] = 2.0 * (qs[-2] - qs[-1] + h * vb) / h**2
+    c[..., 1:-1, :] = (qs[..., 2:, :] - 2.0 * qs[..., 1:-1, :] + qs[..., :-2, :]) / h**2
+    c[..., 0, :] = 2.0 * (qs[..., 1, :] - qs[..., 0, :] - h * va) / h**2
+    c[..., -1, :] = 2.0 * (qs[..., -2, :] - qs[..., -1, :] + h * vb) / h**2
     return v, c
 
 

@@ -43,16 +43,20 @@ class ChartPoint:
     g and ginv always, Gamma from order 1, dGamma from order 2.  Where
     ``kappa`` (the ``space_curvature``) is None, R, nR and nnR come at
     orders 2, 3 and 4; else R(X, Y)Z = kappa (<Y,Z>X - <X,Z>Y), nabla R = 0.
-    A field beyond the order is None.
+    A field beyond the order is None.  The contractions below read the
+    arrays; a chart's own record may answer them in closed form instead.
     """
 
     def __init__(self, kappa, g, ginv, Gamma=None, dGamma=None, R=None, nR=None, nnR=None):
         self.kappa, self.g, self.ginv, self.Gamma, self.dGamma = kappa, g, ginv, Gamma, dGamma
         self.R, self.nR, self.nnR = R, nR, nnR
 
+    def lower(self, v):
+        return np.einsum("...ab,...b->...a", self.g, v)
+
     def inner(self, u, v):
         # lowered first, so g = I gives the bits of the plain dot product
-        return np.einsum("...a,...a->...", u, np.einsum("...ab,...b->...a", self.g, v))
+        return np.einsum("...a,...a->...", u, self.lower(v))
 
     def raise_covector(self, w):
         return np.einsum("...ab,...b->...a", self.ginv, w)
@@ -60,11 +64,20 @@ class ChartPoint:
     def gamma(self, u, v):
         return np.einsum("...kij,...i,...j->...k", self.Gamma, u, v)
 
+    def gamma_adjoint(self, b, v):
+        """The covector (b_k Gamma^k_dj v^j)_d."""
+        return np.einsum("...k,...kd->...d", b, np.einsum("...kdj,...j->...kd", self.Gamma, v))
+
+    def dgamma_adjoint(self, b, u, v):
+        """The covector (b_k d_d Gamma^k_ij u^i v^j)_d."""
+        dGv = np.einsum("...dkij,...j->...dki", self.dGamma, v)
+        return np.einsum("...dk,...k->...d", np.einsum("...dki,...i->...dk", dGv, u), b)
+
     def curvature(self, X, Y, Z):
         k = self.kappa
         if k is None:
             return np.einsum("...lijk,...i,...j,...k->...l", self.R, X, Y, Z)
-        gZ = np.einsum("...ab,...b->...a", self.g, Z)
+        gZ = self.lower(Z)
         return k * (np.einsum("...a,...a->...", Y, gZ)[..., None] * X - np.einsum("...a,...a->...", X, gZ)[..., None] * Y)
 
     def nabla_R(self, W, X, Y, Z):

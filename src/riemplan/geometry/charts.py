@@ -9,7 +9,8 @@ so3             rotation group, axis-angle chart, bi-invariant metric,
                 angle capped at pi - 0.2
 
 sphere2, hyperbolic2 and so3 share the closed-form Gamma of a metric
-a(|x|^2) I + b(|x|^2) x x^T (``_radial_christoffel``); sphere2 and
+a(|x|^2) I + b(|x|^2) x x^T (``_radial_christoffel``) and one record,
+``_RadialPoint``, that contracts it without building arrays; sphere2 and
 hyperbolic2 also share one closed form for log and distance
 (``_ConformalChart``).
 """
@@ -87,9 +88,6 @@ def _radial_christoffel(x, p, q, r=None):
 def _radial_dchristoffel(x, coef, dcoef):
     """d_l Gamma^k_ij of ``_radial_christoffel``; dcoef holds the s-derivatives of coef = (p, q, r).
 
-    so3 is the one caller: the conformal charts (r = 0, q = -p) scale
-    the Gamma they already hold instead (``_ConformalChart.at``).
-
     2 x_l Gamma'^k_ij + p (d_li d_kj + d_lj d_ki) + q d_lk d_ij
     + r (d_lk x_i x_j + d_li x_k x_j + d_lj x_k x_i), Gamma' made of dcoef.
     """
@@ -103,12 +101,84 @@ def _radial_dchristoffel(x, coef, dcoef):
     return out
 
 
+def _dot(u, v):  # einsum's loop over a 2- or 3-long axis is slower
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
+class _RadialPoint(ChartPoint):
+    """The record of a metric g = a I + beta x x^T, with g^-1 = ainv I + binv x x^T.
+
+    It keeps x, those four scalars, the coefficients coef = (p, q, r) of
+    ``_radial_christoffel`` from order 1 and their s-derivatives dcoef
+    from order 2 (beta, binv, r None meaning 0), and contracts them in
+    closed form, O(n) per point; its arrays are built only when read.
+    With Gamma' made of dcoef, d_l Gamma^k(u, v) = 2 x_l Gamma'(u, v)^k
+    + p (u_l v_k + v_l u_k) + q (u.v) d_lk + r (d_lk (x.u)(x.v) + u_l x_k (x.v) + v_l x_k (x.u)).
+    """
+
+    R = nR = nnR = coef = dcoef = None
+
+    def __init__(self, kappa, x, a, beta, ainv, binv):
+        self.kappa, self.x, self.a, self.beta, self.ainv, self.binv = kappa, x, a, beta, ainv, binv
+
+    def _radial(self, c0, c1, v=None):
+        """c0 I + c1 x x^T as an array, or applied to v."""
+        x = self.x
+        if v is None:
+            out = c0[..., None, None] * _unit_tensors(x.shape[-1])[0]
+            return out if c1 is None else out + c1[..., None, None] * (x[..., :, None] * x[..., None, :])
+        out = c0[..., None] * v
+        return out if c1 is None else out + (c1 * _dot(x, v))[..., None] * x
+
+    g = functools.cached_property(lambda self: self._radial(self.a, self.beta))
+    ginv = functools.cached_property(lambda self: self._radial(self.ainv, self.binv))
+    Gamma = functools.cached_property(lambda self: None if self.coef is None else _radial_christoffel(self.x, *self.coef))
+    dGamma = functools.cached_property(
+        lambda self: None if self.dcoef is None else _radial_dchristoffel(self.x, self.coef, self.dcoef)
+    )
+
+    def lower(self, v):
+        return self._radial(self.a, self.beta, v)
+
+    def raise_covector(self, w):
+        return self._radial(self.ainv, self.binv, w)
+
+    def gamma(self, u, v):
+        (p, q, r), x = self.coef, self.x
+        xu, xv = _dot(x, u), _dot(x, v)
+        s = q * _dot(u, v)
+        if r is not None:
+            s = s + r * xu * xv
+        return (p * xu)[..., None] * v + (p * xv)[..., None] * u + s[..., None] * x
+
+    def gamma_adjoint(self, b, v):
+        (p, q, r), x = self.coef, self.x
+        bx, xv = _dot(b, x), _dot(x, v)
+        s = p * _dot(b, v)
+        if r is not None:
+            s = s + r * bx * xv
+        return s[..., None] * x + (p * xv)[..., None] * b + (q * bx)[..., None] * v
+
+    def dgamma_adjoint(self, b, u, v):
+        (p, q, r), (dp, dq, dr), x = self.coef, self.dcoef, self.x
+        xu, xv, bx, bu, bv, uv = _dot(x, u), _dot(x, v), _dot(b, x), _dot(b, u), _dot(b, v), _dot(u, v)
+        t = dp * (xu * bv + xv * bu) + dq * bx * uv  # b Gamma'(u, v)
+        cu, cv, cb = p * bv, p * bu, q * uv
+        if r is not None:
+            t = t + dr * bx * xu * xv
+            cu, cv, cb = cu + r * bx * xv, cv + r * bx * xu, cb + r * xu * xv
+        return (2.0 * t)[..., None] * x + cu[..., None] * u + cv[..., None] * v + cb[..., None] * b
+
+
 class _ConformalChart(ManifoldChart):
     """Stereographic chart of a space of constant curvature k = +-1.
 
     g = a I with a = 4 / (1 + k |x|^2)^2, so in ``_radial_christoffel``
-    p = -2k / (1 + k |x|^2), q = -p and r = 0.  The closed form for log
-    and distance in chart coordinates: with A = 1 + k|x|^2,
+    p = -2k / (1 + k |x|^2), q = -p, r = 0 and p' = -k p / (1 + k |x|^2).
+    The closed form for log and distance in chart coordinates: with A = 1 + k|x|^2,
     B = 1 + k|y|^2, u = y - x and s = |u|^2 / (AB),
 
         s = sin^2(d/2) on the sphere,  sinh^2(d/2) on the disk,
@@ -123,30 +193,18 @@ class _ConformalChart(ManifoldChart):
 
     _log_cut = np.inf
 
-    def _factors(self, x):
-        """d = 1 + k|x|^2, w = 1 / d and the conformal factor a = 4 w^2."""
-        d = 1.0 + self.space_curvature * np.einsum("...a,...a->...", x, x)
-        w = 1.0 / d
-        return d, w, 4.0 * w * w
-
     def at(self, x, order):
-        """The record at x; order 2 builds dGamma from the Gamma it holds.
-
-        Gamma is linear in (p, q) = (p, -p) and p' = -k w p, so the Gamma'
-        of ``_radial_dchristoffel`` is -k w Gamma and
-        d_l Gamma^k_ij = -2 k w x_l Gamma^k_ij + p (d_li d_kj + d_lj d_ki - d_lk d_ij).
-        """
         x = np.asarray(x, float)
         k = self.space_curvature
-        d, w, a = self._factors(x)
-        eye, linear = _unit_tensors(self.dim)
-        pt = ChartPoint(k, a[..., None, None] * eye, (0.25 * d * d)[..., None, None] * eye)
+        d = 1.0 + k * _dot(x, x)
+        w = 1.0 / d
+        pt = _RadialPoint(k, x, 4.0 * w * w, None, 0.25 * d * d, None)
         p = -2.0 * k * w
         if order > 0:
-            pt.Gamma = _radial_christoffel(x, p, -p)
+            pt.coef = (p, -p, None)
         if order > 1:
-            pt.dGamma = (-2.0 * k * w[..., None] * x)[..., :, None, None, None] * pt.Gamma[..., None, :, :, :]
-            pt.dGamma += p[..., None, None, None, None] * (linear[0] - linear[1])
+            dp = -k * w * p
+            pt.dcoef = (dp, -dp, None)
         return pt
 
     def contains(self, x):
@@ -232,29 +290,19 @@ class SO3Chart(ManifoldChart):
     space_curvature = 0.25
     angle_cap = np.pi - 0.2
 
-    def _coefficients(self, x):
-        """u, u', u'', beta, beta', beta'' at s = |x|^2 (primes are d/ds), and x x^T."""
-        coef = _so3.metric_coefficients(np.einsum("...a,...a->...", x, x))
-        return np.moveaxis(coef, -1, 0), x[..., :, None] * x[..., None, :]
-
     def at(self, x, order):
         x = np.asarray(x, float)
-        (u, du, d2u, b, db, d2b), xx = self._coefficients(x)
-        eye = _unit_tensors(3)[0]
+        u, du, d2u, b, db, d2b = np.moveaxis(_so3.metric_coefficients(_dot(x, x)), -1, 0)
         # u + beta |x|^2 = 1, so g^-1 = (I - beta x x^T) / u and, in
         # _radial_christoffel, q = beta - u' and r = beta' - 2 u' beta / u
-        pt = ChartPoint(
-            self.space_curvature,
-            u[..., None, None] * eye + b[..., None, None] * xx,
-            (eye - b[..., None, None] * xx) / u[..., None, None],
-        )
+        pt = _RadialPoint(self.space_curvature, x, u, b, 1.0 / u, -b / u)
         coef = (du / u, b - du, db - 2.0 * du * b / u)
         if order > 0:
-            pt.Gamma = _radial_christoffel(x, *coef)
+            pt.coef = coef
         if order > 1:
             dp = (d2u - du * coef[0]) / u
             dr = d2b - 2.0 * (d2u * b + du * db) / u + 2.0 * du * du * b / (u * u)
-            pt.dGamma = _radial_dchristoffel(x, coef, (dp, db - d2u, dr))
+            pt.dcoef = (dp, db - d2u, dr)
         return pt
 
     def contains(self, x):

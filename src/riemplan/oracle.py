@@ -7,8 +7,8 @@ interior nodes against second-order one-sided differences.  The action is
 difference too.  Minimization has one method, damped Newton steps on a
 hand-derived analytic gradient of exactly this discrete functional; the
 action couples nodes only within two of each other, so the
-finite-difference Hessian of that gradient is banded, costs a fixed
-number of gradient calls to assemble, and factors in O(N).
+finite-difference Hessian of that gradient is banded, costs 5 gradient
+calls to assemble (each on a stack of probes), and factors in O(N).
 
 Deliberately nothing here touches the shooting machinery (of ``bvp`` only
 ``BoundaryData`` is read): agreement between the two routes is evidence,
@@ -60,19 +60,23 @@ class DiscretePath:
     def from_free(cls, boundary: BoundaryData, N: int, free: np.ndarray):
         """Assemble the full node array from the free interior block.
 
-        free holds nodes 2..N-2; nodes 1 and N-1 come from the eliminated
-        end-velocity constraints, nodes 0 and N are the boundary points.
+        free holds nodes 2..N-2, flat or as (N-3, n) rows, or a stack
+        (..., (N-3) n) of flat blocks for a stack of paths; nodes 1 and
+        N-1 come from the eliminated end-velocity constraints, nodes 0
+        and N are the boundary points.
         """
         N = int(N)
         h = boundary.span / N
         ts = boundary.a + h * np.arange(N + 1)
         n = boundary.q_a.shape[-1]
-        qs = np.empty((N + 1, n))
-        qs[0] = boundary.q_a
-        qs[-1] = boundary.q_b
-        qs[2 : N - 1] = np.asarray(free, float).reshape(N - 3, n)
-        qs[1] = (2.0 * h * boundary.v_a + 3.0 * qs[0] + qs[2]) / 4.0
-        qs[N - 1] = (3.0 * qs[N] + qs[N - 2] - 2.0 * h * boundary.v_b) / 4.0
+        free = np.asarray(free, float)
+        lead = free.shape[:-1] if free.shape[-1] == (N - 3) * n else free.shape[:-2]
+        qs = np.empty(lead + (N + 1, n))
+        qs[..., 0, :] = boundary.q_a
+        qs[..., -1, :] = boundary.q_b
+        qs[..., 2 : N - 1, :] = free.reshape(lead + (N - 3, n))
+        qs[..., 1, :] = (2.0 * h * boundary.v_a + 3.0 * qs[..., 0, :] + qs[..., 2, :]) / 4.0
+        qs[..., N - 1, :] = (3.0 * qs[..., N, :] + qs[..., N - 2, :] - 2.0 * h * boundary.v_b) / 4.0
         return cls(ts, qs, boundary)
 
     def free_block(self):
@@ -97,11 +101,11 @@ def discrete_gradient(chart, potential, path: DiscretePath):
     free node.  On a flat chart (Gamma = 0, g = I) only the
     second-difference stencil and the potential gradient remain.
 
-    On a curved chart every contraction takes one index per two-operand
-    einsum: Gamma v once, then (Gamma v) v and b (Gamma v), b (Gamma a),
-    and ((dGamma v) v) b.  The stack is the whole grid, and numpy runs a
-    single three- or four-operand einsum over it through its generic
-    loop, two to three times slower than the same sums taken pairwise.
+    On a curved chart every term is one of the record's contractions:
+    a = c + Gamma(v, v) and b = g a, then b Gamma(., v), b Gamma(., a)
+    and b dGamma(v, v), which the radial charts answer in closed form.
+    The path's nodes may stack over leading axes, the node axis at -2;
+    each path of a stack gets the bits it gets alone.
     """
     qs, h, bd = path.qs, path.h, path.boundary
     N = path.segments
@@ -111,40 +115,32 @@ def discrete_gradient(chart, potential, path: DiscretePath):
         b = c
     else:
         p = chart.at(qs, 2)
-        G, g = p.Gamma, p.g
-        Gv = np.einsum("...kij,...j->...ki", G, v)
-        a = c + np.einsum("...ki,...i->...k", Gv, v)
-        b = np.einsum("...ab,...b->...a", g, a)
-    w = _trapezoid(N + 1, h)
+        a = c + p.gamma(v, v)
+        b = p.lower(a)
+    w = _trapezoid(N + 1, h)[:, None]
 
     grad = np.zeros_like(qs)
-    wb = w[1:-1, None] * b[1:-1]
-    grad[0:-2] += wb / h**2
-    grad[1:-1] -= 2.0 * wb / h**2
-    grad[2:] += wb / h**2
+    wb = w[1:-1] * b[..., 1:-1, :] / h**2
+    grad[..., 0:-2, :] += wb
+    grad[..., 1:-1, :] -= 2.0 * wb
+    grad[..., 2:, :] += wb
     if flat:
-        grad[1:-1] += w[1:-1, None] * potential.gradient(qs[1:-1])
+        grad[..., 1:-1, :] += w[1:-1] * potential.gradient(qs[..., 1:-1, :])
     else:
-        C = np.einsum("...c,...cd->...d", b[1:-1], Gv[1:-1])
-        wc = w[1:-1, None] * C
-        grad[2:] += wc / h
-        grad[0:-2] -= wc / h
+        wc = (w * p.gamma_adjoint(b, v))[..., 1:-1, :]
+        grad[..., 2:, :] += wc / h
+        grad[..., 0:-2, :] -= wc / h
 
         # a^a a^b d_l g_ab / 2 = b_m Gamma^m_la a^a, as d_l g_ab = Gamma^m_la g_mb + Gamma^m_lb g_am
-        Ga = np.einsum("...mla,...a->...ml", G[1:-1], a[1:-1])
-        E = np.einsum("...m,...ml->...l", b[1:-1], Ga)
-        E += np.einsum("...ab,...b->...a", g, potential.gradient(qs, p))[1:-1]
-        dGv = np.einsum("...lcij,...j->...lci", p.dGamma[1:-1], v[1:-1])
-        dGvv = np.einsum("...lci,...i->...lc", dGv, v[1:-1])
-        D = np.einsum("...lc,...c->...l", dGvv, b[1:-1])
-        grad[1:-1] += w[1:-1, None] * (E + D)
+        E = p.gamma_adjoint(b, a) + p.lower(potential.gradient(qs, p))
+        grad[..., 1:-1, :] += (w * (E + p.dgamma_adjoint(b, v, v)))[..., 1:-1, :]
 
     for k, sgn in ((0, 1), (N, -1)):
-        grad[k + sgn] += 2.0 * w[k] * b[k] / h**2
+        grad[..., k + sgn, :] += 2.0 * w[k] * b[..., k, :] / h**2
 
-    red = grad[2 : N - 1].copy()
-    red[0] += 0.25 * grad[1]
-    red[-1] += 0.25 * grad[N - 1]
+    red = grad[..., 2 : N - 1, :].copy()
+    red[..., 0, :] += 0.25 * grad[..., 1, :]
+    red[..., -1, :] += 0.25 * grad[..., N - 1, :]
     return red
 
 
@@ -153,12 +149,13 @@ def _banded_hessian(grad, u, n):
 
     Free node k's gradient reads only nodes k-2..k+2, so columns whose
     nodes are five apart share no row (Curtis, Powell & Reid, 1974): one
-    pair of gradient calls per colour (node mod 5, component) recovers all
-    of their columns, 10 n calls for any grid.  Each row then takes its
-    value from the one column of the colour within two nodes of it; a
-    mask on the scalar band alone would keep entries that the other
-    columns of the colour contaminate.  The result is symmetrized and
-    returned as ab[d, j] = H[j + d, j] for d < 3 n, the layout of
+    pair of probes per colour (node mod 5, component) recovers all of
+    their columns.  grad takes a stack of points, and each colour's 2 n
+    probes go in one call, 5 calls for any grid and any n.  Each row then
+    takes its value from the one column of the colour within two nodes
+    of it; a mask on the scalar band alone would keep entries that the
+    other columns of the colour contaminate.  The result is symmetrized
+    and returned as ab[d, j] = H[j + d, j] for d < 3 n, the layout of
     scipy.linalg.cholesky_banded(lower=True).
     """
     dim = len(u)
@@ -170,9 +167,10 @@ def _banded_hessian(grad, u, n):
         col_node = nodes + (colour - nodes + 2) % 5 - 2
         ok = (col_node >= 0) & (col_node < dim // n)
         rows = idx[ok]
+        steps = np.where((nodes % 5 == colour) & (comps == np.arange(n)[:, None]), e, 0.0)
+        probes = grad(np.concatenate([u + steps, u - steps]))
         for comp in range(n):
-            step = np.where((nodes % 5 == colour) & (comps == comp), e, 0.0)
-            diff = grad(u + step) - grad(u - step)
+            diff = probes[comp] - probes[n + comp]
             cols = col_node[ok] * n + comp
             half = 0.5 * (diff[ok] / (2.0 * e[cols]))
             lo = rows >= cols
@@ -280,7 +278,7 @@ def minimize_discrete(chart, potential, boundary: BoundaryData, N: int, seed: Di
 
     def grad(x):
         path = DiscretePath.from_free(boundary, N, x)
-        return discrete_gradient(chart, potential, path).ravel()
+        return discrete_gradient(chart, potential, path).reshape(np.shape(x))
 
     u, g, its = _damped_newton(grad, u, boundary.q_a.shape[-1], gtol)
 

@@ -168,8 +168,7 @@ class _DistancePotential(Potential):
                 return d2, w
             if p is None:
                 return d2, w, np.einsum("...a,...a->...", w, X), X
-            GuX = np.einsum("...ij,...j->...i", np.einsum("...kij,...k->...ij", p.Gamma, u), X)
-            return d2, w, p.inner(w, X), p.raise_covector(X - GuX)
+            return d2, w, p.inner(w, X), p.raise_covector(X - p.gamma_adjoint(u, X))
         w = chart.log(x, self.center)
         d2 = p.inner(w, w)
         if X is None:

@@ -126,8 +126,8 @@ def test_connection_derivative_matches_central_differences(chart):
 
 @pytest.mark.parametrize("chart", [S2, H2], ids=lambda c: c.name)
 def test_conformal_connection_derivative_scales_gamma(chart):
-    # order 2 builds dGamma from Gamma (p' = -k w p); the general radial
-    # formula, fed p' directly, is the reference, point by point
+    # the record's dGamma takes p' = -k w p; the general radial formula,
+    # fed p' = 2 k^2 w^2 directly, is the reference, point by point
     x = sample_points(chart, 200, np.random.default_rng(17))
     k = chart.space_curvature
     w = 1.0 / (1.0 + k * np.einsum("...a,...a->...", x, x))
@@ -136,6 +136,28 @@ def test_conformal_connection_derivative_scales_gamma(chart):
     got = chart.at(x, 2).dGamma
     scale = np.max(np.abs(ref), axis=(-4, -3, -2, -1))
     assert np.all(np.max(np.abs(got - ref), axis=(-4, -3, -2, -1)) <= 1e-15 * scale)
+
+
+@settings(max_examples=30)
+@given(name=st.sampled_from(["sphere2", "hyperbolic2", "so3"]), seed=st.integers(0, 2**32 - 1))
+def test_radial_contractions_match_the_record_arrays(name, seed):
+    # each closed form against the einsum on the arrays its record builds
+    # on read, within 1e-13 of the sum of the terms' magnitudes
+    chart = parse_manifold(name)
+    rng = np.random.default_rng(seed)
+    x = sample_points(chart, 8, rng)
+    b, u, v = rng.normal(size=(3, 8, chart.dim))
+    p = chart.at(x, 2)
+    cases = [
+        (p.gamma(u, v), "...kij,...i,...j->...k", (p.Gamma, u, v)),
+        (p.lower(v), "...ab,...b->...a", (p.g, v)),
+        (p.raise_covector(v), "...ab,...b->...a", (p.ginv, v)),
+        (p.gamma_adjoint(b, v), "...k,...kdj,...j->...d", (b, p.Gamma, v)),
+        (p.dgamma_adjoint(b, u, v), "...k,...dkij,...i,...j->...d", (b, p.dGamma, u, v)),
+    ]
+    for got, spec, ops in cases:
+        scale = np.einsum(spec, *map(np.abs, ops))
+        assert np.all(np.abs(got - np.einsum(spec, *ops)) <= 1e-13 * scale), spec
 
 
 def test_so3_geometry_needs_no_matrix_inverse(monkeypatch):

@@ -255,6 +255,43 @@ def test_pairwise_contractions_match_one_call_einsums(name):
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "so3"])
+def test_radial_gradient_reads_no_record_array(monkeypatch, name):
+    # the radial records answer every contraction of the gradient in closed
+    # form; reading any of their arrays would be the einsum route back
+    chart, bd, center, mode = CONTRACTION_CASES[name]
+    N = 40
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6, distance=mode)
+    seed = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
+    path = DiscretePath.from_free(bd, N, seed + 0.05 * np.random.default_rng(19).normal(size=seed.shape))
+    ref = einsum_gradient(chart, pot, path)
+
+    def refuse(self):
+        raise AssertionError("the gradient read a record array")
+
+    for field in ("g", "ginv", "Gamma", "dGamma"):
+        monkeypatch.setattr(type(chart.at(bd.q_a, 2)), field, property(refuse))
+    g = discrete_gradient(chart, pot, path)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+STACK_CASES = {**CONTRACTION_CASES, "euclidean1": (EUC1, BoundaryData((0.0,), (0.0,), (0.3,), (0.1,)), (0.25,), "riemannian")}
+
+
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_stacked_paths_get_the_bits_of_single_calls(name):
+    # the Hessian's probes go in one stacked call, and must not move a bit
+    chart, bd, center, mode = STACK_CASES[name]
+    N = 24
+    pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6, distance=mode)
+    seed = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1)).ravel()
+    free = seed + 0.05 * np.random.default_rng(18).normal(size=(2, 3, seed.size))
+    g = discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, free))
+    assert g.shape == (2, 3, N - 3, chart.dim)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(g[i], discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, free[i])))
+
+
 # one chart per coordinate count n = 1, 2, 3, with an obstacle so that
 # the potential's Hessian enters the band
 HESSIAN_CASES = {
@@ -271,15 +308,15 @@ HESSIAN_CASES = {
 
 
 def counted_gradient_at_seed(name, N):
-    """Flat-vector gradient callback, its call log, and a perturbed Hermite
-    seed, whose perturbation is the same for every call."""
+    """Gradient callback on a flat vector or a stack of them, its call log,
+    and a perturbed Hermite seed, whose perturbation is the same for every call."""
     chart, bd, center = HESSIAN_CASES[name]
     pot = GaussianObstacle(chart, center, amplitude=1.0, width=0.6)
     calls = []
 
     def grad(x):
         calls.append(1)
-        return discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, x)).ravel()
+        return discrete_gradient(chart, pot, DiscretePath.from_free(bd, N, x)).reshape(np.shape(x))
 
     free = hermite(bd, bd.a + (bd.span / N) * np.arange(2, N - 1))
     u = (free + 0.05 * np.random.default_rng(14).normal(size=free.shape)).ravel()
@@ -316,7 +353,7 @@ def test_banded_hessian_matches_dense(name):
 def test_banded_hessian_gradient_calls_independent_of_grid(name, N):
     grad, calls, u, n = counted_gradient_at_seed(name, N)
     _banded_hessian(grad, u, n)
-    assert len(calls) == 10 * n
+    assert len(calls) == 5
 
 
 def test_minimize_flat_recovers_cubic():
