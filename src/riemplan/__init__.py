@@ -58,7 +58,6 @@ from .bvp import (
 from .config import potential_from_config
 from .jacobi import (
     BiconjugateReport,
-    JacobiState,
     biconjugate_scan,
 )
 from .index import (
@@ -119,7 +118,6 @@ __all__ = [
     "check_uniqueness_props",
     "continuation_sweep",
     "multi_seed_scan",
-    "JacobiState",
     "BiconjugateReport",
     "NegativeDirectionReport",
     "biconjugate_scan",

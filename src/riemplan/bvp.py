@@ -19,10 +19,11 @@ each block a segment's field propagator between conversions of
 coordinate jets to field jets, read off the stitched curve's one
 operator table (``jacobi._segment_jacobian``); Newton solves it by
 condensing.  The basis bundle carried across the blocks gives the scan's
-rank test at T, so a singular shooting Jacobian and a biconjugate
-endpoint are one test.  Residual, Jacobian and the returned curve, its
-segments stitched, come from one pass of the trial, so convergence is
-measured against the curve the caller receives.
+rank test at T (``_segment_jacobian`` returns it with the blocks), so a
+singular shooting Jacobian and a biconjugate endpoint are one test.
+Residual, Jacobian and the returned curve, its segments stitched, come
+from one pass of the trial, so convergence is measured against the
+curve the caller receives.
 
 Unless the caller fixes the step, two grids are chosen by error
 control, each by step doubling (Richardson's h^4 estimate) against one
@@ -114,10 +115,10 @@ class ShootingResult:
     z: np.ndarray
     trajectory: Trajectory
     residual: float
-    #: Newton iterations, the coarse stage's included
+    #: Newton iterations, the pilot grid's included
     iterations: int
-    #: of those, the iterations on the coarse grid (0 when it did not run
-    #: or failed)
+    #: of those, the iterations on the pilot grid (0 with a fixed step, or
+    #: when that stage failed)
     coarse_iterations: int
     #: steps of the returned trajectory
     steps: int
@@ -145,7 +146,7 @@ class ShootingResult:
         """sigma_max / sigma_min of the Jacobian at the returned (y, z) on
         the field grid, built on first use: the uniqueness probes never
         read it."""
-        sv = np.linalg.svd(shooting_jacobian(self.trajectory)[0], compute_uv=False)
+        sv = np.linalg.svd(shooting_jacobian(self.trajectory), compute_uv=False)
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
@@ -168,14 +169,13 @@ class _Shot:
 
     #: the curve of each segment, from its stored jets
     segments: list
-    #: the same jets on half the steps, or that pass's failure
-    _twin: "_Shot | Exception | None" = None
+    #: the shot of the same jets on half the steps, built when called; it
+    #: raises that pass's failure
+    twin: partial | None = None
 
     def __post_init__(self):
         # each segment's stored start jets and its end jets (q, v, a, j), (K, 4, n)
-        self.starts, self.ends = (
-            np.array([[s.qs[k], s.vs[k], s.accs[k], s.jerks[k]] for s in self.segments]) for k in (0, -1)
-        )
+        self.starts, self.ends = (np.array([s.jets[k] for s in self.segments]) for k in (0, -1))
         self.end = self.ends[-1, :2].ravel()  # (q, qdot) at the window end
         self.jumps = self.ends[:-1] - self.starts[1:]  # at the K - 1 breakpoints
         # T^l for the levels l over the window T: jumps of the jets in the
@@ -190,26 +190,15 @@ class _Shot:
     def trajectory(self) -> Trajectory:
         """The stitched curve: each segment's nodes up to the next one's
         stored jets, the last segment's end closing it."""
-        first, *rest = self.segments
-        if not rest:
-            return first
-        nodes = [
-            np.concatenate([getattr(s, k)[:-1] for s in self.segments] + [getattr(rest[-1], k)[-1:]])
-            for k in ("ts", "qs", "vs", "accs", "jerks")
-        ]
-        return Trajectory(first.chart, first.potential, *nodes)
+        *body, last = self.segments
+        ts, jets = (np.concatenate([getattr(s, k)[:-1] for s in body] + [getattr(last, k)]) for k in ("ts", "jets"))
+        return Trajectory(last.chart, last.potential, ts, jets)
 
     @cached_property
     def linearization(self):
         """(blocks of the Jacobian, whether the scan's rank test flags the
         end), off the stitched curve's operator table (``jacobi._segment_jacobian``)."""
         return _segment_jacobian(self.trajectory, self.starts, self.ends)
-
-    def twin(self) -> "_Shot":
-        """The half-grid twin's shot; raises its trial's failure."""
-        if isinstance(self._twin, Exception):
-            raise self._twin
-        return self._twin
 
     @cached_property
     def fields(self) -> tuple[Trajectory, float]:
@@ -253,13 +242,10 @@ class _Request:
     def finish(self, flows) -> _Shot:
         """The shot from the ``_flow`` results of ``rows``.  A failure of the
         trial raises, its message naming the pass, the segment and the time;
-        the twin's is kept for ``_Shot.twin``."""
+        the twin's raises when ``_Shot.twin`` is called."""
         shot = self._shot(flows[: self.K])
         if flows[self.K :]:
-            try:
-                shot._twin = self._shot(flows[self.K :])
-            except PlannerError as failure:
-                shot._twin = failure
+            shot.twin = partial(self._shot, flows[self.K :])
         return shot
 
 
@@ -314,7 +300,7 @@ def _lockstep(chart, potential, problems):
 # bench/layers.py times the Jacobian under this name; no program path calls
 # it, and it is in no __all__.  Shooting reads the same bits off its pass.
 def biexp_jacobian(chart, potential, p, v, y, z, t, h=None):
-    return shooting_jacobian(integrate_ivp(chart, potential, CurveState(0.0, p, v, y, z), t, h))[0]
+    return shooting_jacobian(integrate_ivp(chart, potential, CurveState(0.0, p, v, y, z), t, h))
 
 
 # Default shooting grid.  The seed is shot at twice _PILOT_STEPS, with its
@@ -327,8 +313,8 @@ _STEP_TOL = 1e-9
 _PILOT_STEPS = 32
 _MAX_STEPS = 1 << 16
 
-# What ends a coarse Newton stage and sends the solve on from its seed:
-# Newton's own failures, and a coarse pass that could not be marched.
+# What ends Newton on the pilot grid and sends the solve on from its seed:
+# Newton's own failures, and a pilot pass that could not be marched.
 _COARSE_FAILURES = (NonconvergenceError, CriticalPointError, ChartEscapeError, NumericalError)
 
 # steps per shooting segment: rk4's block, so that on the curve's grid a
@@ -371,9 +357,9 @@ def _richardson(fine: _Shot, coarse: _Shot) -> float:
     for block, dk in zip(blocks[1:], d[1:]):
         carried = block @ carried + dk
     e = np.linalg.norm(carried[: fine.end.size]) / (1.0 + np.linalg.norm(fine.end))
-    J = shooting_jacobian(traj)[0]
+    J = shooting_jacobian(traj)
     twin = replace(coarse.trajectory, field_refinement=traj.field_steps // coarse.trajectory.segments)
-    dj = np.linalg.norm(J - shooting_jacobian(twin)[0]) / np.linalg.norm(J)
+    dj = np.linalg.norm(J - shooting_jacobian(twin)) / np.linalg.norm(J)
     return float(max(e, dj) / 15.0)
 
 
@@ -483,8 +469,7 @@ def _unknowns(boundary: BoundaryData, steps, y, z, curve: Trajectory | None = No
     tau = boundary.span
     t = (tau / steps) * np.arange(_SEGMENT_STEPS, steps, _SEGMENT_STEPS)
     if curve is not None:
-        st = curve.interpolate(boundary.a + t)
-        return np.concatenate([y, z, np.stack([st.q, st.v, st.a, st.j], axis=1).ravel()])
+        return np.concatenate([y, z, curve.jets_at(boundary.a + t).ravel()])
     r0 = boundary.q_b - (boundary.q_a + tau * boundary.v_a + tau**2 / 2.0 * y + tau**3 / 6.0 * z)
     r1 = boundary.v_b - (boundary.v_a + tau * y + tau**2 / 2.0 * z)
     c5 = (r1 - 4.0 * r0 / tau) / tau**4

@@ -57,13 +57,10 @@ def _write_json(path: Path, payload) -> None:
 
 
 def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
-    n = trajectory.qs.shape[1]
-    cols = ["t"]
-    for tag in ("q", "v", "a", "j"):
-        cols += [f"{tag}{i}" for i in range(n)]
-    data = np.column_stack(
-        [trajectory.ts, trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks]
-    )
+    # the columns (q..., v..., a..., j...) are each node's jet stack, flattened
+    n = trajectory.jets.shape[-1]
+    cols = ["t"] + [f"{tag}{i}" for tag in "qvaj" for i in range(n)]
+    data = np.column_stack([trajectory.ts, trajectory.jets.reshape(len(trajectory.ts), -1)])
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
@@ -91,8 +88,7 @@ def read_trajectory_csv(path: Path, chart, potential) -> Trajectory:
     if len(steps) % 2:
         # every grid riemplan writes is even; step doubling halves it
         raise ConfigError(f"trajectory CSV {path} has {len(steps)} segments, expected an even count")
-    blocks = [data[:, 1 + k * n : 1 + (k + 1) * n] for k in range(4)]
-    return Trajectory(chart, potential, ts, *blocks)
+    return Trajectory(chart, potential, ts, data[:, 1:].reshape(-1, 4, n))
 
 
 def _solve_payload(result, boundary) -> dict:

@@ -29,8 +29,10 @@ picks N so that the estimate meets a fixed tolerance.
 ``integrate_ivp`` and ``bvp``'s shooting passes share one march,
 ``_flow``.  It marches a list of curves, one row each, in one loop, one
 ``_rk4_step`` call per step for all of them (bench/layers.py traces that
-call here).  Each row has its own start time, step and step count, is
-stored at every node, and leaves the batch when it finishes or fails.
+call here).  Each row has its own start time, step and step count, and
+leaves the batch when it finishes or fails.  The nodes of all rows go
+into one array, row after row, which a step writes in one indexed
+assignment, and each row's trajectory copies its slice.
 The right-hand side acts row by row, so a row marched in a batch gets the
 same bits as marched alone; a step costs about the same at 5 rows as at
 100, so passes that can run together (a shot and its half-grid twin,
@@ -137,11 +139,13 @@ def grid_steps(T: float, h: float | None = None) -> tuple[int, float]:
 class Trajectory:
     """Uniformly sampled solution curve with covariant jets at the nodes.
 
-    The trajectory owns the chart and potential it solves the ODE for:
-    every function that analyzes it (its action, its field bundles, its
-    second variation, the oracle's comparisons) reads them here.  Dense
-    output is cubic Hermite per component using the exact coordinate
-    derivatives from the ODE right side, matching the integrator's order.
+    ``jets`` stacks the 4-jet (q, v, a, j) of every node, (N+1, 4, n), as
+    ``_flow`` marches it and the trajectory CSV stores it.  The trajectory
+    owns the chart and potential it solves the ODE for: every function
+    that analyzes it (its action, its field bundles, its second variation,
+    the oracle's comparisons) reads them here.  Dense output is one cubic
+    Hermite on the jet stack using the exact coordinate derivatives from
+    the ODE right side, matching the integrator's order.
 
     The Jacobi field bundle marches on a field grid of its own:
     ``field_refinement`` uniform steps per segment, so every node is a
@@ -156,13 +160,16 @@ class Trajectory:
     chart: ManifoldChart
     potential: Potential
     ts: np.ndarray
-    qs: np.ndarray
-    vs: np.ndarray
-    accs: np.ndarray
-    jerks: np.ndarray
+    jets: np.ndarray
     field_refinement: int = 1
     # not an __init__ argument, so dataclasses.replace starts a new table
     _ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    # the four levels of the jets, each (N+1, n): read-only views
+    qs = property(lambda self: self.jets[:, 0])
+    vs = property(lambda self: self.jets[:, 1])
+    accs = property(lambda self: self.jets[:, 2])
+    jerks = property(lambda self: self.jets[:, 3])
 
     @property
     def h(self) -> float:
@@ -187,16 +194,16 @@ class Trajectory:
         return self.h / self.field_refinement
 
     def state(self, k: int) -> CurveState:
-        return CurveState(float(self.ts[k]), self.qs[k], self.vs[k], self.accs[k], self.jerks[k])
+        return CurveState(float(self.ts[k]), *self.jets[k])
 
     @cached_property
     def node_rhs(self) -> np.ndarray:
         """Coordinate derivatives of the four jet levels at every node, (N+1, 4, n)."""
-        jets = np.stack([self.qs, self.vs, self.accs, self.jerks], axis=-2)
-        return _rhs_stacked(self.chart, self.potential, jets)
+        return _rhs_stacked(self.chart, self.potential, self.jets)
 
-    def interpolate(self, t) -> CurveState:
-        """Jets at time(s) t; t may leave [ts[0], ts[-1]] by roundoff (1e-9 h) only."""
+    def jets_at(self, t) -> np.ndarray:
+        """Jet stacks at time(s) t, shape t.shape + (4, n); t may leave
+        [ts[0], ts[-1]] by roundoff (1e-9 h) only."""
         t = np.asarray(t, float)
         h = self.h
         slack = 1e-9 * h
@@ -207,16 +214,13 @@ class Trajectory:
             )
         s = (t - self.ts[0]) / h
         k = np.clip(np.floor(s).astype(int), 0, self.segments - 1)
-        u = s - k
-        h00, h10, h01, h11 = _hermite(u[..., None])
-        d = self.node_rhs
-        out = []
-        for i, y in enumerate((self.qs, self.vs, self.accs, self.jerks)):
-            dy = d[:, i]
-            out.append(
-                h00 * y[k] + h10 * h * dy[k] + h01 * y[k + 1] + h11 * h * dy[k + 1]
-            )
-        return CurveState(t, *out)
+        h00, h10, h01, h11 = _hermite((s - k)[..., None, None])
+        y, dy = self.jets, self.node_rhs
+        return h00 * y[k] + h10 * h * dy[k] + h01 * y[k + 1] + h11 * h * dy[k + 1]
+
+    def interpolate(self, t) -> CurveState:
+        """``jets_at`` as the state at time(s) t."""
+        return CurveState(np.asarray(t, float), *np.moveaxis(self.jets_at(t), -2, 0))
 
 
 def _flow_failure(u, chart, t):
@@ -226,26 +230,6 @@ def _flow_failure(u, chart, t):
     if not np.all(chart.contains(u[0])):
         return ChartEscapeError("trajectory left the chart domain", t)
     return None
-
-
-class _Row:
-    """One row of a ``_flow`` march: its grid, its nodes and its failure."""
-
-    def __init__(self, u, t0, h, steps):
-        self.t0, self.h, self.steps = t0, h, steps
-        self.nodes = np.empty((steps + 1,) + u.shape)
-        self.nodes[0] = u
-        self.failure = None
-
-    def result(self, chart, potential):
-        if self.failure is not None:
-            return None, self.failure
-        nodes = self.nodes
-        traj = Trajectory(
-            chart, potential, self.t0 + self.h * np.arange(self.steps + 1),
-            nodes[:, 0], nodes[:, 1], nodes[:, 2], nodes[:, 3],
-        )
-        return traj, None
 
 
 def _flow(chart, potential, rows):
@@ -258,27 +242,36 @@ def _flow(chart, potential, rows):
     row leaves the batch when it finishes or fails; the others march on
     unchanged.
     """
-    rows = [_Row(*r) for r in rows]
-    live, k = rows, 0
-    while live:
-        u = np.stack([r.nodes[k] for r in live])
-        h = np.array([r.h for r in live])[:, None, None]
-        end = min(r.steps for r in live)
+    u0s, t0s, hs, steps = zip(*rows)
+    # every row's nodes in one array, each row's after the previous row's,
+    # so that a step stores the live rows in one indexed assignment
+    first = np.cumsum((0,) + steps[:-1]) + np.arange(len(rows))
+    nodes = np.empty((sum(steps) + len(rows),) + np.shape(u0s[0]))
+    nodes[first] = u0s
+    failures = [None] * len(rows)
+    live, k = np.arange(len(rows)), 0
+    while len(live):
+        at = first[live]
+        u = nodes[at + k]
+        h = np.array(hs)[live, None, None]
+        end = min(steps[i] for i in live)
         while True:
             # a module global, so a wrapper on dynamics._rk4_step sees every step
             u = _rk4_step(chart, potential, u, h)
             k += 1
+            nodes[at + k] = u
             failed = not (np.isfinite(u).all() and chart.contains(u[:, 0]).all())
             if failed or k == end:
                 break
-            for r, row in zip(live, u):
-                r.nodes[k] = row
-        for r, row in zip(live, u):
-            if failed:
-                r.failure = _flow_failure(row, chart, r.t0 + k * r.h)
-            r.nodes[k] = row
-        live = [r for r in live if r.failure is None and k < r.steps]
-    return [r.result(chart, potential) for r in rows]
+        if failed:
+            for i, row in zip(live, u):
+                failures[i] = _flow_failure(row, chart, t0s[i] + k * hs[i])
+        live = [i for i in live if failures[i] is None and k < steps[i]]
+    return [
+        (None, failure) if failure is not None else
+        (Trajectory(chart, potential, t0 + h * np.arange(N + 1), nodes[lo : lo + N + 1].copy()), None)
+        for t0, h, N, lo, failure in zip(t0s, hs, steps, first, failures)
+    ]
 
 
 def _ivp_row(chart, initial: CurveState, T: float, h: float | None = None):

@@ -16,10 +16,11 @@ where F collects every curvature coupling of the second variation:
 with Y = qdot.  The nab R terms vanish identically on the locally
 symmetric built-in charts; numeric charts evaluate them exactly.
 
-The ODE is linear in the field jet u = (X, DX, D2X, D3X), and its
-coefficients depend only on the stored curve.  A ``Trajectory`` owns its
-chart, its potential and its cached tables, so every function here that
-analyzes one takes the trajectory alone.
+The ODE is linear in the field jet u = (X, DX, D2X, D3X), a (..., 4, n)
+stack as the curve's jets are, and its coefficients depend only on the
+stored curve.  A ``Trajectory`` owns its chart, its potential and its
+cached tables, so every function here that analyzes one takes the
+trajectory alone.
 
 Fields march on the trajectory's field grid: ``field_refinement``
 uniform steps per segment (``Trajectory.field_steps`` in all), so every
@@ -34,8 +35,10 @@ off-node values take one partial step out of the enclosing field node
 through the same operator, for any number of times in one call.  The
 second-variation forms in ``index`` read F(X, qdot) + nab_X grad V off
 ``jacobi_operator`` at their quadrature points (``_force_block``), and
-shooting in ``bvp`` reads its Jacobian off the scan's bundle at the last
-node (``shooting_jacobian``).
+shooting in ``bvp`` reads its Jacobian's blocks off the same table
+(``_segment_jacobian``); its error control and condition number read the
+single-shooting Jacobian off the scan's bundle at the last node
+(``shooting_jacobian``).
 
 Solutions vanishing to first covariant order at two distinct times are the
 obstruction to local optimality; this module detects such time pairs along
@@ -57,7 +60,6 @@ from .dynamics import CurveState, Trajectory
 from .errors import ResolutionWarning
 
 __all__ = [
-    "JacobiState",
     "BiconjugateReport",
     "F_operator",
     "jacobi_rhs",
@@ -65,17 +67,6 @@ __all__ = [
     "shooting_jacobian",
     "biconjugate_scan",
 ]
-
-
-@dataclass
-class JacobiState:
-    """Covariant 4-jet of a perturbation field; fields may be batched."""
-
-    t: float | np.ndarray
-    X: np.ndarray
-    dX: np.ndarray
-    d2X: np.ndarray
-    d3X: np.ndarray
 
 
 def F_operator(chart, state: CurveState, X, dX, d2X, p=None):
@@ -104,25 +95,25 @@ def F_operator(chart, state: CurveState, X, dX, d2X, p=None):
     return out
 
 
-def jacobi_rhs(chart, potential, state: CurveState, jac: JacobiState):
-    """Coordinate time-derivatives of the field 4-jet (X, dX, d2X, d3X).
+def jacobi_rhs(chart, potential, state: CurveState, u):
+    """Coordinate time-derivatives of field jet stacks u of shape (..., 4, n),
+    the levels (X, dX, d2X, d3X) along axis -2, as ``dynamics._rhs_stacked``
+    takes the curve's; the batch axes broadcast against the state's.
 
     F, the potential's Hessian and Gamma read one ``chart.at`` record.  On
     a flat chart F and Gamma vanish and the ODE is X'''' = -Hess V X, so
     only the potential's Hessian is evaluated.
     """
     q, v = state.q, state.v
-    X, dX, d2X, d3X = jac.X, jac.dX, jac.d2X, jac.d3X
+    X, dX, d2X, d3X = (u[..., i, :] for i in range(4))
     if chart.flat:
-        return dX, d2X, d3X, -potential.hessian_op(q, X)
-    p = chart.at(q, 1 if chart.locally_symmetric else 4)
-    force = -F_operator(chart, state, X, dX, d2X, p) - potential.hessian_op(q, X, p)
-    return (
-        dX - p.gamma(v, X),
-        d2X - p.gamma(v, dX),
-        d3X - p.gamma(v, d2X),
-        force - p.gamma(v, d3X),
-    )
+        out = dX, d2X, d3X, -potential.hessian_op(q, X)
+    else:
+        p = chart.at(q, 1 if chart.locally_symmetric else 4)
+        force = -F_operator(chart, state, X, dX, d2X, p) - potential.hessian_op(q, X, p)
+        out = dX - p.gamma(v, X), d2X - p.gamma(v, dX), d3X - p.gamma(v, d2X), force - p.gamma(v, d3X)
+        del p, force  # freed before the stack doubles the levels' memory
+    return np.stack(np.broadcast_arrays(*out), axis=-2)
 
 
 def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
@@ -138,11 +129,7 @@ def jacobi_operator(chart, potential, states: CurveState) -> np.ndarray:
     S = len(states.q)
     jets = np.broadcast_to(np.eye(4 * n).reshape(4 * n, 4, n), (S, 4 * n, 4, n))
     pts = [np.asarray(a, float)[:, None] for a in (states.q, states.v, states.a, states.j)]
-    cols = jacobi_rhs(
-        chart, potential, CurveState(states.t, *pts),
-        JacobiState(states.t, jets[..., 0, :], jets[..., 1, :], jets[..., 2, :], jets[..., 3, :]),
-    )
-    return np.stack(cols, axis=-2).reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
+    return jacobi_rhs(chart, potential, CurveState(states.t, *pts), jets).reshape(S, 4 * n, 4 * n).swapaxes(-1, -2)
 
 
 @dataclass
@@ -180,15 +167,13 @@ def _field(trajectory: Trajectory) -> _Field:
         r, h, ts = trajectory.field_refinement, trajectory.field_h, trajectory.ts
         inner = (ts[:-1, None] + h * np.arange(1, r)).ravel()
         mids = (ts[:-1, None] + h * (np.arange(r) + 0.5)).ravel()
-        off = trajectory.interpolate(np.concatenate([inner, mids]))
+        off = trajectory.jets_at(np.concatenate([inner, mids]))
         K = len(inner)
-        own = (trajectory.qs, trajectory.vs, trajectory.accs, trajectory.jerks)
-        at_nodes = [_interleave(y, x[:K], r) for y, x in zip(own, (off.q, off.v, off.a, off.j))]
-        at_mids = (off.q[K:], off.v[K:], off.a[K:], off.j[K:])
-        both = CurveState(None, *(np.concatenate(ab) for ab in zip(at_nodes, at_mids)))
-        A = jacobi_operator(trajectory.chart, trajectory.potential, both)
-        S = len(at_nodes[0])
-        trajectory._ops = _Field(_interleave(ts, inner, r), at_nodes[0], h, A[:S], A[S:])
+        at_nodes = _interleave(trajectory.jets, off[:K], r)
+        both = np.concatenate([at_nodes, off[K:]])
+        A = jacobi_operator(trajectory.chart, trajectory.potential, CurveState(None, *np.moveaxis(both, 1, 0)))
+        S = len(at_nodes)
+        trajectory._ops = _Field(_interleave(ts, inner, r), at_nodes[:, 0].copy(), h, A[:S], A[S:])
     return trajectory._ops
 
 
@@ -392,22 +377,20 @@ def _field_jacobians(trajectory: Trajectory):
         nodes[:-2:2], nodes[1::2], nodes[2::2], 2.0 * field.h, _flat(_basis_bundle(n)), field.ts[::2],
         "perturbation field blew up",
     )[-1].reshape(2 * n, 4, n)
-    return tuple(_endpoint_jacobian(trajectory, u) for u in (_basis_flow(trajectory, 0).states[-1], half))
+    return shooting_jacobian(trajectory), _endpoint_jacobian(trajectory, half)
 
 
-def shooting_jacobian(trajectory: Trajectory):
+def shooting_jacobian(trajectory: Trajectory) -> np.ndarray:
     """d(q(T), qdot(T)) / d(y, z) off the scan's field bundle from the first node.
 
     The bundle marches on the trajectory's field grid.  Field y_i (z_i)
     starts with X = DX = 0 and unit D2X (D3X), so dq = X(T) and
     dqdot = DX(T) - Gamma(qdot(T), X(T)).  Returns the Jacobian, row
-    blocks (q; qdot), and whether the scan's rank test (``_rank_test`` at
-    tau = T, sigma ratio at most 1e-8) flags T: a singular shooting
-    Jacobian and a biconjugate endpoint are one test.
+    blocks (q; qdot).  Shooting's singularity test is not read here: it
+    is the scan's rank test on the bundle ``_segment_jacobian`` carries
+    across its blocks.
     """
-    u = _basis_flow(trajectory, 0).states[-1]
-    _, ratio = _rank_test(u, trajectory.T)
-    return _endpoint_jacobian(trajectory, u), bool(ratio <= _SIGMA_RATIO)
+    return _endpoint_jacobian(trajectory, _basis_flow(trajectory, 0).states[-1])
 
 
 @dataclass

@@ -51,7 +51,7 @@ def biexp(chart, pot, p, v, y, z, t, h=None):
 
 def biexp_jacobian(chart, pot, p, v, y, z, t, h=None):
     """Its differential in (y, z), read off the curve's field bundle."""
-    return shooting_jacobian(integrate_ivp(chart, pot, CurveState(0.0, p, v, y, z), t, h))[0]
+    return shooting_jacobian(integrate_ivp(chart, pot, CurveState(0.0, p, v, y, z), t, h))
 
 
 def shoot(chart, pot, p, v, y, z, t, steps, t0=0.0):
@@ -399,7 +399,7 @@ def test_solve_returns_its_fused_pass(scenario, fd_jacobian, name):
             assert np.max(np.abs(jump)) <= 1e-14
     tol = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([bd.q_b, bd.v_b])))
     assert abs(res.max_jump - max(jumps)) <= 1e-13 and res.max_jump <= tol
-    J = shooting_jacobian(got)[0]
+    J = shooting_jacobian(got)
     sv = np.linalg.svd(J, compute_uv=False)
     assert res.jacobian_condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
     J_fd = fd_jacobian(chart, pot, bd.q_a, bd.v_a, res.y, res.z, bd.span, h)
@@ -542,7 +542,7 @@ def test_fixed_step_fields_march_on_the_curve_grid(scenario):
     u = rk4.march(nodes[:-1], mid_ops, nodes[1:], traj.h, _flat(_basis_bundle(n)), traj.ts, "blew up")[-1]
     u = u.reshape(2 * n, 4, n)
     J = np.concatenate([u[:, 0], u[:, 1] - chart.gamma(traj.qs[-1], traj.vs[-1], u[:, 0])], axis=1).T
-    assert np.array_equal(shooting_jacobian(traj)[0], J)
+    assert np.array_equal(shooting_jacobian(traj), J)
 
 
 def _direct_newton(chart, pot, bd, seed, steps, twin=False):
@@ -580,7 +580,7 @@ def _single_shooting(chart, pot, bd, seed, steps):
     for _ in range(50):
         if np.linalg.norm(r) <= tol:
             return yz
-        step, t = np.linalg.solve(shooting_jacobian(traj)[0], -r), 1.0
+        step, t = np.linalg.solve(shooting_jacobian(traj), -r), 1.0
         for _ in range(20):
             try:
                 trial = miss(yz + t * step)
@@ -747,7 +747,7 @@ def test_step_estimate_is_not_optimistic(case, yz):
     r = traj.field_refinement
 
     def jacobian(trajectory, refinement):
-        return shooting_jacobian(replace(trajectory, field_refinement=refinement))[0]
+        return shooting_jacobian(replace(trajectory, field_refinement=refinement))
 
     J, J_fine = jacobian(curve, 4 * r), jacobian(fine, r)
     end = np.concatenate([fine.qs[-1], fine.vs[-1]])
@@ -756,7 +756,7 @@ def test_step_estimate_is_not_optimistic(case, yz):
         np.linalg.norm(J - J_fine) / np.linalg.norm(J),
     )
     assert error / 10.0 <= estimate <= 10.0 * error
-    J = shooting_jacobian(traj)[0]
+    J = shooting_jacobian(traj)
     field_error = np.linalg.norm(J - jacobian(shot.trajectory, 4 * r)) / np.linalg.norm(J)
     assert field_error / 10.0 <= field_estimate <= 10.0 * field_error
 

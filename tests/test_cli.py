@@ -351,7 +351,7 @@ def test_stored_trajectory_needs_an_even_grid(tmp_path, capsys, command):
     traj = read_trajectory_csv(csv, chart, ZeroPotential(chart))
     s = traj.interpolate(np.linspace(0.0, 1.0, 82))
     odd = tmp_path / "odd.csv"
-    write_trajectory_csv(odd, Trajectory(chart, traj.potential, s.t, s.q, s.v, s.a, s.j))
+    write_trajectory_csv(odd, Trajectory(chart, traj.potential, s.t, np.stack([s.q, s.v, s.a, s.j], axis=1)))
     cfg = write_cfg(tmp_path, name="nostep.json", step=None)
     assert main([command, "--config", str(cfg), "--trajectory", str(odd)]) == 1
     err = capsys.readouterr().err

@@ -29,7 +29,7 @@ from riemplan import (
 )
 from riemplan.dynamics import _rhs_stacked
 from riemplan.geometry.charts import EuclideanChart
-from riemplan.jacobi import JacobiState, jacobi_operator, jacobi_rhs
+from riemplan.jacobi import jacobi_operator, jacobi_rhs
 from riemplan.oracle import DiscretePath, discrete_gradient
 
 GEOMETRY = ("at", "gamma", "curvature", "metric")
@@ -77,7 +77,7 @@ def kernels(chart, pot, jets, field, path):
     states = CurveState(None, *np.moveaxis(jets, 1, 0))
     return (
         _rhs_stacked(chart, pot, jets),
-        np.stack(jacobi_rhs(chart, pot, states, JacobiState(None, *np.moveaxis(field, 1, 0)))),
+        jacobi_rhs(chart, pot, states, field),
         jacobi_operator(chart, pot, states),
         pot.hessian_op(jets[:, 0], field[:, 0]),
         discrete_gradient(chart, pot, path),
@@ -101,7 +101,7 @@ def test_flat_paths_skip_the_zero_geometry(n, monkeypatch):
         chart, pot, rng.normal(size=(5, 4, n)), rng.normal(size=(5, 4, n)),
         path_of(n, N, rng.normal(size=(N - 3, n))),
     )
-    shapes = [(5, 4, n), (4, 5, n), (5, 4 * n, 4 * n), (5, n), (N - 3, n)]
+    shapes = [(5, 4, n), (5, 4, n), (5, 4 * n, 4 * n), (5, n), (N - 3, n)]
     assert [o.shape for o in out] == shapes
     assert all(np.all(np.isfinite(o)) for o in out)
 

@@ -25,7 +25,6 @@ from riemplan import (
     ConstructionError,
     CurveState,
     GaussianObstacle,
-    JacobiState,
     NumericalError,
     NumericChart,
     QuadraticWell,
@@ -687,8 +686,7 @@ def stagewise_step(chart, pot, u, h, s0, sm, s1):
     """One classical RK4 step of the field ODE, stage by stage from jacobi_rhs."""
 
     def rhs(s, w):
-        jac = JacobiState(s.t, w[..., 0, :], w[..., 1, :], w[..., 2, :], w[..., 3, :])
-        return np.stack(jacobi_rhs(chart, pot, s, jac), axis=-2)
+        return jacobi_rhs(chart, pot, s, w)
 
     k1 = rhs(s0, u)
     k2 = rhs(sm, u + 0.5 * h * k1)
@@ -735,10 +733,35 @@ def test_operator_table_applies_jacobi_rhs(name, data):
         label="jets",
     )
     nodes = _field(traj).nodes
-    want = np.stack(jacobi_rhs(chart, pot, traj.state(k), JacobiState(traj.ts[k], *u)))
+    want = jacobi_rhs(chart, pot, traj.state(k), u)
     got = nodes[k] @ u.ravel()
     scale = np.max(np.abs(nodes[k]) @ np.abs(u.ravel()))
     assert np.max(np.abs(got - want.ravel())) <= 1e-12 * scale + 1e-300
+
+
+@pytest.mark.parametrize("name", ["euclidean:2", "sphere2", "so3", "numeric-sphere"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=str)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_jacobi_rhs_maps_a_jet_stack_row_by_row(name, batch, data):
+    """jacobi_rhs takes field jet stacks (..., 4, n), the curve states
+    batched alike, and returns the stack's shape; each row of a batch gets
+    the bits it gets alone."""
+    chart = numeric_sphere() if name == "numeric-sphere" else parse_manifold(name)
+    n = chart.dim
+    mode = "chart" if name == "numeric-sphere" else "riemannian"
+    pot = GaussianObstacle(chart, np.full(n, 0.1), amplitude=1.0, width=0.6, distance=mode)
+
+    def stack(bound, label):
+        elements = st.floats(-bound, bound, allow_subnormal=False)
+        return data.draw(hnp.arrays(float, batch + (4, n), elements=elements), label=label)
+
+    jets, u = stack(0.3, "curve jets"), stack(1.0, "field jets")
+    got = jacobi_rhs(chart, pot, CurveState(None, *np.moveaxis(jets, -2, 0)), u)
+    assert got.shape == u.shape
+    for row in np.ndindex(batch):
+        alone = jacobi_rhs(chart, pot, CurveState(None, *jets[row]), u[row])
+        assert np.array_equal(got[row], alone), row
 
 
 def test_one_series_evaluation_per_stage_and_table(monkeypatch):
