@@ -333,7 +333,7 @@ def _predict_steps(steps, estimate):
     The factor 2 covers the error's pre-asymptotic fall, slower than h^4
     on coarse grids, so the prediction rarely needs a doubling.
     """
-    return 2 * math.ceil(0.5 * steps * (2.0 * estimate / _STEP_TOL) ** 0.25)
+    return 2 * math.ceil(0.5 * steps * (2.0 * estimate / _STEP_TOL) ** (1 / rk4.ORDER))
 
 
 def _richardson(fine: _Shot, coarse: _Shot) -> float:
@@ -360,7 +360,7 @@ def _richardson(fine: _Shot, coarse: _Shot) -> float:
     J = shooting_jacobian(traj)
     twin = replace(coarse.trajectory, field_refinement=traj.field_steps // coarse.trajectory.segments)
     dj = np.linalg.norm(J - shooting_jacobian(twin)) / np.linalg.norm(J)
-    return float(max(e, dj) / 15.0)
+    return float(max(e, dj) / (2**rk4.ORDER - 1))
 
 
 def field_grid(trajectory: Trajectory) -> tuple[Trajectory, float]:
@@ -382,7 +382,7 @@ def field_grid(trajectory: Trajectory) -> tuple[Trajectory, float]:
     def estimate(r):
         traj = trajectory if r == trajectory.field_refinement else replace(trajectory, field_refinement=r)
         J, J_half = _field_jacobians(traj)
-        return traj, float(np.linalg.norm(J - J_half) / np.linalg.norm(J) / 15.0)
+        return traj, float(np.linalg.norm(J - J_half) / np.linalg.norm(J) / (2**rk4.ORDER - 1))
 
     traj, est = estimate(1)
     if est > _STEP_TOL and r_max > 1:

@@ -32,7 +32,7 @@ from .errors import (
     NonconvergenceError,
     PlannerError,
     ResolutionWarning,
-    _recorded_warnings,
+    _notes,
 )
 from .index import verdict
 from .jacobi import biconjugate_scan
@@ -138,13 +138,8 @@ def _solve_payload(result, boundary) -> dict:
             "field_estimate": result.field_estimate,
             "tol": result.tol,
         },
-        "warnings": _notes(result),
+        "warnings": _notes(result.warnings),
     }
-
-
-def _notes(result) -> list:
-    """A solve's ResolutionWarnings as the artifacts record them, "Category: message"."""
-    return [f"{ResolutionWarning.__name__}: {message}" for message in result.warnings]
 
 
 # -- commands -----------------------------------------------------------
@@ -173,7 +168,7 @@ def _plan_trajectory(scenario):
             res = scan[0]
         else:
             res, scan = solve_bvp(*problem, h=scenario.step, max_iter=opts.get("max_iter", 50)), None
-    for note in _notes(res):
+    for note in _notes(res.warnings):
         print(f"warning: {note}", file=sys.stderr)
     return res, scan
 
@@ -189,7 +184,7 @@ def cmd_plan(scenario, args) -> int:
 
 
 def _obtain_trajectory(scenario, args):
-    """The trajectory to work on, stored or planned, and its plan's warnings (``_notes``)."""
+    """The trajectory to work on, stored or planned, and its plan's warnings' messages."""
     if getattr(args, "trajectory", None):
         traj = read_trajectory_csv(Path(args.trajectory), scenario.chart, scenario.potential)
         a, b = scenario.boundary.a, scenario.boundary.b
@@ -200,7 +195,7 @@ def _obtain_trajectory(scenario, args):
             )
         return traj, []
     res, _ = _plan_trajectory(scenario)
-    return res.trajectory, _notes(res)
+    return res.trajectory, res.warnings
 
 
 def _fielded_trajectory(scenario, args):
@@ -211,17 +206,17 @@ def _fielded_trajectory(scenario, args):
     when the scenario fixes no step, so it certifies on the grid its
     plan chose; with a step its fields march on its own grid.
     """
-    traj, notes = _obtain_trajectory(scenario, args)
+    traj, messages = _obtain_trajectory(scenario, args)
     if getattr(args, "trajectory", None) and scenario.step is None:
         traj, _ = field_grid(traj)
-    return traj, notes
+    return traj, messages
 
 
 def cmd_verify(scenario, args) -> int:
-    traj, notes = _fielded_trajectory(scenario, args)
+    traj, messages = _fielded_trajectory(scenario, args)
     report = verdict(traj, m=scenario.verify.get("basis"))
     payload = report.to_dict()
-    payload["warnings"] = notes + payload["warnings"]  # the plan's, then the scan's
+    payload["warnings"] = _notes(messages) + payload["warnings"]  # the plan's, then the scan's
     if report.classification.startswith("candidate"):
         payload["uniqueness"] = check_uniqueness_props(traj, rng_seed=scenario.seed)
     _write_json(scenario.out / "verdict.json", payload)
@@ -229,13 +224,10 @@ def cmd_verify(scenario, args) -> int:
 
 
 def cmd_scan(scenario, args) -> int:
-    traj, notes = _fielded_trajectory(scenario, args)
-    with _recorded_warnings() as scan_notes:
-        report = biconjugate_scan(
-            traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid")
-        )
+    traj, messages = _fielded_trajectory(scenario, args)
+    report = biconjugate_scan(traj, t1=scenario.verify.get("t1"), grid=scenario.verify.get("grid"))
     payload = report.to_dict()
-    payload["warnings"] = notes + scan_notes  # the plan's, then the scan's
+    payload["warnings"] = _notes(messages + report.warnings)  # the plan's, then the scan's
     _write_json(scenario.out / "biconjugate.json", payload)
     return EXIT_OK
 

@@ -181,9 +181,12 @@ def potential_from_config(chart, cfg, where="potential") -> Potential:
 # (block, key, check(raw, where) -> value) for every option a command reads
 _CHECKS = (
     ("verify", "grid", partial(_count, least=1, what="a positive sample count")),
-    ("verify", "basis", partial(_count, least=2, what="at least 2 spline profiles")),
+    # bounds far past any use (the Galerkin matrices are dense, (m n)^2 with
+    # default m = ceil(120 / n); multi-seed builds all its seeds, 10 by default,
+    # before any march): basis 2**62 raised from np.linspace, not as a config error
+    ("verify", "basis", partial(_count, least=2, what="at least 2 spline profiles", most=1024)),
     ("solver", "max_iter", partial(_count, least=0, what="at least 0")),
-    ("solver", "seeds", partial(_count, least=1, what="at least 1")),
+    ("solver", "seeds", partial(_count, least=1, what="at least 1", most=1024)),
     ("solver", "spread", partial(_real, least=0.0)),
     ("solver", "multi_seed", _boolean),
     # a million segments is far past any grid the oracle converges on; the

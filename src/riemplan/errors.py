@@ -1,10 +1,7 @@
-"""Exception and warning taxonomy shared by the whole package, and the
-recorder that turns ResolutionWarnings into the artifacts' notes."""
+"""Exception and warning taxonomy shared by the whole package, and ``_notes``,
+the artifacts' form of the ResolutionWarning messages that reports keep."""
 
 from __future__ import annotations
-
-import contextlib
-import warnings
 
 
 class PlannerError(Exception):
@@ -31,7 +28,7 @@ class InjectivityError(PlannerError):
 
 
 class NumericalError(PlannerError):
-    """A numerical parameter is unusable (step underflow, degenerate scale)."""
+    """A march went nonfinite: a curve's or a field bundle's state left the finite floats."""
 
 
 class NonconvergenceError(PlannerError):
@@ -66,18 +63,6 @@ class ResolutionWarning(UserWarning):
     detections, or error control's largest grid to meet its tolerance."""
 
 
-@contextlib.contextmanager
-def _recorded_warnings():
-    """Collect the ResolutionWarnings of the block as "ResolutionWarning: message".
-
-    Yields the list, filled when the block exits, in the form the
-    artifacts record; every warning caught is issued again.
-    """
-    notes = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResolutionWarning)
-        yield notes
-    for w in caught:
-        if issubclass(w.category, ResolutionWarning):
-            notes.append(f"{w.category.__name__}: {w.message}")
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+def _notes(messages) -> list:
+    """ResolutionWarning messages as the artifacts record them, "ResolutionWarning: message"."""
+    return [f"{ResolutionWarning.__name__}: {message}" for message in messages]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory, quadrature_weights
-from .errors import BasisError, ConstructionError, _recorded_warnings
+from .errors import BasisError, ConstructionError, _notes
 from .geometry import parallel_transport, transport_frame
 from .jacobi import (
     _anchor,
@@ -351,7 +351,7 @@ class OptimalityReport:
     certified_interval: tuple
     index_report: IndexReport
     scan_report: object
-    #: verdict-relevant warnings raised on the way, as "Category: message"
+    #: the scan's ResolutionWarning messages, written as "ResolutionWarning: message"
     warnings: list = field(default_factory=list)
     #: the resolution the verdict rests on: trajectory segments and step,
     #: the field grid's steps, and the Galerkin quadrature points
@@ -364,7 +364,7 @@ class OptimalityReport:
             "certified_interval": [float(self.certified_interval[0]), float(self.certified_interval[1])],
             "galerkin": self.index_report.to_dict(),
             "rank_drops": self.scan_report.to_dict(),
-            "warnings": list(self.warnings),
+            "warnings": _notes(self.warnings),
         }
 
 
@@ -376,8 +376,8 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
     fixed-endpoint variations; an empty scan with trivial kernel leaves a
     nondegenerate candidate.  Restriction to short sub-windows always
     yields a minimizer, so the report carries the largest leading
-    sub-interval free of detected pairs.  A ResolutionWarning from the scan
-    is recorded in the report and still issued.  The report's ``grid``
+    sub-interval free of detected pairs.  The scan's ResolutionWarnings,
+    issued by the scan, are the report's ``warnings``.  The report's ``grid``
     states the resolution the verdict rests on: the trajectory's
     ``segments`` and step ``h``; ``field_steps``, the steps of the field
     grid the scan marches on (``Trajectory.field_steps``, equal to
@@ -387,8 +387,7 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
     """
     if m is None:
         m = int(np.ceil(120 / trajectory.chart.dim))
-    with _recorded_warnings() as notes:
-        scan = biconjugate_scan(trajectory)
+    scan = biconjugate_scan(trajectory)
     rep = extended_index(trajectory, m)
     T_hi = float(trajectory.ts[-1])
     edge = 2.0 * trajectory.field_h
@@ -405,7 +404,7 @@ def verdict(trajectory: Trajectory, m: int | None = None) -> OptimalityReport:
         certified_interval=(float(trajectory.ts[0]), float(first)),
         index_report=rep,
         scan_report=scan,
-        warnings=notes,
+        warnings=list(scan.warnings),
         grid={
             "segments": trajectory.segments,
             "h": trajectory.h,

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,7 +197,8 @@ class _StoredFlow:
     Off-node values come from a single partial RK4 step out of the
     enclosing field node, built from the operator at the node and at two
     interpolated curve states, so dense queries keep the integrator's
-    order without re-propagating from the anchor.
+    order without re-propagating from the anchor.  At a node the step
+    matrix of dt = 0 is exactly I, so the node's state comes back as stored.
     """
 
     def __init__(self, traj: Trajectory, states, k_lo):
@@ -222,8 +223,7 @@ class _StoredFlow:
         )
         phi = rk4.step_matrices(A[:S], A[S : 2 * S], A[2 * S :], dt[:, None, None])
         flat = u.reshape(S, -1, phi.shape[-1])
-        out = np.where((np.abs(dt) < 1e-14)[:, None, None], flat, flat @ phi.swapaxes(-1, -2))
-        return out.reshape(t.shape + u.shape[1:])
+        return (flat @ phi.swapaxes(-1, -2)).reshape(t.shape + u.shape[1:])
 
 
 def _propagate_bundle(traj: Trajectory, k, u0):
@@ -397,13 +397,15 @@ def shooting_jacobian(trajectory: Trajectory) -> np.ndarray:
 class BiconjugateReport:
     """Times t2 after the anchor t1 where a nonzero field vanishes to first
     order at both, with the scaled rank test's sigma_min/sigma_max at each
-    and the witness: the field's unit (d2X, d3X) at t1."""
+    and the witness: the field's unit (d2X, d3X) at t1.  ``warnings``
+    holds the messages of the ResolutionWarnings the scan issued."""
 
     t1: float
     times: list
     sigma_ratios: list
     witnesses: list
     resolution: float
+    warnings: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.times)
@@ -519,8 +521,8 @@ def biconjugate_scan(trajectory: Trajectory, t1: float | None = None, grid: int 
 
     h_scan = trajectory.field_h * stride
     times = [e[0] for e in dedup]
+    report = BiconjugateReport(t1, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
     if any(w - u < 2.0 * h_scan for u, w in zip(times, times[1:])):
-        warnings.warn(
-            "adjacent rank drops closer than two scan steps; rerun with a finer grid", ResolutionWarning, stacklevel=2
-        )
-    return BiconjugateReport(t1, times, [e[1] for e in dedup], [e[2] for e in dedup], h_scan)
+        report.warnings.append("adjacent rank drops closer than two scan steps; rerun with a finer grid")
+        warnings.warn(report.warnings[-1], ResolutionWarning, stacklevel=2)
+    return report

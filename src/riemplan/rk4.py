@@ -17,6 +17,9 @@ from .errors import NumericalError
 
 __all__ = ["step", "step_matrices", "march", "propagators"]
 
+#: the method's order: its global error falls as h**ORDER
+ORDER = 4
+
 
 def step(rhs, u, h):
     """One classical RK4 step of u' = rhs(u); u is any array rhs accepts."""

@@ -253,7 +253,9 @@ def test_verify_records_scan_warnings(tmp_path, monkeypatch):
 
     def coarse_scan(*args, **kwargs):
         warnings.warn("scan grid too coarse", ResolutionWarning)
-        return scan(*args, **kwargs)
+        report = scan(*args, **kwargs)
+        report.warnings.append("scan grid too coarse")
+        return report
 
     monkeypatch.setattr(riemplan.index, "biconjugate_scan", coarse_scan)
     cfg = write_cfg(tmp_path)
@@ -437,7 +439,9 @@ def test_scan_records_its_warnings(tmp_path, monkeypatch):
 
     def coarse_scan(*args, **kwargs):
         warnings.warn("scan grid too coarse", ResolutionWarning)
-        return scan(*args, **kwargs)
+        report = scan(*args, **kwargs)
+        report.warnings.append("scan grid too coarse")
+        return report
 
     monkeypatch.setattr(riemplan.cli, "biconjugate_scan", coarse_scan)
     cfg = write_cfg(tmp_path, base=WELL_TOP)
@@ -535,6 +539,9 @@ def test_verify_options_must_be_counts(tmp_path, capsys, command, key, value):
         ("oracle-compare", {"oracle": {"nodes": 2**70}}, [], "oracle.nodes"),
         ("oracle-compare", {"oracle": {"nodes": 2**20 + 1}}, [], "oracle.nodes"),
         ("oracle-compare", {}, ["--nodes", str(2**70)], "--nodes"),
+        # so are a Galerkin basis and a seed count far past what numpy allocates
+        ("verify", {"verify": {"basis": 2**62}}, [], "verify.basis"),
+        ("plan", {"solver": {"multi_seed": True, "seeds": 2**40}}, [], "solver.seeds"),
     ],
 )
 def test_command_options_are_validated(tmp_path, capsys, command, over, flags, key):

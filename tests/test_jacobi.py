@@ -413,8 +413,9 @@ def test_scan_witness_repropagation():
 
 def test_scan_coarse_grid_warns():
     pot, traj = bump_rest(12.0)
-    with pytest.warns(ResolutionWarning):
-        biconjugate_scan(traj, grid=4)
+    with pytest.warns(ResolutionWarning) as caught:
+        report = biconjugate_scan(traj, grid=4)
+    assert report.warnings == [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("grid", [0, -3])
